@@ -169,7 +169,17 @@ class CTIGraphTemplate:
     def instantiate(self, kernel: Kernel, hints: Sequence[ScheduleHint]) -> CTGraph:
         """Stamp a per-schedule graph: base edges + this CT's hint edges."""
         schedule_rows, hint_flags = self._schedule_parts(kernel, hints)
-        if schedule_rows:
+        return self.stamp(hints, schedule_rows, hint_flags)
+
+    def stamp(
+        self,
+        hints: Sequence[ScheduleHint],
+        schedule_rows: Sequence[Tuple[int, int, int]],
+        hint_flags: np.ndarray,
+    ) -> CTGraph:
+        """A graph of this template from already-derived schedule parts
+        (the serve wire ships exactly these per candidate)."""
+        if len(schedule_rows):
             edges = np.vstack(
                 [self.base_edges, np.asarray(schedule_rows, dtype=np.int64)]
             )

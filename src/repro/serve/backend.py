@@ -28,16 +28,20 @@ version that produced it and refusing to cache a mismatch.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.serve.batching import BatcherConfig, MicroBatcher, PendingResult
 from repro.serve.cache import PredictionCache
-from repro.serve.digest import prediction_key
+from repro.serve.digest import graph_digest
 
 __all__ = ["PredictionBackend", "LocalBackend", "InProcessServer"]
+
+#: One unit of a served batch: the graph's content digest plus a thunk
+#: producing the graph, called only when the digest misses the cache.
+GraphItem = Tuple[str, Callable[[], object]]
 
 
 class PredictionBackend:
@@ -288,6 +292,14 @@ class InProcessServer(PredictionBackend):
     def predict_proba_batch_versioned(
         self, graphs: Sequence[object]
     ) -> Tuple[str, List[np.ndarray]]:
+        """:meth:`predict_items_versioned` for callers holding graphs."""
+        return self.predict_items_versioned(
+            [(graph_digest(graph), lambda graph=graph: graph) for graph in graphs]
+        )
+
+    def predict_items_versioned(
+        self, items: Sequence[GraphItem]
+    ) -> Tuple[str, List[np.ndarray]]:
         """One batch plus the single model version that produced it.
 
         A batch is never mixed-version: if a concurrent
@@ -297,32 +309,36 @@ class InProcessServer(PredictionBackend):
         discarded and retried; under sustained swap churn the batch is
         finally scored in one piece under the model lock, which no swap
         can interleave with.
+
+        Results are cached under the digest each item claims, so its
+        thunk must return a graph with that :func:`graph_digest` or raise.
         """
-        graphs = list(graphs)
-        if not graphs:
+        items = list(items)
+        if not items:
             with self._model_lock:
                 return self._version, []
         with self._stats_lock:
             self._requests += 1
         registry = self._obs()
         for _attempt in range(3):
-            version, results, raced = self._gather_batch(graphs, registry)
+            version, results, raced = self._gather_batch(items, registry)
             if not raced:
                 self.observed_version = version
                 return version, results
         # Swap churn outran the optimistic path: score the whole batch
         # in one forward pass under the model lock, where the version
         # and the weights cannot diverge.
+        graphs = [materialise() for _digest, materialise in items]
         with self._model_lock:
             version = self._version
             probas = self._forward(self._model, graphs)
-        for graph, proba in zip(graphs, probas):
-            self.cache.put(prediction_key(version, graph), proba)
+        for (digest, _materialise), proba in zip(items, probas):
+            self.cache.put(f"{version}:{digest}", proba)
         self.observed_version = version
         return version, probas
 
     def _gather_batch(
-        self, graphs: List[object], registry
+        self, items: List[GraphItem], registry
     ) -> Tuple[str, List[np.ndarray], bool]:
         """One optimistic cache+batcher pass; ``raced`` flags a batch
         whose computed results came from a different version than the
@@ -335,7 +351,8 @@ class InProcessServer(PredictionBackend):
             anchor_batcher = self._batcher._clock()
         with self._model_lock:
             version = self._version
-        keys = [prediction_key(version, graph) for graph in graphs]
+        # The key format is :func:`repro.serve.digest.prediction_key`'s.
+        keys = [f"{version}:{digest}" for digest, _materialise in items]
         cache_started = registry.now() if registry is not None else 0.0
         results: List[Optional[np.ndarray]] = [self.cache.get(key) for key in keys]
         if registry is not None:
@@ -347,13 +364,18 @@ class InProcessServer(PredictionBackend):
                 attrs={"hits": hits, "misses": len(results) - hits},
             )
 
+        # Materialise every distinct miss before submitting any, so a
+        # thunk that raises leaves nothing queued or registered in flight.
+        missing: Dict[str, object] = {}
+        for key, (_digest, materialise), cached in zip(keys, items, results):
+            if cached is None and key not in missing:
+                missing[key] = materialise()
+
         # For each distinct missing key, either adopt the in-flight
         # computation another thread already submitted or submit one.
         pending_by_key: Dict[str, PendingResult] = {}
         submitted: Dict[str, PendingResult] = {}
-        for key, graph, cached in zip(keys, graphs, results):
-            if cached is not None or key in pending_by_key:
-                continue
+        for key, graph in missing.items():
             with self._inflight_lock:
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -422,13 +444,16 @@ class InProcessServer(PredictionBackend):
             requests = self._requests
         with self._model_lock:
             version = self._version
-            model_name = getattr(getattr(self._model, "config", None), "name", "?")
+            config = getattr(self._model, "config", None)
+            model_name = getattr(config, "name", "?")
+            vocab_size = int(getattr(config, "vocab_size", 0))
             threshold = float(getattr(self._model, "threshold", 0.5))
         return {
             "backend": "in-process",
             "version": version,
             "model_name": model_name,
             "threshold": threshold,
+            "vocab_size": vocab_size,
             "requests": requests,
             "cache": self.cache.stats(),
             "batcher": self._batcher.stats(),

@@ -18,6 +18,10 @@ per ``token_ids`` array (same keying discipline as the PIC model's
 encoder cache, holding a reference so ``id()`` cannot be reused), so a
 candidate pool pays the big hash once and each candidate only hashes
 its own hint flags and schedule edges.
+
+Digests are in-memory cache keys and wire names only: nothing persists
+them and no test or artefact pins a hex value, so the byte recipe may
+change between commits (a server and its clients run the same code).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from repro.graphs.ctgraph import EDGE_SCHEDULE, CTGraph
 
-__all__ = ["graph_digest", "prediction_key", "clear_digest_memo"]
+__all__ = ["graph_digest", "template_digest", "prediction_key", "clear_digest_memo"]
 
 #: Memo of template-level digest prefixes: id(token_ids) -> (token_ids,
 #: hexdigest). Bounded; eviction is FIFO like the model's encoder cache.
@@ -40,13 +44,15 @@ _TEMPLATE_MEMO_CAP = 64
 def _hash_arrays(hasher: "hashlib._Hash", *arrays: np.ndarray) -> None:
     for array in arrays:
         array = np.ascontiguousarray(array)
-        hasher.update(str(array.dtype).encode("ascii"))
+        # ``dtype.str`` is a C attribute; ``str(dtype)`` runs Python code.
+        hasher.update(array.dtype.str.encode("ascii"))
         hasher.update(repr(array.shape).encode("ascii"))
         hasher.update(array.tobytes())
 
 
-def _template_prefix(graph: CTGraph) -> str:
-    """Digest of everything schedule-independent, memoised per template."""
+def template_digest(graph: CTGraph) -> str:
+    """Digest of everything schedule-independent, memoised per template;
+    doubles as the template's name on the serve wire."""
     key = id(graph.token_ids)
     cached = _TEMPLATE_MEMO.get(key)
     if cached is not None and cached[0] is graph.token_ids:
@@ -65,8 +71,8 @@ def _template_prefix(graph: CTGraph) -> str:
     )
     prefix = hasher.hexdigest()
     if len(_TEMPLATE_MEMO) >= _TEMPLATE_MEMO_CAP:
-        oldest = next(iter(_TEMPLATE_MEMO))
-        del _TEMPLATE_MEMO[oldest]
+        # pop(): handler threads digest concurrently and may race here.
+        _TEMPLATE_MEMO.pop(next(iter(_TEMPLATE_MEMO)), None)
     _TEMPLATE_MEMO[key] = (graph.token_ids, prefix)
     return prefix
 
@@ -80,7 +86,7 @@ def graph_digest(graph: CTGraph) -> str:
     and/or schedule edges — changes the digest.
     """
     hasher = hashlib.sha256()
-    hasher.update(_template_prefix(graph).encode("ascii"))
+    hasher.update(template_digest(graph).encode("ascii"))
     schedule_rows = graph.edges[graph.edges[:, 2] == EDGE_SCHEDULE]
     _hash_arrays(hasher, graph.hint_flags, schedule_rows)
     hasher.update(repr(tuple(graph.hints)).encode("utf-8"))

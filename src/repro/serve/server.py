@@ -14,14 +14,24 @@ Wire protocol (deliberately stdlib-only):
   that many bytes of UTF-8 JSON. One connection carries any number of
   request/response pairs, in order.
 - **Ops**: ``predict_batch`` (the workhorse), ``status`` (stats +
-  model identity), ``ping``, and ``shutdown``.
-- **Graphs on the wire** are template-deduplicated: candidates of one
-  CTI share their template arrays (``token_ids`` dominates the bytes),
-  so a request carries each distinct template once and per-graph
-  deltas (hint flags, edges, hints) referencing it by index. The
-  server rebuilds graphs that *share* array objects per template,
-  which keeps the digest memo and the model's encoder cache effective
-  server-side.
+  model identity), ``metrics``, ``swap``, ``ping``, and ``shutdown``.
+- **``predict_batch`` is digest-addressed** (layout in
+  ``docs/SERVING.md``): candidates of one CTI differ only in their
+  schedule, so a frame names each template by its
+  :func:`~repro.serve.digest.template_digest` and sends per graph its
+  :func:`~repro.serve.digest.graph_digest` plus the schedule delta
+  (hints, non-zero hint flags, ``EDGE_SCHEDULE`` rows). The server
+  answers cache hits by digest without building a graph and
+  materialises misses from a bounded table of *interned* templates, so
+  every frame of a CTI — from any client — shares one set of arrays
+  and one ``base_cache``.
+- **``need_templates``**: a frame naming a template the server does not
+  hold is refused whole, before any cache lookup or accounting; the
+  client resends it once with those arrays under ``bodies``.
+- **Never trusted**: a body must pass range checks and hash to the
+  digest it is sent under before it is interned; every materialised
+  miss is range-checked and its digest recomputed — nothing is cached
+  under a digest the server did not reproduce.
 - **Exactness**: probabilities return as JSON floats. Python's float
   repr is shortest-round-trip, so every float64 crosses the socket
   bit-identically — served predictions are byte-equal to local ones.
@@ -33,6 +43,8 @@ client-side as :class:`~repro.errors.ServeError`.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
 import socket
@@ -40,21 +52,30 @@ import socketserver
 import struct
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ProtocolError, ServeError
 from repro.execution.concurrent import ScheduleHint
-from repro.graphs.ctgraph import CTGraph
+from repro.graphs.ctgraph import (
+    EDGE_SCHEDULE,
+    NUM_EDGE_TYPES,
+    NUM_HINT_FLAGS,
+    NUM_NODE_TYPES,
+    CTGraph,
+    CTIGraphTemplate,
+)
 from repro.obs.export import render_prometheus, snapshot_from_stats
 from repro.obs.flight import active_recorder
 from repro.obs.propagation import TraceContext, current_context
-from repro.serve.backend import InProcessServer, PredictionBackend
+from repro.serve.backend import GraphItem, InProcessServer, PredictionBackend
 from repro.serve.batching import BatcherConfig
 from repro.serve.cache import DEFAULT_CACHE_BYTES
+from repro.serve.digest import graph_digest, template_digest
 
 __all__ = [
     "ServerConfig",
@@ -120,86 +141,221 @@ def write_frame(wfile, payload: dict) -> None:
 
 # -- graph (de)serialisation -------------------------------------------------
 
+#: Interned templates a server holds (LRU); the PIC model's encoder
+#: cache holds as many, so an interned template is normally still warm.
+_INTERN_CAP = 32
 
-def encode_graphs(graphs: Sequence[CTGraph]) -> dict:
-    """Template-deduplicated wire form of a batch of CT graphs."""
-    templates: List[dict] = []
-    template_index: Dict[int, int] = {}
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+def _encode_template(graph: CTGraph) -> dict:
+    return {
+        "kernel_version": graph.kernel_version,
+        "cti_key": list(graph.cti_key),
+        "node_types": graph.node_types.tolist(),
+        "node_threads": graph.node_threads.tolist(),
+        "node_blocks": graph.node_blocks.tolist(),
+        "token_ids": graph.token_ids.tolist(),
+        "base_edges": graph.edges[graph.edges[:, 2] != EDGE_SCHEDULE].tolist(),
+    }
+
+
+def encode_graphs(
+    graphs: Sequence[CTGraph], bodies: Optional[Collection[str]] = None
+) -> dict:
+    """Digest-addressed wire form of a batch of CT graphs.
+
+    ``bodies`` names the templates whose arrays ride along; ``None``
+    attaches every one, which makes the payload self-contained.
+    """
+    positions: Dict[str, int] = {}
+    firsts: List[CTGraph] = []
     encoded: List[dict] = []
     for graph in graphs:
-        key = id(graph.token_ids)
-        index = template_index.get(key)
-        if index is None or templates[index]["_token_ids_ref"] is not graph.token_ids:
-            index = len(templates)
-            template_index[key] = index
-            templates.append(
-                {
-                    "_token_ids_ref": graph.token_ids,  # stripped below
-                    "kernel_version": graph.kernel_version,
-                    "cti_key": list(graph.cti_key),
-                    "node_types": graph.node_types.tolist(),
-                    "node_threads": graph.node_threads.tolist(),
-                    "node_blocks": graph.node_blocks.tolist(),
-                    "token_ids": graph.token_ids.tolist(),
-                }
-            )
+        name = template_digest(graph)
+        if name not in positions:
+            positions[name] = len(firsts)
+            firsts.append(graph)
+        hinted = np.flatnonzero(graph.hint_flags)
+        schedule = graph.edges[graph.edges[:, 2] == EDGE_SCHEDULE]
         encoded.append(
             {
-                "template": index,
-                "hint_flags": graph.hint_flags.tolist(),
-                "edges": graph.edges.tolist(),
+                "t": positions[name],
+                "digest": graph_digest(graph),
                 "hints": [[hint.thread, hint.iid] for hint in graph.hints],
+                "flags": [hinted.tolist(), graph.hint_flags[hinted].tolist()],
+                "schedule": schedule[:, :2].tolist(),
             }
         )
-    for template in templates:
-        del template["_token_ids_ref"]
-    return {"templates": templates, "graphs": encoded}
+    payload = {"templates": list(positions), "graphs": encoded}
+    attached = {
+        name: _encode_template(graph)
+        for name, graph in zip(positions, firsts)
+        if bodies is None or name in bodies
+    }
+    if attached:
+        payload["bodies"] = attached
+    return payload
 
 
-def decode_graphs(payload: dict) -> List[CTGraph]:
-    """Rebuild graphs, re-sharing arrays (and a GNN base cache) per template."""
+def _int_array(values, shape: Tuple[int, ...]) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64).reshape(shape)
+
+
+def _require(condition: bool, what: str) -> None:
+    if not condition:
+        raise ValueError(what)
+
+
+def _within(array: np.ndarray, bound: int) -> bool:
+    return array.size == 0 or (array.min() >= 0 and array.max() < bound)
+
+
+def _stamp(template: CTIGraphTemplate, encoded: dict) -> CTGraph:
+    """One graph from an interned template plus a wire schedule delta."""
+    n = template.num_nodes
+    nodes, values = encoded["flags"]
+    nodes, values = _int_array(nodes, (-1,)), _int_array(values, (-1,))
+    _require(nodes.shape == values.shape, "hint flag lists differ in length")
+    _require(_within(nodes, n), "hint flag node out of range")
+    _require(_within(values, NUM_HINT_FLAGS), "hint flag out of range")
+    hint_flags = np.zeros(n, dtype=np.int64)
+    hint_flags[nodes] = values
+    schedule = _int_array(encoded["schedule"], (-1, 2))
+    _require(_within(schedule, n), "schedule edge endpoint out of range")
+    hints = [
+        ScheduleHint(thread=int(thread), iid=int(iid))
+        for thread, iid in encoded["hints"]
+    ]
+    rows = np.insert(schedule, 2, EDGE_SCHEDULE, axis=1)
+    return template.stamp(hints, rows, hint_flags)
+
+
+def _materialise(template: CTIGraphTemplate, encoded: dict) -> CTGraph:
+    """Build and verify one graph; the claimed digest is never trusted."""
     try:
-        shared: List[dict] = []
-        for template in payload["templates"]:
-            shared.append(
-                {
-                    "kernel_version": str(template["kernel_version"]),
-                    "cti_key": tuple(template["cti_key"]),
-                    "node_types": np.asarray(template["node_types"], dtype=np.int64),
-                    "node_threads": np.asarray(
-                        template["node_threads"], dtype=np.int64
-                    ),
-                    "node_blocks": np.asarray(template["node_blocks"], dtype=np.int64),
-                    "token_ids": np.asarray(template["token_ids"], dtype=np.int64),
-                    "base_cache": {},
-                }
-            )
-        graphs = []
+        graph = _stamp(template, encoded)
+    except _MALFORMED as error:
+        raise ProtocolError(f"malformed graph payload: {error}") from None
+    if graph_digest(graph) != encoded["digest"]:
+        raise ProtocolError("graph content does not match its digest")
+    return graph
+
+
+def _decode_template(
+    name: str, body: dict, vocab_size: Optional[int]
+) -> CTIGraphTemplate:
+    """Validate one template body and check it hashes to ``name``."""
+    node_types = _int_array(body["node_types"], (-1,))
+    n = len(node_types)
+    token_ids = np.asarray(body["token_ids"], dtype=np.int64)
+    _require(token_ids.ndim == 2 and len(token_ids) == n, "token table shape")
+    base_edges = _int_array(body["base_edges"], (-1, 3))
+    _require(_within(node_types, NUM_NODE_TYPES), "node type out of range")
+    _require(_within(base_edges[:, :2], n), "edge endpoint out of range")
+    _require(_within(base_edges[:, 2], NUM_EDGE_TYPES), "edge type out of range")
+    _require(
+        not (base_edges[:, 2] == EDGE_SCHEDULE).any(),
+        "schedule edge in a template body",
+    )
+    if vocab_size:  # None or 0: the caller knows no vocabulary bound
+        _require(_within(token_ids, vocab_size), "token id out of range")
+    template = CTIGraphTemplate(
+        kernel_version=str(body["kernel_version"]),
+        cti_key=tuple(body["cti_key"]),
+        node_types=node_types,
+        node_threads=_int_array(body["node_threads"], (n,)),
+        node_blocks=_int_array(body["node_blocks"], (n,)),
+        token_ids=token_ids,
+        base_edges=base_edges,
+        node_index={},
+        first_blocks=(),
+    )
+    probe = _stamp(template, {"flags": [[], []], "schedule": [], "hints": []})
+    _require(
+        template_digest(probe) == name, "template body does not match its digest"
+    )
+    return template
+
+
+class _TemplateTable:
+    """Bounded LRU of interned templates, keyed by template digest.
+
+    Graphs materialised from one entry share its arrays and
+    ``sparse_cache``: the model's encoder cache, the GNN batch plan and
+    the digest memo are reused across frames and across clients.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, CTIGraphTemplate]" = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def resolve(
+        self, names: Sequence[str], bodies: dict, vocab_size: Optional[int]
+    ) -> Tuple[List[CTIGraphTemplate], List[str]]:
+        """``(templates, missing names)``; an unknown name is interned
+        from its body if the frame carries one, after verification."""
+        resolved: List[CTIGraphTemplate] = []
+        missing: List[str] = []
+        for name in names:
+            with self._lock:
+                template = self._entries.get(name)
+                if template is not None:
+                    self._entries.move_to_end(name)
+            if template is None and name in bodies:
+                # Decoded outside the lock; a concurrent intern of the
+                # same name wins and this copy is dropped.
+                decoded = _decode_template(name, bodies[name], vocab_size)
+                with self._lock:
+                    template = self._entries.setdefault(name, decoded)
+                    while len(self._entries) > _INTERN_CAP:
+                        self._entries.popitem(last=False)
+            if template is None:
+                missing.append(name)
+            resolved.append(template)
+        return resolved, missing
+
+
+def _wire_items(
+    payload: dict, table: _TemplateTable, vocab_size: Optional[int]
+) -> Tuple[List[GraphItem], List[str]]:
+    """``(items, missing templates)`` of one ``predict_batch`` frame."""
+    try:
+        templates, missing = table.resolve(
+            payload["templates"], payload.get("bodies") or {}, vocab_size
+        )
+        if missing:
+            return [], missing
+        items: List[GraphItem] = []
         for encoded in payload["graphs"]:
-            template = shared[encoded["template"]]
-            edges = np.asarray(encoded["edges"], dtype=np.int64)
-            graphs.append(
-                CTGraph(
-                    kernel_version=template["kernel_version"],
-                    cti_key=template["cti_key"],
-                    hints=tuple(
-                        ScheduleHint(thread=int(t), iid=int(i))
-                        for t, i in encoded["hints"]
-                    ),
-                    node_types=template["node_types"],
-                    node_threads=template["node_threads"],
-                    node_blocks=template["node_blocks"],
-                    hint_flags=np.asarray(encoded["hint_flags"], dtype=np.int64),
-                    token_ids=template["token_ids"],
-                    edges=edges.reshape(-1, 3) if edges.size else
-                    np.zeros((0, 3), dtype=np.int64),
-                    node_index={},
-                    base_cache=template["base_cache"],
+            position = encoded["t"]
+            _require(0 <= position < len(templates), "template index out of range")
+            items.append(
+                (
+                    str(encoded["digest"]),
+                    functools.partial(_materialise, templates[position], encoded),
                 )
             )
-        return graphs
-    except (KeyError, TypeError, ValueError, IndexError) as error:
+        return items, []
+    except _MALFORMED as error:
         raise ProtocolError(f"malformed graph payload: {error}") from None
+
+
+def decode_graphs(payload: dict, vocab_size: Optional[int] = None) -> List[CTGraph]:
+    """Rebuild a self-contained payload's graphs, verified against their
+    digests and sharing arrays (and a GNN base cache) per template."""
+    items, missing = _wire_items(payload, _TemplateTable(), vocab_size)
+    if missing:
+        raise ProtocolError(f"payload carries no body for templates {missing}")
+    return [materialise() for _digest, materialise in items]
 
 
 # -- the server --------------------------------------------------------------
@@ -355,6 +511,7 @@ class PredictionServer:
         self._thread: Optional[threading.Thread] = None
         self._connections: set = set()
         self._connections_lock = threading.Lock()
+        self._templates = _TemplateTable()
 
     def _track(self, connection) -> None:
         with self._connections_lock:
@@ -394,7 +551,16 @@ class PredictionServer:
     def _dispatch(self, request: dict, registry) -> dict:
         op = request.get("op")
         if op == "predict_batch":
-            graphs = decode_graphs(request)
+            # Only a frame that brings template bodies needs the vocab
+            # bound; steady-state frames skip the stats call.
+            vocab_size = (
+                self.backend.stats()["vocab_size"] if request.get("bodies") else None
+            )
+            items, missing = _wire_items(request, self._templates, vocab_size)
+            if missing:
+                # Refused whole, before any cache lookup or request
+                # accounting: the client resends with these bodies.
+                return {"ok": True, "need_templates": missing}
             recorder = active_recorder()
             slow_ms = self.config.slow_request_ms
             timing = registry is not None or (
@@ -404,15 +570,13 @@ class PredictionServer:
             # The versioned call pins the version that actually scored
             # this batch — reading backend.version afterwards could tag
             # old predictions with a concurrently swapped-in version.
-            if registry is not None:
-                with registry.span("serve.request", op=op, graphs=len(graphs)):
-                    batch_version, probas = (
-                        self.backend.predict_proba_batch_versioned(graphs)
-                    )
-            else:
-                batch_version, probas = (
-                    self.backend.predict_proba_batch_versioned(graphs)
-                )
+            span = (
+                registry.span("serve.request", op=op, graphs=len(items))
+                if registry is not None
+                else contextlib.nullcontext()
+            )
+            with span:
+                batch_version, probas = self.backend.predict_items_versioned(items)
             if timing:
                 elapsed = time.monotonic() - started
                 if registry is not None:
@@ -422,7 +586,7 @@ class PredictionServer:
                     and slow_ms is not None
                     and elapsed * 1000.0 >= slow_ms
                 ):
-                    recorder.note_slow(op, elapsed, graphs=len(graphs))
+                    recorder.note_slow(op, elapsed, graphs=len(items))
             return {
                 "ok": True,
                 "version": batch_version,
@@ -433,11 +597,6 @@ class PredictionServer:
             status["socket"] = self.config.socket_path
             status["uptime_seconds"] = round(
                 time.monotonic() - self._started_monotonic, 3
-            )
-            status["vocab_size"] = int(
-                getattr(
-                    getattr(self.backend._model, "config", None), "vocab_size", 0
-                )
             )
             return {"ok": True, "status": status}
         if op == "metrics":
@@ -484,6 +643,9 @@ class PredictionServer:
             ):
                 model.set_inference_mode(self.config.infer_dtype)
             self.backend.swap_model(model, version)
+            # Interned templates were validated against the old model's
+            # vocabulary; clients re-send bodies on their next frame.
+            self._templates.clear()
             return {
                 "ok": True,
                 "version": version,
@@ -685,6 +847,12 @@ class SocketBackend(PredictionBackend):
                 last_error = error
                 self._record_transport_failure()
                 continue
+            except ProtocolError:
+                # An oversize or undecodable frame leaves its body unread
+                # on the stream; a kept connection would parse payload
+                # bytes as the next length header.
+                self._teardown()
+                raise
             # Success closes the circuit (this was the half-open probe
             # if one was pending).
             self._consecutive_failures = 0
@@ -745,12 +913,22 @@ class SocketBackend(PredictionBackend):
         graphs = list(graphs)
         if not graphs:
             return []
-        payload = encode_graphs(graphs)
-        payload["op"] = "predict_batch"
         # The serve.call span is open while _request reads the current
         # context, so the server parents its spans under this exact call.
         with obs.span("serve.call", op="predict_batch", graphs=len(graphs)):
-            response = self._request(payload)
+            # Optimistically name templates only; a server that does not
+            # hold one (first frame of a CTI, eviction, restart) refuses
+            # the frame and gets it again with those bodies attached.
+            response = self._request(
+                {"op": "predict_batch", **encode_graphs(graphs, bodies=())}
+            )
+            needed = response.get("need_templates")
+            if needed:
+                response = self._request(
+                    {"op": "predict_batch", **encode_graphs(graphs, bodies=needed)}
+                )
+        if "probas" not in response:
+            raise ProtocolError("server refused a frame that carried its templates")
         probas = response["probas"]
         if len(probas) != len(graphs):
             raise ProtocolError(

@@ -10,16 +10,19 @@ is indistinguishable from one scored locally, field for field.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import rng as rngmod
 from repro.core.mlpct import ExplorationConfig, MLPCTExplorer, run_campaign
 from repro.core.scoring import CandidateScorer
 from repro.core.strategies import make_strategy
-from repro.errors import AdmissionError, CheckpointError, ServeError
+from repro.errors import AdmissionError, CheckpointError, ProtocolError, ServeError
 from repro.execution.pct import propose_hint_pairs
 from repro.ml.gnn import GNNConfig, RelationalGCN, prepare_adjacency
 from repro.oracle import DifferentialRunner, add_campaign_check
@@ -36,8 +39,10 @@ from repro.serve import (
     graph_digest,
     prediction_key,
 )
+from repro.serve import server as server_module
 from repro.serve.cache import _ENTRY_OVERHEAD
-from repro.serve.digest import clear_digest_memo
+from repro.serve.digest import clear_digest_memo, template_digest
+from repro.serve.server import decode_graphs, encode_graphs
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +411,24 @@ class TestInProcessServer:
         finally:
             server.close()
 
+    def test_cache_hits_never_materialise_a_graph(
+        self, tiny_model, candidate_graphs
+    ):
+        server = InProcessServer(tiny_model, version="v1")
+        try:
+            first = server.predict_proba_batch(candidate_graphs)
+
+            def unreachable():
+                raise AssertionError("a cache hit built a graph")
+
+            items = [(graph_digest(g), unreachable) for g in candidate_graphs]
+            version, second = server.predict_items_versioned(items)
+        finally:
+            server.close()
+        assert version == "v1"
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
     def test_swap_model_changes_served_version(
         self, tiny_model, candidate_graphs
     ):
@@ -546,6 +569,341 @@ class TestSocketServer:
         client.shutdown()
         server._thread.join(timeout=10.0)
         assert not server._thread.is_alive()
+
+
+# -- the digest-addressed wire ------------------------------------------------
+
+
+class _RecordingModel:
+    """Delegates to a model and keeps every graph that reached it."""
+
+    def __init__(self, model):
+        self._model = model
+        self.config = model.config
+        self.threshold = model.threshold
+        self.seen = []
+
+    def predict_proba_batch(self, graphs):
+        self.seen.extend(graphs)
+        return self._model.predict_proba_batch(graphs)
+
+
+class _RecordingBackend(LocalBackend):
+    def __init__(self, predictor):
+        super().__init__(predictor)
+        self.batches = []
+
+    def predict_proba_batch(self, graphs):
+        self.batches.append(list(graphs))
+        return super().predict_proba_batch(graphs)
+
+
+class TestWireCodec:
+    @given(
+        threads=st.sampled_from([2, 3]),
+        irq=st.booleans(),
+        memory_model=st.sampled_from(["sc", "tso"]),
+        seed=st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_round_trip_is_digest_equal_and_shares_templates(
+        self, dataset_builder, tiny_model, threads, irq, memory_model, seed
+    ):
+        """Whatever batches a campaign on any scenario axis scores (the
+        IRQ and TSO axes change execution, the thread axis the graphs),
+        the public codec round-trips them through JSON text."""
+        backend = _RecordingBackend(tiny_model)
+        explorer = MLPCTExplorer(
+            dataset_builder,
+            predictor=None,
+            strategy=make_strategy("S1"),
+            backend=backend,
+            config=ExplorationConfig(
+                num_threads=threads,
+                irq=irq,
+                memory_model=memory_model,
+                execution_budget=1,
+                inference_cap=12,
+                proposal_pool=12,
+                score_batch_size=6,
+            ),
+            seed=seed,
+        )
+        ctis = dataset_builder.corpus.sample_groups(
+            rngmod.make_rng(seed), 2, threads
+        )
+        run_campaign(explorer, ctis)
+        # One frame mixing both CTIs' templates, interleaved.
+        pool = [graph for batch in backend.batches for graph in batch]
+        batch = pool[::2] + pool[1::2]
+        assert len({template_digest(graph) for graph in batch}) == 2
+        payload = json.loads(json.dumps(encode_graphs(batch)))
+        decoded = decode_graphs(payload)
+        assert len(decoded) == len(batch)
+        by_template = {}
+        for sent, got in zip(batch, decoded):
+            assert graph_digest(got) == graph_digest(sent)
+            assert got.hints == sent.hints
+            np.testing.assert_array_equal(got.hint_flags, sent.hint_flags)
+            np.testing.assert_array_equal(got.edges, sent.edges)
+            np.testing.assert_array_equal(
+                tiny_model.predict_proba(got), tiny_model.predict_proba(sent)
+            )
+            shared = by_template.setdefault(template_digest(sent), got)
+            assert got.token_ids is shared.token_ids
+            assert got.node_types is shared.node_types
+            assert got.base_cache is shared.base_cache
+        first, second = by_template.values()
+        assert first.base_cache is not second.base_cache
+
+    def test_payload_without_bodies_is_not_self_contained(self, candidate_graphs):
+        payload = encode_graphs(candidate_graphs, bodies=())
+        assert "bodies" not in payload
+        with pytest.raises(ProtocolError, match="no body"):
+            decode_graphs(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda body, graph: graph["schedule"].append([0, 10_000]),
+            lambda body, graph: graph["schedule"].append([-1, 0]),
+            lambda body, graph: graph["flags"][1].__setitem__(0, 3),
+            lambda body, graph: graph["flags"][0].__setitem__(0, 10_000),
+            lambda body, graph: graph["flags"][0].append(0),
+            lambda body, graph: graph.__setitem__("t", 1),
+            lambda body, graph: body["base_edges"][0].__setitem__(0, 10_000),
+            lambda body, graph: body["base_edges"][0].__setitem__(2, 6),
+            lambda body, graph: body["base_edges"][0].__setitem__(2, 4),
+            lambda body, graph: body["token_ids"][0].__setitem__(0, 10**6),
+            lambda body, graph: body["token_ids"][0].__setitem__(0, 2**70),
+            lambda body, graph: body["token_ids"].pop(),
+            lambda body, graph: body["node_threads"].pop(),
+            lambda body, graph: body["node_types"].__setitem__(0, 2),
+        ],
+    )
+    def test_out_of_range_content_is_a_protocol_error(
+        self, tiny_model, candidate_graphs, corrupt
+    ):
+        payload = encode_graphs(candidate_graphs[:2])
+        (body,) = payload["bodies"].values()
+        corrupt(body, payload["graphs"][0])
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_graphs(payload, vocab_size=tiny_model.config.vocab_size)
+
+
+def _status(server):
+    status = server.backend.stats()
+    return status["requests"], status["cache"]["hits"], status["cache"]["misses"]
+
+
+class TestDigestAddressedWire:
+    @pytest.fixture()
+    def other_graphs(self, dataset_builder):
+        """Candidates of a second CTI (a second template)."""
+        entry_a, entry_b = dataset_builder.corpus.sample_pairs(
+            rngmod.make_rng(4), 1
+        )[0]
+        pairs = propose_hint_pairs(
+            rngmod.make_rng(12), entry_a.trace, entry_b.trace, 5
+        )
+        return [
+            dataset_builder.graph_for(entry_a, entry_b, list(pair))
+            for pair in pairs
+        ]
+
+    def test_two_clients_intern_one_template(
+        self, tiny_model, candidate_graphs, tmp_path
+    ):
+        model = _RecordingModel(tiny_model)
+        server = PredictionServer(
+            model,
+            ServerConfig(
+                socket_path=str(tmp_path / "pic.sock"), max_batch=1, max_wait_ms=0.5
+            ),
+        ).start()
+        clients = [SocketBackend(server.config.socket_path) for _ in range(2)]
+        try:
+            half = len(candidate_graphs) // 2
+            served = clients[0].predict_proba_batch(candidate_graphs[:half])
+            served += clients[1].predict_proba_batch(candidate_graphs[half:])
+            assert len(server._templates) == 1
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+        assert len(model.seen) == len(candidate_graphs)
+        assert len({id(graph.token_ids) for graph in model.seen}) == 1
+        assert len({id(graph.base_cache) for graph in model.seen}) == 1
+        for graph, proba in zip(candidate_graphs, served):
+            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
+
+    def test_eviction_drives_the_resend_and_accounting_stays_exact(
+        self, socket_server, tiny_model, candidate_graphs, other_graphs, monkeypatch
+    ):
+        """With room for one template, alternating CTIs evict each other:
+        every call is refused once and resent with the body. Results stay
+        bitwise local, and each call is one request and one lookup per
+        graph — the refused frame counts nothing."""
+        monkeypatch.setattr(server_module, "_INTERN_CAP", 1)
+        client = SocketBackend(socket_server.config.socket_path)
+        refusals = []
+        request = client._request
+
+        def spy(payload):
+            response = request(payload)
+            if response.get("need_templates"):
+                refusals.append(response["need_templates"])
+            return response
+
+        client._request = spy
+        local = LocalBackend(tiny_model)
+        try:
+            calls = [candidate_graphs, other_graphs, candidate_graphs, candidate_graphs]
+            for number, graphs in enumerate(calls, start=1):
+                before = _status(socket_server)
+                served = client.predict_proba_batch(graphs)
+                after = _status(socket_server)
+                # The fixture's server scores one graph per batch.
+                for graph, proba in zip(graphs, served):
+                    np.testing.assert_array_equal(proba, local.predict_proba(graph))
+                assert after[0] == before[0] + 1
+                assert (after[1] - before[1]) + (after[2] - before[2]) == len(graphs)
+                assert len(socket_server._templates) == 1
+                # The fourth call finds its template still interned.
+                assert len(refusals) == min(number, 3)
+            assert after[1] == 2 * len(candidate_graphs)  # calls 3 and 4 all hit
+        finally:
+            client.close()
+
+    def test_a_lying_graph_digest_is_rejected(
+        self, socket_server, tiny_model, candidate_graphs
+    ):
+        client = SocketBackend(socket_server.config.socket_path)
+        try:
+            client.predict_proba_batch(candidate_graphs[:2])
+            entries = len(socket_server.backend.cache)
+            payload = encode_graphs(candidate_graphs[2:4])
+            first, second = payload["graphs"]
+            first["digest"], second["digest"] = second["digest"], first["digest"]
+            with pytest.raises(ServeError, match="does not match its digest"):
+                client._request({"op": "predict_batch", **payload})
+            assert len(socket_server.backend.cache) == entries
+            assert len(socket_server._templates) == 1
+            # Nothing was poisoned: the honest frame scores correctly.
+            honest = client.predict_proba_batch(candidate_graphs[2:4])
+            for graph, proba in zip(candidate_graphs[2:4], honest):
+                np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
+        finally:
+            client.close()
+
+    def test_a_lying_template_body_is_not_interned(
+        self, socket_server, candidate_graphs
+    ):
+        client = SocketBackend(socket_server.config.socket_path)
+        try:
+            payload = encode_graphs(candidate_graphs[:2])
+            (body,) = payload["bodies"].values()
+            body["token_ids"][0][0] += 1
+            with pytest.raises(ServeError, match="template body does not match"):
+                client._request({"op": "predict_batch", **payload})
+            assert len(socket_server._templates) == 0
+            assert len(socket_server.backend.cache) == 0
+            assert _status(socket_server) == (0, 0, 0)
+        finally:
+            client.close()
+
+    def test_a_malformed_frame_fails_only_its_sender(
+        self, tiny_model, candidate_graphs, tmp_path
+    ):
+        """A bad graph used to reach the batcher, where the compute error
+        failed every request gathered into the same batch."""
+        server = PredictionServer(
+            tiny_model,
+            ServerConfig(
+                socket_path=str(tmp_path / "pic.sock"), max_batch=8, max_wait_ms=200.0
+            ),
+        ).start()
+        bad = encode_graphs(candidate_graphs[:1])
+        bad["graphs"][0]["schedule"].append([0, 10_000])
+        barrier = threading.Barrier(2)
+        outcome = {}
+
+        def malformed():
+            client = SocketBackend(server.config.socket_path)
+            barrier.wait(timeout=30.0)
+            try:
+                client._request({"op": "predict_batch", **bad})
+            except ServeError as error:
+                outcome["bad"] = str(error)
+            finally:
+                client.close()
+
+        def honest():
+            client = SocketBackend(server.config.socket_path)
+            barrier.wait(timeout=30.0)
+            try:
+                outcome["good"] = client.predict_proba_batch(candidate_graphs[1:3])
+            except ServeError as error:
+                outcome["good"] = error
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=malformed), threading.Thread(target=honest)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            server.stop()
+        assert "malformed" in outcome["bad"]
+        local = tiny_model.predict_proba_batch(candidate_graphs[1:3])
+        for a, b in zip(outcome["good"], local):
+            np.testing.assert_array_equal(a, b)
+
+    def test_oversize_response_does_not_desynchronise_the_connection(self, tmp_path):
+        """Regression: a fatal frame used to leave its unread body on a
+        kept connection, so the next request parsed payload bytes as a
+        length header."""
+        path = str(tmp_path / "fake.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(2)
+        listener.settimeout(30.0)
+        oversize = server_module._LENGTH.pack(server_module.MAX_FRAME_BYTES + 1)
+
+        def fake_server():
+            answered = 0
+            while answered < 2:
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as rfile, (
+                    connection.makefile("wb")
+                ) as wfile:
+                    try:
+                        while answered < 2:
+                            server_module.read_frame(rfile)
+                            if answered == 0:
+                                wfile.write(oversize + b"AAAA" * 64)
+                                wfile.flush()
+                            else:
+                                server_module.write_frame(wfile, {"ok": True})
+                            answered += 1
+                    except (EOFError, OSError):
+                        continue
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
+        client = SocketBackend(path, timeout=10.0)
+        try:
+            with pytest.raises(ProtocolError, match="exceeds"):
+                client._request({"op": "ping"})
+            assert client.ping()
+        finally:
+            client.close()
+            thread.join(timeout=30.0)
+            listener.close()
+        assert not thread.is_alive()
 
 
 # -- registry mutation racing live hot-swaps ---------------------------------
