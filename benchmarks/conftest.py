@@ -6,7 +6,9 @@ trained PIC model, the evolved v5.13/v6.1 kernels and their fine-tuned /
 from-scratch model variants — are built once per session here.
 
 Bench output (the paper-style tables and series) is printed and also
-written to ``benchmarks/results/`` so it survives pytest's capture.
+written to ``benchmarks/results/`` so it survives pytest's capture —
+except under ``REPRO_BENCH_SMOKE=1``, whose shrunken runs are echoed
+only: the committed tables are full runs and CI must not clobber them.
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ def report(results_dir):
     """Write a bench's rendered output to results/<name>.txt and echo it.
 
     Writes are atomic (temp+fsync+rename): an interrupted bench leaves
-    the previous result file intact instead of a truncated one.
+    the previous result file intact instead of a truncated one. A smoke
+    run (``REPRO_BENCH_SMOKE=1``) only echoes: its numbers come from
+    shrunken sizes and must never replace a committed full run.
     """
     from repro.resilience.atomic import atomic_write_text
 
     def write(name: str, text: str) -> None:
         path = os.path.join(results_dir, f"{name}.txt")
+        if os.environ.get("REPRO_BENCH_SMOKE") == "1":
+            print(f"\n{text}\n[smoke run: {path} left untouched]")
+            return
         atomic_write_text(path, text + "\n")
         print(f"\n{text}\n[written to {path}]")
 

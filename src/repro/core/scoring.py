@@ -14,8 +14,25 @@ once per candidate *in consumption order*, so predictors whose boolean
 prediction consumes randomness (the coin baselines) see the same RNG
 stream as a hand-written loop. The batch path is only taken for
 predictors that advertise it, which must be RNG-free at inference — it
-may score up to ``batch_size - 1`` candidates ahead of the consumer, and
-results match the per-graph path to floating-point accuracy.
+may pull candidates ahead of the consumer, and results match the
+per-graph path to floating-point accuracy.
+
+Structural repeats: PCT draws hints that are distinct per *instruction*,
+the §3.1 encoding maps each to the *block* containing it, so a pool
+holds many candidates whose graphs the model cannot tell apart. On the
+direct (backend-less) batch path the engine keeps a memo per pool — one
+lazy or eager scoring call — keyed by template identity (the shared
+``token_ids`` array, as for the model's encoder cache and the digest
+memo) plus :func:`~repro.graphs.ctgraph.schedule_key`. Each distinct
+graph reaches the predictor once; the lazy look-ahead is "up to
+``batch_size`` *distinct unscored* graphs", pulling further candidates
+rather than shrinking the batch (a half-empty batch costs more per
+graph); repeats are handed the memoised array, which is read-only
+because several candidates share it. Candidates are still yielded in
+order and each still counts as one inference for its consumer. The memo
+never sits in front of a backend: a backend owns its cache, version
+tags and hit accounting, and dedups structural repeats itself because
+:func:`repro.serve.digest.graph_digest` hashes the same key.
 
 The opt-in *cascade* (``cascade_filter``) puts a
 :class:`repro.core.filtermodel.TrainedFilter` in front of the full
@@ -26,21 +43,23 @@ sigmoid score scaled *below* the decision threshold, so ranking
 consumers sort them beneath every PIC-scored candidate and boolean
 consumers see all-``False`` predictions. The cascade requires a
 batch-capable RNG-free predictor (it reorders and skips predictor
-calls); with ``cascade_filter=None`` every code path is byte-identical
-to the uncascaded engine.
+calls) and sits behind the memo, so a structural repeat is filtered
+once too.
 
-Telemetry: the engine counts ``inference.batched`` / ``inference.single``
-and records an ``inference.batch_size`` histogram, so a trace shows how
-well a campaign amortises its scoring. The cascade adds
-``cascade.filter_pass`` / ``cascade.filter_reject`` counters and
-``cascade.filter_seconds`` / ``cascade.pic_seconds`` stage timers.
+Telemetry: the engine counts ``inference.batched`` (graphs sent to the
+predictor), ``inference.memo_hits`` (candidates answered from the memo)
+and ``inference.single``, and records an ``inference.batch_size``
+histogram, so a trace shows how well a campaign amortises its scoring.
+The cascade adds ``cascade.filter_pass`` / ``cascade.filter_reject``
+counters and ``cascade.filter_seconds`` / ``cascade.pic_seconds`` stage
+timers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +67,7 @@ from repro import obs
 from repro.core.filtermodel import TrainedFilter
 from repro.execution.concurrent import ScheduleHint
 from repro.fuzz.corpus import CorpusEntry
-from repro.graphs.ctgraph import CTGraph
+from repro.graphs.ctgraph import CTGraph, schedule_key
 from repro.graphs.dataset import GraphDatasetBuilder
 from repro.ml.baselines import CoveragePredictor
 
@@ -143,7 +162,7 @@ class CandidateScorer:
     def _threshold(self) -> float:
         return float(getattr(self.target, "threshold", 0.5))
 
-    # -- the cascade -----------------------------------------------------------
+    # -- one batch ---------------------------------------------------------------
 
     def _pic_proba(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
         """Full-predictor probabilities, chunked to ``batch_size``."""
@@ -194,63 +213,97 @@ class CandidateScorer:
                     results[index] = np.zeros(graph.num_nodes, dtype=bool)
         return results  # type: ignore[return-value]
 
-    # -- eager scoring ---------------------------------------------------------
+    def _score_window(
+        self, graphs: Sequence[CTGraph], want: str
+    ) -> List[np.ndarray]:
+        """One look-ahead window through the cascade or the predictor."""
+        if self.cascade_filter is not None:
+            return self._cascade_scores(graphs, want)
+        if want == "proba":
+            return self._pic_proba(graphs)
+        threshold = self._threshold()
+        return [proba >= threshold for proba in self._pic_proba(graphs)]
+
+    # -- the engine --------------------------------------------------------------
+
+    def _scores(
+        self, graphs: Iterable[CTGraph], want: str, ahead: int
+    ) -> Iterator[np.ndarray]:
+        """One result per graph, in order, scoring ``ahead`` at a time:
+        ``ahead`` graphs through a backend, ``ahead`` *distinct unscored*
+        graphs on the direct path (see the module docstring)."""
+        if not self.batched:
+            call = (
+                self.target.predict
+                if want == "predicted"
+                else self.target.predict_proba
+            )
+            for graph in graphs:
+                obs.add("inference.single")
+                yield call(graph)
+            return
+        iterator = iter(graphs)
+        if self.backend is not None:
+            while True:
+                window = list(itertools.islice(iterator, ahead))
+                if not window:
+                    return
+                yield from self._score_window(window, want)
+        memo: Dict[Tuple[int, bytes], np.ndarray] = {}
+        #: Every keyed ``token_ids``, kept alive so ``id()`` is not reused.
+        templates: Dict[int, np.ndarray] = {}
+        while True:
+            pulled: List[Tuple[int, bytes]] = []
+            fresh: Dict[Tuple[int, bytes], CTGraph] = {}
+            for graph in iterator:
+                template = templates.setdefault(
+                    id(graph.token_ids), graph.token_ids
+                )
+                key = (id(template), schedule_key(graph))
+                pulled.append(key)
+                if key not in memo and key not in fresh:
+                    fresh[key] = graph
+                    if len(fresh) == ahead:
+                        break
+            if not pulled:
+                return
+            if fresh:
+                results = self._score_window(list(fresh.values()), want)
+                for key, result in zip(fresh, results):
+                    result.setflags(write=False)  # shared by every repeat
+                    memo[key] = result
+            obs.add("inference.memo_hits", len(pulled) - len(fresh))
+            for key in pulled:
+                yield memo[key]
+
+    def iter_scores(
+        self, graphs: Iterable[CTGraph], want: str = "predicted"
+    ) -> Iterator[np.ndarray]:
+        """Lazily yield one result per graph, in order.
+
+        ``want`` is ``"predicted"`` (booleans) or ``"proba"``. Fallback
+        mode is strictly lazy (one predictor call per yielded result),
+        preserving early-exit semantics exactly; batched mode pulls one
+        batch ahead of the consumer.
+        """
+        return self._scores(graphs, want, self.batch_size)
 
     def score_proba(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
         """Coverage probabilities per graph, batched when possible."""
-        if self.cascade_filter is not None:
-            return self._cascade_scores(graphs, want="proba")
-        if not self.batched:
-            obs.add("inference.single", len(graphs))
-            return [self.target.predict_proba(graph) for graph in graphs]
-        return self._pic_proba(graphs)
+        return list(self._scores(graphs, "proba", len(graphs)))
 
     def predict_graphs(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
         """Boolean predictions per graph, batched when possible."""
-        if self.cascade_filter is not None:
-            return self._cascade_scores(graphs, want="predicted")
-        if not self.batched:
-            obs.add("inference.single", len(graphs))
-            return [self.target.predict(graph) for graph in graphs]
-        threshold = self._threshold()
-        return [proba >= threshold for proba in self.score_proba(graphs)]
-
-    # -- lazy scoring ----------------------------------------------------------
+        return list(self._scores(graphs, "predicted", len(graphs)))
 
     def iter_predicted(
         self, graphs: Iterable[CTGraph]
     ) -> Iterator[Tuple[CTGraph, np.ndarray]]:
-        """Lazily yield ``(graph, predicted)`` pairs.
-
-        Batched mode scores up to ``batch_size`` graphs ahead of the
-        consumer; fallback mode is strictly lazy (one ``predict`` per
-        yielded graph), preserving early-exit semantics exactly.
-        """
-        if not self.batched:
-            for graph in graphs:
-                obs.add("inference.single")
-                yield graph, self.target.predict(graph)
-            return
-        if self.cascade_filter is not None:
-            iterator = iter(graphs)
-            while True:
-                chunk = list(itertools.islice(iterator, self.batch_size))
-                if not chunk:
-                    return
-                for pair in zip(chunk, self._cascade_scores(chunk, "predicted")):
-                    yield pair
-            return
-        threshold = self._threshold()
-        iterator = iter(graphs)
-        while True:
-            chunk = list(itertools.islice(iterator, self.batch_size))
-            if not chunk:
-                return
-            probas = self.target.predict_proba_batch(chunk)
-            obs.add("inference.batched", len(chunk))
-            obs.observe("inference.batch_size", len(chunk))
-            for graph, proba in zip(chunk, probas):
-                yield graph, proba >= threshold
+        """Lazily yield ``(graph, predicted)`` pairs (see
+        :meth:`iter_scores` for how far each mode runs ahead)."""
+        # ``echo`` replays the graphs the engine pulled ahead.
+        graphs, echo = itertools.tee(graphs)
+        return zip(echo, self.iter_scores(graphs, "predicted"))
 
 
 def _as_scorer(
@@ -298,40 +351,12 @@ def iter_score_candidates(
                 graph=graphs.graph_for(*entries, list(hints)),
             )
 
-    if mode == "predicted":
-        if scorer.batched:
-            iterator = iter(candidates())
-            while True:
-                chunk = list(itertools.islice(iterator, scorer.batch_size))
-                if not chunk:
-                    return
-                for candidate, predicted in zip(
-                    chunk, scorer.predict_graphs([c.graph for c in chunk])
-                ):
-                    candidate.predicted = predicted
-                    yield candidate
-        else:
-            for candidate in candidates():
-                obs.add("inference.single")
-                candidate.predicted = scorer.target.predict(candidate.graph)
-                yield candidate
-    else:
-        if scorer.batched:
-            iterator = iter(candidates())
-            while True:
-                chunk = list(itertools.islice(iterator, scorer.batch_size))
-                if not chunk:
-                    return
-                for candidate, proba in zip(
-                    chunk, scorer.score_proba([c.graph for c in chunk])
-                ):
-                    candidate.proba = proba
-                    yield candidate
-        else:
-            for candidate in candidates():
-                obs.add("inference.single")
-                candidate.proba = scorer.target.predict_proba(candidate.graph)
-                yield candidate
+    # ``echo`` replays the candidates the engine pulled ahead.
+    stream, echo = itertools.tee(candidates())
+    results = scorer.iter_scores((c.graph for c in stream), mode)
+    for candidate, result in zip(echo, results):
+        setattr(candidate, mode, result)
+        yield candidate
 
 
 def score_candidates(

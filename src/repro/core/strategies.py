@@ -35,7 +35,7 @@ __all__ = [
 
 def predicted_block_set(graph: CTGraph, predicted: np.ndarray) -> FrozenSet[int]:
     """Kernel block ids predicted covered (collapsed across threads)."""
-    return frozenset(int(b) for b in graph.node_blocks[np.asarray(predicted, bool)])
+    return frozenset(graph.node_blocks[np.asarray(predicted, bool)].tolist())
 
 
 class SelectionStrategy(ABC):

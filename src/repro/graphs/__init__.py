@@ -27,6 +27,7 @@ from repro.graphs.ctgraph import (
     CTIGraphTemplate,
     build_ct_graph,
     build_ct_template,
+    schedule_key,
 )
 from repro.graphs.dataset import CTExample, DatasetSplits, GraphDatasetBuilder
 
@@ -38,6 +39,7 @@ __all__ = [
     "CTIGraphTemplate",
     "build_ct_graph",
     "build_ct_template",
+    "schedule_key",
     "NODE_SCB",
     "NODE_URB",
     "NUM_NODE_TYPES",

@@ -45,6 +45,7 @@ from repro.kernel.code import Kernel
 __all__ = [
     "CTGraph",
     "CTIGraphTemplate",
+    "schedule_key",
     "build_ct_template",
     "build_ct_graph",
     "NODE_SCB",
@@ -99,7 +100,9 @@ class CTGraph:
 
     Graphs stamped from the same :class:`CTIGraphTemplate` share the
     ``token_ids`` array object, which the PIC model uses as an encoder
-    cache key at inference time.
+    cache key at inference time. Beyond its template a graph differs
+    only in ``hint_flags`` and :attr:`schedule_rows` — see
+    :func:`schedule_key`.
     """
 
     kernel_version: str
@@ -115,6 +118,13 @@ class CTGraph:
     #: Shared per-template cache of prepared (sparse) base adjacency; the
     #: GNN memoises schedule-independent work here across instantiations.
     base_cache: Optional[Dict] = None
+    #: The ``EDGE_SCHEDULE`` rows of ``edges``: ``stamp`` keeps them as a
+    #: view of the tail of ``edges``; any other graph derives them on
+    #: first use. Not an ``__init__`` argument, so ``dataclasses.replace``
+    #: with new ``edges`` never carries stale rows over.
+    _schedule_rows: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_nodes(self) -> int:
@@ -123,6 +133,16 @@ class CTGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
+
+    @property
+    def schedule_rows(self) -> np.ndarray:
+        """The scheduling-hint rows of ``edges``, ``(k, 3)``."""
+        rows = self._schedule_rows
+        if rows is None:
+            rows = self._schedule_rows = self.edges[
+                self.edges[:, 2] == EDGE_SCHEDULE
+            ]
+        return rows
 
     def urb_mask(self) -> np.ndarray:
         return self.node_types == NODE_URB
@@ -185,7 +205,7 @@ class CTIGraphTemplate:
             )
         else:
             edges = self.base_edges
-        return CTGraph(
+        graph = CTGraph(
             kernel_version=self.kernel_version,
             cti_key=self.cti_key,
             hints=tuple(hints),
@@ -198,6 +218,8 @@ class CTIGraphTemplate:
             node_index=self.node_index,
             base_cache=self.sparse_cache,
         )
+        graph._schedule_rows = edges[len(self.base_edges) :]
+        return graph
 
     def _schedule_parts(
         self, kernel: Kernel, hints: Sequence[ScheduleHint]
@@ -241,6 +263,21 @@ class CTIGraphTemplate:
                     hint_flags[dst_index] = HINT_TARGET
             previous_hint_key = src_key
         return rows, hint_flags
+
+
+def schedule_key(graph: CTGraph) -> bytes:
+    """Everything the model reads from ``graph`` beyond its template.
+
+    The §3.1 encoding maps each hint to the *block* containing it, so
+    hint tuples that differ only in which instruction of a block they
+    name stamp the same ``hint_flags`` and schedule rows, and the model
+    cannot tell the graphs apart. Two graphs of one template predict
+    identically iff their keys are equal: the scoring memo and the serve
+    digest key on it, and the wire ships exactly these two arrays (the
+    flag array has the template's fixed length, so the concatenation is
+    unambiguous).
+    """
+    return graph.hint_flags.tobytes() + graph.schedule_rows.tobytes()
 
 
 def build_ct_template(

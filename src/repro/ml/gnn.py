@@ -487,7 +487,7 @@ class RelationalGCN:
         srcs: List[np.ndarray] = []
         dsts: List[np.ndarray] = []
         for j, graph in enumerate(graphs):
-            rows = graph.edges[graph.edges[:, 2] == EDGE_SCHEDULE]
+            rows = graph.schedule_rows
             if len(rows):
                 srcs.append(rows[:, 0].astype(np.int64) + j * n)
                 dsts.append(rows[:, 1].astype(np.int64) + j * n)

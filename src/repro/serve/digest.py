@@ -5,10 +5,18 @@ content): two requests whose graphs carry identical node features and
 edges must hit the same cache line no matter which process, template
 instance, or campaign generation produced them. The digest therefore
 covers every array the PIC forward pass reads — node types, threads,
-blocks, hint flags, token ids, and the full typed edge list — plus the
-kernel version and the schedule hints (redundant with the hint edges
-and flags, but cheap insurance against a future encoding that moves
-information out of the arrays).
+blocks, token ids and the base edges through :func:`template_digest`,
+hint flags and schedule edges through
+:func:`~repro.graphs.ctgraph.schedule_key` — plus the kernel version.
+
+The schedule hints themselves are *not* hashed. The §3.1 encoding maps
+a hint to the block containing it, so hint tuples that name different
+instructions of the same blocks stamp identical graphs, the model
+returns the same probabilities for them, and they share one cache line
+(27–74% of a 1600-candidate pool is distinct on the pinned benchmark
+CTIs). That is sound because the model never reads ``graph.hints``:
+whatever a future encoding moves into the arrays lands in
+``schedule_key``, the same definition the scoring memo uses.
 
 Digesting ``token_ids`` dominates the cost (``num_nodes × max_tokens``
 int64s), and that array is shared by every schedule of a CTI — graphs
@@ -31,7 +39,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.graphs.ctgraph import EDGE_SCHEDULE, CTGraph
+from repro.graphs.ctgraph import EDGE_SCHEDULE, CTGraph, schedule_key
 
 __all__ = ["graph_digest", "template_digest", "prediction_key", "clear_digest_memo"]
 
@@ -81,15 +89,14 @@ def graph_digest(graph: CTGraph) -> str:
     """Hex digest of one CT graph's full prediction-relevant content.
 
     Canonical: graphs built independently (different template objects,
-    different processes) digest identically iff their arrays match, and
-    any change to the schedule hints — which rewrites the hint flags
-    and/or schedule edges — changes the digest.
+    different processes) digest identically iff the arrays the model
+    reads match — hint tuples that land in the same blocks share a
+    digest, and any change to the hint flags or schedule edges changes
+    it.
     """
     hasher = hashlib.sha256()
     hasher.update(template_digest(graph).encode("ascii"))
-    schedule_rows = graph.edges[graph.edges[:, 2] == EDGE_SCHEDULE]
-    _hash_arrays(hasher, graph.hint_flags, schedule_rows)
-    hasher.update(repr(tuple(graph.hints)).encode("utf-8"))
+    hasher.update(schedule_key(graph))
     return hasher.hexdigest()
 
 

@@ -177,14 +177,13 @@ def encode_graphs(
             positions[name] = len(firsts)
             firsts.append(graph)
         hinted = np.flatnonzero(graph.hint_flags)
-        schedule = graph.edges[graph.edges[:, 2] == EDGE_SCHEDULE]
         encoded.append(
             {
                 "t": positions[name],
                 "digest": graph_digest(graph),
                 "hints": [[hint.thread, hint.iid] for hint in graph.hints],
                 "flags": [hinted.tolist(), graph.hint_flags[hinted].tolist()],
-                "schedule": schedule[:, :2].tolist(),
+                "schedule": graph.schedule_rows[:, :2].tolist(),
             }
         )
     payload = {"templates": list(positions), "graphs": encoded}

@@ -135,3 +135,26 @@ def trained_snowcat(kernel):
     )
     snowcat.train()
     return snowcat
+
+
+@pytest.fixture(scope="session")
+def sibling_hints(kernel):
+    """``sibling_hints(entries, hints)``: a hint tuple naming *other*
+    instructions of the same basic blocks (the same hint where a block
+    ran only one) — a structural repeat under the §3.1 encoding."""
+    from repro.execution.concurrent import ScheduleHint
+
+    def sibling(entries, hints):
+        result = []
+        for hint, entry in zip(hints, entries):
+            block = kernel.block_of_instruction(hint.iid)
+            others = [
+                iid
+                for iid in dict.fromkeys(entry.trace.iid_trace)
+                if iid != hint.iid and kernel.block_of_instruction(iid) == block
+            ]
+            iid = others[0] if others else hint.iid
+            result.append(ScheduleHint(thread=hint.thread, iid=iid))
+        return tuple(result)
+
+    return sibling

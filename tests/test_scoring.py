@@ -5,8 +5,11 @@ The whole point of PR 2's engine is that batching and parallelism are
 path computes exactly what the slow path computed".
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro import rng as rngmod
@@ -29,6 +32,7 @@ from repro.execution.parallel import (
     make_runner,
 )
 from repro.execution.pct import propose_hint_pairs
+from repro.graphs.ctgraph import schedule_key
 from repro.ml.baselines import AllPositive, FairCoin
 from repro.ml.pic import stable_sigmoid
 from repro.obs import MemorySink, MetricsRegistry
@@ -293,6 +297,245 @@ class TestCampaignEquivalence:
             dataset_builder, AllPositive(), ctis, batch_size=1
         )
         _assert_campaigns_identical(batched, single)
+
+
+class _KeyedStub:
+    """Batch-capable RNG-free predictor whose output is a pure function
+    of what the model may read; records every batch that reaches it."""
+
+    threshold = 0.5
+
+    def __init__(self):
+        self.batches = []
+
+    def predict_proba(self, graph):
+        seed = hashlib.sha256(schedule_key(graph)).digest()[:8]
+        rng = np.random.default_rng(int.from_bytes(seed, "big"))
+        return rng.random(graph.num_nodes)
+
+    def predict(self, graph):
+        return self.predict_proba(graph) >= self.threshold
+
+    def predict_proba_batch(self, graphs):
+        self.batches.append(
+            [(id(graph.token_ids), schedule_key(graph)) for graph in graphs]
+        )
+        return [self.predict_proba(graph) for graph in graphs]
+
+
+#: Scenario axes a candidate pool can come from: 2-thread, 3-thread, IRQ, TSO.
+_POOL_AXES = {
+    "two-thread": {},
+    "three-thread": {"num_threads": 3},
+    "irq": {"irq": True},
+    "tso": {"memory_model": "tso"},
+}
+
+
+def _pool(dataset_builder, axis, seed, size=48):
+    """``(entries, schedules)``: one CTI's candidate pool under ``axis``,
+    proposed exactly as a campaign's explorer proposes it."""
+    config = ExplorationConfig(proposal_pool=size, **_POOL_AXES[axis])
+    rng = rngmod.make_rng(seed)
+    if config.num_threads == 2:
+        entries = dataset_builder.corpus.sample_pairs(rng, 1)[0]
+    else:
+        entries = dataset_builder.corpus.sample_groups(
+            rng, 1, config.num_threads
+        )[0]
+    explorer = PCTExplorer(dataset_builder, config=config, seed=seed)
+    try:
+        return entries, explorer.proposals_for(*entries)
+    finally:
+        explorer.close()
+
+
+@pytest.fixture(scope="module")
+def repeated_pool(dataset_builder, sibling_hints):
+    """``(entries, schedules)``: a two-thread pool of 12 candidates, each
+    followed 12 places later by a structural repeat (same blocks, other
+    instructions)."""
+    entries, schedules = _pool(dataset_builder, "two-thread", 5, size=12)
+    siblings = [sibling_hints(entries, hints) for hints in schedules]
+    assert any(a != b for a, b in zip(schedules, siblings))
+    return entries, list(schedules) + siblings
+
+
+class TestStructuralMemo:
+    """Each distinct schedule graph of a pool is scored once; repeats
+    are handed the memoised array. A pure performance change."""
+
+    @given(
+        axis=st.sampled_from(sorted(_POOL_AXES)),
+        seed=st.integers(0, 500),
+        batch_size=st.integers(2, 9),
+        mode=st.sampled_from(["predicted", "proba"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_same_sequence_as_one_by_one(
+        self, dataset_builder, axis, seed, batch_size, mode
+    ):
+        entries, schedules = _pool(dataset_builder, axis, seed)
+        stub = _KeyedStub()
+        scored = score_candidates(
+            CandidateScorer(stub, batch_size=batch_size),
+            dataset_builder,
+            *entries,
+            schedules,
+            mode=mode,
+        )
+        assert [c.index for c in scored] == list(range(len(schedules)))
+        assert [c.hints for c in scored] == [tuple(s) for s in schedules]
+        for candidate in scored:
+            proba = stub.predict_proba(candidate.graph)
+            expected = proba if mode == "proba" else proba >= stub.threshold
+            np.testing.assert_array_equal(getattr(candidate, mode), expected)
+        # The predictor saw each distinct graph once, in full batches.
+        sent = [key for batch in stub.batches for key in batch]
+        assert len(sent) == len(set(sent))
+        assert set(sent) == {
+            (id(c.graph.token_ids), schedule_key(c.graph)) for c in scored
+        }
+        assert all(len(batch) == batch_size for batch in stub.batches[:-1])
+
+    def test_real_model_matches_per_graph_path(
+        self, dataset_builder, tiny_model, repeated_pool
+    ):
+        entries, schedules = repeated_pool
+        scored = score_candidates(
+            CandidateScorer(tiny_model, batch_size=4),
+            dataset_builder,
+            *entries,
+            schedules,
+            mode="proba",
+        )
+        for candidate in scored:
+            np.testing.assert_allclose(
+                candidate.proba,
+                tiny_model.predict_proba(candidate.graph),
+                rtol=0,
+                atol=1e-9,
+            )
+
+    def test_eager_paths_share_the_memo(self, dataset_builder, repeated_pool):
+        entries, schedules = repeated_pool
+        graphs = [dataset_builder.graph_for(*entries, list(h)) for h in schedules]
+        stub = _KeyedStub()
+        scorer = CandidateScorer(stub, batch_size=4)
+        for proba, predicted, graph in zip(
+            scorer.score_proba(graphs), scorer.predict_graphs(graphs), graphs
+        ):
+            np.testing.assert_array_equal(proba, stub.predict_proba(graph))
+            np.testing.assert_array_equal(predicted, stub.predict(graph))
+        distinct = len({schedule_key(graph) for graph in graphs})
+        assert distinct < len(graphs)
+        # One memo per call: each eager call scored each distinct graph once.
+        assert sum(len(batch) for batch in stub.batches) == 2 * distinct
+
+    def test_shared_results_are_read_only(self, dataset_builder, repeated_pool):
+        entries, schedules = repeated_pool
+        for mode in ("predicted", "proba"):
+            scored = score_candidates(
+                CandidateScorer(_KeyedStub(), batch_size=4),
+                dataset_builder,
+                *entries,
+                schedules,
+                mode=mode,
+            )
+            first, repeat = scored[0], scored[len(scored) // 2]
+            assert getattr(first, mode) is getattr(repeat, mode)
+            with pytest.raises(ValueError):
+                getattr(repeat, mode)[0] = 1
+
+    def test_memo_never_sits_in_front_of_a_backend(
+        self, dataset_builder, repeated_pool
+    ):
+        """A backend owns its cache and hit accounting: it must be asked
+        about every candidate, in plain ``batch_size`` chunks."""
+        from repro.serve import LocalBackend
+
+        entries, schedules = repeated_pool
+        stub = _KeyedStub()
+        score_candidates(
+            CandidateScorer(None, batch_size=4, backend=LocalBackend(stub)),
+            dataset_builder,
+            *entries,
+            schedules,
+        )
+        assert [len(batch) for batch in stub.batches] == [4] * (
+            len(schedules) // 4
+        )
+
+    def test_coin_rng_stream_is_untouched(self, dataset_builder, repeated_pool):
+        """The per-graph fallback draws once per candidate, repeats
+        included, in hand-written-loop order."""
+        entries, schedules = repeated_pool
+        reference = FairCoin(seed=9)
+        direct = [
+            reference.predict(dataset_builder.graph_for(*entries, list(h)))
+            for h in schedules
+        ]
+        scored = score_candidates(
+            FairCoin(seed=9), dataset_builder, *entries, schedules
+        )
+        for one, candidate in zip(direct, scored):
+            np.testing.assert_array_equal(candidate.predicted, one)
+
+    def test_s3_may_reselect_a_structural_repeat(
+        self, dataset_builder, repeated_pool
+    ):
+        """Strategy semantics are unchanged: S1 can never select a
+        repeat (same bitmap), S3 still may until its trials run out."""
+        entries, schedules = repeated_pool
+        half = len(schedules) // 2
+        first = next(i for i in range(half) if schedules[i] != schedules[i + half])
+        schedules = [schedules[first], schedules[first + half]]
+        selected = {}
+        for name in ("S1", "S3"):
+            strategy = make_strategy(name)
+            selected[name] = 0
+            for candidate in iter_score_candidates(
+                CandidateScorer(_KeyedStub(), batch_size=4),
+                dataset_builder,
+                *entries,
+                schedules,
+            ):
+                if strategy.is_interesting(candidate.graph, candidate.predicted):
+                    strategy.commit(candidate.graph, candidate.predicted)
+                    selected[name] += 1
+        assert selected == {"S1": 1, "S3": 2}
+
+    def test_memo_hits_are_counted(self, dataset_builder, repeated_pool):
+        entries, schedules = repeated_pool
+        with obs.use_registry(MetricsRegistry(sink=MemorySink())) as registry:
+            score_candidates(
+                CandidateScorer(_KeyedStub(), batch_size=4),
+                dataset_builder,
+                *entries,
+                schedules,
+            )
+            batched = registry.counter("inference.batched").value
+            hits = registry.counter("inference.memo_hits").value
+        assert hits > 0 and batched + hits == len(schedules)
+
+    def test_golden_pool_reaches_the_predictor_deduplicated(
+        self, dataset_builder
+    ):
+        """Tier-1 guard: on the golden kernel a 400-candidate pool holds
+        structural repeats, so the predictor must see strictly fewer
+        graphs than candidates — a refactor that silently drops the memo
+        fails here, not in the bench pipeline."""
+        entries, schedules = _pool(dataset_builder, "two-thread", 0, size=400)
+        assert len(schedules) == 400
+        stub = _KeyedStub()
+        scored = score_candidates(
+            CandidateScorer(stub, batch_size=8),
+            dataset_builder,
+            *entries,
+            schedules,
+        )
+        assert len(scored) == 400
+        assert sum(len(batch) for batch in stub.batches) < 400
 
 
 class TestRunners:

@@ -24,6 +24,7 @@ from repro.core.scoring import CandidateScorer
 from repro.core.strategies import make_strategy
 from repro.errors import AdmissionError, CheckpointError, ProtocolError, ServeError
 from repro.execution.pct import propose_hint_pairs
+from repro.graphs.ctgraph import schedule_key
 from repro.ml.gnn import GNNConfig, RelationalGCN, prepare_adjacency
 from repro.oracle import DifferentialRunner, add_campaign_check
 from repro.serve import (
@@ -75,6 +76,41 @@ class TestGraphDigest:
     def test_hint_change_changes_digest(self, candidate_graphs):
         digests = {graph_digest(graph) for graph in candidate_graphs}
         assert len(digests) == len(candidate_graphs)
+
+    def test_structural_repeats_share_key_and_digest(
+        self, dataset_builder, cti, candidate_graphs, sibling_hints
+    ):
+        """Hints inside the same blocks stamp the same graph: one
+        ``schedule_key``, one digest. Hints in other blocks, or any edit
+        of the hint flags or a schedule row, change both."""
+        graph = next(
+            g for g in candidate_graphs if sibling_hints(cti, g.hints) != g.hints
+        )
+        repeat = dataset_builder.graph_for(*cti, list(sibling_hints(cti, graph.hints)))
+        assert repeat.hints != graph.hints
+        assert schedule_key(repeat) == schedule_key(graph)
+        assert graph_digest(repeat) == graph_digest(graph)
+        assert len({schedule_key(g) for g in candidate_graphs}) == len(
+            candidate_graphs
+        )
+        for mutate in ("hint_flags", "schedule_rows"):
+            mutant = dataset_builder.graph_for(*cti, list(graph.hints))
+            getattr(mutant, mutate)[0] += 1
+            assert schedule_key(mutant) != schedule_key(graph)
+            assert graph_digest(mutant) != graph_digest(graph)
+
+    def test_schedule_rows_are_the_tail_of_edges(self, candidate_graphs):
+        """Stamped graphs keep the rows as a view; any other graph
+        derives the same rows from ``edges`` on first use."""
+        import dataclasses
+
+        graph = candidate_graphs[0]
+        assert len(graph.schedule_rows) and np.shares_memory(
+            graph.schedule_rows, graph.edges
+        )
+        derived = dataclasses.replace(graph, edges=graph.edges.copy())
+        np.testing.assert_array_equal(derived.schedule_rows, graph.schedule_rows)
+        assert schedule_key(derived) == schedule_key(graph)
 
     def test_digest_is_content_not_identity(self, candidate_graphs):
         """A structurally equal graph with freshly copied arrays (a
@@ -774,6 +810,43 @@ class TestDigestAddressedWire:
             assert after[1] == 2 * len(candidate_graphs)  # calls 3 and 4 all hit
         finally:
             client.close()
+
+    def test_structural_repeats_are_hits_across_frames_and_one_forward_within(
+        self, tiny_model, dataset_builder, cti, candidate_graphs, sibling_hints, tmp_path
+    ):
+        """The digest drops the hints: a structural repeat in a later
+        frame is a cache hit; two in one frame are two misses sharing
+        one materialisation and one forward. Every graph sent is still
+        exactly one lookup."""
+        graph = next(
+            g for g in candidate_graphs if sibling_hints(cti, g.hints) != g.hints
+        )
+        repeat = dataset_builder.graph_for(*cti, list(sibling_hints(cti, graph.hints)))
+        other = next(
+            g for g in candidate_graphs if schedule_key(g) != schedule_key(graph)
+        )
+        other_repeat = dataset_builder.graph_for(
+            *cti, list(sibling_hints(cti, other.hints))
+        )
+        model = _RecordingModel(tiny_model)
+        server = PredictionServer(
+            model, ServerConfig(socket_path=str(tmp_path / "pic.sock"))
+        ).start()
+        client = SocketBackend(server.config.socket_path)
+        try:
+            first = client.predict_proba_batch([graph, repeat])
+            assert _status(server) == (1, 0, 2)
+            assert len(model.seen) == 1
+            second = client.predict_proba_batch([repeat, other, other_repeat])
+            assert _status(server) == (2, 1, 4)
+            assert len(model.seen) == 2
+        finally:
+            client.close()
+            server.stop()
+        np.testing.assert_array_equal(first[0], first[1])
+        np.testing.assert_array_equal(second[0], first[0])
+        np.testing.assert_array_equal(second[1], second[2])
+        np.testing.assert_array_equal(first[0], tiny_model.predict_proba(graph))
 
     def test_a_lying_graph_digest_is_rejected(
         self, socket_server, tiny_model, candidate_graphs
