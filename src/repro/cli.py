@@ -805,6 +805,50 @@ def _campaign_snowcat(args, exploration: ExplorationConfig):
     return snowcat, False
 
 
+def _open_journal(args):
+    """Check the journal flags shared by ``campaign`` and ``fleet run``.
+
+    Returns ``(status, open_journal)``; a non-``None`` status is the exit
+    code of an error already printed. ``open_journal()``, called once the
+    expensive setup has succeeded, starts the ``--journal`` file over or
+    reopens the ``--resume`` one and returns ``(journal, status)`` the
+    same way (``journal`` is ``None`` without either flag).
+    """
+    from repro.errors import CheckpointError, JournalError
+
+    def flag_error(message):
+        print(f"error: {message}", file=sys.stderr)
+        return 2, None
+
+    if args.journal and args.resume:
+        return flag_error("--journal and --resume are mutually exclusive")
+    path = args.journal or args.resume
+    if args.resume and not os.path.exists(args.resume):
+        return flag_error(
+            f"cannot resume: journal {args.resume} does not exist"
+        )
+    if args.capture_labels and not path:
+        return flag_error(
+            "--capture-labels needs a journal to write labels into "
+            "(add --journal FILE or --resume FILE)"
+        )
+
+    def open_journal():
+        if not path:
+            return None, None
+        from repro.resilience.journal import CampaignJournal, reset_journal
+
+        if args.journal:
+            reset_journal(args.journal)
+        try:
+            return CampaignJournal(path), None
+        except (JournalError, CheckpointError, OSError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return None, 2
+
+    return None, open_journal
+
+
 def _campaign_backend(args, exploration: ExplorationConfig):
     """Resolve the serving seam for ``campaign``.
 
@@ -893,30 +937,12 @@ def _cmd_campaign(args) -> int:
         memory_model=args.memory_model,
     )
 
-    journal = None
-    if args.journal and args.resume:
-        print(
-            "error: --journal and --resume are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
+    status, open_journal = _open_journal(args)
+    if status is not None:
+        return status
     if args.serve and args.serve_socket:
         print(
             "error: --serve and --serve-socket are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    journal_path = args.journal or args.resume
-    if args.resume and not os.path.exists(args.resume):
-        print(
-            f"error: cannot resume: journal {args.resume} does not exist",
-            file=sys.stderr,
-        )
-        return 2
-    if args.capture_labels and not journal_path:
-        print(
-            "error: --capture-labels needs a journal to write labels into "
-            "(add --journal FILE or --resume FILE)",
             file=sys.stderr,
         )
         return 2
@@ -938,16 +964,9 @@ def _cmd_campaign(args) -> int:
             f"projected speedup {op.speedup:.2f}x)"
         )
 
-    if journal_path:
-        from repro.resilience.journal import CampaignJournal, reset_journal
-
-        if args.journal:
-            reset_journal(args.journal)
-        try:
-            journal = CampaignJournal(journal_path)
-        except (JournalError, CheckpointError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    journal, status = open_journal()
+    if status is not None:
+        return status
 
     heartbeat = None
     if args.heartbeat:
@@ -1520,26 +1539,9 @@ def _cmd_fleet(args) -> int:
         except FaultSpecError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    if args.journal and args.resume:
-        print(
-            "error: --journal and --resume are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    journal_path = args.journal or args.resume
-    if args.resume and not os.path.exists(args.resume):
-        print(
-            f"error: cannot resume: journal {args.resume} does not exist",
-            file=sys.stderr,
-        )
-        return 2
-    if args.capture_labels and not journal_path:
-        print(
-            "error: --capture-labels needs a journal to write labels into "
-            "(add --journal FILE or --resume FILE)",
-            file=sys.stderr,
-        )
-        return 2
+    status, open_journal = _open_journal(args)
+    if status is not None:
+        return status
 
     if args.threads < 2:
         print("error: --threads must be at least 2", file=sys.stderr)
@@ -1569,17 +1571,9 @@ def _cmd_fleet(args) -> int:
             )
             return 2
 
-    journal = None
-    if journal_path:
-        from repro.resilience.journal import CampaignJournal, reset_journal
-
-        if args.journal:
-            reset_journal(args.journal)
-        try:
-            journal = CampaignJournal(journal_path)
-        except (JournalError, CheckpointError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    journal, status = open_journal()
+    if status is not None:
+        return status
 
     config = FleetConfig(
         workers=args.workers,

@@ -14,6 +14,21 @@ candidates, as the paper runs both "on the same CTI stream"):
 
 Both update a campaign-wide race detector, the schedule-dependent block
 coverage set, the manifested-bug ledger, and the simulated cost ledger.
+
+Stages. One CTI is a :class:`CTIPlan` carried through three explorer
+methods, each order-sensitive — it must see the CTI stream in order:
+``plan_cti`` draws the pool (advances the visit-count seed), ``select``
+picks what to execute and freezes it into tasks (advances the strategy
+and the task-seed counter), ``fold`` accounts for the results (ledger,
+race dedup, coverage, history). The work *between* stages is pure —
+RNG-free scoring of a pool, executing a frozen :class:`CTTask` — and may
+run anywhere, in any order. Two drivers call the stages: ``explore_cti``
+(what :func:`run_campaign` uses) runs them back to back and scores
+lazily inside ``select``, so predicting stops once the budget is met;
+the fleet coordinator (:mod:`repro.fleet.coordinator`) lets a later
+CTI's ``select`` and ``fold`` wait on leased workers and hands
+``select`` whole-pool bitmaps. A stage may run ahead of the next, never
+out of stream order.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from repro.core.costs import CostLedger
 from repro.core.scoring import (
     DEFAULT_BATCH_SIZE,
     CandidateScorer,
+    ScoredCandidate,
     iter_score_candidates,
 )
 from repro.core.strategies import SelectionStrategy
@@ -43,12 +59,14 @@ from repro.kernel.bugs import BugKind, BugSpec
 from repro.kernel.code import Kernel
 from repro.ml.baselines import CoveragePredictor
 from repro.resilience.faults import FaultPlan
+from repro.resilience.journal import fold_prediction_digest, result_digest
 from repro.resilience.supervisor import SupervisionPolicy
 
 __all__ = [
     "ExplorationConfig",
     "ExplorationStats",
     "CampaignResult",
+    "CTIPlan",
     "PCTExplorer",
     "MLPCTExplorer",
     "run_campaign",
@@ -183,8 +201,32 @@ class CampaignResult:
         return {bug for hours, bug in self.bug_history if hours <= horizon}
 
 
+@dataclass
+class CTIPlan:
+    """One CTI's trip through the stages (see the module docstring):
+    ``plan_cti`` creates it, ``select`` and ``fold`` fill it in."""
+
+    entries: Tuple[CorpusEntry, ...]
+    proposals: List[Tuple[ScheduleHint, ...]]
+    stats: ExplorationStats = field(default_factory=ExplorationStats)
+    #: Integrity digests the journal persists with this CTI's record —
+    #: per-result digests in execution order, the count and running
+    #: digest of the scored predictions; ``None`` when nothing stores them.
+    audit: Optional[Dict[str, object]] = None
+    tasks: List[CTTask] = field(default_factory=list)
+    #: ``inferences_before[j]``: this CTI's inference count when task
+    #: ``j`` was selected (``None`` for explorers that do not predict).
+    inferences_before: Optional[List[int]] = None
+    #: Executed-CT coverage labels (``capture_labels`` explorers only).
+    labels: List[Dict[str, object]] = field(default_factory=list)
+
+
 class _ExplorerBase:
     """State shared by PCT and MLPCT exploration."""
+
+    #: Whether ``select`` consumes coverage predictions — i.e. whether a
+    #: driver that scores elsewhere has anything to score.
+    predicts = False
 
     def __init__(
         self,
@@ -204,7 +246,12 @@ class _ExplorerBase:
         #: continuous-learning tailer (read-only observation of results
         #: already in hand — cannot perturb RNG streams or accounting).
         self.capture_labels = capture_labels
-        self._captured_labels: List[Dict[str, object]] = []
+        #: Set by the driver when a journal is attached: plans then carry
+        #: the audit digests the journal persists.
+        self.journaled = False
+        #: The plan the most recent :meth:`explore_cti` ran (what the
+        #: inline driver hands the journal).
+        self.last_plan: Optional[CTIPlan] = None
         self._swaps: List[Dict[str, object]] = []
         self._served_version: Optional[str] = None
         self.race_detector = RaceDetector()
@@ -224,7 +271,6 @@ class _ExplorerBase:
             fault_plan=fault_plan,
         )
         self._task_index = 0
-        self._audit: Optional[Dict[str, object]] = None
         self._visit_counts: Dict[Tuple[int, int], int] = {}
         self._manifest_index: Dict[int, BugSpec] = {
             spec.manifest_block: spec for spec in self.kernel.bugs
@@ -363,8 +409,6 @@ class _ExplorerBase:
         self,
         *args,
         inferences_before: Optional[Sequence[int]] = None,
-        audit: Optional[Dict[str, object]] = None,
-        tasks: Optional[Sequence[CTTask]] = None,
     ) -> None:
         """Fold executed results into campaign state, in selection order.
 
@@ -376,38 +420,8 @@ class _ExplorerBase:
         charged after the last — so every history checkpoint carries the
         exact simulated hours an interleaved predict-then-execute loop
         would have recorded.
-
-        ``audit`` overrides the explorer's own audit slot — the fleet
-        coordinator interleaves several CTIs' accounting and keeps one
-        audit record per CTI.
-
-        ``tasks`` (the executed :class:`CTTask` objects, in the same
-        order as ``results``) enables label capture: with
-        ``capture_labels`` on, each (schedule, covered-blocks) pair is
-        buffered for the journal to drain (see ``repro.learn``).
         """
         *entries, results, stats = args
-        if audit is None:
-            audit = self._audit
-        if audit is not None:
-            from repro.resilience.journal import result_digest
-
-            audit["results"].extend(result_digest(r) for r in results)
-        if self.capture_labels and tasks is not None:
-            sti_ids = [int(entry.sti.sti_id) for entry in entries]
-            for task, result in zip(tasks, results):
-                self._captured_labels.append(
-                    {
-                        "sti": sti_ids,
-                        "hints": [
-                            [hint.thread, hint.iid] for hint in task.hints
-                        ],
-                        "covered": [
-                            sorted(blocks)
-                            for blocks in result.covered_blocks
-                        ],
-                    }
-                )
         charged = 0
         for index, result in enumerate(results):
             if inferences_before is not None:
@@ -419,58 +433,75 @@ class _ExplorerBase:
         if inferences_before is not None and stats.inferences > charged:
             self.ledger.charge_inference(stats.inferences - charged)
 
-    def _execute_selected(
-        self,
-        *args,
-        inferences_before: Optional[Sequence[int]] = None,
-    ) -> List[ConcurrentResult]:
-        """Run the selected CTs (serially or in the worker pool) and
-        account for them in selection order.
-
-        Positional arguments are one corpus entry per thread, the list of
-        hint sequences, and the per-CTI stats.
-        """
-        *entries, hints_list, stats = args
-        tasks = self.build_tasks(*entries, hints_list)
-        results = self.runner.run_many(self.kernel, tasks)
-        self.account_results(
-            *entries,
-            results,
-            stats,
-            inferences_before=inferences_before,
-            tasks=tasks,
-        )
-        return results
-
-    def drain_captured_labels(self) -> List[Dict[str, object]]:
-        """Return and clear the buffered coverage labels (label capture)."""
-        labels, self._captured_labels = self._captured_labels, []
-        return labels
-
     def close(self) -> None:
         """Release the execution runner (a no-op for the serial one)."""
         self.runner.close()
 
-    def explore_cti(self, *entries: CorpusEntry) -> ExplorationStats:
+    # -- the per-CTI stages (see the module docstring) -----------------------
+
+    def plan_cti(self, *entries: CorpusEntry) -> CTIPlan:
+        """Stage 1: draw this CTI's candidate pool (strict stream order)."""
+        return CTIPlan(
+            entries=entries,
+            proposals=self.proposals_for(*entries),
+            audit=(
+                {"results": [], "scored": 0, "scored_digest": ""}
+                if self.journaled
+                else None
+            ),
+        )
+
+    def select(self, plan: CTIPlan, predicted=None) -> None:
+        """Stage 2: choose what to execute and freeze it into
+        ``plan.tasks`` (strict stream order). ``predicted`` is the pool's
+        coverage bitmaps when a driver scored them elsewhere."""
         raise NotImplementedError
+
+    def fold(self, plan: CTIPlan, results: Sequence[ConcurrentResult]) -> None:
+        """Stage 3: fold the executed ``plan.tasks``' results into the
+        campaign state (strict stream order)."""
+        if plan.audit is not None:
+            plan.audit["results"].extend(result_digest(r) for r in results)
+        if self.capture_labels:
+            sti_ids = [int(entry.sti.sti_id) for entry in plan.entries]
+            plan.labels = [
+                {
+                    "sti": sti_ids,
+                    "hints": [[hint.thread, hint.iid] for hint in task.hints],
+                    "covered": [
+                        sorted(blocks) for blocks in result.covered_blocks
+                    ],
+                }
+                for task, result in zip(plan.tasks, results)
+            ]
+        self.account_results(
+            *plan.entries,
+            results,
+            plan.stats,
+            inferences_before=plan.inferences_before,
+        )
+
+    def explore_cti(self, *entries: CorpusEntry) -> ExplorationStats:
+        """The inline driver: all three stages, synchronously."""
+        plan = self.last_plan = self.plan_cti(*entries)
+        self.select(plan)
+        self.fold(plan, self.runner.run_many(self.kernel, plan.tasks))
+        return plan.stats
 
     # -- crash-safe campaigns (see repro.resilience.journal) -----------------
 
-    def begin_audit(self) -> None:
-        """Start collecting integrity digests for the next CTI.
+    def visit_count_state(self) -> List[List[object]]:
+        """Per-CTI visit counts in their ``state_dict`` form — what
+        :meth:`plan_cti` advances."""
+        return sorted(
+            [list(key), visits] for key, visits in self._visit_counts.items()
+        )
 
-        While auditing, :meth:`_execute_selected` folds a digest of every
-        execution result (and :class:`MLPCTExplorer` one of every scored
-        prediction) into the audit record the journal persists — a resumed
-        campaign that diverges (different kernel, model, or seed) fails
-        checksum comparison instead of silently producing a franken-run.
-        """
-        self._audit = {"results": [], "scored": 0, "scored_digest": ""}
-
-    def end_audit(self) -> Dict[str, object]:
-        audit, self._audit = self._audit, None
-        assert audit is not None, "end_audit without begin_audit"
-        return audit
+    def selection_state(self) -> Dict[str, object]:
+        """The part of ``state_dict`` that :meth:`select` advances. A
+        driver whose selection runs ahead of its fold checkpoints this
+        (and :meth:`visit_count_state`) as of the CTI being committed."""
+        return {"task_index": self._task_index}
 
     def state_dict(self) -> Dict[str, object]:
         """Full campaign-progress snapshot, exact under a JSON round-trip.
@@ -489,11 +520,8 @@ class _ExplorerBase:
             "manifested_bugs": sorted(self.manifested_bugs),
             "history": [list(point) for point in self.history],
             "bug_history": [list(point) for point in self.bug_history],
-            "task_index": self._task_index,
-            "visit_counts": sorted(
-                [list(key), visits]
-                for key, visits in self._visit_counts.items()
-            ),
+            "visit_counts": self.visit_count_state(),
+            **self.selection_state(),
         }
         runner_state = getattr(self.runner, "state_dict", None)
         if runner_state is not None:
@@ -548,16 +576,18 @@ class PCTExplorer(_ExplorerBase):
         kwargs.setdefault("label", "PCT")
         super().__init__(graphs, **kwargs)
 
-    def explore_cti(self, *entries: CorpusEntry) -> ExplorationStats:
-        stats = ExplorationStats()
-        proposals = self.proposals_for(*entries)
-        selected = [list(pair) for pair in proposals[: self.config.execution_budget]]
-        self._execute_selected(*entries, selected, stats)
-        return stats
+    def select(self, plan: CTIPlan, predicted=None) -> None:
+        selected = [
+            list(pair)
+            for pair in plan.proposals[: self.config.execution_budget]
+        ]
+        plan.tasks = self.build_tasks(*plan.entries, selected)
 
 
 class MLPCTExplorer(_ExplorerBase):
     """PCT proposals filtered by the PIC model + a selection strategy."""
+
+    predicts = True
 
     def __init__(
         self,
@@ -589,8 +619,8 @@ class MLPCTExplorer(_ExplorerBase):
             cascade_filter=cascade_filter,
         )
 
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
+    def selection_state(self) -> Dict[str, object]:
+        state = super().selection_state()
         state["strategy"] = self.strategy.state_dict()
         return state
 
@@ -603,8 +633,8 @@ class MLPCTExplorer(_ExplorerBase):
 
         Backends that serve predictions expose ``observed_version`` (the
         version tag the server attached to the most recent batch). The
-        check runs at CTI granularity — at the start of each
-        ``explore_cti`` and once more in :meth:`result` — so a CTI whose
+        check runs at CTI granularity — before each inline ``select``
+        scores and once more in :meth:`result` — so a CTI whose
         scoring straddled a swap is attributed to the *before* side (see
         ``docs/LIFECYCLE.md``). With no backend, or a backend that never
         reports a version, this is a no-op.
@@ -638,17 +668,31 @@ class MLPCTExplorer(_ExplorerBase):
         self._note_swap_boundary()
         return super().result()
 
-    def explore_cti(self, *entries: CorpusEntry) -> ExplorationStats:
-        self._note_swap_boundary()
-        stats = ExplorationStats()
-        scored = iter_score_candidates(
-            self.scorer,
-            self.graphs,
-            *entries,
-            self.proposals_for(*entries),
-        )
+    def select(
+        self, plan: CTIPlan, predicted: Optional[Sequence[np.ndarray]] = None
+    ) -> None:
+        entries, stats, audit = plan.entries, plan.stats, plan.audit
+        if predicted is None:
+            # Inline: the lazy engine, so scoring stops within one
+            # look-ahead window of the last candidate considered.
+            self._note_swap_boundary()
+            scored = iter_score_candidates(
+                self.scorer, self.graphs, *entries, plan.proposals
+            )
+        else:
+            scored = (
+                ScoredCandidate(
+                    index=index,
+                    hints=hints,
+                    graph=self.graphs.graph_for(*entries, list(hints)),
+                    predicted=bitmap,
+                )
+                for index, (hints, bitmap) in enumerate(
+                    zip(plan.proposals, predicted)
+                )
+            )
         selected: List[Tuple[ScheduleHint, ...]] = []
-        inferences_before: List[int] = []
+        plan.inferences_before = []
         while True:
             # Budget checks come before pulling the next candidate: the
             # engine's fallback path predicts lazily, so an RNG-consuming
@@ -662,12 +706,10 @@ class MLPCTExplorer(_ExplorerBase):
                 break
             stats.inferences += 1
             obs.add("campaign.inferences")
-            if self._audit is not None:
-                from repro.resilience.journal import fold_prediction_digest
-
-                self._audit["scored"] += 1
-                self._audit["scored_digest"] = fold_prediction_digest(
-                    self._audit["scored_digest"],
+            if audit is not None:
+                audit["scored"] += 1
+                audit["scored_digest"] = fold_prediction_digest(
+                    audit["scored_digest"],
                     candidate.proba,
                     candidate.predicted,
                 )
@@ -680,11 +722,8 @@ class MLPCTExplorer(_ExplorerBase):
                 continue
             self.strategy.commit(candidate.graph, candidate.predicted)
             selected.append(candidate.hints)
-            inferences_before.append(stats.inferences)
-        self._execute_selected(
-            *entries, selected, stats, inferences_before=inferences_before
-        )
-        return stats
+            plan.inferences_before.append(stats.inferences)
+        plan.tasks = self.build_tasks(*entries, selected)
 
 
 def run_campaign(
@@ -712,6 +751,7 @@ def run_campaign(
     ctis = list(ctis)
     result_stats: List[ExplorationStats] = []
     start_index = 0
+    explorer.journaled = journal is not None
     if journal is not None:
         result_stats, start_index = journal.prepare(explorer, ctis)
     races_so_far = sum(stats.new_races for stats in result_stats)
@@ -726,8 +766,6 @@ def run_campaign(
                 if index < start_index:
                     continue
                 with obs.span("campaign.cti", index=index) as cti_span:
-                    if journal is not None:
-                        explorer.begin_audit()
                     stats = explorer.explore_cti(*entries)
                     cti_span.set(
                         executions=stats.executions,
@@ -739,7 +777,12 @@ def run_campaign(
                 races_so_far += stats.new_races
                 executions_so_far += stats.executions
                 if journal is not None:
-                    journal.record_cti(explorer, index, stats)
+                    journal.record_cti(
+                        explorer.label,
+                        index,
+                        explorer.last_plan,
+                        explorer.state_dict(),
+                    )
                 if heartbeat is not None and heartbeat.update(
                     done=index + 1,
                     races=races_so_far,

@@ -10,28 +10,26 @@ N processes, with jobs landing in any order and any job retried on any
 worker, fold down to a :class:`CampaignResult` byte-identical to the
 single-process campaign.
 
-How byte-identity survives the fan-out, per explorer kind:
+How byte-identity survives the fan-out: the coordinator runs the
+explorer's *own* per-CTI stages (``plan_cti`` → ``select`` → ``fold``,
+see :mod:`repro.core.mlpct`) — the same three calls ``explore_cti``
+makes — each strictly in CTI order, and ships only the pure work in
+between to the workers:
 
-- **Planning (both)** walks the CTI stream in order on the coordinator,
-  drawing each CTI's candidate pool from the explorer's own
-  ``proposals_for`` — the visit-count RNG advances exactly as the
-  sequential loop would have advanced it.
-- **PCT** needs no predictions: the first ``execution_budget``
-  candidates are frozen into :class:`CTTask`s at planning time (the
-  task-seed counter advances in stream order), and one *execute job*
-  per CTI fans out to the workers.
-- **MLPCT** fans each CTI's pool out as a *score job* (workers return
-  one boolean bitmap per candidate — RNG-free, per-graph exact across
-  batching and serving substrates). Score results can land in any
-  order, but the coordinator replays *selection* strictly in CTI order:
-  the budget/cap loop, the strategy's ``is_interesting``/``commit``
-  calls, the audit digest folds, and task building are a line-for-line
-  mirror of :meth:`MLPCTExplorer.explore_cti`. Selected tasks then fan
-  out as execute jobs.
-- **Accounting (both)** is replayed strictly in CTI order via
-  :meth:`account_results`, no matter when execute jobs complete — so
-  every ledger charge, race-dedup decision, and history checkpoint
-  lands exactly where the sequential campaign put it.
+- ``plan_cti`` runs for the whole stream up front; an explorer that
+  ``predicts`` gets one *score job* per CTI (workers return one boolean
+  bitmap per candidate — RNG-free, per-graph exact across batching and
+  serving substrates).
+- ``select`` runs for CTI *k* once CTIs ``< k`` are selected and CTI
+  *k*'s bitmaps (if any) have landed, in whatever order the score jobs
+  finished; the tasks it froze fan out as one *execute job*.
+- ``fold`` runs for CTI *k* once CTIs ``< k`` are folded and its execute
+  job has landed — so every ledger charge, race-dedup decision, and
+  history checkpoint lands exactly where the sequential campaign put it.
+
+There is no fleet-side selection or accounting logic to keep in step
+with the explorer's; what differs from the inline driver is scheduling
+only (asynchronous, leased, whole pools scored ahead of selection).
 
 Crash-exact resume: the coordinator reuses the campaign journal
 (:mod:`repro.resilience.journal`) — one record per *folded* CTI plus an
@@ -59,18 +57,14 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.mlpct import (
-    CampaignResult,
-    ExplorationStats,
-    MLPCTExplorer,
-)
+from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats
 from repro.errors import FleetError
 from repro.fleet.leases import LeaseTable
 from repro.fleet.receipts import (
@@ -85,7 +79,7 @@ from repro.fleet.report import FleetReport
 from repro.fleet.worker import FleetWorkerHandle, WorkerSpec
 from repro.obs.export import HeartbeatWriter, read_heartbeat
 from repro.resilience.faults import FaultPlan
-from repro.resilience.journal import CampaignJournal, fold_prediction_digest
+from repro.resilience.journal import CampaignJournal
 from repro.resilience.supervisor import DIE_EXIT_STATUS
 
 __all__ = ["FleetConfig", "FleetCoordinator", "run_fleet"]
@@ -152,33 +146,21 @@ class _Job:
 
 
 @dataclass
-class _CTIPlan:
-    """Everything the coordinator tracks for one CTI in flight."""
+class _Flight:
+    """What the coordinator tracks for one CTI in flight, beyond the
+    explorer's own :class:`CTIPlan`."""
 
     index: int
-    stats: ExplorationStats = field(default_factory=ExplorationStats)
-    audit: Dict[str, object] = field(
-        default_factory=lambda: {"results": [], "scored": 0, "scored_digest": ""}
-    )
-    #: Visit-count snapshot (state-dict format) after this CTI's
-    #: ``proposals_for`` call — the selection-side half of its checkpoint.
-    visit_counts: List[object] = field(default_factory=list)
-    #: Candidate pool (MLPCT: kept for selection replay; PCT: dropped).
-    proposals: Optional[List[object]] = None
-    #: Score-job result (MLPCT): one bool bitmap per candidate.
+    plan: CTIPlan
+    #: Selection-side half of this CTI's checkpoint: the visit counts as
+    #: of its ``plan_cti``, then what its ``select`` advanced.
+    snapshot: Dict[str, object]
+    #: Score-job result, one bool bitmap per pooled candidate (``[]``
+    #: when there is nothing to score); ``None`` while the job is in
+    #: flight, and again once selection has consumed it.
     predicted: Optional[List[np.ndarray]] = None
-    tasks: List[object] = field(default_factory=list)
-    inferences_before: Optional[List[int]] = None
+    #: Execute-job result; set only after selection.
     results: Optional[List[object]] = None
-    selection_done: bool = False
-    #: Selection-side snapshot after this CTI's selection (checkpoint
-    #: composition): task counter and (MLPCT) strategy state.
-    task_index_after: int = 0
-    strategy_state: Optional[Dict[str, object]] = None
-
-    @property
-    def ready_to_fold(self) -> bool:
-        return self.selection_done and self.results is not None
 
 
 class FleetCoordinator:
@@ -196,7 +178,7 @@ class FleetCoordinator:
         self.config = config or FleetConfig()
         self.journal = journal
         self._validate()
-        self.is_mlpct = isinstance(explorer, MLPCTExplorer)
+        explorer.journaled = journal is not None
         self.fault_plan = (
             FaultPlan.parse(self.config.fault_spec, seed=explorer.seed)
             if self.config.fault_spec
@@ -209,7 +191,7 @@ class FleetCoordinator:
             ctis=len(self.ctis),
             receipts_dir=self.config.receipts_dir,
         )
-        self._plans: Dict[int, _CTIPlan] = {}
+        self._flights: Dict[int, _Flight] = {}
         self._pending: Deque[_Job] = deque()
         self._workers: List[Optional[FleetWorkerHandle]] = []
         self._deaths: Dict[int, int] = {}
@@ -248,143 +230,67 @@ class FleetCoordinator:
                 "explorer without a cascade filter"
             )
 
-    # -- planning (strict CTI order; advances explorer RNG state) ------------
+    # -- the explorer's stages, in strict CTI order ---------------------------
 
     def _plan(self, start_index: int) -> None:
+        explorer = self.explorer
         for index in range(start_index, len(self.ctis)):
-            entries = self.ctis[index]
-            plan = _CTIPlan(index=index)
-            proposals = self.explorer.proposals_for(*entries)
-            plan.visit_counts = sorted(
-                [list(key), visits]
-                for key, visits in self.explorer._visit_counts.items()
+            plan = explorer.plan_cti(*self.ctis[index])
+            flight = _Flight(
+                index, plan, {"visit_counts": explorer.visit_count_state()}
             )
-            if self.is_mlpct:
-                # Workers score at most what the sequential cap would
-                # ever consider.
-                plan.proposals = [
-                    tuple(pair)
-                    for pair in proposals[: self.explorer.config.inference_cap]
-                ]
-                if plan.proposals:
-                    self._enqueue(_Job(2 * index, "score", index))
-                    self.report.score_jobs += 1
-                else:
-                    plan.predicted = []
+            self._flights[index] = flight
+            if explorer.predicts and plan.proposals:
+                self._enqueue(_Job(2 * index, "score", index))
+                self.report.score_jobs += 1
             else:
-                selected = [
-                    list(pair)
-                    for pair in proposals[: self.explorer.config.execution_budget]
-                ]
-                plan.tasks = self.explorer.build_tasks(*entries, selected)
-                plan.selection_done = True
-                plan.task_index_after = self.explorer._task_index
-                if plan.tasks:
-                    self._enqueue(_Job(2 * index + 1, "execute", index))
-                    self.report.execute_jobs += 1
-                else:
-                    plan.results = []
-            self._plans[index] = plan
+                flight.predicted = []
+
+    def _score_pool(self, flight: _Flight) -> List[object]:
+        # Workers score at most what the sequential cap would ever
+        # consider.
+        return flight.plan.proposals[: self.explorer.config.inference_cap]
 
     def _enqueue(self, job: _Job) -> None:
         self._pending.append(job)
         self._outstanding += 1
 
-    # -- selection replay (MLPCT, strict CTI order) --------------------------
-
-    def _replay_selection(self, plan: _CTIPlan) -> None:
-        """Mirror of :meth:`MLPCTExplorer.explore_cti`'s selection loop,
-        fed by worker-scored bitmaps instead of an inline scorer."""
-        entries = self.ctis[plan.index]
-        explorer = self.explorer
-        stats, audit = plan.stats, plan.audit
-        selected: List[Tuple[object, ...]] = []
-        inferences_before: List[int] = []
-        position = 0
-        while True:
-            if len(selected) >= explorer.config.execution_budget:
-                break
-            if stats.inferences >= explorer.config.inference_cap:
-                break
-            if position >= len(plan.predicted):
-                break
-            hints = plan.proposals[position]
-            predicted = plan.predicted[position]
-            position += 1
-            stats.inferences += 1
-            obs.add("campaign.inferences")
-            audit["scored"] += 1
-            audit["scored_digest"] = fold_prediction_digest(
-                audit["scored_digest"], None, predicted
-            )
-            graph = explorer.graphs.graph_for(*entries, list(hints))
-            if not explorer.strategy.is_interesting(graph, predicted):
-                obs.add("campaign.executions_saved")
-                continue
-            explorer.strategy.commit(graph, predicted)
-            selected.append(hints)
-            inferences_before.append(stats.inferences)
-        plan.inferences_before = inferences_before
-        plan.tasks = explorer.build_tasks(*entries, selected)
-        plan.task_index_after = explorer._task_index
-        plan.strategy_state = explorer.strategy.state_dict()
-        plan.selection_done = True
-        plan.predicted = None  # bitmaps are folded into the digest; free them
-        if plan.tasks:
-            self._enqueue(_Job(2 * plan.index + 1, "execute", plan.index))
+    def _select(self, flight: _Flight) -> None:
+        self.explorer.select(flight.plan, flight.predicted)
+        flight.snapshot.update(self.explorer.selection_state())
+        flight.predicted = None  # bitmaps are folded into the digest; free them
+        if flight.plan.tasks:
+            self._enqueue(_Job(2 * flight.index + 1, "execute", flight.index))
             self.report.execute_jobs += 1
         else:
-            plan.results = []
+            flight.results = []
 
-    # -- accounting fold (strict CTI order) ----------------------------------
-
-    def _composed_state(self, plan: _CTIPlan) -> Dict[str, object]:
-        """Checkpoint state as-of CTI ``plan.index``: live fold-side
-        fields + the selection-side snapshot taken when this CTI was
-        selected (the pipeline has usually selected further ahead)."""
-        state = self.explorer.state_dict()
-        state["task_index"] = plan.task_index_after
-        state["visit_counts"] = plan.visit_counts
-        if plan.strategy_state is not None:
-            state["strategy"] = plan.strategy_state
-        return state
-
-    def _fold(self, plan: _CTIPlan) -> None:
-        entries = self.ctis[plan.index]
-        self.explorer.account_results(
-            *entries,
-            plan.results,
-            plan.stats,
-            inferences_before=plan.inferences_before,
-            audit=plan.audit,
-            tasks=plan.tasks,
-        )
-        self._result_stats.append(plan.stats)
+    def _fold(self, flight: _Flight) -> None:
+        self.explorer.fold(flight.plan, flight.results)
+        self._result_stats.append(flight.plan.stats)
         if self.journal is not None:
+            # Checkpoint state as-of this CTI: the live fold-side fields,
+            # with the selection-side ones as they were when this CTI was
+            # selected (the pipeline has usually selected further ahead).
+            state = self.explorer.state_dict()
+            state.update(flight.snapshot)
             self.journal.record_cti(
-                self.explorer,
-                plan.index,
-                plan.stats,
-                audit=plan.audit,
-                state=self._composed_state(plan),
+                self.explorer.label, flight.index, flight.plan, state
             )
-        del self._plans[plan.index]
+        del self._flights[flight.index]
 
     def _advance_pipeline(self) -> None:
         while self._next_select < len(self.ctis):
-            plan = self._plans.get(self._next_select)
-            if plan is None or plan.selection_done:
-                self._next_select += 1
-                continue
-            if plan.predicted is None:
+            flight = self._flights[self._next_select]
+            if flight.predicted is None:
                 break  # score job still in flight
-            self._replay_selection(plan)
+            self._select(flight)
             self._next_select += 1
-        while self._next_fold < len(self.ctis):
-            plan = self._plans.get(self._next_fold)
-            if plan is None or not plan.ready_to_fold:
-                break
-            self._fold(plan)
+        while self._next_fold < self._next_select:
+            flight = self._flights[self._next_fold]
+            if flight.results is None:
+                break  # execute job still in flight
+            self._fold(flight)
             self._next_fold += 1
 
     # -- workers, dispatch, liveness -----------------------------------------
@@ -419,11 +325,11 @@ class FleetCoordinator:
             "attempt": job.attempt,
             "fault": fault,
         }
-        plan = self._plans[job.cti_index]
+        flight = self._flights[job.cti_index]
         if job.kind == "score":
-            message["proposals"] = plan.proposals
+            message["proposals"] = self._score_pool(flight)
         else:
-            message["tasks"] = plan.tasks
+            message["tasks"] = flight.plan.tasks
         return message
 
     def _dispatch_ready(self, now: float) -> None:
@@ -505,11 +411,11 @@ class FleetCoordinator:
             obs.add("fleet.transient_errors")
             self._reassign(job)
             return
-        plan = self._plans[job.cti_index]
+        flight = self._flights[job.cti_index]
         if job.kind == "score":
-            plan.predicted = payload
+            flight.predicted = payload
         else:
-            plan.results = payload
+            flight.results = payload
             self._reemit_execution_counters(payload)
         self._outstanding -= 1
         self.report.jobs_completed += 1
@@ -517,7 +423,7 @@ class FleetCoordinator:
             self.report.per_worker_jobs.get(slot, 0) + 1
         )
         obs.add("fleet.jobs_completed")
-        self._write_receipt(job, plan, payload, worker)
+        self._write_receipt(job, flight, payload, worker)
 
     def _reemit_execution_counters(self, results) -> None:
         # Execution counters were emitted inside the worker, whose
@@ -530,15 +436,17 @@ class FleetCoordinator:
             elif result.failure == "deadlock":
                 obs.add("execution.deadlocks")
 
-    def _write_receipt(self, job: _Job, plan: _CTIPlan, payload, worker) -> None:
+    def _write_receipt(
+        self, job: _Job, flight: _Flight, payload, worker
+    ) -> None:
         if self.config.receipts_dir is None:
             return
         entries = self.ctis[job.cti_index]
         if job.kind == "score":
-            inputs = score_inputs_digest(plan.proposals)
+            inputs = score_inputs_digest(self._score_pool(flight))
             result = score_result_digest(payload)
         else:
-            inputs = execute_inputs_digest(plan.tasks)
+            inputs = execute_inputs_digest(flight.plan.tasks)
             result = execute_result_digest(payload)
         write_receipt(
             self.config.receipts_dir,
@@ -671,6 +579,9 @@ class FleetCoordinator:
             f"fleet:{self.explorer.label}", len(self.ctis), done=start_index
         )
         self._plan(start_index)
+        # CTIs with nothing to score (PCT: all of them) are selected here,
+        # so their execute jobs are queued before the workers fork.
+        self._advance_pipeline()
         self._workers = [
             self._spawn_worker(slot) for slot in range(self.config.workers)
         ]
@@ -703,7 +614,7 @@ class FleetCoordinator:
         )
         by_job = {int(receipt["job"]): receipt for receipt in receipts}
         for index, stats in enumerate(self._result_stats):
-            if self.is_mlpct and stats.inferences > 0 and 2 * index not in by_job:
+            if stats.inferences > 0 and 2 * index not in by_job:
                 raise FleetError(
                     f"CTI {index} consumed predictions but has no score-"
                     "job receipt"
@@ -747,18 +658,19 @@ class FleetCoordinator:
             return
         if any(w is not None and w.busy for w in self._workers):
             return
-        # Nothing pending, nothing in flight, campaign incomplete: a
-        # selection replay must be waiting on the pipeline — advance on
-        # the next loop. If the pipeline is also quiet, jobs were lost.
-        plan = self._plans.get(self._next_select)
-        if plan is not None and not plan.selection_done and plan.predicted is None:
+        # Nothing pending, nothing leased, campaign incomplete: if the
+        # next CTI to select or fold still lacks its job's result, that
+        # job was lost.
+        waiting = self._flights.get(self._next_select)
+        if waiting is not None and waiting.predicted is None:
             raise FleetError(
                 f"fleet stalled: CTI {self._next_select} is waiting for a "
                 "score job that is neither pending nor leased"
             )
-        if self._next_fold in self._plans and not self._plans[
-            self._next_fold
-        ].ready_to_fold and self._plans[self._next_fold].selection_done:
+        if (
+            self._next_fold < self._next_select
+            and self._flights[self._next_fold].results is None
+        ):
             raise FleetError(
                 f"fleet stalled: CTI {self._next_fold} is waiting for an "
                 "execute job that is neither pending nor leased"

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import FleetError
 from repro.resilience.atomic import atomic_write_text, canonical_json, sha256_hex
-from repro.resilience.journal import fold_prediction_digest, result_digest
+from repro.resilience.journal import _sanitize, fold_prediction_digest, result_digest
 
 __all__ = [
     "RECEIPT_SCHEMA",
@@ -43,10 +43,6 @@ __all__ = [
 RECEIPT_SCHEMA = 1
 
 _RECEIPT_NAME = re.compile(r"\.job-(\d+)\.json$")
-
-
-def _sanitize(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
 
 
 def receipt_path(directory: str, label: str, job_id: int) -> str:

@@ -2,7 +2,8 @@
 
 Campaigns run with ``--capture-labels`` record, inside each committed
 ``cti`` journal record, the ground-truth coverage labels of every CT they
-executed (see :meth:`repro.core.mlpct._ExplorerBase.account_results`).
+executed (the explorer's ``fold`` stage puts them on the CTI's
+:class:`repro.core.mlpct.CTIPlan`; ``record_cti`` writes them from there).
 This module turns those journals into training data:
 
 - :class:`LabelStore` is the durable, deduplicated label database — one

@@ -70,10 +70,7 @@ def result_digest(result) -> str:
     """Stable digest of one :class:`~repro.execution.trace
     .ConcurrentResult` (everything campaign accounting consumes)."""
     payload = {
-        "covered": [
-            sorted(result.covered_blocks[0]),
-            sorted(result.covered_blocks[1]),
-        ],
+        "covered": [sorted(blocks) for blocks in result.covered_blocks],
         "accesses": len(result.accesses),
         "bugs": [
             [event.step, event.thread, event.iid, event.block_id, event.kind]
@@ -526,31 +523,24 @@ class CampaignJournal:
         self._file.rewrite(kept)
 
     def record_cti(
-        self,
-        explorer,
-        index: int,
-        stats,
-        audit: Optional[Dict[str, object]] = None,
-        state: Optional[Dict[str, object]] = None,
+        self, label: str, index: int, plan, state: Dict[str, object]
     ) -> None:
         """Commit one completed CTI: journal record, then checkpoint.
 
-        ``audit`` and ``state`` override the explorer's own audit slot
-        and live ``state_dict()``. The fleet coordinator needs both: it
-        keeps one audit record per in-flight CTI, and its selection
-        pipeline may run ahead of the accounting fold, so the
-        checkpointed state is composed to be exactly what a sequential
-        run would have snapshot after this CTI.
+        ``plan`` is the folded :class:`~repro.core.mlpct.CTIPlan` (its
+        stats, audit and captured labels go into the record); ``state``
+        is the explorer state as of this CTI — the live ``state_dict()``
+        for the inline driver, while the fleet coordinator, whose
+        selection runs ahead of its fold, composes exactly what a
+        sequential run would have snapshot after this CTI.
         """
-        label = explorer.label
-        if audit is None:
-            audit = explorer.end_audit()
+        audit = plan.audit
         results = audit["results"]
         record: Dict[str, object] = {
             "c": label,
             "kind": "cti",
             "index": index,
-            "stats": stats_to_dict(stats),
+            "stats": stats_to_dict(plan.stats),
             "audit": {
                 "executed": len(results),
                 "results_digest": sha256_hex("".join(results)),
@@ -558,15 +548,11 @@ class CampaignJournal:
                 "scored_digest": audit["scored_digest"],
             },
         }
-        # Opt-in label capture for the continuous-learning tailer: when
-        # the explorer buffered executed-CT coverage labels, drain them
-        # into this record. The field is omitted entirely when capture
-        # is off, keeping journal bytes unchanged.
-        drain = getattr(explorer, "drain_captured_labels", None)
-        if drain is not None:
-            labels = drain()
-            if labels:
-                record["labels"] = labels
+        # Opt-in label capture for the continuous-learning tailer. The
+        # field is omitted entirely when capture is off, keeping journal
+        # bytes unchanged.
+        if plan.labels:
+            record["labels"] = plan.labels
         self._file.append(record)
         _write_checkpoint(
             self.checkpoint_path(label),
@@ -574,7 +560,7 @@ class CampaignJournal:
                 "schema": JOURNAL_SCHEMA,
                 "label": label,
                 "cti_index": index,
-                "state": explorer.state_dict() if state is None else state,
+                "state": state,
             },
         )
 

@@ -215,6 +215,46 @@ class TestCampaignJournal:
         assert digest != fold_prediction_digest("seed", 0.5, [True, False])
         fold_prediction_digest("seed", 0.5, None)  # proba-only consumers
 
+    def test_result_digest_two_thread_form_is_pinned(self):
+        # Journals and receipts written before the N-thread fix must keep
+        # verifying: the two-thread digest is byte-for-byte the old one.
+        from repro.execution.trace import BugEvent, ConcurrentResult
+        from repro.resilience.journal import result_digest
+
+        result = ConcurrentResult(
+            covered_blocks=({3, 1, 2}, {7, 5}),
+            bug_events=[
+                BugEvent(step=4, thread=1, iid=9, block_id=7, kind="check")
+            ],
+            num_switches=2,
+            hints_enforced=1,
+            steps=11,
+        )
+        assert result_digest(result) == (
+            "ab79f29fb6ca11e6e04d51bf317142409212246bd53eb69fb0d12398423292c1"
+        )
+
+    def test_result_digest_covers_every_thread(self):
+        # Wiping thread 2's coverage of a 3-thread result must change the
+        # journal's digest and the fleet receipt's.
+        from dataclasses import replace
+
+        from repro.execution.concurrent import run_concurrent
+        from repro.fleet.receipts import execute_result_digest
+        from repro.resilience.journal import result_digest
+        from tests._oracle_kernels import three_thread_racy_kernel
+
+        kernel, programs, _ = three_thread_racy_kernel()
+        result = run_concurrent(kernel, programs)
+        assert len(result.covered_blocks) == 3 and result.covered_blocks[2]
+        tampered = replace(
+            result, covered_blocks=result.covered_blocks[:2] + (set(),)
+        )
+        assert result_digest(tampered) != result_digest(result)
+        assert execute_result_digest([tampered]) != execute_result_digest(
+            [result]
+        )
+
     def test_mlpct_journaled_run_matches_plain_and_resumes(
         self, dataset_builder, tiny_model, tmp_path
     ):
