@@ -16,14 +16,19 @@ deviations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExecutionLimitExceeded, ScheduleError
-from repro.execution.machine import DEFAULT_MAX_STEPS, Machine, ThreadContext, TraceSink
-from repro.execution.trace import BugEvent, ConcurrentResult, MemoryAccess
+from repro.execution.machine import (
+    DEFAULT_MAX_STEPS,
+    Machine,
+    RecordingSink,
+    ThreadContext,
+    ThreadStatus,
+)
+from repro.execution.trace import ConcurrentResult
 from repro.kernel.code import Kernel
-from repro.kernel.isa import Instruction
 
 __all__ = ["ScheduleHint", "run_concurrent"]
 
@@ -36,56 +41,13 @@ class ScheduleHint:
     iid: int
 
 
-class ConcurrentSink(TraceSink):
+class ConcurrentSink(RecordingSink):
     def __init__(self, num_threads: int = 2) -> None:
+        super().__init__([], [])
         self.covered: Tuple[set, ...] = tuple(set() for _ in range(num_threads))
-        self.accesses: List[MemoryAccess] = []
-        self.bug_events: List[BugEvent] = []
-        self.step = 0
-        self.epoch = 0
-        self.last_iid: Optional[int] = None
-        self.last_thread: Optional[int] = None
 
     def on_block_entry(self, thread: ThreadContext, block_id: int) -> None:
         self.covered[thread.tid].add(block_id)
-
-    def on_instruction(self, thread: ThreadContext, instruction: Instruction) -> None:
-        self.step += 1
-        self.last_iid = instruction.iid
-        self.last_thread = thread.tid
-
-    def on_memory_access(
-        self,
-        thread: ThreadContext,
-        instruction: Instruction,
-        address: int,
-        is_write: bool,
-    ) -> None:
-        self.accesses.append(
-            MemoryAccess(
-                step=self.step,
-                thread=thread.tid,
-                iid=instruction.iid,
-                block_id=thread.block_id if thread.block_id is not None else -1,
-                address=address,
-                is_write=is_write,
-                locks_held=frozenset(thread.locks_held),
-                epoch=self.epoch,
-            )
-        )
-
-    def on_bug_event(
-        self, thread: ThreadContext, instruction: Instruction, kind: str
-    ) -> None:
-        self.bug_events.append(
-            BugEvent(
-                step=self.step,
-                thread=thread.tid,
-                iid=instruction.iid,
-                block_id=thread.block_id if thread.block_id is not None else -1,
-                kind=kind,
-            )
-        )
 
 
 def run_concurrent(
@@ -138,7 +100,10 @@ def run_concurrent(
         # threads this is exactly "the other thread".
         switch_to((current + 1) % num_threads)
 
+    done = ThreadStatus.DONE
     try:
+        # One iteration per scheduling event: ``machine.run`` comes back
+        # exactly when one of the conditions below can change.
         while not machine.all_done():
             if forced_away_from == current:
                 forced_away_from = None
@@ -172,35 +137,39 @@ def run_concurrent(
                 deadlocked = True
                 break
             # Hints targeting the current thread are only actionable ones.
-            active_hint = pending_hints[0] if pending_hints else None
-            if active_hint is not None and active_hint.thread != current:
-                # The scheduler is already past this hint's thread turn
-                # only when that thread finished; otherwise we simply run
-                # the current thread until its own hint or completion.
-                if threads[active_hint.thread].status.value == "done":
+            stop_iid = None
+            if pending_hints:
+                active_hint = pending_hints[0]
+                if active_hint.thread == current:
+                    stop_iid = active_hint.iid
+                elif threads[active_hint.thread].status is done:
+                    # The scheduler is already past this hint's thread turn
+                    # only when that thread finished; otherwise we simply
+                    # run the current thread until its own hint or
+                    # completion.
                     pending_hints.pop(0)
                     continue
             while (
                 pending_irqs
                 and machine.total_steps >= pending_irqs[0][0]
-                and thread.status.value != "done"
+                and thread.status is not done
             ):
                 _, handler_name = pending_irqs.pop(0)
                 machine.fire_irq(thread, handler_name)
                 irqs_fired += 1
-            machine.step(thread)
-            if thread.status.value == "done":
-                if pending_hints and pending_hints[0].thread == current:
+            machine.run(
+                thread, stop_iid, pending_irqs[0][0] if pending_irqs else None
+            )
+            if thread.status is done:
+                if stop_iid is not None:
                     # The hint's switch point was never reached: skip it.
                     pending_hints.pop(0)
                 if not machine.all_done():
                     switch_away()
-                continue
-            if (
-                pending_hints
-                and pending_hints[0].thread == current
-                and sink.last_thread == current
-                and sink.last_iid == pending_hints[0].iid
+            elif (
+                stop_iid is not None
+                and machine.last_thread == current
+                and machine.last_iid == stop_iid
             ):
                 pending_hints.pop(0)
                 hints_enforced += 1

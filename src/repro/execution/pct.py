@@ -104,6 +104,9 @@ def run_concurrent_pct(
     deadlocked = False
     limit_hit = False
     try:
+        # One iteration per scheduling event: the highest-priority runnable
+        # thread changes only when a thread blocks, finishes or releases a
+        # lock (``machine.run`` returns) or at the next change point.
         while not machine.all_done():
             runnable = [machine.runnable(t) for t in threads]
             tid = scheduler.next_thread(runnable)
@@ -114,10 +117,15 @@ def run_concurrent_pct(
                 num_switches += 1
                 sink.epoch += 1
             previous = tid
-            machine.step(threads[tid])
+            change_points = scheduler.change_points
+            machine.run(
+                threads[tid],
+                until_total=change_points[0] if change_points else None,
+            )
             scheduler.on_step(machine.total_steps, tid)
     except ExecutionLimitExceeded:
         limit_hit = True
+    failure = "hang" if limit_hit else ("deadlock" if deadlocked else None)
     return ConcurrentResult(
         covered_blocks=sink.covered,
         accesses=sink.accesses,
@@ -127,6 +135,7 @@ def run_concurrent_pct(
         steps=sink.step,
         completed=not limit_hit and not deadlocked,
         deadlocked=deadlocked,
+        failure=failure,
     )
 
 

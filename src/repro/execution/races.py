@@ -22,7 +22,8 @@ count across a campaign is a coverage-style set size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +47,96 @@ class PotentialRace:
         return PotentialRace(iid_pair=(lo, hi), address=address)
 
 
+#: Candidate pairs materialised at once: what bounds the scan's memory,
+#: whatever the stream's length or its spread over addresses.
+_PAIR_CHUNK = 1 << 16
+
+RaceKey = Tuple[int, int, int]  # (lower iid, higher iid, address)
+
+
+def _race_keys(
+    accesses: Sequence[MemoryAccess], proximity_window: int, adjacent_epochs: bool
+) -> Set[RaceKey]:
+    """One pass over the whole stream; see :func:`find_potential_races`.
+
+    The stream is sorted by address once (stably, so stream order survives
+    inside each address group), every earlier/later pair *within a group*
+    is enumerated with flat index arithmetic, and the conditions are NumPy
+    masks over those pairs. Surviving pairs are reduced to one integer
+    each and deduplicated as scalars.
+    """
+    size = len(accesses)
+    if size < 2:
+        return set()
+
+    def column(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), accesses), np.int64, size)
+
+    order = np.argsort(column("address"), kind="stable")
+    address, step, epoch, thread, write = (
+        column(name)[order]
+        for name in ("address", "step", "epoch", "thread", "is_write")
+    )
+    # Ranks stand in for iids and group starts for addresses, so the scalar
+    # a pair is reduced to below stays under size**3 whatever their values.
+    iids, iid = np.unique(column("iid")[order], return_inverse=True)
+    group = np.searchsorted(address, address, side="left")
+    # Interned locksets make these lookups identity-cheap; intersections
+    # are taken once per distinct pair of locksets.
+    lockset_ids: Dict[FrozenSet[str], int] = {}
+    lockset = np.fromiter(
+        (lockset_ids.setdefault(a.locks_held, len(lockset_ids)) for a in accesses),
+        np.int64,
+        size,
+    )[order]
+    disjoint = np.array(
+        [[a.isdisjoint(b) for b in lockset_ids] for a in lockset_ids], np.bool_
+    )
+
+    # later[i]: how many accesses follow sorted position i in its group;
+    # before[i]: how many pairs positions 0..i-1 start.
+    later = np.searchsorted(address, address, side="right") - np.arange(1, size + 1)
+    before = np.concatenate(([0], np.cumsum(later)))
+    if not before[size]:
+        return set()
+    span = len(iids)
+    keys = np.empty(0, np.int64)
+    lo = 0
+    while before[lo] < before[size]:
+        # Positions lo..hi-1 start at most _PAIR_CHUNK pairs (one position
+        # alone may start more); pair k of position i is (i, i + 1 + k).
+        hi = int(np.searchsorted(before, before[lo] + _PAIR_CHUNK, side="right"))
+        hi = max(hi - 1, lo + 1)
+        count = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), count)
+        nth = np.arange(len(first)) - np.repeat(before[lo:hi] - before[lo], count)
+        second = first + 1 + nth
+        lo = hi
+        close = step[second] - step[first] <= proximity_window
+        if adjacent_epochs:
+            close |= epoch[second] - epoch[first] == 1
+        close &= thread[first] != thread[second]
+        close &= (write[first] | write[second]) != 0
+        close &= disjoint[lockset[first], lockset[second]]
+        first, second = first[close], second[close]
+        low = np.minimum(iid[first], iid[second])
+        high = np.maximum(iid[first], iid[second])
+        fresh = (group[first] * span + low) * span + high
+        keys = np.unique(np.concatenate((keys, fresh)))
+    rest, high = np.divmod(keys, span)
+    start, low = np.divmod(rest, span)
+    return set(
+        zip(iids[low].tolist(), iids[high].tolist(), address[start].tolist())
+    )
+
+
+def _as_races(keys: Set[RaceKey]) -> Set[PotentialRace]:
+    return {
+        PotentialRace(iid_pair=(low, high), address=address)
+        for low, high, address in keys
+    }
+
+
 def find_potential_races(
     accesses: Sequence[MemoryAccess],
     proximity_window: int = DEFAULT_PROXIMITY_WINDOW,
@@ -55,67 +146,9 @@ def find_potential_races(
 
     A conflicting pair races when it falls within ``proximity_window``
     steps, or (``adjacent_epochs``) when exactly one context switch
-    separates it. The pairwise conditions over each per-address stream
-    are evaluated as NumPy masks; lockset intersections are looked up in
-    a table over the (few) distinct locksets seen in the stream.
+    separates it.
     """
-    by_address: Dict[int, List[MemoryAccess]] = {}
-    for access in accesses:
-        by_address.setdefault(access.address, []).append(access)
-
-    races: Set[PotentialRace] = set()
-    lockset_ids: Dict[FrozenSet[int], int] = {}
-    locksets: List[FrozenSet[int]] = []
-    disjoint = np.empty((0, 0), np.bool_)
-    for address, stream in by_address.items():
-        size = len(stream)
-        if size < 2:
-            continue
-        step = np.fromiter((a.step for a in stream), np.int64, size)
-        epoch = np.fromiter((a.epoch for a in stream), np.int64, size)
-        thread = np.fromiter((a.thread for a in stream), np.int64, size)
-        write = np.fromiter((a.is_write for a in stream), np.bool_, size)
-        lockset = np.empty(size, np.int64)
-        for k, access in enumerate(stream):
-            held = access.locks_held
-            index = lockset_ids.get(held)
-            if index is None:
-                index = len(locksets)
-                lockset_ids[held] = index
-                locksets.append(held)
-            lockset[k] = index
-
-        conflicting = step[None, :] - step[:, None] <= proximity_window
-        if adjacent_epochs:
-            conflicting |= epoch[None, :] - epoch[:, None] == 1
-        conflicting &= thread[None, :] != thread[:, None]
-        conflicting &= write[None, :] | write[:, None]
-        conflicting &= np.tri(size, size, -1, dtype=np.bool_).T
-        first_idx, second_idx = np.nonzero(conflicting)
-        if not len(first_idx):
-            continue
-
-        # Lockset condition: intersect only the distinct lockset pairs.
-        if len(disjoint) < len(locksets):
-            disjoint = np.array(
-                [[not (a & b) for b in locksets] for a in locksets], np.bool_
-            )
-        keep = disjoint[lockset[first_idx], lockset[second_idx]]
-        first_idx, second_idx = first_idx[keep], second_idx[keep]
-
-        iid = np.fromiter((a.iid for a in stream), np.int64, size)
-        pairs = np.stack(
-            (
-                np.minimum(iid[first_idx], iid[second_idx]),
-                np.maximum(iid[first_idx], iid[second_idx]),
-            ),
-            axis=1,
-        )
-        races.update(
-            PotentialRace(iid_pair=(lo, hi), address=address)
-            for lo, hi in np.unique(pairs, axis=0).tolist()
-        )
-    return races
+    return _as_races(_race_keys(accesses, proximity_window, adjacent_epochs))
 
 
 class RaceDetector:
@@ -127,14 +160,21 @@ class RaceDetector:
 
     def __init__(self, proximity_window: int = DEFAULT_PROXIMITY_WINDOW) -> None:
         self.proximity_window = proximity_window
-        self._seen: Set[PotentialRace] = set()
+        self._seen: Set[RaceKey] = set()
+        # Indexes over ``_seen`` for the per-execution triage queries.
+        self._addresses: Set[int] = set()
+        self._pairs: Set[Tuple[int, int]] = set()
+
+    def _add(self, keys: Set[RaceKey]) -> None:
+        self._seen |= keys
+        self._addresses.update(address for _, _, address in keys)
+        self._pairs.update((low, high) for low, high, _ in keys)
 
     def observe(self, result: ConcurrentResult) -> Set[PotentialRace]:
         """Record races from one execution; returns only the new ones."""
-        found = find_potential_races(result.accesses, self.proximity_window)
-        fresh = found - self._seen
-        self._seen |= fresh
-        return fresh
+        fresh = _race_keys(result.accesses, self.proximity_window, True) - self._seen
+        self._add(fresh)
+        return _as_races(fresh)
 
     @property
     def total(self) -> int:
@@ -142,12 +182,11 @@ class RaceDetector:
 
     @property
     def races(self) -> FrozenSet[PotentialRace]:
-        return frozenset(self._seen)
+        return frozenset(_as_races(self._seen))
 
     def has_pair(self, write_iid: int, read_iid: int) -> bool:
         """Whether a specific static pair has been observed racing."""
-        key = tuple(sorted((write_iid, read_iid)))
-        return any(race.iid_pair == key for race in self._seen)
+        return tuple(sorted((write_iid, read_iid))) in self._pairs
 
     def state_dict(self) -> List[List[int]]:
         """JSON-serializable snapshot (sorted ``[lo, hi, address]`` rows).
@@ -156,17 +195,12 @@ class RaceDetector:
         detector after every CTI so a resumed campaign deduplicates races
         against exactly the set the interrupted one had seen.
         """
-        return sorted(
-            [race.iid_pair[0], race.iid_pair[1], race.address]
-            for race in self._seen
-        )
+        return sorted(list(key) for key in self._seen)
 
     def load_state(self, state: Sequence[Sequence[int]]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        self._seen = {
-            PotentialRace(iid_pair=(int(lo), int(hi)), address=int(address))
-            for lo, hi, address in state
-        }
+        self._seen, self._addresses, self._pairs = set(), set(), set()
+        self._add({(int(lo), int(hi), int(address)) for lo, hi, address in state})
 
     def has_address(self, address: int) -> bool:
         """Whether any race over ``address`` has been observed.
@@ -175,4 +209,4 @@ class RaceDetector:
         the same bug report, which is how the evaluation attributes plain
         data-race bugs.
         """
-        return any(race.address == address for race in self._seen)
+        return address in self._addresses

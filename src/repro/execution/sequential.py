@@ -12,18 +12,23 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import ExecutionLimitExceeded
-from repro.execution.machine import DEFAULT_MAX_STEPS, Machine, ThreadContext, TraceSink
-from repro.execution.trace import BugEvent, MemoryAccess, SequentialTrace
+from repro.execution.machine import (
+    DEFAULT_MAX_STEPS,
+    Machine,
+    RecordingSink,
+    ThreadContext,
+)
+from repro.execution.trace import SequentialTrace
 from repro.kernel.code import Kernel
-from repro.kernel.isa import Instruction
 
 __all__ = ["run_sequential"]
 
 
-class _SequentialSink(TraceSink):
+class _SequentialSink(RecordingSink):
     def __init__(self, trace: SequentialTrace) -> None:
+        super().__init__(trace.accesses, trace.bug_events)
         self.trace = trace
-        self._step = 0
+        self.iid_trace = trace.iid_trace
         self._previous_block: Optional[int] = None
 
     def on_block_entry(self, thread: ThreadContext, block_id: int) -> None:
@@ -34,42 +39,6 @@ class _SequentialSink(TraceSink):
         if block_id not in trace.covered_blocks:
             trace.covered_blocks.add(block_id)
             trace.block_sequence.append(block_id)
-
-    def on_instruction(self, thread: ThreadContext, instruction: Instruction) -> None:
-        self.trace.iid_trace.append(instruction.iid)
-        self._step += 1
-
-    def on_memory_access(
-        self,
-        thread: ThreadContext,
-        instruction: Instruction,
-        address: int,
-        is_write: bool,
-    ) -> None:
-        self.trace.accesses.append(
-            MemoryAccess(
-                step=self._step,
-                thread=thread.tid,
-                iid=instruction.iid,
-                block_id=thread.block_id if thread.block_id is not None else -1,
-                address=address,
-                is_write=is_write,
-                locks_held=frozenset(thread.locks_held),
-            )
-        )
-
-    def on_bug_event(
-        self, thread: ThreadContext, instruction: Instruction, kind: str
-    ) -> None:
-        self.trace.bug_events.append(
-            BugEvent(
-                step=self._step,
-                thread=thread.tid,
-                iid=instruction.iid,
-                block_id=thread.block_id if thread.block_id is not None else -1,
-                kind=kind,
-            )
-        )
 
 
 def run_sequential(
@@ -90,7 +59,7 @@ def run_sequential(
     thread = machine.create_thread(syscalls)
     try:
         while machine.runnable(thread):
-            machine.step(thread)
+            machine.run(thread)
     except ExecutionLimitExceeded:
         trace.completed = False
     return trace

@@ -86,6 +86,10 @@ class Kernel:
         self.bugs = list(bugs)
         self.irq_handlers = list(irq_handlers or [])
         self._instructions: Dict[int, Tuple[int, int]] = {}
+        #: The interpreter's pre-decoded program, built on first execution
+        #: (:func:`repro.execution.machine.decode_program`). A kernel is
+        #: not modified once it has been executed.
+        self.decoded: Optional[Dict[int, tuple]] = None
         self._finalize()
 
     def _finalize(self) -> None:

@@ -50,19 +50,21 @@ class MemoryState:
     """A mutable runtime copy of a :class:`MemoryImage`.
 
     Executors create one per dynamic test, so tests never contaminate each
-    other ("reboot the VM between tests").
+    other ("reboot the VM between tests"). ``cells`` maps address to value
+    (absent reads as 0); the interpreter's sequentially consistent fast
+    path reads and writes it directly.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("cells",)
 
     def __init__(self, image: MemoryImage) -> None:
-        self._cells = dict(image.initial)
+        self.cells = dict(image.initial)
 
     def load(self, address: int) -> int:
-        return self._cells.get(address, 0)
+        return self.cells.get(address, 0)
 
     def store(self, address: int, value: int) -> None:
-        self._cells[address] = value
+        self.cells[address] = value
 
     def snapshot(self) -> Dict[int, int]:
-        return dict(self._cells)
+        return dict(self.cells)

@@ -271,6 +271,26 @@ def store_buffering_kernel() -> Tuple[Kernel, List]:
     return n_thread_kernel(bodies, memory=image)
 
 
+def cross_lock_kernel() -> Tuple[Kernel, List]:
+    """Two threads taking locks ``L1``/``L2`` in opposite order, a NOP in
+    between: run to completion they do not interfere, but a switch inside
+    either critical section deadlocks the pair."""
+
+    def body(first: str, second: str) -> List[Instruction]:
+        return [
+            instr(Opcode.LOCK, Operand.make_lock(first)),
+            instr(Opcode.NOP),
+            instr(Opcode.LOCK, Operand.make_lock(second)),
+            instr(Opcode.UNLOCK, Operand.make_lock(second)),
+            instr(Opcode.UNLOCK, Operand.make_lock(first)),
+            instr(Opcode.RET),
+        ]
+
+    return n_thread_kernel(
+        [body("L1", "L2"), body("L2", "L1")], locks=["L1", "L2"]
+    )
+
+
 def random_tiny_kernel_n(
     seed: int, num_threads: int = 3
 ) -> Tuple[Kernel, List[List[Tuple[str, List[int]]]]]:

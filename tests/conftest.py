@@ -21,10 +21,16 @@ Markers (registered in ``pyproject.toml``):
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.kernel import build_kernel
 from repro.graphs.dataset import GraphDatasetBuilder
 from repro.oracle.quality import GOLDEN_CONFIG, GOLDEN_KERNEL_CONFIG
+
+# ``--hypothesis-profile ci``: a raised example budget for the tests that
+# leave ``max_examples`` to the profile (``test_stepper_equivalence.py``);
+# CI's ``oracle`` job selects it. The default profile is untouched.
+settings.register_profile("ci", max_examples=1500, deadline=None)
 
 # Kept under its historic name: many tests import this to build kernel
 # variants; it is the same object the quality gate pins.

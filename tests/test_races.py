@@ -117,6 +117,47 @@ class TestRaceDetector:
         assert detector.has_pair(20, 10)
         assert not detector.has_pair(10, 21)
 
+    def test_restored_detector_answers_like_the_observer(self):
+        """``has_address``/``has_pair`` read indexes that ``observe`` and
+        ``load_state`` both maintain."""
+        observer = RaceDetector()
+        for base in (0, 100):
+            observer.observe(
+                ConcurrentResult(
+                    covered_blocks=(set(), set()),
+                    accesses=[
+                        access(1, 0, base + 10, base + 5, True),
+                        access(2, 1, base + 20, base + 5, False),
+                        access(3, 0, base + 30, base + 6, True),
+                        access(4, 1, base + 40, base + 6, True),
+                    ],
+                )
+            )
+        restored = RaceDetector()
+        restored.observe(  # state a load must replace, not merge with
+            ConcurrentResult(
+                covered_blocks=(set(), set()),
+                accesses=[access(1, 0, 7, 9, True), access(2, 1, 8, 9, True)],
+            )
+        )
+        restored.load_state(observer.state_dict())
+        assert restored.races == observer.races and restored.total == 4
+        for address in range(0, 120):
+            assert restored.has_address(address) == observer.has_address(address)
+        assert {a for a in range(120) if restored.has_address(a)} == {5, 6, 105, 106}
+        for first in range(0, 150, 10):
+            for second in range(0, 150, 10):
+                assert restored.has_pair(first, second) == observer.has_pair(
+                    first, second
+                )
+        assert restored.has_pair(140, 130) and not restored.has_pair(7, 8)
+        # Both keep deduplicating against what they hold.
+        again = ConcurrentResult(
+            covered_blocks=(set(), set()),
+            accesses=[access(1, 0, 10, 5, True), access(2, 1, 20, 5, False)],
+        )
+        assert restored.observe(again) == observer.observe(again) == set()
+
     def test_detects_races_in_real_execution(self, kernel):
         from repro.execution import ScheduleHint, run_concurrent, run_sequential
 

@@ -7,6 +7,8 @@ oracle pattern for catching clever-code bugs.
 """
 
 import itertools
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -18,12 +20,12 @@ from repro.execution.trace import MemoryAccess
 from repro.ml.metrics import average_precision
 
 
-def _random_stream(rng, length):
+def _random_stream(rng, length, addresses=6, iids=40, switch_prob=0.15):
     accesses = []
     epoch = 0
     thread = 0
     for step in range(length):
-        if rng.random() < 0.15:
+        if rng.random() < switch_prob:
             thread = 1 - thread
             epoch += 1
         locks = frozenset(["L"]) if rng.random() < 0.2 else frozenset()
@@ -31,9 +33,9 @@ def _random_stream(rng, length):
             MemoryAccess(
                 step=step,
                 thread=thread,
-                iid=int(rng.integers(0, 40)),
+                iid=int(rng.integers(0, iids)),
                 block_id=0,
-                address=int(rng.integers(0, 6)),
+                address=int(rng.integers(0, addresses)),
                 is_write=bool(rng.random() < 0.5),
                 locks_held=locks,
                 epoch=epoch,
@@ -42,7 +44,7 @@ def _random_stream(rng, length):
     return accesses
 
 
-def _reference_races(accesses, window):
+def _reference_races(accesses, window, adjacent_epochs=True):
     races = set()
     for first, second in itertools.combinations(accesses, 2):
         a, b = (first, second) if first.step <= second.step else (second, first)
@@ -55,7 +57,7 @@ def _reference_races(accesses, window):
         if a.locks_held & b.locks_held:
             continue
         near = b.step - a.step <= window
-        adjacent = b.epoch - a.epoch == 1
+        adjacent = adjacent_epochs and b.epoch - a.epoch == 1
         if near or adjacent:
             races.add(PotentialRace.of(a.iid, b.iid, a.address))
     return races
@@ -75,15 +77,56 @@ def _reference_alias(accesses):
 class TestRaceScanOracle:
     @given(
         seed=st.integers(min_value=0, max_value=1000),
-        window=st.integers(min_value=1, max_value=40),
+        window=st.integers(min_value=0, max_value=40),
+        adjacent_epochs=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_bruteforce(self, seed, window):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bruteforce(self, seed, window, adjacent_epochs):
         rng = np.random.default_rng(seed)
         stream = _random_stream(rng, 40)
-        fast = find_potential_races(stream, proximity_window=window)
-        slow = _reference_races(stream, window)
+        fast = find_potential_races(
+            stream, proximity_window=window, adjacent_epochs=adjacent_epochs
+        )
+        slow = _reference_races(stream, window, adjacent_epochs)
         assert fast == slow
+
+    @pytest.mark.parametrize(
+        "addresses, window, adjacent_epochs",
+        [(5, 120, True), (5, 0, True), (5, 120, False), (700, 120, True)],
+        ids=["few", "few-window0", "few-no-epochs", "many"],
+    )
+    def test_long_streams(self, addresses, window, adjacent_epochs):
+        """Loop-heavy executions give streams of thousands of accesses,
+        on a handful of hot variables or spread over many. Same answer as
+        the reference, and never an all-pairs array over the stream."""
+        size = 5_000
+        stream = _random_stream(
+            np.random.default_rng(addresses),
+            size,
+            addresses=addresses,
+            iids=60,
+            switch_prob=0.01,
+        )
+        tracemalloc.start()
+        fast = find_potential_races(
+            stream, proximity_window=window, adjacent_epochs=adjacent_epochs
+        )
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # The reference is quadratic: run it per address (a pair on two
+        # addresses is never a race).
+        by_address = defaultdict(list)
+        for access in stream:
+            by_address[access.address].append(access)
+        slow = set().union(
+            *(
+                _reference_races(group, window, adjacent_epochs)
+                for group in by_address.values()
+            )
+        )
+        assert fast == slow and len(fast) > 100
+        # One byte per pair of the whole stream would be size**2 = 25 MB.
+        assert peak < size * size // 4
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
