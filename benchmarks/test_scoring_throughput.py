@@ -3,13 +3,13 @@
 Three measurements against the committed ``results/obs_stage_breakdown.txt``
 baseline (single-graph inference, serial execution):
 
-1. **Scoring throughput** — graphs scored per second for the per-graph
-   ``predict_proba`` loop vs the block-diagonal ``predict_proba_batch``
-   path, over one CTI's candidate pool (the MLPCT hot loop shape). Each
-   timing repeat scores a *freshly stamped* pool: a campaign scores every
-   candidate exactly once, so per-graph adjacency memos are always cold
-   while template-level caches are warm — both paths are measured under
-   exactly those conditions.
+1. **Scoring throughput** — graphs scored per second one graph per call
+   (``predict_proba``, a batch of one) vs ``predict_proba_batch`` in
+   batches of 8, over one CTI's candidate pool (the MLPCT hot loop
+   shape). Both are the same layer loop, so the ratio is what batching
+   amortises (per-call dispatch), reported and not gated. Each timing
+   repeat scores a *freshly stamped* pool, as a campaign does, with the
+   template-level caches warm.
 2. **Structural repeats** — a real 1600-candidate pool holds hint
    tuples that land in the same blocks and so stamp the same graph; the
    engine scores each distinct graph once. Reported as distinct / pool
@@ -21,7 +21,7 @@ baseline (single-graph inference, serial execution):
    the baseline's 55.2%.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks every size so CI can run this as a quick
-regression gate; the committed results file is produced by a full run.
+report; the committed results file is produced by a full run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ POOL_SIZE = 32 if SMOKE else 160
 REAL_POOL_SIZE = 160 if SMOKE else 1600
 BATCH_SIZE = 8
 TIMING_REPEATS = 2 if SMOKE else 8
-MIN_SPEEDUP = 1.2 if SMOKE else 2.0
 
 PIPELINE_CONFIG = SnowcatConfig(
     seed=11,
@@ -74,8 +73,8 @@ def _interleaved_totals(scorers, stamp_pool, repeats):
     """Total seconds each scorer spends over ``repeats`` pools, interleaved.
 
     Each repeat scores its own freshly stamped pool, matching the
-    campaign hot loop: every candidate graph is scored exactly once, so
-    per-graph adjacency memos never help while per-template caches do.
+    campaign hot loop: every candidate graph is scored exactly once,
+    with the per-template caches warm.
     Alternating the paths within each repeat means ambient load on the
     machine biases both measurements equally, and summing over repeats
     (rather than best-of) keeps each path's real allocator/GC cost in
@@ -123,8 +122,8 @@ def test_scoring_throughput(report):
     def stamp_pool():
         return stamp(pairs)
 
-    # Warm template-level caches (encoder cache, base_cache adjacencies,
-    # batch plan), so the comparison measures steady-state scoring, not
+    # Warm template-level caches (base features, batch plans of one and
+    # of BATCH_SIZE), so the comparison measures steady-state scoring, not
     # one-time setup. Every timed repeat then gets fresh graph objects.
     warm = stamp_pool()
     model.predict_proba(warm[0])
@@ -213,13 +212,13 @@ def test_scoring_throughput(report):
 
     text = "\n".join(
         [
-            "scoring throughput — batched engine vs per-graph inference "
+            "scoring throughput — batches of 8 vs one graph per call "
             + ("(smoke run)" if SMOKE else "(full run)"),
             "",
             format_table(
                 [
                     {
-                        "path": "per-graph predict_proba",
+                        "path": "batch of one (predict_proba)",
                         "graphs/s": round(serial_rate, 1),
                     },
                     {
@@ -235,8 +234,9 @@ def test_scoring_throughput(report):
                 "one CTI template",
             ),
             "",
-            f"speedup: {speedup:.2f}x graphs scored per second "
-            f"({batched32_rate / serial_rate:.2f}x with float32)",
+            f"batching: {speedup:.2f}x graphs scored per second "
+            f"({batched32_rate / serial_rate:.2f}x with float32); one "
+            "layer loop either way, so this is per-call overhead amortised",
             "",
             format_table(
                 sweep_rows,
@@ -275,9 +275,6 @@ def test_scoring_throughput(report):
     )
     report("scoring_throughput", text)
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched scoring only {speedup:.2f}x faster (need {MIN_SPEEDUP}x)"
-    )
     if not SMOKE:
         assert campaign_share < BASELINE_CAMPAIGN_SHARE, (
             f"campaign share {campaign_share:.1%} did not drop below the "

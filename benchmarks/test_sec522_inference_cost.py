@@ -28,7 +28,7 @@ def test_sec522_prediction_is_cheap(benchmark, snowcat512, candidate, report):
     entry_a, entry_b, hints = candidate
     model = snowcat512.model
     graphs = snowcat512.graphs
-    # Warm the template + encoder caches, as a real campaign does.
+    # Warm the template + base-feature caches, as a real campaign does.
     graphs.graph_for(entry_a, entry_b, hints)
 
     def predict_once():

@@ -236,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--infer-dtype",
         choices=("float64", "float32"),
         default="float64",
-        help="GNN precision for batched scoring; float32 is ~1.7x faster "
-        "and covered by the quality gate (single-graph scoring stays "
-        "float64 either way)",
+        help="GNN precision of every PIC inference call, single graphs "
+        "included; float32 is ~1.7x faster and covered by the quality gate",
     )
     campaign.add_argument(
         "--capture-labels",
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--infer-dtype",
         choices=("float64", "float32"),
         default="float64",
-        help="GNN precision for batched scoring on the server",
+        help="GNN precision of every inference call on the server",
     )
     serve_start.add_argument(
         "--score-threads",

@@ -14,16 +14,17 @@ once per candidate *in consumption order*, so predictors whose boolean
 prediction consumes randomness (the coin baselines) see the same RNG
 stream as a hand-written loop. The batch path is only taken for
 predictors that advertise it, which must be RNG-free at inference — it
-may pull candidates ahead of the consumer, and results match the
-per-graph path to floating-point accuracy.
+may pull candidates ahead of the consumer; for the PIC model a graph's
+result does not depend on its batch (one call per graph is a batch of
+one through the same loop).
 
 Structural repeats: PCT draws hints that are distinct per *instruction*,
 the §3.1 encoding maps each to the *block* containing it, so a pool
 holds many candidates whose graphs the model cannot tell apart. On the
 direct (backend-less) batch path the engine keeps a memo per pool — one
 lazy or eager scoring call — keyed by template identity (the shared
-``token_ids`` array, as for the model's encoder cache and the digest
-memo) plus :func:`~repro.graphs.ctgraph.schedule_key`. Each distinct
+``token_ids`` array, as for the model's base-feature cache and the
+digest memo) plus :func:`~repro.graphs.ctgraph.schedule_key`. Each distinct
 graph reaches the predictor once; the lazy look-ahead is "up to
 ``batch_size`` *distinct unscored* graphs", pulling further candidates
 rather than shrinking the batch (a half-empty batch costs more per

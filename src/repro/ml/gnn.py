@@ -14,6 +14,14 @@ type). For graphs stamped from one :class:`CTIGraphTemplate`, the base
 schedule. This is what lets one CTI's hundreds of candidate schedules be
 scored at a small fraction of an execution's cost (§5.2.2).
 
+There are two forward passes. :meth:`RelationalGCN.forward` is the
+autograd one over :func:`prepare_adjacency`: training, and the
+independent reference the tests hold inference to.
+:meth:`RelationalGCN.forward_numpy_batch` is every gradient-free
+prediction: the batch is cut into runs of consecutive same-template
+graphs and each run goes through one compressed layer loop over a
+template-cached :class:`_BatchPlan` (a single graph is a batch of one).
+
 Deeper stacks see farther in the graph; the paper observes deeper GNNs
 predict concurrent coverage better (§5.1.2), which ``num_layers`` exposes.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,12 +44,7 @@ from repro import rng as rngmod
 from repro.graphs.ctgraph import CTGraph, EDGE_SCHEDULE, NUM_EDGE_TYPES
 from repro.ml.autograd import Parameter, Tensor, matmul, relu, spmm
 
-__all__ = [
-    "GNNConfig",
-    "RelationalGCN",
-    "prepare_adjacency",
-    "prepare_adjacency_batch",
-]
+__all__ = ["GNNConfig", "RelationalGCN", "prepare_adjacency"]
 
 
 @dataclass(frozen=True)
@@ -130,69 +133,6 @@ def prepare_adjacency(
     return result
 
 
-def prepare_adjacency_batch(
-    graphs: Sequence[CTGraph],
-) -> Dict[int, Tuple[sp.csr_matrix, sp.csr_matrix]]:
-    """Block-diagonal per-edge-type adjacency of a disjoint-union batch.
-
-    Message passing never crosses components, so normalising over the
-    concatenated (offset-shifted) edge set computes exactly the per-graph
-    propagation: in/out degrees never mix across components, and each CSR
-    row holds the same (column, value) entries as the per-graph matrix.
-
-    Built directly from the merged edge arrays — one sparse construction
-    per edge type for the whole batch instead of per graph. When every
-    graph comes from one :class:`CTIGraphTemplate` (shared ``base_cache``,
-    the candidate-pool case), the merged schedule-independent matrices are
-    cached in the template keyed by batch shape, so scoring a pool builds
-    them once and only the handful of scheduling-hint edges are prepared
-    per batch.
-    """
-    if len(graphs) == 1:
-        return prepare_adjacency(graphs[0])
-    offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs])
-    n_total = int(offsets[-1])
-    shifted = [
-        graph.edges + np.array([offset, offset, 0], dtype=graph.edges.dtype)
-        for offset, graph in zip(offsets[:-1], graphs)
-        if graph.num_edges
-    ]
-    all_edges = (
-        np.vstack(shifted) if shifted else np.zeros((0, 3), dtype=np.int64)
-    )
-
-    def merged_pair(rows: np.ndarray) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-        return _normalized_pair(
-            rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), n_total
-        )
-
-    result: Dict[int, Tuple[sp.csr_matrix, sp.csr_matrix]] = {}
-    base_cache = graphs[0].base_cache
-    shared_template = base_cache is not None and all(
-        graph.base_cache is base_cache for graph in graphs
-    )
-    cache_key = ("__batched__", len(graphs), n_total)
-    base = base_cache.get(cache_key) if shared_template else None
-    if base is None:
-        base = {}
-        for edge_type in np.unique(all_edges[:, 2]) if len(all_edges) else []:
-            edge_type = int(edge_type)
-            if edge_type == EDGE_SCHEDULE:
-                continue
-            base[edge_type] = merged_pair(
-                all_edges[all_edges[:, 2] == edge_type]
-            )
-        if shared_template:
-            for pair in base.values():
-                _freeze_pair(pair)
-            base_cache[cache_key] = base
-    result.update(base)
-    schedule_rows = all_edges[all_edges[:, 2] == EDGE_SCHEDULE]
-    if len(schedule_rows):
-        result[EDGE_SCHEDULE] = merged_pair(schedule_rows)
-    return result
-
-
 def _compressed_columns(
     matrix: sp.csr_matrix,
 ) -> Tuple[np.ndarray, sp.csr_matrix]:
@@ -217,12 +157,12 @@ def _compressed_columns(
 
 @dataclass
 class _BatchPlan:
-    """Template-cached compressed adjacency of a uniform candidate batch.
+    """Template-cached compressed adjacency of a run of ``k`` graphs.
 
     All schedules of one CTI share their base edges, so the block-diagonal
-    union of a same-template batch is the base adjacency tiled ``k``
-    times — built once per (template, batch shape) and cached in the
-    template's ``base_cache``; only each chunk's scheduling-hint edges are
+    union of a same-template run is the base adjacency tiled ``k``
+    times — built once per (template, run length) and cached in the
+    template's ``base_cache``; only each run's scheduling-hint edges are
     merged per call. Each (edge_type, direction) term keeps only its
     nonzero *columns* (the nodes that send messages of that type), so the
     per-type weight GEMM runs on just those rows of ``h``; the terms'
@@ -245,8 +185,8 @@ class _BatchPlan:
     slices: np.ndarray
     matrix: sp.csr_matrix
     #: Lazily built float32 view of ``matrix`` (shared indices/indptr,
-    #: cast data), for the ``inference_mode="float32"`` fast path. Built
-    #: at most once per plan; a concurrent double-build is idempotent.
+    #: cast data), for ``inference_mode="float32"``. Built at most once
+    #: per plan; a concurrent double-build is idempotent.
     matrix32: Optional[sp.csr_matrix] = None
 
     def freeze(self) -> "_BatchPlan":
@@ -301,6 +241,27 @@ def _layer_buffers(
         )
         store[key] = buffers
     return buffers
+
+
+def _template_runs(graphs: Sequence[CTGraph]) -> Iterator[Sequence[CTGraph]]:
+    """Maximal runs of consecutive graphs that share one template.
+
+    Same template means the same ``base_cache`` object and node count; a
+    graph without a template (``base_cache is None``) is a run of one.
+    """
+    start = 0
+    while start < len(graphs):
+        first = graphs[start]
+        stop = start + 1
+        if first.base_cache is not None:
+            while (
+                stop < len(graphs)
+                and graphs[stop].base_cache is first.base_cache
+                and graphs[stop].num_nodes == first.num_nodes
+            ):
+                stop += 1
+        yield graphs[start:stop]
+        start = stop
 
 
 class RelationalGCN:
@@ -396,43 +357,48 @@ class RelationalGCN:
         return h
 
     def forward_numpy(self, h: np.ndarray, graph: CTGraph) -> np.ndarray:
-        """Gradient-free fast path for inference (same math as forward)."""
-        return self._run_numpy(h, prepare_adjacency(graph))
+        """Gradient-free inference on one graph: a batch of one.
+
+        Unlike :meth:`forward_numpy_batch`, leaves ``h`` untouched.
+        """
+        return self.forward_numpy_batch(h.copy(), [graph])
 
     def forward_numpy_batch(
         self, h: np.ndarray, graphs: Sequence[CTGraph]
     ) -> np.ndarray:
-        """Batched inference over a disjoint-union of graphs.
+        """Gradient-free inference over a disjoint union of graphs, in place.
 
-        ``h`` is the concatenated node features of all graphs; adjacency is
-        the block-diagonal union, so the output rows equal the per-graph
-        :meth:`forward_numpy` results stacked in order. Same-template
-        batches (one CTI's candidate pool) take the compressed-row fast
-        path with a cached :class:`_BatchPlan`; mixed batches fall back to
-        the generic merged adjacency.
+        ``h`` is the concatenated node features of all graphs (same math
+        as :meth:`forward`, in ``h.dtype``); it is overwritten with, and
+        returned as, their output rows in input order. The batch is cut
+        into maximal runs of consecutive graphs stamped from one template,
+        and each run goes through the compressed layer loop on its own
+        row slice. Message passing never crosses graphs and runs are
+        never reordered or merged, so a graph's rows do not depend on
+        what it was batched with (bit for bit as long as no GEMM of a run
+        shrinks to a single row; see docs/PERFORMANCE.md).
         """
-        plan = self._batch_plan(graphs) if len(graphs) > 1 else None
-        if plan is None:
-            return self._run_numpy(h, prepare_adjacency_batch(graphs))
-        return self._run_numpy_compressed(
-            h, plan, self._schedule_terms(graphs)
-        )
+        row = 0
+        for run in _template_runs(graphs):
+            rows = run[0].num_nodes * len(run)
+            self._run_numpy_compressed(
+                h[row : row + rows],
+                self._batch_plan(run),
+                self._schedule_terms(run),
+            )
+            row += rows
+        return h
 
-    def _batch_plan(self, graphs: Sequence[CTGraph]) -> Optional[_BatchPlan]:
-        """Cached compressed plan when the batch shares one template."""
-        first = graphs[0]
+    def _batch_plan(self, run: Sequence[CTGraph]) -> _BatchPlan:
+        """The run's compressed plan, cached in its template if it has one."""
+        first = run[0]
         base_cache = first.base_cache
         if base_cache is None:
-            return None
-        n = first.num_nodes
-        for graph in graphs[1:]:
-            if graph.base_cache is not base_cache or graph.num_nodes != n:
-                return None
-        key = ("__plan__", len(graphs), n)
+            return self._build_plan(first, 1)
+        key = ("__plan__", len(run), first.num_nodes)
         plan = base_cache.get(key)
         if plan is None:
-            plan = self._build_plan(first, len(graphs))
-            base_cache[key] = plan
+            plan = base_cache[key] = self._build_plan(first, len(run))
         return plan
 
     def _build_plan(self, graph: CTGraph, k: int) -> _BatchPlan:
@@ -473,14 +439,14 @@ class RelationalGCN:
     def _schedule_terms(
         self, graphs: Sequence[CTGraph]
     ) -> List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Merged scheduling-hint edges of one chunk, in gather/scatter form.
+        """Merged scheduling-hint edges of one run, in gather/scatter form.
 
         Each term is ``(direction, rows_out, rows_in, coeff)``: messages
         are gathered from ``rows_in``, scaled by the 1/in-degree ``coeff``
         (same normalisation as :func:`_normalized_pair`), pushed through
         the direction's weight and scatter-added into ``rows_out``. Hint
         edges are so few — a couple per candidate — that edge-list form
-        beats building sparse matrices for every chunk.
+        beats building sparse matrices for every run.
         """
         n = graphs[0].num_nodes
         n_total = n * len(graphs)
@@ -507,14 +473,15 @@ class RelationalGCN:
         h: np.ndarray,
         plan: _BatchPlan,
         schedule_terms: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Compressed-row layer loop (same math as :meth:`_run_numpy`).
+    ) -> None:
+        """The gradient-free layer loop (same math as :meth:`forward`),
+        overwriting ``h`` — one run's row slice — with its output.
 
-        Every zero column skipped here multiplies an exact zero in the
-        dense path, so results match the generic batch and per-graph
-        paths to floating-point accuracy; the per-type GEMMs run only on
-        the nodes that send messages of that type, and the sparse
-        propagation accumulates straight into the layer output buffer.
+        Each (edge type, direction) GEMM runs only on the nodes that send
+        messages of that type; every column skipped multiplies an exact
+        zero in the dense formulation, so results match autograd to
+        floating-point accuracy. The sparse propagation accumulates
+        straight into the layer output buffer.
 
         The loop runs entirely in ``h.dtype``: float64 uses the live
         parameter arrays, float32 (``inference_mode="float32"``) uses
@@ -562,19 +529,3 @@ class RelationalGCN:
                 contrib = (h[rows_in] * coeff[:, None]) @ weight
                 np.add.at(out, rows_out, contrib)
             np.maximum(out, 0.0, out=h)
-        return h
-
-    def _run_numpy(
-        self,
-        h: np.ndarray,
-        adjacency: Dict[int, Tuple[sp.csr_matrix, sp.csr_matrix]],
-    ) -> np.ndarray:
-        for layer in range(self.config.num_layers):
-            out = h @ self.w_self[layer].data + self.bias[layer].data
-            for edge_type, (forward_adj, reverse_adj) in adjacency.items():
-                weights = self.w_edge[layer][edge_type]
-                out += (forward_adj @ h) @ weights[0].data
-                if self.config.bidirectional:
-                    out += (reverse_adj @ h) @ weights[1].data
-            h = np.maximum(out, 0.0)
-        return h

@@ -41,6 +41,7 @@ from repro.ml.autograd import (
     matmul,
     rowwise_sum,
 )
+from repro.ml.batching import node_offsets
 from repro.ml.encoder import AsmEncoder, EncoderConfig
 from repro.ml.gnn import GNNConfig, RelationalGCN
 
@@ -170,28 +171,27 @@ class PICModel:
         self.b_dataflow = Parameter(np.zeros(1), name="pic.b_dataflow")
         #: Classification threshold, tuned on validation URBs (§5.1.2).
         self.threshold: float = 0.5
-        # Inference-time encoder cache: graphs stamped from one CTI
-        # template share their token_ids array, whose block embeddings do
-        # not depend on the schedule. Invalidated on any training step.
-        self._inference_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Per-template schedule-independent node features (code + node-type
-        # + zero-hint-flag embeddings) per inference dtype; hinted rows are
-        # patched per graph.
-        self._base_features_cache: Dict[int, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
-        self._inference_cache_cap = 32
+        # The inference-time cache: per-template schedule-independent node
+        # features (code + node-type + zero-hint-flag embeddings) per
+        # inference dtype, keyed by the ``token_ids`` array every graph
+        # stamped from one CTI template shares; hinted rows are patched per
+        # graph. Dropped, with the float32 casts, at the first inference
+        # after parameters changed (``_params_dirty``).
+        self._base_features_cache: Dict[int, Tuple[np.ndarray, Dict[type, np.ndarray]]] = {}
+        self._base_features_cap = 32
         self._params_dirty = False
-        #: "float64" (default, exact) or "float32" — the reduced-precision
-        #: fast path for same-template batched inference. Training and the
-        #: per-graph path always run float64.
+        #: "float64" (default, exact) or "float32" (reduced precision):
+        #: the dtype every gradient-free prediction runs in. Training and
+        #: the autograd path always run float64.
         self.inference_mode: str = "float64"
         # Cast-once float32 copies of the head + hint tables; rebuilt only
         # after a parameter change.
         self._head32: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def set_inference_mode(self, mode: str) -> "PICModel":
-        """Select the batched-inference dtype: ``"float64"`` (exact,
-        default) or ``"float32"`` (cast-once weights + plans; probabilities
-        match float64 to ~1e-6 — see docs/PERFORMANCE.md for when that is
+        """Select the inference dtype: ``"float64"`` (exact, default) or
+        ``"float32"`` (cast-once weights + plans; probabilities match
+        float64 to ~1e-6 — see docs/PERFORMANCE.md for when that is
         safe). Returns ``self`` for chaining."""
         if mode not in ("float64", "float32"):
             raise ModelError(f"unknown inference mode {mode!r}")
@@ -238,33 +238,11 @@ class PICModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _code_embeddings(self, graph: CTGraph, training: bool) -> Tensor:
-        """Encoder output; cached at inference per CTI template."""
+    def _hidden(self, graph: CTGraph, training: bool) -> Tensor:
+        """Node representations after message passing (autograd path)."""
         if training:
             self._params_dirty = True
-            return self.encoder.encode(graph.token_ids, self.config.pad_id)
-        if self._params_dirty:
-            self._inference_cache.clear()
-            self._base_features_cache.clear()
-            self._invalidate_casts()
-            self._params_dirty = False
-        key = id(graph.token_ids)
-        cached = self._inference_cache.get(key)
-        # Holding a reference to the keyed array prevents id() reuse.
-        if cached is None or cached[0] is not graph.token_ids:
-            encoded = self.encoder.encode(graph.token_ids, self.config.pad_id).data
-            if len(self._inference_cache) >= self._inference_cache_cap:
-                oldest = next(iter(self._inference_cache))
-                # pop(): concurrent server worker threads may race on
-                # eviction; losing the race must not raise.
-                self._inference_cache.pop(oldest, None)
-            cached = (graph.token_ids, encoded)
-            self._inference_cache[key] = cached
-        return Tensor(cached[1])
-
-    def _hidden(self, graph: CTGraph, training: bool) -> Tensor:
-        """Node representations after message passing."""
-        code = self._code_embeddings(graph, training)
+        code = self.encoder.encode(graph.token_ids, self.config.pad_id)
         types = gather_rows(self.node_type_table, graph.node_types)
         flags = gather_rows(self.hint_flag_table, graph.hint_flags)
         h = code + types + flags
@@ -288,15 +266,8 @@ class PICModel:
         return scores + self.b_dataflow
 
     def predict_proba(self, graph: CTGraph) -> np.ndarray:
-        """Coverage probabilities, shape (num_nodes,).
-
-        Uses a gradient-free numpy path with the per-template encoder
-        cache — this is the fast inference the paper's workflow depends on
-        (many predictions per dynamic execution, §5.2.2).
-        """
-        h = self._hidden_numpy(graph)
-        z = (h @ self.w_out.data + self.b_out.data)[:, 0]
-        return stable_sigmoid(z)
+        """Coverage probabilities, shape (num_nodes,): a batch of one."""
+        return self.predict_proba_batch([graph])[0]
 
     def predict(self, graph: CTGraph) -> np.ndarray:
         """Boolean coverage predictions under the tuned threshold."""
@@ -304,125 +275,97 @@ class PICModel:
 
     # -- batched inference -----------------------------------------------------
 
-    def _hidden_numpy(self, graph: CTGraph) -> np.ndarray:
-        """Gradient-free node representations of one graph."""
-        code = self._code_embeddings(graph, training=False).data
-        h = (
-            code
-            + self.node_type_table.data[graph.node_types]
-            + self.hint_flag_table.data[graph.hint_flags]
-        )
-        return self.gnn.forward_numpy(h, graph)
-
     def _base_node_features(
-        self, graph: CTGraph, dtype: np.dtype = np.float64
+        self, graph: CTGraph, dtype: type = np.float64
     ) -> np.ndarray:
         """Schedule-independent input features of one template's graphs.
 
         Code embeddings, node-type embeddings, and the zero hint-flag
         embedding are all identical across a CTI's candidate schedules, so
-        the sum is cached per template (keyed like the encoder cache);
+        the sum is cached per template (all its graphs share one
+        ``token_ids`` array, so a whole candidate pool costs one encode);
         only the handful of hinted rows differ per candidate. The cache
         holds one variant per inference dtype — the float32 cast happens
         once per template, not per batch.
+
+        Every gradient-free prediction starts here, so this is where
+        stale caches are dropped: the check must precede the lookup, or
+        a hit would serve features from before the last parameter update.
         """
+        if self._params_dirty:
+            self._base_features_cache.clear()
+            self._invalidate_casts()
+            self._params_dirty = False
         key = id(graph.token_ids)
         cached = self._base_features_cache.get(key)
+        # Holding a reference to the keyed array prevents id() reuse.
         if cached is None or cached[0] is not graph.token_ids:
             base = (
-                self._code_embeddings(graph, training=False).data
+                self.encoder.encode(graph.token_ids, self.config.pad_id).data
                 + self.node_type_table.data[graph.node_types]
                 + self.hint_flag_table.data[0]
             )
-            if len(self._base_features_cache) >= self._inference_cache_cap:
+            if len(self._base_features_cache) >= self._base_features_cap:
                 oldest = next(iter(self._base_features_cache))
+                # pop(): concurrent server worker threads may race on
+                # eviction; losing the race must not raise.
                 self._base_features_cache.pop(oldest, None)
-            cached = (graph.token_ids, {"float64": base})
+            cached = (graph.token_ids, {np.float64: base})
             self._base_features_cache[key] = cached
         variants = cached[1]
-        name = np.dtype(dtype).name
-        variant = variants.get(name)
+        variant = variants.get(dtype)
         if variant is None:
-            variant = variants["float64"].astype(dtype)
-            variants[name] = variant
+            variant = variants[dtype] = variants[np.float64].astype(dtype)
         return variant
 
-    def _hidden_numpy_batch(self, graphs: Sequence[CTGraph]) -> np.ndarray:
-        """Gradient-free node representations of a disjoint-union batch.
+    def _hidden_numpy_batch(
+        self, graphs: Sequence[CTGraph]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradient-free node representations of a batch, stacked in
+        order, and the graphs' row offsets into them.
 
-        Per-graph code embeddings go through the per-template encoder
-        cache (all schedules of one CTI share their ``token_ids`` array,
-        so a whole candidate pool costs one encode), and the GNN reuses
-        the template-shared ``base_cache`` adjacencies — only each
-        candidate's scheduling-hint edges are prepared fresh. Uniform
-        same-template batches broadcast the cached base features and patch
-        just the hinted rows; mixed batches build features per graph.
-
-        ``inference_mode="float32"`` applies to the uniform fast path
-        only — mixed batches and the per-graph path always run float64
-        (they are rare in campaigns, and keeping them exact preserves
-        the single-graph determinism contract).
+        Every graph's input rows are its template's cached
+        :meth:`_base_node_features` with just the hinted rows patched, in
+        the ``inference_mode`` dtype; the GNN then runs each run of
+        same-template graphs through one compressed layer loop. This is
+        the only gradient-free forward pass — single graphs, candidate
+        pools and server batches mixing several CTIs all come through
+        here, so a graph's result does not depend on its batch.
         """
-        first = graphs[0]
-        base_cache = first.base_cache
-        n = first.num_nodes
-        uniform = base_cache is not None and all(
-            graph.base_cache is base_cache and graph.num_nodes == n
-            for graph in graphs[1:]
-        )
-        if uniform:
-            dtype = (
-                np.float32
-                if self.inference_mode == "float32"
-                else np.float64
-            )
-            base = self._base_node_features(first, dtype)
-            k = len(graphs)
-            h = np.empty((k * n, base.shape[1]), dtype=dtype)
-            np.copyto(h.reshape(k, n, -1), base)
-            flags = self._head_views(dtype)[0]
-            for j, graph in enumerate(graphs):
-                hinted = np.flatnonzero(graph.hint_flags)
-                if len(hinted):
-                    h[j * n + hinted] += (
-                        flags[graph.hint_flags[hinted]] - flags[0]
-                    )
-        else:
-            code = np.vstack(
-                [
-                    self._code_embeddings(graph, training=False).data
-                    for graph in graphs
-                ]
-            )
-            node_types = np.concatenate([graph.node_types for graph in graphs])
-            hint_flags = np.concatenate([graph.hint_flags for graph in graphs])
-            h = (
-                code
-                + self.node_type_table.data[node_types]
-                + self.hint_flag_table.data[hint_flags]
-            )
-        return self.gnn.forward_numpy_batch(h, graphs)
+        dtype = np.float32 if self.inference_mode == "float32" else np.float64
+        offsets = node_offsets(graphs)
+        h = np.empty((offsets[-1], self.config.hidden_dim), dtype=dtype)
+        for graph, offset in zip(graphs, offsets):
+            rows = h[offset : offset + graph.num_nodes]
+            rows[:] = self._base_node_features(graph, dtype)
+            hinted = np.flatnonzero(graph.hint_flags)
+            if len(hinted):
+                # Read after _base_node_features, which drops stale casts.
+                flags = self._head_views(dtype)[0]
+                rows[hinted] += flags[graph.hint_flags[hinted]] - flags[0]
+        return self.gnn.forward_numpy_batch(h, graphs), offsets
 
     def predict_proba_batch(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
         """Coverage probabilities of many graphs in one forward pass.
 
         Merges the candidates into one block-diagonal batch (PyTorch
-        Geometric style), amortising the per-graph Python/NumPy overhead
-        of :meth:`predict_proba` across the pool, then splits the per-node
-        probabilities back out per graph. Results match the per-graph path
-        to floating-point accuracy.
+        Geometric style), amortising the per-call Python/NumPy overhead
+        across the pool, then splits the per-node probabilities back out
+        per graph — this is the fast inference the paper's workflow
+        depends on (many predictions per dynamic execution, §5.2.2).
         """
         if not graphs:
             return []
-        if len(graphs) == 1:
-            return [self.predict_proba(graphs[0])]
-        h = self._hidden_numpy_batch(graphs)
+        h, offsets = self._hidden_numpy_batch(graphs)
         _, w_out, b_out = self._head_views(h.dtype)
+        # One fixed-order dot product per node, not ``h @ w_out``: BLAS's
+        # matrix-vector kernel rounds a row differently depending on where
+        # it sits in the call, which would make a graph's probabilities
+        # depend on its batch at the last bit.
+        z = np.einsum("ij,j->i", h, w_out[:, 0]) + b_out[0]
         # stable_sigmoid upcasts float32 logits, so probabilities are
         # float64 downstream regardless of inference mode.
-        z = (h @ w_out + b_out)[:, 0]
         proba = stable_sigmoid(z)
-        offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs])
         return [
             proba[offsets[i] : offsets[i + 1]] for i in range(len(graphs))
         ]
@@ -436,16 +379,11 @@ class PICModel:
 
         The thread-parallel batch scorer calls this on the dispatching
         thread before sharding, so worker threads only *read* the shared
-        encoder/base-feature caches and cast-once weight views instead of
-        racing to fill them.
+        base-feature cache and cast-once weight views instead of racing
+        to fill them.
         """
         dtype = np.float32 if self.inference_mode == "float32" else np.float64
-        seen: Dict[int, bool] = {}
         for graph in graphs:
-            key = id(graph.token_ids)
-            if key in seen:
-                continue
-            seen[key] = True
             self._base_node_features(graph, dtype)
         self._head_views(dtype)
         self.gnn._weight_views(dtype)
@@ -464,10 +402,9 @@ class PICModel:
             return []
         if len(graphs) != len(edge_rows_per_graph):
             raise ModelError("graphs and edge_rows_per_graph lengths differ")
-        h = self._hidden_numpy_batch(graphs)
-        offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs])
+        h, offsets = self._hidden_numpy_batch(graphs)
         results: List[np.ndarray] = []
-        for graph, offset, edge_rows in zip(graphs, offsets[:-1], edge_rows_per_graph):
+        for graph, offset, edge_rows in zip(graphs, offsets, edge_rows_per_graph):
             edge_rows = np.asarray(edge_rows, dtype=np.int64)
             if edge_rows.size == 0:
                 results.append(np.zeros(0))
@@ -514,18 +451,9 @@ class PICModel:
     def predict_dataflow_proba(
         self, graph: CTGraph, edge_rows: np.ndarray
     ) -> np.ndarray:
-        """Realisation probabilities of inter-thread dataflow edges.
-
-        Gradient-free fast path mirroring :meth:`predict_proba`.
-        """
-        if edge_rows.size == 0:
-            return np.zeros(0)
-        h = self._hidden_numpy(graph)
-        src = graph.edges[edge_rows, 0]
-        dst = graph.edges[edge_rows, 1]
-        scores = ((h[src] @ self.w_dataflow.data) * h[dst]).sum(axis=1)
-        z = scores + self.b_dataflow.data[0]
-        return stable_sigmoid(z)
+        """Realisation probabilities of inter-thread dataflow edges: a
+        batch of one."""
+        return self.predict_dataflow_proba_batch([graph], [edge_rows])[0]
 
     # -- checkpointing --------------------------------------------------------
 
@@ -547,10 +475,7 @@ class PICModel:
             parameter.data = loaded.astype(np.float64).copy()
         if "__threshold__" in state:
             self.threshold = float(np.asarray(state["__threshold__"]).ravel()[0])
-        self._inference_cache.clear()
-        self._base_features_cache.clear()
-        self._invalidate_casts()
-        self._params_dirty = False
+        self._params_dirty = True
 
     def save(self, path: str) -> None:
         """Write a durable, self-describing checkpoint to ``path``.

@@ -267,7 +267,7 @@ def add_scoring_checks(
     graphs: Sequence[object],
     atol: float = 1e-9,
 ) -> DifferentialRunner:
-    """Batched model inference must reproduce the per-graph path.
+    """Batched model inference must reproduce one call per graph.
 
     Registers probability and boolean-prediction checks covering the
     invariants previously pinned ad hoc in ``tests/test_scoring.py``.

@@ -111,8 +111,16 @@ def _supervised_worker_main(conn, kernel: Kernel) -> None:
     re-emits execution counters from collected results.
     """
     obs.clear_registry()
+    parent_pid = os.getppid()
     try:
         while True:
+            # Poll instead of blocking in recv: every worker forked later
+            # inherits the campaign's end of our pipe, so a dead campaign
+            # (SIGKILL, injected die) never EOFs us — but it does
+            # re-parent us, which getppid exposes.
+            while not conn.poll(0.5):
+                if os.getppid() != parent_pid:
+                    return
             try:
                 message = conn.recv()
             except EOFError:
@@ -169,13 +177,20 @@ class _WorkerHandle:
         return job
 
     def kill(self) -> None:
-        """Terminate immediately (hung or untrusted worker)."""
+        """Terminate immediately (hung or untrusted worker).
+
+        SIGKILL, not SIGTERM: a worker forked from a process that has a
+        Python SIGTERM handler (``repro --trace`` installs one) inherits
+        it, and a SIGTERM that lands right after the fork is dropped
+        when the child clears its pending signals, leaving the join
+        below waiting forever.
+        """
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
         if self.process.is_alive():
-            self.process.terminate()
+            self.process.kill()
         self.process.join()
 
     def stop(self) -> None:
@@ -187,7 +202,7 @@ class _WorkerHandle:
             pass
         self.process.join(timeout=5)
         if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
+            self.process.kill()
             self.process.join()
 
 

@@ -91,9 +91,6 @@ class LocalBackend(PredictionBackend):
     def threshold(self) -> float:
         return float(getattr(self.predictor, "threshold", 0.5))
 
-    def predict_proba(self, graph: object) -> np.ndarray:
-        return self.predictor.predict_proba(graph)
-
     def predict_proba_batch(self, graphs: Sequence[object]) -> List[np.ndarray]:
         batch = getattr(self.predictor, "predict_proba_batch", None)
         if batch is not None:

@@ -23,7 +23,7 @@ int64s), and that array is shared by every schedule of a CTI — graphs
 stamped from one :class:`~repro.graphs.ctgraph.CTIGraphTemplate` alias
 the same object. The template-level portion of the digest is memoised
 per ``token_ids`` array (same keying discipline as the PIC model's
-encoder cache, holding a reference so ``id()`` cannot be reused), so a
+base-feature cache, holding a reference so ``id()`` cannot be reused), so a
 candidate pool pays the big hash once and each candidate only hashes
 its own hint flags and schedule edges.
 
@@ -44,7 +44,7 @@ from repro.graphs.ctgraph import EDGE_SCHEDULE, CTGraph, schedule_key
 __all__ = ["graph_digest", "template_digest", "prediction_key", "clear_digest_memo"]
 
 #: Memo of template-level digest prefixes: id(token_ids) -> (token_ids,
-#: hexdigest). Bounded; eviction is FIFO like the model's encoder cache.
+#: hexdigest). Bounded; eviction is FIFO like the model's feature cache.
 _TEMPLATE_MEMO: Dict[int, Tuple[np.ndarray, str]] = {}
 _TEMPLATE_MEMO_CAP = 64
 

@@ -281,8 +281,8 @@ class _TemplateTable:
     """Bounded LRU of interned templates, keyed by template digest.
 
     Graphs materialised from one entry share its arrays and
-    ``sparse_cache``: the model's encoder cache, the GNN batch plan and
-    the digest memo are reused across frames and across clients.
+    ``sparse_cache``: the model's base-feature cache, the GNN batch plans
+    and the digest memo are reused across frames and across clients.
     """
 
     def __init__(self) -> None:

@@ -378,25 +378,36 @@ class TestFloat32FastPath:
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
-    def test_single_graph_path_ignores_float32_mode(
+    def test_single_graph_follows_float32_mode(
         self, tiny_model, candidate_graphs
     ):
+        """The mode governs every inference call: a single graph is a
+        batch of one, so under float32 it equals its float32 batch row
+        (and no longer silently stays float64)."""
         graph = candidate_graphs[0]
         before = tiny_model.predict_proba(graph)
         try:
             tiny_model.set_inference_mode("float32")
             during = tiny_model.predict_proba(graph)
+            row = tiny_model.predict_proba_batch(candidate_graphs)[0]
         finally:
             tiny_model.set_inference_mode("float64")
-        np.testing.assert_array_equal(during, before)
+        np.testing.assert_array_equal(during, row)
+        assert not np.array_equal(during, before)
+        np.testing.assert_allclose(during, before, rtol=0, atol=self.PROBA_ATOL)
 
     def test_quality_gate_passes_under_float32(
         self, tiny_model, small_splits
     ):
         from repro.oracle.quality import run_quality_gate
 
+        graph = small_splits.evaluation[0].graph
+        exact = tiny_model.predict_proba(graph)
         try:
             tiny_model.set_inference_mode("float32")
+            # The gate scores through predict_proba: make sure that call
+            # really runs float32 now, or this test proves nothing.
+            assert not np.array_equal(tiny_model.predict_proba(graph), exact)
             report = run_quality_gate(
                 model=tiny_model, examples=small_splits.evaluation
             )
@@ -468,8 +479,7 @@ class TestScoreThreads:
     ):
         forward = list(candidate_graphs)
         backward = list(reversed(candidate_graphs))
-        # Batched scoring is sensitive to batch composition at the last
-        # float, so each ordering gets its own bitwise reference.
+        # Each ordering gets its own bitwise reference.
         reference = {
             0: tiny_model.predict_proba_batch(forward),
             1: tiny_model.predict_proba_batch(backward),

@@ -96,8 +96,13 @@ class TestGNN:
         gnn = RelationalGCN(GNNConfig(hidden_dim=16, num_layers=3), seed=1)
         h = np.random.default_rng(0).normal(size=(sample_graph.num_nodes, 16))
         slow = gnn.forward(Tensor(h), sample_graph).data
+        kept = h.copy()
         fast = gnn.forward_numpy(h, sample_graph)
         assert np.allclose(slow, fast)
+        # The batch entry works in place; the single-graph one must not,
+        # or the perturbation tests below would perturb their own output.
+        assert fast is not h
+        np.testing.assert_array_equal(h, kept)
 
     def test_messages_flow_along_edges(self, sample_graph):
         """Zeroing one node's input must change its neighbours' output."""
@@ -205,6 +210,24 @@ class TestPICModel:
             optimizer.step()
         after = model.predict_proba(example.graph)
         assert not np.allclose(before, after)
+
+    def test_batch_path_sees_parameter_updates(self, vocabulary, small_splits):
+        """The per-template feature cache must not outlive an optimiser
+        step, with no single-graph call in between to happen to clear it."""
+        model = PICModel(self._config(vocabulary), seed=0)
+        example = small_splits.train[0]
+        graphs = [example.graph, example.graph]
+        before = model.predict_proba_batch(graphs)
+        optimizer = Adam(model.parameters(), learning_rate=0.05)
+        for _ in range(3):
+            optimizer.zero_grad()
+            model.loss(example).backward()
+            optimizer.step()
+        after = model.predict_proba_batch(graphs)
+        fresh = model.clone().predict_proba_batch(graphs)
+        assert not np.allclose(before[0], after[0])
+        for stepped, cloned in zip(after, fresh):
+            np.testing.assert_array_equal(stepped, cloned)
 
 
 class TestBaselines:

@@ -6,6 +6,12 @@ workers genuinely die and hang — to prove the supervisor's recovery
 machinery, not just its bookkeeping.
 """
 
+import os
+import select
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro import obs
@@ -36,6 +42,28 @@ def _tasks(corpus, count, seed=0):
 
 def _digests(results):
     return [result_digest(result) for result in results]
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: A campaign process that dies without unwinding (SIGKILL, ``die@N``):
+#: bring a 3-worker pool up, run one task, report the worker pids, vanish.
+_DYING_CAMPAIGN = """
+import multiprocessing, os
+from repro.graphs.dataset import GraphDatasetBuilder
+from repro.kernel import build_kernel
+from repro.resilience.supervisor import SupervisedRunner
+from tests._journal_driver import KERNEL_CONFIG, SEED
+from tests.test_resilience_supervisor import _tasks
+
+kernel = build_kernel(KERNEL_CONFIG, seed=SEED)
+graphs = GraphDatasetBuilder(kernel, seed=SEED)
+graphs.grow_corpus(rounds=20)
+SupervisedRunner(3).run_many(kernel, _tasks(graphs.corpus, 1))
+pids = [child.pid for child in multiprocessing.active_children()]
+print(*pids, flush=True)
+os._exit(137)
+"""
 
 
 class TestSerialSupervision:
@@ -190,3 +218,40 @@ class TestPoolSupervision:
         assert runner.fallbacks == 1
         assert runner.worker_deaths == len(tasks)
         assert runner.quarantined == 0
+
+    def test_workers_do_not_outlive_a_killed_campaign(self):
+        """Every worker forked later holds a copy of the campaign's end
+        of its siblings' pipes, so a campaign that dies without closing
+        them never EOFs anybody: workers must notice the re-parenting."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", _DYING_CAMPAIGN],
+            stdout=subprocess.PIPE,
+            cwd=REPO_ROOT,
+            env=env,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 120.0)
+            assert ready, "the campaign subprocess never reported its workers"
+            pids = [int(pid) for pid in process.stdout.readline().split()]
+            assert len(pids) == 3
+            assert process.wait(timeout=60) == 137
+            # The workers inherited this pipe's write end: it reaches EOF
+            # only once the last of them has exited.
+            ready, _, _ = select.select([process.stdout], [], [], 3.0)
+            assert ready and os.read(process.stdout.fileno(), 1) == b"", (
+                f"workers {pids} outlived their campaign process"
+            )
+        finally:
+            process.kill()
+            process.wait()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            process.stdout.close()

@@ -538,6 +538,108 @@ class TestStructuralMemo:
         assert sum(len(batch) for batch in stub.batches) < 400
 
 
+class TestBatchIndependence:
+    """There is one inference path, so what a graph was batched or served
+    with cannot reach its prediction — not even at the last bit."""
+
+    @given(
+        axis=st.sampled_from(sorted(_POOL_AXES)),
+        seeds=st.tuples(st.integers(0, 500), st.integers(0, 500)),
+        data=st.data(),
+    )
+    @settings(deadline=None)  # example budget: the hypothesis profile's
+    def test_rows_do_not_depend_on_the_batch(
+        self, dataset_builder, tiny_model, axis, seeds, data
+    ):
+        groups = []
+        for seed in seeds:
+            entries, schedules = _pool(dataset_builder, axis, seed, size=6)
+            picks = data.draw(
+                st.lists(st.sampled_from(schedules), min_size=1, max_size=4)
+            )
+            groups.append(
+                [dataset_builder.graph_for(*entries, list(h)) for h in picks]
+            )
+        graphs = groups[0] + groups[1]
+        order = data.draw(st.permutations(range(len(graphs))))
+        mixed = [graphs[i] for i in order]
+        chunk = data.draw(st.integers(1, len(graphs)))
+
+        def every_composition():
+            """Each graph alone, then the same rows out of a uniform
+            batch, a mixed batch and a chunked mixed batch."""
+            alone = [tiny_model.predict_proba_batch([g])[0] for g in graphs]
+            uniform = [
+                proba
+                for group in groups
+                for proba in tiny_model.predict_proba_batch(group)
+            ]
+            chunked = [
+                proba
+                for start in range(0, len(mixed), chunk)
+                for proba in tiny_model.predict_proba_batch(
+                    mixed[start : start + chunk]
+                )
+            ]
+            whole = tiny_model.predict_proba_batch(mixed)
+            for i, graph in enumerate(graphs):
+                np.testing.assert_array_equal(uniform[i], alone[i])
+                np.testing.assert_array_equal(
+                    tiny_model.predict_proba(graph), alone[i]
+                )
+            for j, i in enumerate(order):
+                np.testing.assert_array_equal(whole[j], alone[i])
+                np.testing.assert_array_equal(chunked[j], alone[i])
+            return alone
+
+        exact = every_composition()
+        for graph, proba in zip(graphs, exact):
+            logits = tiny_model.logits(graph, training=False).data[:, 0]
+            np.testing.assert_allclose(
+                proba, stable_sigmoid(logits), rtol=0, atol=1e-9
+            )
+        edge_rows = [
+            np.arange(min(3, graph.num_edges), dtype=np.int64)
+            for graph in mixed
+        ]
+        for graph, rows, batched in zip(
+            mixed,
+            edge_rows,
+            tiny_model.predict_dataflow_proba_batch(mixed, edge_rows),
+        ):
+            np.testing.assert_array_equal(
+                tiny_model.predict_dataflow_proba(graph, rows), batched
+            )
+        try:
+            tiny_model.set_inference_mode("float32")
+            reduced = every_composition()
+        finally:
+            tiny_model.set_inference_mode("float64")
+        for proba, proba32 in zip(exact, reduced):
+            np.testing.assert_allclose(proba32, proba, rtol=0, atol=1e-5)
+
+    def test_template_less_graph_is_a_run_of_one(
+        self, tiny_model, small_splits, candidate_graphs
+    ):
+        """A merged training batch has no template to cache a plan in:
+        it is scored as its own run wherever it sits, twice in a row
+        included (``tests/test_batching.py`` checks its components)."""
+        from repro.ml.batching import merge_examples
+
+        merged = merge_examples(small_splits.train[:3]).graph
+        assert merged.base_cache is None
+        alone = tiny_model.predict_proba(merged)
+        logits = tiny_model.logits(merged, training=False).data[:, 0]
+        np.testing.assert_allclose(
+            alone, stable_sigmoid(logits), rtol=0, atol=1e-9
+        )
+        batch = candidate_graphs[:2] + [merged, merged] + candidate_graphs[2:4]
+        for graph, proba in zip(batch, tiny_model.predict_proba_batch(batch)):
+            np.testing.assert_array_equal(
+                proba, tiny_model.predict_proba(graph)
+            )
+
+
 class TestRunners:
     def _tasks(self, dataset_builder, cti, count=3):
         entry_a, entry_b = cti
