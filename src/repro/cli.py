@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for dynamic executions "
-        "(0 runs serially; results are identical either way)",
+        help="supervised worker processes for dynamic executions: "
+        "isolation and per-CT deadlines, not speed (0 runs serially; "
+        "results are identical either way)",
     )
     campaign.add_argument(
         "--model",
@@ -182,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--supervise",
         action="store_true",
         help="supervised execution: per-CT timeouts, bounded retries, "
-        "quarantine, pool-to-serial fallback",
+        "quarantine, pool-to-serial fallback. A --workers pool has these "
+        "anyway; this extends them to serial runs and always reports the "
+        "counters",
     )
     campaign.add_argument(
         "--ct-timeout",

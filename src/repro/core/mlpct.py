@@ -88,12 +88,15 @@ class ExplorationConfig:
     score_batch_size: int = DEFAULT_BATCH_SIZE
     #: Worker processes for dynamic executions; 0 (the default) runs
     #: serially in-process. Results are byte-identical either way (see
-    #: :mod:`repro.execution.parallel`).
+    #: :mod:`repro.execution.parallel`); workers buy isolation and
+    #: per-CT deadlines, not speed.
     parallel_workers: int = 0
     #: Supervised-execution policy (per-CT timeouts, bounded retries,
     #: quarantine, pool→serial fallback; see
-    #: :mod:`repro.resilience.supervisor`). ``None`` uses the plain
-    #: unsupervised runners.
+    #: :mod:`repro.resilience.supervisor`). A worker pool is always
+    #: supervised — ``None`` there means the default policy, with the
+    #: counters reported only once a fault has occurred; set, it also
+    #: supervises serial execution and always reports.
     supervision: Optional[SupervisionPolicy] = None
     #: Deterministic fault-injection spec (see
     #: :mod:`repro.resilience.faults`); setting one implies supervised
@@ -137,7 +140,7 @@ class CampaignResult:
     per_cti: List[ExplorationStats] = field(default_factory=list)
     #: Supervised-execution counters (retries, timeouts, quarantined,
     #: worker deaths, fallbacks, accounted backoff seconds); ``None``
-    #: when the campaign ran unsupervised.
+    #: when supervision was not asked for and no fault occurred.
     resilience: Optional[Dict[str, float]] = None
     #: Served-model swap boundaries observed mid-campaign (continuous
     #: learning, see ``docs/LIFECYCLE.md``): each entry records the
@@ -509,7 +512,7 @@ class _ExplorerBase:
         Everything order-sensitive accounting depends on is captured —
         ledger charges, the race-dedup set, coverage, bug ledger, history
         curves, the task-seed counter, per-CTI visit counts, and (when
-        supervised) the runner's counters — so a resumed campaign is
+        it reports them) the runner's counters — so a resumed campaign is
         byte-identical to an uninterrupted one.
         """
         state: Dict[str, object] = {
@@ -523,9 +526,8 @@ class _ExplorerBase:
             "visit_counts": self.visit_count_state(),
             **self.selection_state(),
         }
-        runner_state = getattr(self.runner, "state_dict", None)
-        if runner_state is not None:
-            state["runner"] = runner_state()
+        if self.runner.reporting:
+            state["runner"] = self.runner.state_dict()
         # Swap-boundary bookkeeping is serialized only once a served
         # model version has actually been observed, so campaigns that
         # never hot-swap keep the historical state shape byte-for-byte.
@@ -557,14 +559,13 @@ class _ExplorerBase:
         self._served_version = str(served) if served is not None else None
 
     def result(self) -> CampaignResult:
-        summary = getattr(self.runner, "summary", None)
         return CampaignResult(
             label=self.label,
             history=list(self.history),
             ledger=self.ledger,
             manifested_bugs=set(self.manifested_bugs),
             bug_history=list(self.bug_history),
-            resilience=summary() if summary is not None else None,
+            resilience=self.runner.summary() if self.runner.reporting else None,
             swaps=[dict(swap) for swap in self._swaps],
         )
 

@@ -21,9 +21,10 @@ from repro.execution.races import PotentialRace, RaceDetector, find_potential_ra
 from repro.execution.alias import AliasCoverageTracker, AliasPair, alias_coverage
 from repro.execution.parallel import (
     CTTask,
-    ProcessPoolCTRunner,
     SerialCTRunner,
+    WorkerProcess,
     make_runner,
+    worker_main,
 )
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "AliasCoverageTracker",
     "CTTask",
     "SerialCTRunner",
-    "ProcessPoolCTRunner",
+    "WorkerProcess",
     "make_runner",
+    "worker_main",
 ]

@@ -1,13 +1,22 @@
-"""Opt-in parallel dynamic execution of selected CTs.
+"""Dynamic execution of selected CTs, in-process or in worker processes.
 
-Dynamic executions dominate a campaign's wall clock (they are what the
-PIC filter exists to avoid), and :func:`~repro.execution.concurrent
-.run_concurrent` is a pure function of ``(kernel, programs, hints, ...)``
-— no shared state, no RNG. That makes the selected CTs of one CTI
-embarrassingly parallel: this module runs them in a process pool and
-returns results **in task order**, so downstream accounting (race
-detection, coverage, cost ledger) replays serially and campaign results
-are byte-identical to a serial run.
+:func:`~repro.execution.concurrent.run_concurrent` is a pure function of
+``(kernel, programs, hints, ...)`` — no shared state, no RNG — so a CT
+gives the same result wherever it runs. Results always come back **in
+task order**, downstream accounting (race detection, coverage, cost
+ledger) replays serially, and campaign results are byte-identical to a
+serial run.
+
+This module is also the one place a process boundary is implemented:
+:func:`worker_main` is the child loop and :class:`WorkerProcess` the
+parent handle of every forked worker in the repo — the CT pool behind
+``--workers`` (:class:`~repro.resilience.supervisor.SupervisedRunner`)
+and the fleet's leased workers (:mod:`repro.fleet.worker`). Both keep
+their own policy (deadline/retry/quarantine there, leases/receipts
+there) and share the mechanism. A worker process buys isolation — a CT
+that wedges or kills its executor costs one worker, not the campaign —
+not speed: a CT is cheaper than pickling it through a pipe (see
+``docs/PERFORMANCE.md``).
 
 Determinism contract:
 
@@ -15,22 +24,25 @@ Determinism contract:
   and the task's position via :func:`repro.rng.derive_seed` — the
   deterministic token any future stochastic runner must draw from
   (today's interpreter is RNG-free, so the seed is carried, not drawn);
-- workers never touch the parent's telemetry: the pool initializer
-  clears any registry inherited across ``fork`` (a forked JSON-lines
-  sink would interleave writes with the parent), and the parent
-  re-emits the per-run execution counters from the collected results so
-  traces stay complete.
+- workers never touch the parent's telemetry: :func:`worker_main` clears
+  any registry inherited across ``fork`` (a forked JSON-lines sink would
+  interleave writes with the parent), and the parent re-emits the
+  per-run execution counters from the collected results
+  (:func:`reemit_execution_counters`) so traces stay complete.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+import os
+import time
+from dataclasses import dataclass
+from multiprocessing import connection as mp_connection
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro import rng as rngmod
-from repro.errors import ExecutionLimitExceeded
+from repro.errors import ExecutionLimitExceeded, ReproError
 from repro.execution.concurrent import ScheduleHint, run_concurrent
 from repro.execution.machine import DEFAULT_MAX_STEPS
 from repro.execution.trace import ConcurrentResult
@@ -39,9 +51,18 @@ from repro.kernel.code import Kernel
 __all__ = [
     "CTTask",
     "SerialCTRunner",
-    "ProcessPoolCTRunner",
+    "WorkerProcess",
     "make_runner",
+    "worker_main",
 ]
+
+#: Exit status of a worker killed by an injected ``crash`` fault.
+CRASH_EXIT_STATUS = 13
+
+#: How long an injected ``hang`` sleeps inside a worker. The parent's
+#: deadline (or lease) always expires first and the worker is killed
+#: before it wakes.
+HANG_SLEEP_SECONDS = 600.0
 
 Program = Tuple[Tuple[str, Tuple[int, ...]], ...]
 
@@ -122,6 +143,8 @@ class SerialCTRunner:
     """Executes tasks one by one in-process (the default)."""
 
     workers = 0
+    #: Nothing to report or checkpoint (see ``SupervisedRunner.reporting``).
+    reporting = False
 
     def run_many(
         self, kernel: Kernel, tasks: Sequence[CTTask]
@@ -134,100 +157,179 @@ class SerialCTRunner:
         pass
 
 
-# Worker-side state, installed once per worker by the pool initializer.
-_WORKER_KERNEL: Optional[Kernel] = None
+def reemit_execution_counters(results: Sequence[ConcurrentResult]) -> None:
+    """Replay the per-run counters of CTs that ran in a worker process.
+
+    Workers run with telemetry off (see :func:`worker_main`); the parent
+    calls this on what they return, so a trace accounts for every
+    execution exactly as an in-process run does.
+    """
+    if not results:
+        return
+    obs.add("execution.runs", len(results))
+    obs.add("execution.steps", sum(result.steps for result in results))
+    deadlocks = sum(1 for result in results if result.deadlocked)
+    if deadlocks:
+        obs.add("execution.deadlocks", deadlocks)
+    _count_hangs(results)
 
 
-def _init_worker(kernel: Kernel) -> None:
-    global _WORKER_KERNEL
-    _WORKER_KERNEL = kernel
+def worker_main(
+    conn,
+    handle_job: Callable[[object], object],
+    before_job: Optional[Callable[[object, Optional[str]], None]] = None,
+    after_reply: Optional[Callable[[], None]] = None,
+) -> None:
+    """The child side of every worker process: one job at a time.
+
+    Receives ``(job, fault_kind)`` messages (``None`` shuts down) and
+    answers each with ``("ok", handle_job(job))`` or ``("error", text)``.
+    ``fault_kind`` is an injected fault (:mod:`repro.resilience.faults`):
+    ``crash`` exits abruptly, ``hang`` sleeps until the parent kills us,
+    ``transient`` fails the attempt. ``before_job(job, fault_kind)`` runs
+    before the fault takes effect and ``after_reply()`` after each reply
+    is sent — the fleet's heartbeat hooks.
+    """
     # A registry inherited across fork would double-write events (and
     # interleave with the parent on a shared file descriptor).
     obs.clear_registry()
+    parent_pid = os.getppid()
+    while True:
+        # Poll instead of blocking in recv: every worker forked later
+        # inherits the parent's end of our pipe, so a dead parent
+        # (SIGKILL, injected die) never EOFs us — but it does re-parent
+        # us, which getppid exposes.
+        while not conn.poll(0.5):
+            if os.getppid() != parent_pid:
+                return
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        job, fault_kind = message
+        if before_job is not None:
+            before_job(job, fault_kind)
+        if fault_kind == "crash":
+            os._exit(CRASH_EXIT_STATUS)
+        if fault_kind == "hang":
+            time.sleep(HANG_SLEEP_SECONDS)
+            reply = ("error", "injected hang outlived its sleep")
+        elif fault_kind == "transient":
+            reply = ("error", "injected transient fault")
+        else:
+            try:
+                reply = ("ok", handle_job(job))
+            except ReproError as error:
+                reply = ("error", f"{type(error).__name__}: {error}")
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+        if after_reply is not None:
+            after_reply()
 
 
-def _worker_run(task: CTTask) -> ConcurrentResult:
-    assert _WORKER_KERNEL is not None, "pool initializer did not run"
-    return _run_task(_WORKER_KERNEL, task)
+class WorkerProcess:
+    """The parent side: one forked worker and the pipe that feeds it.
 
-
-class ProcessPoolCTRunner:
-    """Executes tasks in ``workers`` processes, results in task order.
-
-    The pool is created lazily on first use and pinned to one kernel
-    (the initializer ships the kernel once instead of pickling it per
-    task); running against a different kernel recycles the pool.
+    ``target(conn, *args)`` runs in the child and must end up in
+    :func:`worker_main`. The handle tracks the one job in flight (any
+    caller-side token) and when it was dispatched; what a late or dead
+    worker *means* — retry, quarantine, lease expiry — is the caller's
+    policy.
     """
 
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("process pool needs at least one worker")
-        self.workers = workers
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_kernel: Optional[Kernel] = None
-
-    def _context(self) -> multiprocessing.context.BaseContext:
-        # fork shares the kernel pages copy-on-write; fall back where the
-        # platform does not offer it (e.g. Windows spawn-only).
+    def __init__(self, target: Callable[..., None], *args: object) -> None:
+        # fork shares the kernel (and model) pages copy-on-write; fall
+        # back where the platform does not offer it (Windows spawn-only).
         try:
-            return multiprocessing.get_context("fork")
+            context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platform-dependent
-            return multiprocessing.get_context()
+            context = multiprocessing.get_context()
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=target, args=(child_conn, *args), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self.job: Optional[object] = None
+        self.dispatched_at = 0.0
 
-    def _ensure_pool(self, kernel: Kernel) -> "multiprocessing.pool.Pool":
-        if self._pool is not None and self._pool_kernel is not kernel:
-            self.close()
-        if self._pool is None:
-            self._pool = self._context().Pool(
-                processes=self.workers,
-                initializer=_init_worker,
-                initargs=(kernel,),
-            )
-            self._pool_kernel = kernel
-        return self._pool
+    @property
+    def idle(self) -> bool:
+        return self.job is None
 
-    def run_many(
-        self, kernel: Kernel, tasks: Sequence[CTTask]
-    ) -> List[ConcurrentResult]:
-        if not tasks:
-            return []
-        started = obs.tick()
-        pool = self._ensure_pool(kernel)
-        # Pool.map preserves input order regardless of completion order.
-        results = pool.map(_worker_run, list(tasks))
-        if started is not None:
-            obs.tock("execution.pool_seconds", started)
-            # Workers run with telemetry off; replay their per-run
-            # counters so a trace accounts for every execution.
-            obs.add("execution.runs", len(results))
-            obs.add("execution.steps", sum(r.steps for r in results))
-            deadlocks = sum(1 for r in results if r.deadlocked)
-            if deadlocks:
-                obs.add("execution.deadlocks", deadlocks)
-        _count_hangs(results)
-        return results
+    def dispatch(self, job: object, payload: object, fault_kind: Optional[str]) -> None:
+        """Send ``payload`` to the worker; ``job`` is what :meth:`take_job`
+        hands back when the reply (or the worker's death) arrives."""
+        self.job = job
+        self.dispatched_at = time.monotonic()
+        try:
+            self.conn.send((payload, fault_kind))
+        except OSError:
+            # The worker died while idle. Not an error here: its EOF is
+            # already waiting for recv(), which is where deaths surface.
+            pass
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_kernel = None
+    def take_job(self) -> Optional[object]:
+        job, self.job = self.job, None
+        return job
+
+    def recv(self) -> Optional[Tuple[str, object]]:
+        """The worker's ``(status, payload)`` reply, or ``None`` when the
+        pipe hit EOF: the process died mid-job."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def kill(self) -> None:
+        """Terminate immediately (hung, dead or untrusted worker) and reap.
+
+        SIGKILL, not SIGTERM: a worker forked from a process that has a
+        Python SIGTERM handler (``repro --trace`` installs one) inherits
+        it, and a SIGTERM that lands right after the fork is dropped
+        when the child clears its pending signals, leaving the join
+        waiting forever.
+        """
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
+
+    def stop(self) -> None:
+        """Polite shutdown: the sentinel, five seconds to act on it (a
+        busy worker finishes its job first), then reap."""
+        try:
+            self.conn.send(None)
+        except OSError:  # the worker is already gone
+            pass
+        self.process.join(timeout=5)
+        self.kill()
+
+
+def wait_ready(workers: Iterable[WorkerProcess], timeout: float) -> List[WorkerProcess]:
+    """The busy ``workers`` with a reply (or an EOF) to :meth:`~WorkerProcess
+    .recv`, waiting at most ``timeout`` seconds for the first."""
+    busy = [worker for worker in workers if not worker.idle]
+    ready = mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
+    return [worker for worker in busy if worker.conn in ready]
 
 
 def make_runner(workers: int, policy=None, fault_plan=None):
     """Build the CT runner for a campaign.
 
-    With neither ``policy`` nor ``fault_plan``: a serial runner for
-    ``workers <= 0``, else a process pool (the fast paths). With either
-    set, a :class:`~repro.resilience.supervisor.SupervisedRunner` that
-    adds per-CT timeouts, bounded retries, quarantine, and pool→serial
-    fallback (see ``docs/ROBUSTNESS.md``).
+    ``workers <= 0`` with neither ``policy`` nor ``fault_plan`` is the
+    in-process :class:`SerialCTRunner`. Everything else is a
+    :class:`~repro.resilience.supervisor.SupervisedRunner` — the only
+    worker pool there is — so a pooled campaign always has per-CT
+    deadlines, retries, quarantine and pool→serial fallback (see
+    ``docs/ROBUSTNESS.md``); ``policy``/``fault_plan`` tune or exercise
+    that, they do not select a different pool.
     """
-    if policy is None and fault_plan is None:
-        if workers <= 0:
-            return SerialCTRunner()
-        return ProcessPoolCTRunner(workers)
+    if workers <= 0 and policy is None and fault_plan is None:
+        return SerialCTRunner()
     from repro.resilience.supervisor import SupervisedRunner
 
     return SupervisedRunner(workers, policy=policy, fault_plan=fault_plan)

@@ -51,14 +51,12 @@ crash-resume tests). Every accepted job writes a provenance receipt
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +64,11 @@ import numpy as np
 from repro import obs
 from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats
 from repro.errors import FleetError
+from repro.execution.parallel import (
+    WorkerProcess,
+    reemit_execution_counters,
+    wait_ready,
+)
 from repro.fleet.leases import LeaseTable
 from repro.fleet.receipts import (
     execute_inputs_digest,
@@ -76,22 +79,13 @@ from repro.fleet.receipts import (
     write_receipt,
 )
 from repro.fleet.report import FleetReport
-from repro.fleet.worker import FleetWorkerHandle, WorkerSpec
+from repro.fleet.worker import WorkerSpec, _fleet_worker_main
 from repro.obs.export import HeartbeatWriter, read_heartbeat
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import CampaignJournal
 from repro.resilience.supervisor import DIE_EXIT_STATUS
 
 __all__ = ["FleetConfig", "FleetCoordinator", "run_fleet"]
-
-
-def _fork_context():
-    # fork shares the kernel/model pages copy-on-write; fall back where
-    # the platform does not offer it (e.g. Windows spawn-only).
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform-dependent
-        return multiprocessing.get_context()
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,7 @@ class FleetCoordinator:
         )
         self._flights: Dict[int, _Flight] = {}
         self._pending: Deque[_Job] = deque()
-        self._workers: List[Optional[FleetWorkerHandle]] = []
+        self._workers: List[Optional[WorkerProcess]] = []
         self._deaths: Dict[int, int] = {}
         self._quarantined: set = set()
         self._beat_seen: Dict[int, float] = {}
@@ -205,7 +199,6 @@ class FleetCoordinator:
         self._own_heartbeat_dir = False
         self._coordinator_beat: Optional[HeartbeatWriter] = None
         self._last_liveness = 0.0
-        self._context = _fork_context()
 
     def _validate(self) -> None:
         config = self.explorer.config
@@ -295,7 +288,7 @@ class FleetCoordinator:
 
     # -- workers, dispatch, liveness -----------------------------------------
 
-    def _spawn_worker(self, slot: int) -> FleetWorkerHandle:
+    def _spawn_worker(self, slot: int) -> WorkerProcess:
         spec = WorkerSpec(
             worker_id=slot,
             kernel=self.explorer.kernel,
@@ -311,19 +304,20 @@ class FleetCoordinator:
             ),
             heartbeat_interval=self.config.heartbeat_interval,
         )
-        return FleetWorkerHandle(spec=spec, context=self._context)
+        return WorkerProcess(_fleet_worker_main, spec)
+
+    def _fault_kind(self, job: _Job) -> Optional[str]:
+        if self.fault_plan is None:
+            return None
+        fault = self.fault_plan.fault_for(job.job_id, job.attempt)
+        return fault.kind if fault is not None else None
 
     def _job_message(self, job: _Job) -> Dict[str, object]:
-        fault = None
-        if self.fault_plan is not None:
-            injected = self.fault_plan.fault_for(job.job_id, job.attempt)
-            fault = injected.kind if injected is not None else None
         message: Dict[str, object] = {
             "job_id": job.job_id,
             "kind": job.kind,
             "cti_index": job.cti_index,
             "attempt": job.attempt,
-            "fault": fault,
         }
         flight = self._flights[job.cti_index]
         if job.kind == "score":
@@ -336,7 +330,7 @@ class FleetCoordinator:
         for slot, worker in enumerate(self._workers):
             if not self._pending:
                 return
-            if worker is None or worker.busy:
+            if worker is None or not worker.idle:
                 continue
             job = self._pending.popleft()
             if (
@@ -347,12 +341,7 @@ class FleetCoordinator:
                 # Injected coordinator death: exactly what SIGKILL at
                 # dispatch time looks like to the fleet journal.
                 os._exit(DIE_EXIT_STATUS)
-            try:
-                worker.dispatch(job, self._job_message(job))
-            except (BrokenPipeError, OSError):
-                # The worker died between loops; its pipe is gone.
-                self._bury_worker(slot, worker.take_job())
-                continue
+            worker.dispatch(job, self._job_message(job), self._fault_kind(job))
             self.leases.grant(job.job_id, slot, job.attempt, now)
             obs.add("fleet.dispatched")
 
@@ -396,48 +385,36 @@ class FleetCoordinator:
         else:
             self._workers[slot] = self._spawn_worker(slot)
 
-    def _accept(self, slot: int, worker: FleetWorkerHandle, reply) -> None:
-        kind_tag, job_id, payload, meta = reply
+    def _accept(self, slot: int, worker: WorkerProcess, reply) -> None:
+        status, body = reply
         job = worker.take_job()
         self.leases.release(slot)
-        if job is None or job.job_id != job_id:
-            return  # stale reply from a lease we already revoked
-        reconnects = int(meta.get("reconnects", 0)) if meta else 0
-        if reconnects:
-            self.report.serve_reconnects += reconnects
-            obs.add("serve.reconnects", reconnects)
-        if kind_tag == "error":
+        if status == "error":
             self.report.transient_errors += 1
             obs.add("fleet.transient_errors")
             self._reassign(job)
             return
+        payload, meta = body
+        reconnects = int(meta.get("reconnects", 0))
+        if reconnects:
+            self.report.serve_reconnects += reconnects
+            obs.add("serve.reconnects", reconnects)
         flight = self._flights[job.cti_index]
         if job.kind == "score":
             flight.predicted = payload
         else:
             flight.results = payload
-            self._reemit_execution_counters(payload)
+            reemit_execution_counters(payload)
         self._outstanding -= 1
         self.report.jobs_completed += 1
         self.report.per_worker_jobs[slot] = (
             self.report.per_worker_jobs.get(slot, 0) + 1
         )
         obs.add("fleet.jobs_completed")
-        self._write_receipt(job, flight, payload, worker)
-
-    def _reemit_execution_counters(self, results) -> None:
-        # Execution counters were emitted inside the worker, whose
-        # registry is detached; mirror them here so fleet metrics match
-        # in-process runs.
-        obs.add("execution.runs", len(results))
-        for result in results:
-            if result.failure == "hang":
-                obs.add("execution.hangs")
-            elif result.failure == "deadlock":
-                obs.add("execution.deadlocks")
+        self._write_receipt(job, flight, payload, slot, worker.process.pid)
 
     def _write_receipt(
-        self, job: _Job, flight: _Flight, payload, worker
+        self, job: _Job, flight: _Flight, payload, slot: int, pid: int
     ) -> None:
         if self.config.receipts_dir is None:
             return
@@ -457,8 +434,8 @@ class FleetCoordinator:
                 "cti_index": job.cti_index,
                 "cti": [entry.sti.sti_id for entry in entries],
                 "seed": self.explorer.seed,
-                "worker": worker.worker_id,
-                "pid": worker.process.pid,
+                "worker": slot,
+                "pid": pid,
                 "attempt": job.attempt,
                 "attempts": job.attempt + 1,
                 "inputs": inputs,
@@ -468,35 +445,20 @@ class FleetCoordinator:
         self.report.receipts += 1
 
     def _drain_messages(self) -> None:
-        busy = [
-            (slot, worker)
-            for slot, worker in enumerate(self._workers)
-            if worker is not None and worker.busy
-        ]
-        if not busy:
-            if self._pending:
-                return
-            time.sleep(self.config.poll_seconds)
+        live = [worker for worker in self._workers if worker is not None]
+        if all(worker.idle for worker in live):
+            if not self._pending:
+                time.sleep(self.config.poll_seconds)
             return
-        ready = mp_connection.wait(
-            [worker.conn for _, worker in busy],
-            timeout=self.config.poll_seconds,
-        )
-        if not ready:
-            return
-        ready_set = set(ready)
-        now = time.monotonic()
-        for slot, worker in busy:
-            if worker.conn not in ready_set:
-                continue
-            try:
-                reply = worker.conn.recv()
-            except (EOFError, OSError):
+        for worker in wait_ready(live, self.config.poll_seconds):
+            slot = self._workers.index(worker)
+            reply = worker.recv()
+            if reply is None:
                 # Pipe gone: the worker process died mid-job.
                 self._bury_worker(slot, worker.take_job())
-                continue
-            self.leases.renew(slot, now)
-            self._accept(slot, worker, reply)
+            else:
+                self.leases.renew(slot, time.monotonic())
+                self._accept(slot, worker, reply)
 
     def _check_liveness(self, now: float) -> None:
         if now - self._last_liveness < min(
@@ -507,7 +469,7 @@ class FleetCoordinator:
         # Heartbeat-file writes renew leases (a busy worker mid-job sends
         # nothing on the pipe, but its beat thread keeps writing).
         for slot, worker in enumerate(self._workers):
-            if worker is None or not worker.busy:
+            if worker is None or worker.idle:
                 continue
             beat = read_heartbeat(
                 os.path.join(self._heartbeat_dir, f"worker-{slot}.json")
@@ -656,7 +618,7 @@ class FleetCoordinator:
             return
         if self._pending:
             return
-        if any(w is not None and w.busy for w in self._workers):
+        if any(w is not None and not w.idle for w in self._workers):
             return
         # Nothing pending, nothing leased, campaign incomplete: if the
         # next CTI to select or fold still lacks its job's result, that

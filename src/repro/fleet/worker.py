@@ -1,11 +1,14 @@
 """Fleet worker processes: leased executors for score and execute jobs.
 
-A fleet worker is a forked child that sits in a recv loop on a pipe to
-the coordinator, runs one job at a time, and replies with the raw
-result. Workers do only *pure* work — scoring a candidate pool with the
-RNG-free predictor, or executing pre-seeded :class:`CTTask`s — so a job
-produces bit-identical output no matter which worker runs it, on which
-attempt, in which order. All campaign state (selection strategy, cost
+A fleet worker is a forked child running the repo's one worker loop
+(:func:`repro.execution.parallel.worker_main`, behind a
+:class:`~repro.execution.parallel.WorkerProcess` handle the coordinator
+holds): it takes one job at a time off a pipe and replies with the raw
+result. This module supplies what is the fleet's own — the job handler
+and the heartbeat. Workers do only *pure* work — scoring a candidate
+pool with the RNG-free predictor, or executing pre-seeded
+:class:`CTTask`s — so a job produces bit-identical output no matter
+which worker runs it, on which attempt, in which order. All campaign state (selection strategy, cost
 ledger, race dedup, journal) lives in the coordinator; that split is
 what makes fleet aggregation byte-identical to the single-process
 campaign.
@@ -16,42 +19,31 @@ file (the standard ``--heartbeat`` JSON shape) every interval. Injected
 hangs pause the heartbeat thread first — a hung worker must *look*
 hung, or lease expiry could never be tested.
 
-Wire protocol (pickled over a multiprocessing pipe):
+Wire protocol (``worker_main``'s, pickled over a multiprocessing pipe):
 
-- coordinator -> worker: a job dict (``job_id``, ``kind``,
-  ``cti_index``, ``attempt``, ``fault``, plus ``proposals`` for score
-  jobs or ``tasks`` for execute jobs), or ``None`` to shut down.
-- worker -> coordinator: ``("done", job_id, payload, meta)`` or
-  ``("error", job_id, message, meta)``. ``meta`` carries operational
-  counters (serve reconnects since the last reply) that the coordinator
-  folds into the fleet report.
+- coordinator -> worker: ``(job, fault_kind)`` with ``job`` a dict
+  (``job_id``, ``kind``, ``cti_index``, ``attempt``, plus ``proposals``
+  for score jobs or ``tasks`` for execute jobs), or ``None`` to shut
+  down.
+- worker -> coordinator: ``("ok", (payload, meta))`` or ``("error",
+  message)``. ``meta`` carries operational counters (serve reconnects
+  since the last accepted reply) that the coordinator folds into the
+  fleet report.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.core.scoring import CandidateScorer, iter_score_candidates
-from repro.errors import ReproError
-from repro.execution.parallel import _run_task
+from repro.execution.parallel import _run_task, worker_main
 from repro.obs.export import HeartbeatWriter
 
-__all__ = ["WorkerSpec", "FleetWorkerHandle"]
-
-#: Exit status for an injected worker crash (mirrors the supervisor's
-#: crash-fault exit so post-mortems read the same).
-CRASH_EXIT_STATUS = 13
-
-#: How long an injected hang sleeps. Long enough that the coordinator's
-#: lease always expires first; the worker is killed before waking.
-_HANG_SLEEP_SECONDS = 600.0
+__all__ = ["WorkerSpec"]
 
 
 @dataclass
@@ -75,16 +67,16 @@ class WorkerSpec:
     serve_backoff_seconds: float = 0.25
     heartbeat_path: Optional[str] = None
     heartbeat_interval: float = 0.2
-    hang_sleep_seconds: float = _HANG_SLEEP_SECONDS
 
 
 class _WorkerBeat:
     """Heartbeat file writer running on a daemon thread.
 
     Writes immediately on job transitions and every ``interval`` seconds
-    in between. ``pause`` stops the thread's writes without stopping the
-    thread — used by injected hangs so the worker goes silent exactly
-    like a wedged process would.
+    in between. A job that arrives with an injected ``hang`` stops the
+    writes without stopping the thread, so the worker goes silent
+    exactly like a wedged process would: the lease expires and the
+    coordinator kills it.
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
@@ -117,7 +109,7 @@ class _WorkerBeat:
                 **self._state,
             )
 
-    def begin_job(self, job: dict) -> None:
+    def begin_job(self, job: dict, fault_kind: Optional[str]) -> None:
         with self._lock:
             self._state = {
                 "job": job["job_id"],
@@ -126,21 +118,16 @@ class _WorkerBeat:
                 "attempt": job["attempt"],
             }
         self._write()
+        with self._lock:
+            self._paused = fault_kind == "hang"
 
     def finish_job(self) -> None:
         with self._lock:
             self._jobs_done += 1
+            self._paused = False
             self._state = {"job": None, "kind": None, "cti": None,
                            "attempt": None}
         self._write()
-
-    def pause(self) -> None:
-        with self._lock:
-            self._paused = True
-
-    def resume(self) -> None:
-        with self._lock:
-            self._paused = False
 
     def close(self) -> None:
         self._stop.set()
@@ -163,155 +150,43 @@ def _score_job(spec: WorkerSpec, scorer: CandidateScorer, job: dict) -> List[np.
 
 
 def _fleet_worker_main(conn, spec: WorkerSpec) -> None:
-    """Entry point of a forked fleet worker."""
-    # The fork inherited the coordinator's metrics registry; drop it so
-    # worker-side counters never double-count into the parent's export.
-    obs.clear_registry()
+    """Entry point of a forked fleet worker: the shared
+    :func:`~repro.execution.parallel.worker_main` loop over a
+    score-or-execute job handler, with the heartbeat as its hooks."""
     beat = _WorkerBeat(spec) if spec.heartbeat_path else None
     backend = None
     scorer: Optional[CandidateScorer] = None
     reconnects_sent = 0
-    try:
-        if spec.serve_socket:
-            from repro.serve.server import SocketBackend
+    if spec.serve_socket:
+        from repro.serve.server import SocketBackend
 
-            backend = SocketBackend(
-                spec.serve_socket,
-                retries=spec.serve_retries,
-                backoff_seconds=spec.serve_backoff_seconds,
-            )
-        parent_pid = os.getppid()
-        while True:
-            # Poll instead of blocking in recv: a sibling worker forked
-            # later inherits our pipe's coordinator end, so a dead
-            # coordinator (SIGKILL, injected die) never EOFs us — but it
-            # does re-parent us, which getppid exposes.
-            while not conn.poll(0.5):
-                if os.getppid() != parent_pid:
-                    return
-            try:
-                job = conn.recv()
-            except (EOFError, OSError):
-                return
-            if job is None:
-                return
-            if beat is not None:
-                beat.begin_job(job)
-            fault = job.get("fault")
-            if fault == "crash":
-                os._exit(CRASH_EXIT_STATUS)
-            if fault == "hang":
-                # Go silent: the heartbeat stops, the lease expires, the
-                # coordinator kills us. The sleep only ever ends early
-                # in that kill.
-                if beat is not None:
-                    beat.pause()
-                time.sleep(spec.hang_sleep_seconds)
-                if beat is not None:
-                    beat.resume()
-                reply = ("error", job["job_id"],
-                         "injected hang outlived its sleep", {})
-                conn.send(reply)
-                continue
-            meta = {}
-            if fault == "transient":
-                reply = ("error", job["job_id"], "injected transient fault",
-                         meta)
-            else:
-                try:
-                    if job["kind"] == "score":
-                        if scorer is None:
-                            scorer = CandidateScorer(
-                                spec.predictor,
-                                batch_size=spec.batch_size,
-                                backend=backend,
-                            )
-                        payload = _score_job(spec, scorer, job)
-                    else:
-                        payload = [
-                            _run_task(spec.kernel, task)
-                            for task in job["tasks"]
-                        ]
-                except ReproError as error:
-                    reply = ("error", job["job_id"],
-                             f"{type(error).__name__}: {error}", meta)
-                else:
-                    reply = ("done", job["job_id"], payload, meta)
-            if backend is not None:
-                meta["reconnects"] = backend.reconnects - reconnects_sent
-                reconnects_sent = backend.reconnects
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                return
-            if beat is not None:
-                beat.finish_job()
+        backend = SocketBackend(
+            spec.serve_socket,
+            retries=spec.serve_retries,
+            backoff_seconds=spec.serve_backoff_seconds,
+        )
+
+    def handle_job(job: dict):
+        nonlocal scorer, reconnects_sent
+        if job["kind"] == "score":
+            if scorer is None:
+                scorer = CandidateScorer(
+                    spec.predictor, batch_size=spec.batch_size, backend=backend
+                )
+            payload = _score_job(spec, scorer, job)
+        else:
+            payload = [_run_task(spec.kernel, task) for task in job["tasks"]]
+        meta = {}
+        if backend is not None:
+            meta["reconnects"] = backend.reconnects - reconnects_sent
+            reconnects_sent = backend.reconnects
+        return payload, meta
+
+    hooks = (beat.begin_job, beat.finish_job) if beat is not None else ()
+    try:
+        worker_main(conn, handle_job, *hooks)
     finally:
         if backend is not None:
             backend.close()
         if beat is not None:
             beat.close()
-
-
-@dataclass
-class FleetWorkerHandle:
-    """Coordinator-side handle to one worker slot's live process."""
-
-    spec: WorkerSpec
-    process: object = field(init=False)
-    conn: object = field(init=False)
-    job: Optional[object] = field(init=False, default=None)  # current _Job
-    context: object = None
-
-    def __post_init__(self) -> None:
-        context = self.context
-        parent_conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_fleet_worker_main,
-            args=(child_conn, self.spec),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-
-    @property
-    def worker_id(self) -> int:
-        return self.spec.worker_id
-
-    @property
-    def busy(self) -> bool:
-        return self.job is not None
-
-    def dispatch(self, job, message: dict) -> None:
-        self.job = job
-        self.conn.send(message)
-
-    def take_job(self):
-        job, self.job = self.job, None
-        return job
-
-    def kill(self) -> None:
-        """Hard-stop the worker (lease expiry, fleet teardown)."""
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-
-    def stop(self) -> None:
-        """Polite shutdown: send the sentinel, then reap."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass

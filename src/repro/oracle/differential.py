@@ -2,7 +2,7 @@
 
 Scattered across the test suite are equivalence assertions of the same
 shape — the batched scorer must reproduce the per-graph scorer, the
-process-pool runner must reproduce the serial runner, a journaled
+worker pool must reproduce the serial runner, a journaled
 campaign must replay byte-identically.  :class:`DifferentialRunner`
 lifts that shape into one declarative API: register named checks as
 ``(reference thunk, candidate thunk, comparator)`` triples, run them
@@ -293,41 +293,29 @@ def add_runner_checks(
     kernel,
     tasks: Sequence[object],
     workers: int = 2,
-    supervised: bool = True,
 ) -> DifferentialRunner:
-    """Serial, process-pool, and supervised execution must agree.
+    """Serial and pooled execution must agree.
 
-    The serial runner is the reference; the pool and the (fault-free)
-    supervised runner are candidates.  Results are ``ConcurrentResult``
-    dataclasses, so plain equality is the right comparator.
+    The serial runner is the reference; the (fault-free) worker pool is
+    the candidate.  Results are ``ConcurrentResult`` dataclasses, so
+    plain equality is the right comparator.
     """
-    from repro.execution.parallel import ProcessPoolCTRunner, SerialCTRunner
+    from repro.execution.parallel import make_runner
 
     tasks = list(tasks)
 
-    def run_serial() -> object:
-        return SerialCTRunner().run_many(kernel, tasks)
-
-    def run_pool() -> object:
-        pool = ProcessPoolCTRunner(workers=workers)
+    def run_with(worker_count: int) -> object:
+        pool = make_runner(worker_count)
         try:
             return pool.run_many(kernel, tasks)
         finally:
             pool.close()
 
-    runner.add("execution.pool_vs_serial", run_serial, run_pool)
-    if supervised:
-        from repro.resilience.supervisor import SupervisedRunner
-
-        def run_supervised() -> object:
-            supervisor = SupervisedRunner(workers=workers)
-            try:
-                return supervisor.run_many(kernel, tasks)
-            finally:
-                supervisor.close()
-
-        runner.add("execution.supervised_vs_serial", run_serial, run_supervised)
-    return runner
+    return runner.add(
+        "execution.supervised_vs_serial",
+        lambda: run_with(0),
+        lambda: run_with(workers),
+    )
 
 
 def add_campaign_check(

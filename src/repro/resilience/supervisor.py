@@ -1,10 +1,8 @@
 """Supervised CT execution: timeouts, retries, quarantine, fallback.
 
-The plain runners in :mod:`repro.execution.parallel` assume a healthy
-substrate: a hung or dying worker stalls ``Pool.map`` forever. Real
-kernel concurrency testers cannot assume that — executions of a buggy
-kernel routinely wedge the worker VM — so this module supervises every
-dynamic execution:
+Real kernel concurrency testers cannot assume a healthy substrate —
+executions of a buggy kernel routinely wedge the worker VM — so every
+dynamic execution that leaves the campaign process is supervised:
 
 - **per-CT wall-clock timeouts** — a worker that exceeds the deadline is
   killed and replaced, and the CT is retried;
@@ -25,12 +23,15 @@ Every event is counted in :mod:`repro.obs` metrics (``resilience.retries``,
 ``resilience.fallbacks``, ``resilience.worker_deaths``) and mirrored on
 the runner instance for the campaign's run report.
 
-With ``workers > 0`` the supervisor manages its own pool of pipe-fed
-worker processes (the supervised counterpart of
-:class:`~repro.execution.parallel.ProcessPoolCTRunner` — ``Pool.map``
-offers no per-task deadline or death detection). Results are returned in
-task order and, absent injected or real faults, are byte-identical to
-the serial runner's: each CT is the same pure function of its task.
+:class:`SupervisedRunner` is the only worker pool: ``--workers N`` alone
+gets it with the default policy, and ``--supervise``/``--ct-timeout``/
+``--retries``/``--inject-faults`` tune or exercise the same pool. Its
+workers are :class:`~repro.execution.parallel.WorkerProcess` handles
+running :func:`~repro.execution.parallel.worker_main` over ``_run_task``
+— the process mechanics live there, the policy here. Results are
+returned in task order and, absent injected or real faults, are
+byte-identical to the serial runner's: each CT is the same pure function
+of its task.
 
 Fault injection (:mod:`repro.resilience.faults`) plugs in here: injected
 worker crashes and hangs are *real* in pool mode (``os._exit`` in the
@@ -44,23 +45,24 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from multiprocessing import connection as mp_connection
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence
 
-import multiprocessing
-
 from repro import obs
-from repro.errors import ExecutionError, ReproError
-from repro.execution.parallel import CTTask, _run_task
+from repro.errors import ExecutionError
+from repro.execution.parallel import (
+    CTTask,
+    WorkerProcess,
+    _run_task,
+    reemit_execution_counters,
+    wait_ready,
+    worker_main,
+)
 from repro.execution.trace import ConcurrentResult
 from repro.kernel.code import Kernel
 from repro.resilience.faults import FaultPlan
 
 __all__ = ["SupervisionPolicy", "SupervisedRunner"]
-
-#: How long an injected hang sleeps inside a worker; the parent's
-#: deadline fires long before this, and the worker is killed.
-_WORKER_HANG_SLEEP_SECONDS = 600.0
 
 #: Exit status of an abrupt campaign-process death (``die`` faults);
 #: matches the shell's status for a SIGKILLed process.
@@ -103,119 +105,17 @@ def _quarantined_result(task: CTTask) -> ConcurrentResult:
     )
 
 
-def _supervised_worker_main(conn, kernel: Kernel) -> None:
-    """Worker loop: receive ``(task, fault_kind)``, reply with the result.
-
-    A registry inherited across fork would interleave telemetry writes
-    with the parent, so workers run with telemetry off; the parent
-    re-emits execution counters from collected results.
-    """
-    obs.clear_registry()
-    parent_pid = os.getppid()
-    try:
-        while True:
-            # Poll instead of blocking in recv: every worker forked later
-            # inherits the campaign's end of our pipe, so a dead campaign
-            # (SIGKILL, injected die) never EOFs us — but it does
-            # re-parent us, which getppid exposes.
-            while not conn.poll(0.5):
-                if os.getppid() != parent_pid:
-                    return
-            try:
-                message = conn.recv()
-            except EOFError:
-                return
-            if message is None:
-                return
-            task, fault_kind = message
-            if fault_kind == "crash":
-                os._exit(13)
-            if fault_kind == "hang":
-                time.sleep(_WORKER_HANG_SLEEP_SECONDS)
-                conn.send(("error", "injected hang outlived its sleep"))
-                continue
-            if fault_kind == "transient":
-                conn.send(("error", "injected transient fault"))
-                continue
-            try:
-                result = _run_task(kernel, task)
-            except ReproError as error:
-                conn.send(("error", f"{type(error).__name__}: {error}"))
-            else:
-                conn.send(("ok", result))
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-        return
-
-
-class _WorkerHandle:
-    """One supervised worker process and its command pipe."""
-
-    def __init__(self, context, kernel: Kernel) -> None:
-        parent_conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_supervised_worker_main,
-            args=(child_conn, kernel),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.job: Optional[_Job] = None
-        self.deadline: Optional[float] = None
-
-    @property
-    def idle(self) -> bool:
-        return self.job is None
-
-    def dispatch(self, job: _Job, fault_kind: Optional[str], timeout: float) -> None:
-        self.job = job
-        self.deadline = time.monotonic() + timeout
-        self.conn.send((job.task, fault_kind))
-
-    def take_job(self) -> Optional[_Job]:
-        job, self.job, self.deadline = self.job, None, None
-        return job
-
-    def kill(self) -> None:
-        """Terminate immediately (hung or untrusted worker).
-
-        SIGKILL, not SIGTERM: a worker forked from a process that has a
-        Python SIGTERM handler (``repro --trace`` installs one) inherits
-        it, and a SIGTERM that lands right after the fork is dropped
-        when the child clears its pending signals, leaving the join
-        below waiting forever.
-        """
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-
-    def stop(self) -> None:
-        """Graceful shutdown of an idle worker."""
-        try:
-            self.conn.send(None)
-            self.conn.close()
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout=5)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join()
-
-
 class SupervisedRunner:
-    """Supervised counterpart of the plain CT runners.
+    """The supervised CT runner, pooled (``workers > 0``) or in-process.
 
     Satisfies the same ``run_many(kernel, tasks) -> results in task
-    order`` contract, adding the timeout/retry/quarantine/fallback
-    behaviour described in the module docstring. Carries its own
-    counters (:attr:`retries`, :attr:`timeouts`, :attr:`quarantined`,
-    :attr:`fallbacks`, :attr:`worker_deaths`, :attr:`backoff_seconds`)
-    and supports :meth:`state_dict`/:meth:`load_state` so a resumed
-    campaign continues fault-plan positions and accounting exactly.
+    order`` contract as the serial runner, adding the
+    timeout/retry/quarantine/fallback behaviour described in the module
+    docstring. Carries its own counters (:attr:`retries`,
+    :attr:`timeouts`, :attr:`quarantined`, :attr:`fallbacks`,
+    :attr:`worker_deaths`, :attr:`backoff_seconds`) and supports
+    :meth:`state_dict`/:meth:`load_state` so a resumed campaign
+    continues fault-plan positions and accounting exactly.
     """
 
     def __init__(
@@ -227,6 +127,7 @@ class SupervisedRunner:
         self.workers = max(0, int(workers))
         self.policy = policy or SupervisionPolicy()
         self.plan = fault_plan
+        self._requested = policy is not None or fault_plan is not None
         self.retries = 0
         self.timeouts = 0
         self.quarantined = 0
@@ -235,27 +136,20 @@ class SupervisedRunner:
         self.backoff_seconds = 0.0
         self._next_index = 0
         self._fallback = False
-        self._pool: List[_WorkerHandle] = []
+        self._pool: List[WorkerProcess] = []
         self._pool_kernel: Optional[Kernel] = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _context(self):
-        # fork shares the kernel pages copy-on-write; fall back where the
-        # platform does not offer it (e.g. Windows spawn-only).
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform-dependent
-            return multiprocessing.get_context()
+    @staticmethod
+    def _spawn(kernel: Kernel) -> WorkerProcess:
+        return WorkerProcess(worker_main, partial(_run_task, kernel))
 
     def _ensure_pool(self, kernel: Kernel) -> None:
         if self._pool and self._pool_kernel is not kernel:
             self._shutdown_pool()
         if not self._pool:
-            context = self._context()
-            self._pool = [
-                _WorkerHandle(context, kernel) for _ in range(self.workers)
-            ]
+            self._pool = [self._spawn(kernel) for _ in range(self.workers)]
             self._pool_kernel = kernel
 
     def _shutdown_pool(self, graceful: bool = True) -> None:
@@ -271,6 +165,17 @@ class SupervisedRunner:
         self._shutdown_pool()
 
     # -- persistence (campaign journal) --------------------------------------
+
+    @property
+    def reporting(self) -> bool:
+        """Whether campaign results and checkpoints carry the counters.
+
+        Always when supervision or fault injection was asked for, and —
+        so a real fault is never silent — as soon as any counter is
+        non-zero. A fault-free ``--workers N`` campaign reports nothing,
+        which keeps it byte-identical to a serial one.
+        """
+        return self._requested or any(self.summary().values())
 
     def state_dict(self) -> Dict[str, object]:
         return {
@@ -323,7 +228,6 @@ class SupervisedRunner:
                 results[job.pos] = self._run_serial_job(kernel, job)
         else:
             self._run_pool(kernel, deque(jobs), results)
-            self._reemit_counters(results)
         return results  # type: ignore[return-value]
 
     def _maybe_die(self, job: _Job) -> None:
@@ -423,40 +327,31 @@ class SupervisedRunner:
                 if worker.idle and pending:
                     job = pending.popleft()
                     self._maybe_die(job)
-                    worker.dispatch(
-                        job, self._fault_kind(job), self.policy.timeout_seconds
-                    )
-            busy = [worker for worker in self._pool if not worker.idle]
-            if not busy:  # pragma: no cover - loop condition guards this
-                continue
-            now = time.monotonic()
-            next_deadline = min(worker.deadline for worker in busy)
-            ready = mp_connection.wait(
-                [worker.conn for worker in busy],
-                timeout=max(0.0, min(next_deadline - now, 0.25)),
+                    worker.dispatch(job, job.task, self._fault_kind(job))
+            timeout = self.policy.timeout_seconds
+            next_deadline = timeout + min(
+                worker.dispatched_at for worker in self._pool if not worker.idle
             )
-            for conn in ready:
-                worker = next(w for w in busy if w.conn is conn)
-                job = worker.job
-                try:
-                    status, payload = worker.conn.recv()
-                except (EOFError, OSError):
+            wait = min(next_deadline - time.monotonic(), 0.25)
+            for worker in wait_ready(self._pool, max(0.0, wait)):
+                job = worker.take_job()
+                reply = worker.recv()
+                if reply is None:
                     # The worker died mid-task (a real crash).
-                    worker.take_job()
                     self._account_worker_death()
                     self._engage_fallback_if_due()
                     self._replace_worker(kernel, worker)
-                    self._finish_failed(job, pending, results)
+                elif reply[0] == "ok":
+                    results[job.pos] = reply[1]
+                    # Only what a worker ran: in-process runs (fallback)
+                    # have already counted themselves.
+                    reemit_execution_counters([reply[1]])
                     continue
-                worker.take_job()
-                if status == "ok":
-                    results[job.pos] = payload
-                else:
-                    self._finish_failed(job, pending, results)
+                self._finish_failed(job, pending, results)
             # Enforce deadlines on whoever is still busy.
             now = time.monotonic()
             for worker in self._pool:
-                if worker.job is not None and now >= worker.deadline:
+                if not worker.idle and now >= worker.dispatched_at + timeout:
                     job = worker.take_job()
                     self._account_timeout()
                     self._replace_worker(kernel, worker)
@@ -473,25 +368,7 @@ class SupervisedRunner:
         else:
             pending.append(self._account_retry(job))
 
-    def _replace_worker(self, kernel: Kernel, worker: _WorkerHandle) -> None:
+    def _replace_worker(self, kernel: Kernel, worker: WorkerProcess) -> None:
         worker.kill()
-        if self._fallback:
-            return
-        position = self._pool.index(worker)
-        self._pool[position] = _WorkerHandle(self._context(), kernel)
-
-    def _reemit_counters(self, results: Sequence[Optional[ConcurrentResult]]) -> None:
-        """Workers run with telemetry off; replay their per-run counters."""
-        executed = [
-            r for r in results if r is not None and r.failure != "quarantined"
-        ]
-        if not executed:
-            return
-        obs.add("execution.runs", len(executed))
-        obs.add("execution.steps", sum(r.steps for r in executed))
-        deadlocks = sum(1 for r in executed if r.deadlocked)
-        if deadlocks:
-            obs.add("execution.deadlocks", deadlocks)
-        hangs = sum(1 for r in executed if r.hung)
-        if hangs:
-            obs.add("execution.hangs", hangs)
+        if not self._fallback:
+            self._pool[self._pool.index(worker)] = self._spawn(kernel)

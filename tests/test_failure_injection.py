@@ -131,7 +131,7 @@ class TestPoolHangContract:
         """A CT that blows its step budget inside a pool worker comes back
         as a recorded hang outcome — it must not poison the pool or raise
         into the campaign."""
-        from repro.execution.parallel import CTTask, ProcessPoolCTRunner
+        from repro.execution.parallel import CTTask, make_runner
 
         kernel = _looping_kernel()
         program = (("sys_spin", (0,)),)
@@ -139,7 +139,7 @@ class TestPoolHangContract:
             CTTask(programs=(program, program), max_steps=300, seed=index)
             for index in range(3)
         ]
-        runner = ProcessPoolCTRunner(2)
+        runner = make_runner(2)
         try:
             results = runner.run_many(kernel, tasks)
             assert len(results) == 3
@@ -155,15 +155,15 @@ class TestPoolHangContract:
     def test_pool_and_serial_agree_on_hang_classification(self):
         from repro.execution.parallel import (
             CTTask,
-            ProcessPoolCTRunner,
             SerialCTRunner,
+            make_runner,
         )
 
         kernel = _looping_kernel()
         program = (("sys_spin", (0,)),)
         task = CTTask(programs=(program, program), max_steps=300)
         serial = SerialCTRunner().run_many(kernel, [task])
-        pool = ProcessPoolCTRunner(2)
+        pool = make_runner(2)
         try:
             pooled = pool.run_many(kernel, [task])
         finally:

@@ -10,8 +10,11 @@ form the journal checkpoints.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -359,6 +362,38 @@ class TestFleetObservability:
         assert snapshot.get("fleet.dispatched", 0) >= NUM_CTIS
         assert snapshot.get("fleet.jobs_completed", 0) >= NUM_CTIS
 
+    def test_execution_counters_match_in_process_runs(self, dataset_builder):
+        """Workers run with telemetry off; what the parent re-emits from
+        their results must be what an in-process run counts itself —
+        whether the workers are the CT pool's or the fleet's."""
+        from repro import obs
+
+        ctis = _ctis(dataset_builder)
+        names = [
+            "execution.runs",
+            "execution.steps",
+            "execution.hangs",
+            "execution.deadlocks",
+        ]
+
+        def pct(workers):
+            config = dataclasses.replace(_config(), parallel_workers=workers)
+            return PCTExplorer(dataset_builder, config=config, seed=4)
+
+        def counted(run):
+            registry = obs.MetricsRegistry(sink=obs.MemorySink())
+            with obs.use_registry(registry):
+                run()
+            return {name: registry.counter(name).value for name in names}
+
+        serial = counted(lambda: run_campaign(pct(0), ctis))
+        assert serial["execution.runs"] > 0 and serial["execution.steps"] > 0
+        assert counted(lambda: run_campaign(pct(2), ctis)) == serial
+        assert (
+            counted(lambda: run_fleet(pct(0), ctis, _fleet_config(workers=1)))
+            == serial
+        )
+
 
 # -- socket backend resilience ------------------------------------------------
 
@@ -614,3 +649,83 @@ class TestFleetKillResume:
             journal.close()
         assert report.resumed_ctis == 2, "the journal restored progress"
         assert _result_json(result) == reference
+
+
+@pytest.mark.slow
+class TestFleetWorkerProcesses:
+    def test_burying_a_just_spawned_worker_reaps_it(self, dataset_builder):
+        """A coordinator with a Python SIGTERM handler (``repro --trace``
+        and ``--flight`` install one) hands it to every worker it forks,
+        and a SIGTERM landing right after the fork is dropped when the
+        child clears its pending signals — so burying must SIGKILL, or
+        about one just-spawned worker in a hundred survives its burial
+        after a join timeout has been waited out."""
+        from repro.fleet import FleetCoordinator
+
+        coordinator = FleetCoordinator(
+            _pct(dataset_builder),
+            _ctis(dataset_builder),
+            _fleet_config(workers=1, max_worker_deaths=10**6),
+        )
+
+        def on_sigterm(signum, frame):  # the CLI's handler
+            raise SystemExit(143)
+
+        previous = signal.signal(signal.SIGTERM, on_sigterm)
+        try:
+            coordinator._setup()
+            try:
+                for _ in range(300):
+                    victim = coordinator._workers[0].process
+                    started = time.monotonic()
+                    try:
+                        coordinator._bury_worker(0, None)
+                        assert not victim.is_alive()
+                        assert time.monotonic() - started < 2.5
+                    finally:
+                        victim.kill()  # a failure must not leak the child
+            finally:
+                coordinator._teardown()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_workers_do_not_outlive_a_killed_coordinator(self, tmp_path):
+        """The fleet twin of the supervisor's orphan test: every worker
+        holds a copy of the coordinator's end of its siblings' pipes, so
+        a coordinator that dies without unwinding (``die@5`` is
+        ``os._exit`` at dispatch, what SIGKILL looks like) never EOFs
+        anybody — the shared worker loop must notice the re-parenting."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                DRIVER,
+                str(tmp_path / "fleet.journal"),
+                "--fault-spec",
+                "die@5",
+                "--workers",
+                "3",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,  # so a failure can reap the orphans
+        )
+        try:
+            assert process.wait(timeout=600) == 137
+            # The workers inherited this pipe's write end: it reaches EOF
+            # only once the last of them has exited.
+            ready, _, _ = select.select([process.stdout], [], [], 3.0)
+            assert ready and os.read(process.stdout.fileno(), 1) == b"", (
+                "fleet workers outlived their coordinator"
+            )
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
+            process.stdout.close()

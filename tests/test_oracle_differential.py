@@ -139,5 +139,5 @@ class TestStandardChecks:
         ]
         runner = DifferentialRunner("execution")
         add_runner_checks(runner, kernel, tasks, workers=2)
-        assert len(runner) == 2
+        assert len(runner) == 1
         runner.run().raise_if_failed()

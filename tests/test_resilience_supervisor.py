@@ -207,14 +207,18 @@ class TestPoolSupervision:
             SupervisionPolicy(timeout_seconds=30, max_worker_deaths=1),
             plan,
         )
+        registry = obs.MetricsRegistry(sink=obs.MemorySink())
         try:
-            results = runner.run_many(kernel, tasks)
+            with obs.use_registry(registry):
+                results = runner.run_many(kernel, tasks)
         finally:
             runner.close()
         plain = SerialCTRunner().run_many(kernel, tasks)
         # every first attempt crashes, every retry succeeds — and after
         # the death budget is blown the remainder runs in-process
         assert _digests(results) == _digests(plain)
+        # each CT is counted once, whether a worker ran it or the fallback
+        assert registry.counter("execution.runs").value == len(tasks)
         assert runner.fallbacks == 1
         assert runner.worker_deaths == len(tasks)
         assert runner.quarantined == 0

@@ -6,6 +6,9 @@ path computes exactly what the slow path computed".
 """
 
 import hashlib
+import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from repro.core.scoring import (
 from repro.core.strategies import make_strategy
 from repro.execution.parallel import (
     CTTask,
-    ProcessPoolCTRunner,
     SerialCTRunner,
     make_runner,
 )
@@ -37,6 +39,12 @@ from repro.ml.baselines import AllPositive, FairCoin
 from repro.ml.pic import stable_sigmoid
 from repro.obs import MemorySink, MetricsRegistry
 from repro.oracle import DifferentialRunner, add_campaign_check
+from repro.resilience.journal import (
+    CampaignJournal,
+    campaign_result_to_dict,
+    canonical_json,
+)
+from repro.resilience.supervisor import SupervisedRunner, SupervisionPolicy
 
 
 @pytest.fixture(scope="module")
@@ -654,21 +662,30 @@ class TestRunners:
     def test_make_runner_dispatch(self):
         assert isinstance(make_runner(0), SerialCTRunner)
         assert isinstance(make_runner(-1), SerialCTRunner)
+        # --workers alone gets the one pool there is, supervised by the
+        # default policy, reporting nothing until a fault occurs.
         pool = make_runner(2)
-        assert isinstance(pool, ProcessPoolCTRunner)
+        assert isinstance(pool, SupervisedRunner)
+        assert pool.workers == 2 and pool.policy == SupervisionPolicy()
+        assert not pool.reporting
         pool.close()
+        assert make_runner(2, policy=SupervisionPolicy()).reporting
+        assert isinstance(
+            make_runner(0, policy=SupervisionPolicy()), SupervisedRunner
+        )
 
     def test_pool_results_ordered_and_identical(
         self, kernel, dataset_builder, cti
     ):
         tasks = self._tasks(dataset_builder, cti)
         serial = SerialCTRunner().run_many(kernel, tasks)
-        pool = ProcessPoolCTRunner(workers=2)
+        pool = make_runner(2)
         try:
             parallel = pool.run_many(kernel, tasks)
         finally:
             pool.close()
         assert parallel == serial
+        assert not pool.reporting  # fault-free: nothing to report
 
     def test_task_seeds_are_deterministic(self, dataset_builder, cti):
         first = self._tasks(dataset_builder, cti)
@@ -677,9 +694,102 @@ class TestRunners:
         assert len({t.seed for t in first}) == len(first)
 
     def test_empty_task_list(self, kernel):
-        pool = ProcessPoolCTRunner(workers=2)
+        pool = make_runner(2)
         try:
             assert pool.run_many(kernel, []) == []
+            assert pool._pool == []  # empty batch never spawned workers
         finally:
             pool.close()
-        assert pool._pool is None  # empty batch never spawned workers
+
+
+def _result_json(result) -> str:
+    return canonical_json(campaign_result_to_dict(result))
+
+
+class TestUnsupervisedPool:
+    """``parallel_workers`` alone runs the supervised pool with the default
+    policy. Two invariants make that a replacement for the old plain pool
+    rather than a behaviour change: fault-free it leaves no trace (result,
+    journal and checkpoint bytes equal serial's), and a real fault is
+    never silent."""
+
+    @pytest.fixture(scope="class")
+    def ctis(self, dataset_builder):
+        return dataset_builder.corpus.sample_pairs(rngmod.make_rng(3), 3)
+
+    @staticmethod
+    def _journaled(dataset_builder, ctis, directory, **config):
+        directory.mkdir()
+        journal = CampaignJournal(str(directory / "campaign.journal"))
+        explorer = PCTExplorer(
+            dataset_builder,
+            config=ExplorationConfig(
+                execution_budget=4, proposal_pool=12, **config
+            ),
+            seed=0,
+        )
+        result = run_campaign(explorer, ctis, journal=journal)
+        journal.close()
+        files = {
+            entry.name: entry.read_bytes() for entry in sorted(directory.iterdir())
+        }
+        return result, files
+
+    def test_fault_free_pool_is_byte_identical_to_serial(
+        self, dataset_builder, ctis, tmp_path
+    ):
+        serial, serial_files = self._journaled(
+            dataset_builder, ctis, tmp_path / "serial"
+        )
+        pooled, pooled_files = self._journaled(
+            dataset_builder, ctis, tmp_path / "pooled", parallel_workers=2
+        )
+        supervised, supervised_files = self._journaled(
+            dataset_builder,
+            ctis,
+            tmp_path / "supervised",
+            parallel_workers=2,
+            supervision=SupervisionPolicy(),
+        )
+        assert sorted(serial_files) == [
+            "campaign.journal",
+            "campaign.journal.PCT.ckpt",
+        ]
+        assert pooled_files == serial_files
+        assert pooled.resilience is None
+        assert _result_json(pooled) == _result_json(serial)
+        # Asking for supervision differs in the documented field only.
+        assert supervised.resilience == dict.fromkeys(supervised.resilience, 0)
+        assert supervised_files != serial_files  # checkpoints carry "runner"
+        supervised.resilience = None
+        assert _result_json(supervised) == _result_json(serial)
+
+    def test_real_worker_death_is_survived_and_reported(
+        self, dataset_builder, ctis, tmp_path, monkeypatch
+    ):
+        """SIGKILL a pool worker in the middle of a CT, with no supervision
+        asked for: the old ``Pool.map`` stalled forever here."""
+        from repro.resilience import supervisor
+
+        marker = tmp_path / "killed"
+        run_task = supervisor._run_task
+
+        def die_once(kernel, task):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return run_task(kernel, task)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        serial, _ = self._journaled(dataset_builder, ctis, tmp_path / "serial")
+        monkeypatch.setattr(supervisor, "_run_task", die_once)
+        pooled, pooled_files = self._journaled(
+            dataset_builder, ctis, tmp_path / "pooled", parallel_workers=2
+        )
+        assert marker.exists(), "no worker ever reached the kill"
+        assert pooled.resilience["worker_deaths"] == 1
+        assert pooled.resilience["retries"] == 1
+        checkpoint = json.loads(pooled_files["campaign.journal.PCT.ckpt"])
+        assert checkpoint["state"]["runner"]["worker_deaths"] == 1
+        pooled.resilience = None
+        assert _result_json(pooled) == _result_json(serial)
