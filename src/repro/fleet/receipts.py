@@ -10,23 +10,29 @@ auditable after the fact: the final :class:`~repro.core.mlpct
 produced it, and a receipt whose digests do not match a recomputation
 is evidence of divergence, not a shrug.
 
-Receipts are one JSON file per job (``<label>.job-000042.json``),
-written atomically with a SHA-256 checksum over the canonical body —
-the same sealing discipline as the campaign journal. A receipt for a
+Receipts are one JSON file per job (``<label>.job-000042.json``), each
+a sealed document of the durable log (:func:`repro.resilience.log
+.write_sealed_document`: checksum over the canonical body, replaced
+atomically) — the same shape as a journal checkpoint. This module adds
+only the digests, the naming and the schema check. A receipt for a
 retried job records the *accepted* attempt; earlier attempts never
 produced a result the campaign consumed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import FleetError
-from repro.resilience.atomic import atomic_write_text, canonical_json, sha256_hex
-from repro.resilience.journal import _sanitize, fold_prediction_digest, result_digest
+from repro.resilience.atomic import canonical_json, sha256_hex
+from repro.resilience.journal import fold_prediction_digest, result_digest
+from repro.resilience.log import (
+    read_sealed_document,
+    sanitize_label,
+    write_sealed_document,
+)
 
 __all__ = [
     "RECEIPT_SCHEMA",
@@ -46,7 +52,7 @@ _RECEIPT_NAME = re.compile(r"\.job-(\d+)\.json$")
 
 
 def receipt_path(directory: str, label: str, job_id: int) -> str:
-    return os.path.join(directory, f"{_sanitize(label)}.job-{job_id:06d}.json")
+    return os.path.join(directory, f"{sanitize_label(label)}.job-{job_id:06d}.json")
 
 
 # -- digests ------------------------------------------------------------------
@@ -106,36 +112,21 @@ def write_receipt(directory: str, body: Dict[str, object]) -> str:
     Returns the receipt's path. ``body`` must carry ``campaign`` and
     ``job`` (they name the file); the checksum covers everything else.
     """
-    payload = dict(body)
-    payload["schema"] = RECEIPT_SCHEMA
-    payload["checksum"] = sha256_hex(canonical_json(payload))
     path = receipt_path(directory, str(body["campaign"]), int(body["job"]))
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+    write_sealed_document(path, {**body, "schema": RECEIPT_SCHEMA})
     return path
 
 
 def load_receipt(path: str) -> Dict[str, object]:
     """Load and verify one receipt; raise :class:`FleetError` if it is
-    unreadable, unsealed, or fails its checksum."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise FleetError(f"cannot read receipt {path!r}: {error}") from None
-    if not isinstance(payload, dict) or "checksum" not in payload:
-        raise FleetError(f"receipt {path!r} has no checksum")
-    if payload.get("schema") != RECEIPT_SCHEMA:
+    unreadable, unsealed, fails its checksum, or has another schema."""
+    receipt = read_sealed_document(path, FleetError, "receipt")
+    if receipt.get("schema") != RECEIPT_SCHEMA:
         raise FleetError(
-            f"receipt {path!r} has schema {payload.get('schema')}, this "
+            f"receipt {path!r} has schema {receipt.get('schema')}, this "
             f"build reads schema {RECEIPT_SCHEMA}"
         )
-    checksum = payload.pop("checksum")
-    if sha256_hex(canonical_json(payload)) != checksum:
-        raise FleetError(
-            f"receipt {path!r} failed checksum verification (corrupt or "
-            "tampered)"
-        )
-    return payload
+    return receipt
 
 
 def verify_receipts(
@@ -143,7 +134,7 @@ def verify_receipts(
 ) -> List[Dict[str, object]]:
     """Load every receipt in ``directory`` (optionally one campaign's),
     verifying each; returns them sorted by job id."""
-    prefix = f"{_sanitize(label)}.job-" if label is not None else None
+    prefix = f"{sanitize_label(label)}.job-" if label is not None else None
     receipts: List[Dict[str, object]] = []
     try:
         entries = sorted(os.listdir(directory))

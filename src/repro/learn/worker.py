@@ -49,7 +49,7 @@ from repro.learn.promote import evaluate_candidate, publish_candidate, quarantin
 from repro.ml.pic import PICModel
 from repro.ml.training import TrainingConfig, fine_tune_with_replay
 from repro.resilience.atomic import atomic_write_text
-from repro.resilience.journal import JournalFile
+from repro.resilience.log import SealedLog
 
 __all__ = ["LearnConfig", "FineTuneWorker", "STATUS_NAME"]
 
@@ -111,7 +111,7 @@ class FineTuneWorker:
         self.registry = registry
         self.snowcat = snowcat
         self.config = config or LearnConfig()
-        self.journal = JournalFile(os.path.join(self.root, JOURNAL_NAME))
+        self.journal = SealedLog(os.path.join(self.root, JOURNAL_NAME))
         self.candidates_dir = os.path.join(self.root, "candidates")
         os.makedirs(self.candidates_dir, exist_ok=True)
         self._pause_hook = pause

@@ -7,8 +7,10 @@ the campaign engine survive all of that:
 
 - :mod:`repro.resilience.atomic` — temp-file + fsync + rename writes, so
   a crash never leaves a truncated artifact;
-- :mod:`repro.resilience.journal` — a write-ahead JSON-lines campaign
-  journal plus atomic state checkpoints; an interrupted-then-resumed
+- :mod:`repro.resilience.log` — the one durable-log primitive: sealed
+  JSON-lines log, sealed document, header → units → checkpoint journal;
+- :mod:`repro.resilience.journal` — the campaign and continuous-testing
+  journals as record schemas over it; an interrupted-then-resumed
   campaign is byte-identical to an uninterrupted one;
 - :mod:`repro.resilience.faults` — deterministic seeded fault plans
   (worker crashes, hangs, transient errors) for recovery tests and

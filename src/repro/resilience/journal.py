@@ -1,66 +1,49 @@
-"""Durable campaign journal: crash-safe progress + exact resume.
+"""Campaign and continuous-testing journals: crash-safe progress + exact
+resume, as record schemas over :mod:`repro.resilience.log`.
 
 Long campaigns die — machines reboot, schedulers preempt, operators
-Ctrl-C. This module makes campaign progress durable so an interrupted
-run resumes exactly where it stopped and finishes **byte-identical** to
-an uninterrupted one.
+Ctrl-C. A journaled run that is interrupted resumes exactly where it
+stopped and finishes **byte-identical** to an uninterrupted one. The
+durable mechanics (sealed records, the torn-tail rule, sealed checkpoint
+documents, the header → units → checkpoint resume protocol) are the
+log's; this module holds only what is campaign-shaped (operator view:
+``docs/ROBUSTNESS.md``):
 
-Design (see ``docs/ROBUSTNESS.md`` for the operator view):
-
-- **Write-ahead journal** — one append-only JSON-lines file. Every
-  record carries a SHA-256 checksum over its canonical JSON; appends are
-  flushed and fsynced before the campaign proceeds. On open, a torn or
-  corrupt *final* line (the signature of a crash mid-append) is silently
-  truncated; corruption anywhere earlier is refused with a
-  :class:`~repro.errors.JournalError` — a journal never lies quietly.
-- **Atomic checkpoints** — after each completed unit of work (a CTI for
-  campaigns, a kernel version for continuous testing) the full resumable
-  state is written to a checksummed sidecar file via temp+fsync+rename.
-  The checkpoint is the *commit point*: on resume, a journal record with
-  no matching checkpoint (crash between append and checkpoint) is
-  dropped and that unit of work is redone deterministically.
-- **Audit digests** — each journal record carries digests of the
-  execution results (and, for MLPCT, of the scored predictions) that
-  produced it, so divergence between a resumed run and its journal is
-  detectable evidence rather than a silent franken-run.
-
-One journal file can hold several campaigns (the CLI journals the PCT
-baseline and the MLPCT run side by side); records are namespaced by the
-campaign label, and each label gets its own checkpoint sidecar.
+- :class:`CampaignJournal` — unit = one CTI. The header pins seed and
+  CTI stream; each ``cti`` record carries the CTI's stats plus **audit
+  digests** of the execution results (and, for MLPCT, of the scored
+  predictions) that produced it, so divergence between a resumed run and
+  its journal is detectable evidence rather than a silent franken-run;
+  the checkpoint carries the explorer's ``state_dict()``. One file can
+  hold several campaigns (the CLI journals the PCT baseline and the
+  MLPCT run side by side), each label with its own checkpoint sidecar.
+- :class:`ContinuousJournal` — unit = one kernel version; its checkpoint
+  also names a checksummed model sidecar.
+- JSON (de)serialisation of campaign results and continuous outcomes,
+  and :func:`reset_journal`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
-from typing import IO, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.errors import CheckpointError, JournalError
-from repro.resilience.atomic import (
-    atomic_write_text,
-    canonical_json,
-    fsync_directory,
-    sha256_hex,
-)
+from repro.resilience.atomic import canonical_json, fsync_directory, sha256_hex
+from repro.resilience.log import UnitJournal
 
 __all__ = [
-    "JOURNAL_SCHEMA",
     "CampaignJournal",
     "ContinuousJournal",
-    "JournalFile",
     "campaign_result_to_dict",
     "campaign_result_from_dict",
     "stats_to_dict",
     "stats_from_dict",
     "result_digest",
     "fold_prediction_digest",
-    "read_journal_tolerant",
     "reset_journal",
 ]
-
-JOURNAL_SCHEMA = 1
 
 
 # -- digests ------------------------------------------------------------------
@@ -226,162 +209,6 @@ def _snowcat_config_from_dict(payload: Dict[str, object]):
     return SnowcatConfig(**data)
 
 
-# -- record framing -----------------------------------------------------------
-
-
-def _sealed(record: Dict[str, object]) -> Dict[str, object]:
-    sealed = dict(record)
-    sealed["sum"] = sha256_hex(canonical_json(record))
-    return sealed
-
-
-def _verify(record) -> Optional[Dict[str, object]]:
-    if not isinstance(record, dict) or "sum" not in record:
-        return None
-    body = {key: value for key, value in record.items() if key != "sum"}
-    if sha256_hex(canonical_json(body)) != record["sum"]:
-        return None
-    return body
-
-
-class _JournalFile:
-    """One append-only JSON-lines journal with per-record checksums.
-
-    Write-ahead semantics: every append is flushed and fsynced before
-    the caller proceeds. On open, a torn or corrupt *final* line is
-    discarded and the file truncated back to its valid prefix (that is
-    what a crash mid-append leaves behind); corruption anywhere earlier
-    means the journal cannot be trusted and is refused.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self.records: List[Dict[str, object]] = self._load()
-        self._handle: IO[bytes] = open(self.path, "ab")
-
-    def _load(self) -> List[Dict[str, object]]:
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        lines = data.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        records: List[Dict[str, object]] = []
-        valid_bytes = 0
-        for position, line in enumerate(lines):
-            try:
-                body = _verify(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                body = None
-            if body is None:
-                if position == len(lines) - 1:
-                    break  # torn tail from a crash mid-append: discard
-                raise JournalError(
-                    f"corrupt journal record at line {position + 1} of "
-                    f"{self.path}"
-                )
-            records.append(body)
-            valid_bytes += len(line) + 1
-        if valid_bytes != len(data):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return records
-
-    def append(self, record: Dict[str, object]) -> None:
-        line = canonical_json(_sealed(record)) + "\n"
-        self._handle.write(line.encode("utf-8"))
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self.records.append(record)
-
-    def rewrite(self, records: List[Dict[str, object]]) -> None:
-        """Atomically replace the whole file (dropping uncommitted tails)."""
-        self._handle.close()
-        text = "".join(canonical_json(_sealed(r)) + "\n" for r in records)
-        atomic_write_text(self.path, text)
-        self.records = list(records)
-        self._handle = open(self.path, "ab")
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-#: Public alias — consumers outside this package (the learn label store)
-#: reuse the checksummed append-only file without reaching for a private
-#: name.
-JournalFile = _JournalFile
-
-
-def read_journal_tolerant(path: str) -> Tuple[List[Dict[str, object]], bool]:
-    """Read a journal's valid prefix **without mutating the file**.
-
-    Unlike opening a :class:`JournalFile` (which truncates a torn tail in
-    place), this is safe against a journal another process is actively
-    appending to: a half-written final line is simply not returned yet.
-    Returns ``(records, torn)`` where ``torn`` reports whether a torn or
-    corrupt final line was skipped. Corruption before the final line
-    still raises :class:`~repro.errors.JournalError`.
-    """
-    if not os.path.exists(path):
-        return [], False
-    with open(path, "rb") as handle:
-        data = handle.read()
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    records: List[Dict[str, object]] = []
-    torn = False
-    for position, line in enumerate(lines):
-        try:
-            body = _verify(json.loads(line.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError):
-            body = None
-        if body is None:
-            if position == len(lines) - 1:
-                torn = True
-                break
-            raise JournalError(
-                f"corrupt journal record at line {position + 1} of {path}"
-            )
-        records.append(body)
-    return records, torn
-
-
-# -- checkpoints --------------------------------------------------------------
-
-
-def _write_checkpoint(path: str, body: Dict[str, object]) -> None:
-    payload = dict(body)
-    payload["checksum"] = sha256_hex(canonical_json(body))
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
-
-
-def _read_checkpoint(path: str) -> Dict[str, object]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise CheckpointError(
-            f"cannot read checkpoint {path!r}: {error}"
-        ) from None
-    if not isinstance(payload, dict) or "checksum" not in payload:
-        raise CheckpointError(f"checkpoint {path!r} has no checksum")
-    checksum = payload.pop("checksum")
-    if sha256_hex(canonical_json(payload)) != checksum:
-        raise CheckpointError(
-            f"checkpoint {path!r} failed checksum verification "
-            "(corrupt or truncated)"
-        )
-    return payload
-
-
-def _sanitize(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
-
-
 def _cti_stream_digest(ctis) -> str:
     # ":".join over the entries keeps two-thread digests byte-identical
     # to the historical "a:b" format while covering N-entry CTIs.
@@ -395,7 +222,7 @@ def _cti_stream_digest(ctis) -> str:
 # -- campaign journal ---------------------------------------------------------
 
 
-class CampaignJournal:
+class CampaignJournal(UnitJournal):
     """Durable journal + resume for :func:`repro.core.mlpct.run_campaign`.
 
     Auto-resumes: constructing one over an existing journal file picks
@@ -404,24 +231,6 @@ class CampaignJournal:
     stream) and restores the explorer's full state from the checkpoint.
     Use :func:`reset_journal` first to start over.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._file = _JournalFile(self.path)
-
-    @property
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._file.records)
-
-    def checkpoint_path(self, label: str) -> str:
-        return f"{self.path}.{_sanitize(label)}.ckpt"
-
-    def _label_records(self, label: str, kind: str) -> List[Dict[str, object]]:
-        return [
-            record
-            for record in self._file.records
-            if record.get("c") == label and record.get("kind") == kind
-        ]
 
     def prepare(self, explorer, ctis) -> Tuple[List[object], int]:
         """Validate/initialise the journal for ``explorer`` over ``ctis``.
@@ -433,94 +242,18 @@ class CampaignJournal:
         :class:`~repro.errors.CheckpointError` if the checkpoint sidecar
         is corrupt.
         """
-        label = explorer.label
-        digest = _cti_stream_digest(ctis)
-        headers = self._label_records(label, "header")
-        if not headers:
-            if self._label_records(label, "cti"):
-                raise JournalError(
-                    f"journal {self.path!r} holds CTI records for {label!r} "
-                    "but no header"
-                )
-            self._file.append(
-                {
-                    "c": label,
-                    "kind": "header",
-                    "schema": JOURNAL_SCHEMA,
-                    "seed": explorer.seed,
-                    "num_ctis": len(ctis),
-                    "ctis": digest,
-                }
-            )
-            return [], 0
-        if len(headers) > 1:
-            raise JournalError(
-                f"journal {self.path!r} holds duplicate headers for "
-                f"campaign {label!r}"
-            )
-        header = headers[0]
-        if header.get("schema") != JOURNAL_SCHEMA:
-            raise JournalError(
-                f"journal {self.path!r} has schema {header.get('schema')}, "
-                f"this build reads schema {JOURNAL_SCHEMA}"
-            )
-        if (
-            header.get("seed") != explorer.seed
-            or header.get("num_ctis") != len(ctis)
-            or header.get("ctis") != digest
-        ):
-            raise JournalError(
-                f"journal {self.path!r} was written by a different campaign "
-                f"(seed or CTI stream mismatch for {label!r}); refusing to "
-                "resume"
-            )
-        cti_records = self._label_records(label, "cti")
-        for expected, record in enumerate(cti_records):
-            if record.get("index") != expected:
-                raise JournalError(
-                    f"journal {self.path!r} has out-of-order CTI records "
-                    f"for {label!r}"
-                )
-        completed = 0
-        state = None
-        ckpt_path = self.checkpoint_path(label)
-        if os.path.exists(ckpt_path):
-            ckpt = _read_checkpoint(ckpt_path)
-            if ckpt.get("schema") != JOURNAL_SCHEMA or ckpt.get("label") != label:
-                raise JournalError(
-                    f"checkpoint {ckpt_path!r} does not belong to campaign "
-                    f"{label!r}"
-                )
-            completed = int(ckpt["cti_index"]) + 1
-            state = ckpt["state"]
-        if len(cti_records) < completed:
-            raise JournalError(
-                f"journal {self.path!r} is behind its checkpoint for "
-                f"{label!r} ({len(cti_records)} records, {completed} "
-                "checkpointed CTIs)"
-            )
-        if len(cti_records) > completed:
-            # The crash fell between the journal append and the
-            # checkpoint. The checkpoint is the commit point, so the
-            # surplus records are uncommitted: drop them and redo those
-            # CTIs (deterministic, so the outcome is unchanged).
-            self._drop_uncommitted(label, completed)
-            cti_records = cti_records[:completed]
+        records, state = self.resume(
+            explorer.label,
+            "cti",
+            {
+                "seed": explorer.seed,
+                "num_ctis": len(ctis),
+                "ctis": _cti_stream_digest(ctis),
+            },
+        )
         if state is not None:
             explorer.load_state(state)
-        obs.point("resilience.resumed", label=label, completed=completed)
-        return [stats_from_dict(record["stats"]) for record in cti_records], completed
-
-    def _drop_uncommitted(self, label: str, keep: int) -> None:
-        kept: List[Dict[str, object]] = []
-        seen = 0
-        for record in self._file.records:
-            if record.get("c") == label and record.get("kind") == "cti":
-                if seen >= keep:
-                    continue
-                seen += 1
-            kept.append(record)
-        self._file.rewrite(kept)
+        return [stats_from_dict(record["stats"]) for record in records], len(records)
 
     def record_cti(
         self, label: str, index: int, plan, state: Dict[str, object]
@@ -536,10 +269,7 @@ class CampaignJournal:
         """
         audit = plan.audit
         results = audit["results"]
-        record: Dict[str, object] = {
-            "c": label,
-            "kind": "cti",
-            "index": index,
+        fields: Dict[str, object] = {
             "stats": stats_to_dict(plan.stats),
             "audit": {
                 "executed": len(results),
@@ -552,26 +282,14 @@ class CampaignJournal:
         # field is omitted entirely when capture is off, keeping journal
         # bytes unchanged.
         if plan.labels:
-            record["labels"] = plan.labels
-        self._file.append(record)
-        _write_checkpoint(
-            self.checkpoint_path(label),
-            {
-                "schema": JOURNAL_SCHEMA,
-                "label": label,
-                "cti_index": index,
-                "state": state,
-            },
-        )
-
-    def close(self) -> None:
-        self._file.close()
+            fields["labels"] = plan.labels
+        self.commit(label, "cti", index, fields, state)
 
 
 # -- continuous-testing journal -----------------------------------------------
 
 
-class ContinuousJournal:
+class ContinuousJournal(UnitJournal):
     """Durable journal + resume for :func:`repro.core.continuous
     .run_continuous`.
 
@@ -585,131 +303,28 @@ class ContinuousJournal:
 
     LABEL = "continuous"
 
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._file = _JournalFile(self.path)
-
-    @property
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._file.records)
-
-    def checkpoint_path(self) -> str:
-        return f"{self.path}.{self.LABEL}.ckpt"
-
     def model_path(self, index: int) -> str:
         return f"{self.path}.model.{index}.npz"
-
-    def _records_of(self, kind: str) -> List[Dict[str, object]]:
-        return [
-            record
-            for record in self._file.records
-            if record.get("c") == self.LABEL and record.get("kind") == kind
-        ]
 
     def prepare(self, versions, config) -> Tuple[List[object], int, object]:
         """Returns ``(restored outcomes, first version index, restored
         Snowcat deployment or None)``."""
-        from dataclasses import asdict
-
-        versions_digest = sha256_hex(
-            ",".join(kernel.version for kernel in versions)
+        records, state = self.resume(
+            self.LABEL,
+            "version",
+            {
+                "policy": config.policy,
+                "num_versions": len(versions),
+                "versions": sha256_hex(",".join(k.version for k in versions)),
+                "config": sha256_hex(canonical_json(asdict(config))),
+            },
         )
-        config_digest = sha256_hex(canonical_json(asdict(config)))
-        headers = self._records_of("header")
-        if not headers:
-            if self._records_of("version"):
-                raise JournalError(
-                    f"journal {self.path!r} holds version records but no "
-                    "header"
-                )
-            self._file.append(
-                {
-                    "c": self.LABEL,
-                    "kind": "header",
-                    "schema": JOURNAL_SCHEMA,
-                    "policy": config.policy,
-                    "num_versions": len(versions),
-                    "versions": versions_digest,
-                    "config": config_digest,
-                }
-            )
-            return [], 0, None
-        if len(headers) > 1:
-            raise JournalError(
-                f"journal {self.path!r} holds duplicate continuous headers"
-            )
-        header = headers[0]
-        if header.get("schema") != JOURNAL_SCHEMA:
-            raise JournalError(
-                f"journal {self.path!r} has schema {header.get('schema')}, "
-                f"this build reads schema {JOURNAL_SCHEMA}"
-            )
-        if (
-            header.get("policy") != config.policy
-            or header.get("num_versions") != len(versions)
-            or header.get("versions") != versions_digest
-            or header.get("config") != config_digest
-        ):
-            raise JournalError(
-                f"journal {self.path!r} was written by a different "
-                "continuous run (policy, version stream, or config "
-                "mismatch); refusing to resume"
-            )
-        version_records = self._records_of("version")
-        for expected, record in enumerate(version_records):
-            if record.get("index") != expected:
-                raise JournalError(
-                    f"journal {self.path!r} has out-of-order version records"
-                )
-        completed = 0
-        state = None
-        ckpt_path = self.checkpoint_path()
-        if os.path.exists(ckpt_path):
-            ckpt = _read_checkpoint(ckpt_path)
-            if (
-                ckpt.get("schema") != JOURNAL_SCHEMA
-                or ckpt.get("label") != self.LABEL
-            ):
-                raise JournalError(
-                    f"checkpoint {ckpt_path!r} does not belong to this "
-                    "continuous run"
-                )
-            completed = int(ckpt["version_index"]) + 1
-            state = ckpt["state"]
-        if len(version_records) < completed:
-            raise JournalError(
-                f"journal {self.path!r} is behind its checkpoint "
-                f"({len(version_records)} records, {completed} checkpointed "
-                "versions)"
-            )
-        if len(version_records) > completed:
-            self._drop_uncommitted(completed)
-            version_records = version_records[:completed]
-        current = (
-            self._restore_current(state, versions) if state is not None else None
-        )
-        obs.point(
-            "resilience.resumed", label=self.LABEL, completed=completed
-        )
-        outcomes = [
-            outcome_from_dict(record["outcome"]) for record in version_records
-        ]
-        return outcomes, completed, current
+        outcomes = [outcome_from_dict(record["outcome"]) for record in records]
+        return outcomes, len(records), self._restore_current(state, versions)
 
-    def _drop_uncommitted(self, keep: int) -> None:
-        kept: List[Dict[str, object]] = []
-        seen = 0
-        for record in self._file.records:
-            if record.get("c") == self.LABEL and record.get("kind") == "version":
-                if seen >= keep:
-                    continue
-                seen += 1
-            kept.append(record)
-        self._file.rewrite(kept)
-
-    def _restore_current(self, state: Dict[str, object], versions):
-        payload = state.get("current")
-        if payload is None:
+    def _restore_current(self, state: Optional[Dict[str, object]], versions):
+        payload = state and state.get("current")
+        if not payload:
             return None
         from repro.core.snowcat import Snowcat
         from repro.graphs.dataset import GraphDatasetBuilder
@@ -718,9 +333,7 @@ class ContinuousJournal:
 
         cfg = _snowcat_config_from_dict(payload["snowcat_config"])
         version = payload["trained_version"]
-        kernel = next(
-            (k for k in versions if k.version == version), None
-        )
+        kernel = next((k for k in versions if k.version == version), None)
         if kernel is None:
             raise JournalError(
                 f"journal {self.path!r} references kernel version "
@@ -756,18 +369,8 @@ class ContinuousJournal:
         return deployment
 
     def record_version(self, position: int, outcome, current) -> None:
-        """Commit one completed version: journal record, then checkpoint
-        (including the trained model, when one exists)."""
-        from dataclasses import asdict
-
-        self._file.append(
-            {
-                "c": self.LABEL,
-                "kind": "version",
-                "index": position,
-                "outcome": outcome_to_dict(outcome),
-            }
-        )
+        """Commit one completed version (saving the trained model, when
+        one exists, before the record and checkpoint that name it)."""
         state: Dict[str, object] = {"current": None}
         if current is not None:
             model_path = self.model_path(position)
@@ -775,9 +378,7 @@ class ContinuousJournal:
             with open(model_path, "rb") as handle:
                 model_checksum = sha256_hex(handle.read())
             vocabulary = current.graphs.vocabulary
-            tokens = sorted(
-                vocabulary.token_to_id, key=vocabulary.token_to_id.get
-            )
+            tokens = sorted(vocabulary.token_to_id, key=vocabulary.token_to_id.get)
             state["current"] = {
                 "snowcat_config": asdict(current.config),
                 "trained_version": current.kernel.version,
@@ -786,22 +387,18 @@ class ContinuousJournal:
                 "model_path": os.path.basename(model_path),
                 "model_checksum": model_checksum,
             }
-        _write_checkpoint(
-            self.checkpoint_path(),
-            {
-                "schema": JOURNAL_SCHEMA,
-                "label": self.LABEL,
-                "version_index": position,
-                "state": state,
-            },
+        self.commit(
+            self.LABEL,
+            "version",
+            position,
+            {"outcome": outcome_to_dict(outcome)},
+            state,
         )
-
-    def close(self) -> None:
-        self._file.close()
 
 
 def reset_journal(path: str) -> None:
-    """Remove a journal and all its sidecars (checkpoints, saved models)."""
+    """Remove a journal and all its sidecars (checkpoints, saved models,
+    temp files a crash mid-atomic-write left behind)."""
     path = str(path)
     directory = os.path.dirname(path) or "."
     prefix = os.path.basename(path) + "."
@@ -812,11 +409,9 @@ def reset_journal(path: str) -> None:
     except OSError:
         return
     for entry in entries:
-        if entry.startswith(prefix) and (
-            entry.endswith(".ckpt") or entry.endswith(".npz")
-        ):
+        if entry.startswith(prefix) and entry.endswith((".ckpt", ".npz", ".tmp")):
             try:
                 os.unlink(os.path.join(directory, entry))
             except OSError:  # pragma: no cover - racing deletion
                 pass
-    fsync_directory(path)
+    fsync_directory(directory)

@@ -37,11 +37,10 @@ from repro.ml.pic import PICModel
 from repro.obs.export import render_learn_top
 from repro.resilience.journal import (
     CampaignJournal,
-    JournalFile,
     campaign_result_from_dict,
     campaign_result_to_dict,
-    read_journal_tolerant,
 )
+from repro.resilience.log import SealedLog, read_log_tolerant
 from repro.serve import BatcherConfig, InProcessServer, ModelRegistry
 
 from tests._learn_driver import LEARN_CONFIG, NUM_CTIS, build_environment
@@ -96,7 +95,7 @@ class TestLabelStore:
         tailer = LabelTailer(store, [env.journal])
         added = tailer.poll()
         assert added > 0 and store.count == added
-        records, torn = read_journal_tolerant(env.journal)
+        records, torn = read_log_tolerant(env.journal)
         assert not torn
         assert store.watermark(env.journal) == len(records)
         # A second poll over the same journal ingests nothing.
@@ -124,7 +123,7 @@ class TestLabelStore:
     def test_unknown_record_kind_is_rejected(self, tmp_path):
         root = tmp_path / "learn"
         root.mkdir()
-        handle = JournalFile(str(root / "labels.jsonl"))
+        handle = SealedLog(str(root / "labels.jsonl"))
         handle.append({"kind": "bogus"})
         handle.close()
         with pytest.raises(JournalError, match="unknown record kind"):
@@ -139,9 +138,9 @@ class TestLabelStore:
             blob = src.read()
         with open(torn_path, "wb") as dst:
             dst.write(blob + b'{"c": "PCT", "kind": "cti", "ind')
-        records, torn = read_journal_tolerant(torn_path)
+        records, torn = read_log_tolerant(torn_path)
         assert torn
-        clean_records, _ = read_journal_tolerant(env.journal)
+        clean_records, _ = read_log_tolerant(env.journal)
         assert len(records) == len(clean_records)
         store = LabelStore(str(tmp_path / "learn"))
         added = LabelTailer(store, [torn_path]).poll()
@@ -158,9 +157,9 @@ class TestLabelStore:
         store = LabelStore(str(tmp_path / "learn"))
         LabelTailer(store, [env.journal]).poll()
         before = store.watermark(env.journal)
-        records, _ = read_journal_tolerant(env.journal)
+        records, _ = read_log_tolerant(env.journal)
         short_path = str(tmp_path / "short.journal")
-        shrunk = JournalFile(short_path)
+        shrunk = SealedLog(short_path)
         for record in records[:-1]:
             shrunk.append(
                 {k: v for k, v in record.items() if k != "sum"}
@@ -439,7 +438,7 @@ class TestKillAndResume:
         assert actual == expected
         # The worker journal converged on one record per stage — resumes
         # never duplicated work.
-        records, torn = read_journal_tolerant(
+        records, torn = read_log_tolerant(
             str(drill_root / "learn" / "learn.journal")
         )
         assert not torn

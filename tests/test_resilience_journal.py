@@ -27,11 +27,11 @@ from repro.resilience.atomic import canonical_json
 from repro.resilience.journal import (
     CampaignJournal,
     ContinuousJournal,
-    _JournalFile,
     campaign_result_to_dict,
     outcome_to_dict,
     reset_journal,
 )
+from repro.resilience.log import SealedLog
 from repro.resilience.supervisor import DIE_EXIT_STATUS
 
 from tests._journal_driver import KERNEL_CONFIG, NUM_CTIS, build_campaign
@@ -91,13 +91,13 @@ def completed_campaign(tmp_path_factory):
 class TestJournalFile:
     def test_torn_tail_is_truncated(self, tmp_path):
         path = str(tmp_path / "t.journal")
-        handle = _JournalFile(path)
+        handle = SealedLog(path)
         handle.append({"c": "x", "kind": "header", "n": 1})
         handle.append({"c": "x", "kind": "cti", "index": 0})
         handle.close()
         with open(path, "ab") as raw:
             raw.write(b'{"c": "x", "kind": "cti", "ind')  # crash mid-append
-        reopened = _JournalFile(path)
+        reopened = SealedLog(path)
         assert len(reopened.records) == 2
         reopened.close()
         # the file itself was truncated back to its valid prefix
@@ -106,7 +106,7 @@ class TestJournalFile:
 
     def test_interior_corruption_is_refused(self, tmp_path):
         path = str(tmp_path / "t.journal")
-        handle = _JournalFile(path)
+        handle = SealedLog(path)
         for index in range(3):
             handle.append({"c": "x", "kind": "cti", "index": index})
         handle.close()
@@ -116,14 +116,14 @@ class TestJournalFile:
         with open(path, "wb") as raw:
             raw.writelines(lines)
         with pytest.raises(JournalError, match="corrupt journal record"):
-            _JournalFile(path)
+            SealedLog(path)
 
     def test_records_survive_reopen(self, tmp_path):
         path = str(tmp_path / "t.journal")
-        handle = _JournalFile(path)
+        handle = SealedLog(path)
         handle.append({"c": "x", "kind": "header", "payload": [1.5, "a"]})
         handle.close()
-        reopened = _JournalFile(path)
+        reopened = SealedLog(path)
         assert reopened.records == [
             {"c": "x", "kind": "header", "payload": [1.5, "a"]}
         ]
@@ -181,7 +181,7 @@ class TestCampaignJournal:
         path = _copy_campaign_files(completed_campaign[0], tmp_path)
         # Simulate a crash between journal append and checkpoint: a CTI
         # record exists that the checkpoint never committed.
-        handle = _JournalFile(path)
+        handle = SealedLog(path)
         surplus = dict(
             next(
                 r
