@@ -10,6 +10,8 @@ Public API tour:
 - :mod:`repro.graphs` — CT graph representation and labeled datasets
 - :mod:`repro.ml` — the PIC model, training, baselines, metrics
 - :mod:`repro.core` — strategies S1-S3, MLPCT, cost model, orchestrator
+- :mod:`repro.run` — ``RunSpec`` + ``execute``: what one campaign run is,
+  and the one path that runs it (inline or as a fleet)
 - :mod:`repro.integrations` — Razzer and Snowboard case studies
 - :mod:`repro.reporting` — table/series rendering for the benches
 

@@ -7,8 +7,9 @@ Runs the pipeline stages a downstream user needs without writing code:
 - ``train``     — full pipeline to a trained PIC model (checkpoint saved)
 - ``campaign``  — PCT vs MLPCT race-coverage campaign; ``--batch-size N``
   sets how many candidate graphs the PIC scores per batched inference
-  call and ``--workers N`` executes selected CTs in N worker processes
-  (results identical to serial; see ``docs/PERFORMANCE.md``)
+  call and ``--workers N`` executes selected CTs in N supervised worker
+  processes — isolation and per-CT deadlines, not speed; results are
+  identical to serial (see ``docs/ROBUSTNESS.md``)
 - ``razzer``    — Razzer / Razzer-Relax / Razzer-PIC on injected races
 - ``snowboard`` — INS-PAIR clustering + sampler comparison
 - ``filter-model`` — the §A.6 analytic rejection-filter calculator
@@ -26,7 +27,9 @@ Runs the pipeline stages a downstream user needs without writing code:
   (``run``/``status``): a coordinator leases score/execute jobs to N
   worker processes, survives worker crashes/hangs and its own SIGKILL
   (``--resume``), and aggregates byte-identically to the
-  single-process campaign (see ``docs/FLEET.md``)
+  single-process campaign (see ``docs/FLEET.md``). ``campaign`` and
+  ``fleet run`` share one flag table and one :class:`repro.run.RunSpec`;
+  :func:`repro.run.execute` is the only code that runs either
 - ``learn``     — continuous-learning lifecycle
   (``run``/``status``/``publish``): tail ``--capture-labels`` campaign
   journals into a durable label store, fine-tune the registry's active
@@ -46,23 +49,84 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro import __version__, obs
-from repro.core import ExplorationConfig, Snowcat, SnowcatConfig, run_campaign
+from repro.core import ExplorationConfig, Snowcat, SnowcatConfig
 from repro.core.filtermodel import FilterModel
+from repro.errors import ReproError, SpecError
+from repro.fleet import FleetConfig, render_fleet_report
 from repro.kernel import KernelConfig, build_kernel
 from repro.reporting import format_series, format_table
+from repro.resilience.supervisor import SupervisionPolicy
+from repro.run import RunSpec, _trained_snowcat, execute
 
 __all__ = ["main", "build_parser"]
 
 
-def _add_axis_flags(parser: argparse.ArgumentParser) -> None:
-    """Scenario-axis flags shared by ``campaign`` and ``fleet run``.
+def _add_run_flags(parser: argparse.ArgumentParser, ctis: int) -> None:
+    """The flags ``campaign`` and ``fleet run`` share: what a run is.
 
-    Defaults reproduce the historical two-thread SC campaign
-    byte-for-byte (see docs/TESTING.md, "Scenario axes").
+    Declared once so neither command can drift from the other; each adds
+    only how *it* executes the run. Defaults reproduce the historical
+    two-thread SC campaign byte-for-byte (see docs/TESTING.md, "Scenario
+    axes"). Refused combinations: :meth:`repro.run.RunSpec.validated`.
     """
+    parser.add_argument("--ctis", type=int, default=ctis)
+    parser.add_argument("--strategy", choices=("S1", "S2", "S3"), default="S1")
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        default=ExplorationConfig.score_batch_size,
+        help="candidate graphs scored per batched inference call "
+        "(1 disables batching)",
+    )
+    parser.add_argument(
+        "--model",
+        metavar="CKPT",
+        default=None,
+        help="use a saved PIC checkpoint instead of training; in a campaign "
+        "an unusable checkpoint degrades to the PCT baseline with a warning",
+    )
+    parser.add_argument(
+        "--serve-socket",
+        metavar="PATH",
+        default=None,
+        help="route candidate scoring through a running 'repro serve' "
+        "server on this Unix socket (no local model is trained; every "
+        "fleet worker opens its own resilient connection)",
+    )
+    parser.add_argument(
+        "--journal",
+        metavar="FILE",
+        default=None,
+        help="journal progress durably to FILE (any previous journal state "
+        "at FILE is reset first)",
+    )
+    parser.add_argument(
+        "--resume",
+        metavar="FILE",
+        default=None,
+        help="resume an interrupted journaled run from FILE under the "
+        "configuration that wrote it (mutually exclusive with --journal)",
+    )
+    parser.add_argument(
+        "--inject-faults",
+        metavar="SPEC",
+        default=None,
+        help="deterministic fault injection, e.g. 'crash:0.05,hang@3': "
+        "keyed by executed CT in a campaign (implies supervised execution; "
+        "see docs/ROBUSTNESS.md), by job id in a fleet, where 'die@j' kills "
+        "the coordinator at dispatch of job j (see docs/FLEET.md)",
+    )
+    parser.add_argument(
+        "--capture-labels",
+        action="store_true",
+        help="record executed-CT coverage labels inside the journal for the "
+        "continuous-learning tailer (requires --journal/--resume; see "
+        "docs/LIFECYCLE.md)",
+    )
     parser.add_argument(
         "--threads",
         type=int,
@@ -134,15 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", type=str, default=None, help="checkpoint path (.npz)")
 
     campaign = commands.add_parser("campaign", help="PCT vs MLPCT campaign")
-    campaign.add_argument("--ctis", type=int, default=8)
-    campaign.add_argument("--strategy", choices=("S1", "S2", "S3"), default="S1")
-    campaign.add_argument(
-        "--batch-size",
-        type=int,
-        default=ExplorationConfig.score_batch_size,
-        help="candidate graphs scored per batched inference call "
-        "(1 disables batching)",
-    )
+    _add_run_flags(campaign, ctis=8)
     campaign.add_argument(
         "--workers",
         type=int,
@@ -150,34 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="supervised worker processes for dynamic executions: "
         "isolation and per-CT deadlines, not speed (0 runs serially; "
         "results are identical either way)",
-    )
-    campaign.add_argument(
-        "--model",
-        metavar="CKPT",
-        default=None,
-        help="use a saved PIC checkpoint instead of training; an unusable "
-        "checkpoint degrades to the PCT baseline with a warning",
-    )
-    campaign.add_argument(
-        "--journal",
-        metavar="FILE",
-        default=None,
-        help="journal campaign progress durably to FILE (any previous "
-        "journal state at FILE is reset first)",
-    )
-    campaign.add_argument(
-        "--resume",
-        metavar="FILE",
-        default=None,
-        help="resume an interrupted journaled campaign from FILE "
-        "(mutually exclusive with --journal)",
-    )
-    campaign.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        default=None,
-        help="deterministic fault injection, e.g. 'crash:0.05,hang@3' "
-        "(see docs/ROBUSTNESS.md; implies supervised execution)",
     )
     campaign.add_argument(
         "--supervise",
@@ -205,13 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="route candidate scoring through an in-process prediction "
         "service (content-addressed cache + micro-batching; results are "
         "identical to direct scoring)",
-    )
-    campaign.add_argument(
-        "--serve-socket",
-        metavar="PATH",
-        default=None,
-        help="route candidate scoring through a running 'repro serve' "
-        "server on this Unix socket (no local model is trained)",
     )
     campaign.add_argument(
         "--heartbeat",
@@ -242,14 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="GNN precision of every PIC inference call, single graphs "
         "included; float32 is ~1.7x faster and covered by the quality gate",
     )
-    campaign.add_argument(
-        "--capture-labels",
-        action="store_true",
-        help="record executed-CT coverage labels inside the campaign "
-        "journal for the continuous-learning tailer (requires "
-        "--journal/--resume; see docs/LIFECYCLE.md)",
-    )
-    _add_axis_flags(campaign)
 
     razzer = commands.add_parser("razzer", help="directed race reproduction")
     razzer.add_argument("--schedules", type=int, default=400)
@@ -421,10 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run = fleet_actions.add_parser(
         "run", help="run a campaign sharded across N leased worker processes"
     )
-    fleet_run.add_argument("--ctis", type=int, default=6)
-    fleet_run.add_argument(
-        "--strategy", choices=("S1", "S2", "S3"), default="S1"
-    )
+    _add_run_flags(fleet_run, ctis=6)
     fleet_run.add_argument(
         "--pct-only",
         action="store_true",
@@ -432,46 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--workers", type=int, default=3, help="fleet worker processes"
-    )
-    fleet_run.add_argument(
-        "--batch-size",
-        type=int,
-        default=ExplorationConfig.score_batch_size,
-        help="candidate graphs scored per batched inference call",
-    )
-    fleet_run.add_argument(
-        "--model",
-        metavar="CKPT",
-        default=None,
-        help="use a saved PIC checkpoint instead of training",
-    )
-    fleet_run.add_argument(
-        "--serve-socket",
-        metavar="PATH",
-        default=None,
-        help="score through a running 'repro serve' server; every worker "
-        "opens its own resilient connection (reconnect + backoff)",
-    )
-    fleet_run.add_argument(
-        "--journal",
-        metavar="FILE",
-        default=None,
-        help="journal fleet progress durably to FILE (any previous "
-        "journal state at FILE is reset first)",
-    )
-    fleet_run.add_argument(
-        "--resume",
-        metavar="FILE",
-        default=None,
-        help="resume an interrupted journaled fleet campaign from FILE",
-    )
-    fleet_run.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        default=None,
-        help="fleet fault plan keyed by job id, e.g. 'crash@2,hang:0.1'; "
-        "'die@j' kills the coordinator at dispatch of job j "
-        "(see docs/FLEET.md)",
     )
     fleet_run.add_argument(
         "--lease-seconds",
@@ -501,14 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a checksummed provenance receipt per job to DIR and "
         "verify coverage at the end",
     )
-    fleet_run.add_argument(
-        "--capture-labels",
-        action="store_true",
-        help="record executed-CT coverage labels inside the fleet "
-        "journal for the continuous-learning tailer (requires "
-        "--journal/--resume; see docs/LIFECYCLE.md)",
-    )
-    _add_axis_flags(fleet_run)
     fleet_status = fleet_actions.add_parser(
         "status",
         help="render coordinator + worker heartbeats from a fleet "
@@ -686,27 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trained_snowcat(
-    seed: int,
-    ctis: int = 30,
-    epochs: int = 3,
-    exploration: Optional[ExplorationConfig] = None,
-) -> Snowcat:
-    kernel = build_kernel(KernelConfig(), seed=seed)
-    snowcat = Snowcat(
-        kernel,
-        SnowcatConfig(
-            seed=seed,
-            corpus_rounds=200,
-            dataset_ctis=ctis,
-            epochs=epochs,
-            exploration=exploration or ExplorationConfig(),
-        ),
-    )
-    snowcat.train()
-    return snowcat
-
-
 def _cmd_info(args) -> int:
     kernel = build_kernel(KernelConfig(), seed=args.seed)
     print(kernel.describe())
@@ -770,285 +711,108 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _campaign_snowcat(args, exploration: ExplorationConfig):
-    """Build the deployment for ``campaign``: trained, or from ``--model``.
-
-    Returns ``(snowcat, degraded)``; ``degraded`` is True when the
-    supplied checkpoint was unusable and the campaign must fall back to
-    the PCT baseline.
-    """
-    from repro.errors import CheckpointError
-
-    if not args.model:
-        return _trained_snowcat(args.seed, exploration=exploration), False
-    from repro.ml.pic import PICModel
-
-    snowcat = Snowcat.standard(args.seed, exploration=exploration)
-    try:
-        model = PICModel.load(args.model, seed=args.seed)
-        if len(snowcat.graphs.vocabulary) > model.config.vocab_size:
-            raise CheckpointError(
-                f"checkpoint vocabulary ({model.config.vocab_size} tokens) "
-                f"is smaller than this kernel's "
-                f"({len(snowcat.graphs.vocabulary)} tokens)"
-            )
-    except CheckpointError as error:
-        # Graceful degradation: an unusable model must not kill the
-        # campaign — fall back to the learned-filter-free baseline,
-        # loudly.
-        print(
-            f"warning: model checkpoint {args.model} is unusable ({error}); "
-            "continuing with the PCT baseline",
-            file=sys.stderr,
-        )
-        obs.point("resilience.degraded", checkpoint=args.model)
-        return snowcat, True
-    snowcat.model = model
-    return snowcat, False
-
-
-def _open_journal(args):
-    """Check the journal flags shared by ``campaign`` and ``fleet run``.
-
-    Returns ``(status, open_journal)``; a non-``None`` status is the exit
-    code of an error already printed. ``open_journal()``, called once the
-    expensive setup has succeeded, starts the ``--journal`` file over or
-    reopens the ``--resume`` one and returns ``(journal, status)`` the
-    same way (``journal`` is ``None`` without either flag).
-    """
-    from repro.errors import CheckpointError, JournalError
-
-    def flag_error(message):
-        print(f"error: {message}", file=sys.stderr)
-        return 2, None
-
+def _spec_from_args(args) -> RunSpec:
+    """Read a ``campaign`` / ``fleet run`` namespace into a :class:`RunSpec`
+    — the one place the two commands' flags are interpreted; everything
+    below it takes the spec."""
     if args.journal and args.resume:
-        return flag_error("--journal and --resume are mutually exclusive")
-    path = args.journal or args.resume
-    if args.resume and not os.path.exists(args.resume):
-        return flag_error(
-            f"cannot resume: journal {args.resume} does not exist"
-        )
-    if args.capture_labels and not path:
-        return flag_error(
-            "--capture-labels needs a journal to write labels into "
-            "(add --journal FILE or --resume FILE)"
-        )
-
-    def open_journal():
-        if not path:
-            return None, None
-        from repro.resilience.journal import CampaignJournal, reset_journal
-
-        if args.journal:
-            reset_journal(args.journal)
-        try:
-            return CampaignJournal(path), None
-        except (JournalError, CheckpointError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return None, 2
-
-    return None, open_journal
-
-
-def _campaign_backend(args, exploration: ExplorationConfig):
-    """Resolve the serving seam for ``campaign``.
-
-    Returns ``(snowcat, degraded, backend)``. With ``--serve-socket`` no
-    local model is trained — the corpus is still grown locally (graphs
-    are built client-side) and predictions come from the remote server,
-    whose vocabulary must cover this kernel's. With ``--serve`` the
-    locally trained model is wrapped in an in-process service.
-    """
-    if args.serve_socket:
-        from repro.errors import ServeError
-        from repro.serve import SocketBackend
-
-        snowcat = Snowcat.standard(args.seed, exploration=exploration)
-        backend = SocketBackend(args.serve_socket)
-        try:
-            status = backend.status()
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return None, False, None
-        vocab = len(snowcat.graphs.vocabulary)
-        if int(status.get("vocab_size", 0)) < vocab:
-            print(
-                f"error: served model vocabulary "
-                f"({status.get('vocab_size')} tokens) is smaller than this "
-                f"kernel's ({vocab} tokens); serve a compatible checkpoint",
-                file=sys.stderr,
+        raise SpecError("--journal and --resume are mutually exclusive")
+    if args.command == "fleet":
+        strategy = None if args.pct_only else args.strategy
+        runner = {}  # a fleet leases its executions: FleetConfig says how
+        extras = dict(
+            fleet=FleetConfig(
+                workers=args.workers,
+                lease_seconds=args.lease_seconds,
+                heartbeat_dir=args.heartbeat_dir,
+                receipts_dir=args.receipts,
+                max_job_attempts=args.max_job_attempts,
+                fault_spec=args.inject_faults,
             )
-            backend.close()
-            return None, False, None
-        print(
-            f"scoring via {args.serve_socket} "
-            f"(model {status.get('model_name')} {status.get('version')})"
         )
-        return snowcat, False, backend
-    snowcat, degraded = _campaign_snowcat(args, exploration)
-    backend = None
-    if args.serve and not degraded:
-        from repro.serve import BatcherConfig, InProcessServer
-
-        backend = InProcessServer(
-            snowcat.require_model(),
-            version="local",
-            batcher_config=BatcherConfig(max_batch=args.batch_size),
-        )
-    return snowcat, degraded, backend
-
-
-def _cmd_campaign(args) -> int:
-    from repro.errors import CheckpointError, FaultSpecError, JournalError
-
-    supervised = (
-        args.supervise
-        or args.inject_faults is not None
-        or args.ct_timeout is not None
-        or args.retries is not None
-    )
-    supervision = None
-    if supervised:
-        from repro.resilience.supervisor import SupervisionPolicy
-
+    else:
+        strategy = args.strategy
         overrides = {}
         if args.ct_timeout is not None:
             overrides["timeout_seconds"] = args.ct_timeout
         if args.retries is not None:
             overrides["max_retries"] = args.retries
-        supervision = SupervisionPolicy(**overrides)
-    if args.inject_faults is not None:
-        from repro.resilience.faults import FaultPlan
-
-        try:  # validate the spec before any expensive work
-            FaultPlan.parse(args.inject_faults, seed=args.seed)
-        except FaultSpecError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.threads < 2:
-        print("error: --threads must be at least 2", file=sys.stderr)
-        return 2
-    exploration = ExplorationConfig(
-        score_batch_size=args.batch_size,
-        parallel_workers=args.workers,
-        supervision=supervision,
-        fault_spec=args.inject_faults,
-        num_threads=args.threads,
-        irq=args.irq,
-        memory_model=args.memory_model,
+        supervised = args.supervise or overrides or args.inject_faults is not None
+        runner = dict(
+            parallel_workers=args.workers,
+            supervision=SupervisionPolicy(**overrides) if supervised else None,
+            fault_spec=args.inject_faults,
+        )
+        extras = dict(
+            serve=args.serve,
+            cascade_recall=args.filter_recall if args.cascade else None,
+            infer_dtype=args.infer_dtype,
+            heartbeat=args.heartbeat,
+        )
+    return RunSpec(
+        seed=args.seed,
+        ctis=args.ctis,
+        strategy=strategy,
+        exploration=ExplorationConfig(
+            score_batch_size=args.batch_size,
+            num_threads=args.threads,
+            irq=args.irq,
+            memory_model=args.memory_model,
+            **runner,
+        ),
+        model=args.model,
+        serve_socket=args.serve_socket,
+        journal=args.journal or args.resume,
+        resume=bool(args.resume),
+        capture_labels=args.capture_labels,
+        **extras,
     )
 
-    status, open_journal = _open_journal(args)
-    if status is not None:
-        return status
-    if args.serve and args.serve_socket:
+
+def _print_result(result) -> None:
+    print(
+        f"{result.label}: {result.total_races} races, "
+        f"{result.ledger.executions} executions, "
+        f"{result.ledger.total_hours:.2f} simulated hours"
+    )
+    for delta in result.swap_deltas():
         print(
-            "error: --serve and --serve-socket are mutually exclusive",
-            file=sys.stderr,
+            f"  learn.swap {delta['previous']} -> "
+            f"{delta['version']}: races/execution "
+            f"{delta['before_rate']:.4f} before "
+            f"({delta['before_executions']} exec), "
+            f"{delta['after_rate']:.4f} after "
+            f"({delta['after_executions']} exec)"
         )
-        return 2
-
-    snowcat, degraded, backend = _campaign_backend(args, exploration)
-    if snowcat is None:
-        return 2
-    if args.infer_dtype != "float64" and snowcat.model is not None:
-        snowcat.model.set_inference_mode(args.infer_dtype)
-    cascade_filter = None
-    if args.cascade and not degraded:
-        cascade_filter = snowcat.trained_filter(recall_floor=args.filter_recall)
-        op = cascade_filter.operating_point(snowcat.config.costs)
+    if result.resilience is not None:
+        counters = result.resilience
         print(
-            f"cascade filter: threshold {cascade_filter.threshold:.3f} "
-            f"(recall floor {args.filter_recall:.2f}, calibrated "
-            f"tpr {cascade_filter.measured_tpr:.2f} / "
-            f"fpr {cascade_filter.measured_fpr:.2f}, "
-            f"projected speedup {op.speedup:.2f}x)"
+            f"  resilience: {counters['retries']:.0f} retries, "
+            f"{counters['timeouts']:.0f} timeouts, "
+            f"{counters['quarantined']:.0f} quarantined, "
+            f"{counters['worker_deaths']:.0f} worker deaths, "
+            f"{counters['fallbacks']:.0f} fallbacks"
         )
 
-    journal, status = open_journal()
-    if status is not None:
-        return status
 
-    heartbeat = None
-    if args.heartbeat:
-        from repro.obs.export import HeartbeatWriter
-
-        heartbeat = HeartbeatWriter(args.heartbeat)
-
-    explorers = [snowcat.pct_explorer()]
-    if not degraded:
-        explorers.append(
-            snowcat.mlpct_explorer(
-                args.strategy, backend=backend, cascade_filter=cascade_filter
-            )
-        )
-    if args.capture_labels:
-        for explorer in explorers:
-            explorer.capture_labels = True
-    ctis = snowcat.cti_stream(args.ctis, threads=args.threads)
-    curves = {}
+def _cmd_campaign(args) -> int:
+    """``campaign`` and ``fleet run``: spec → run → print."""
+    curves, reports = {}, []
     try:
-        for explorer in explorers:
-            try:
-                result = run_campaign(
-                    explorer, ctis, journal=journal, heartbeat=heartbeat
-                )
-            except (JournalError, CheckpointError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            curves[explorer.label] = result.history
-            print(
-                f"{explorer.label}: {result.total_races} races, "
-                f"{result.ledger.executions} executions, "
-                f"{result.ledger.total_hours:.2f} simulated hours"
-            )
-            for delta in result.swap_deltas():
-                print(
-                    f"  learn.swap {delta['previous']} -> "
-                    f"{delta['version']}: races/execution "
-                    f"{delta['before_rate']:.4f} before "
-                    f"({delta['before_executions']} exec), "
-                    f"{delta['after_rate']:.4f} after "
-                    f"({delta['after_executions']} exec)"
-                )
-            if result.resilience is not None:
-                counters = result.resilience
-                print(
-                    f"  resilience: {counters['retries']:.0f} retries, "
-                    f"{counters['timeouts']:.0f} timeouts, "
-                    f"{counters['quarantined']:.0f} quarantined, "
-                    f"{counters['worker_deaths']:.0f} worker deaths, "
-                    f"{counters['fallbacks']:.0f} fallbacks"
-                )
-    finally:
-        if journal is not None:
-            journal.close()
-        if backend is not None:
-            try:
-                info = (
-                    backend.status()
-                    if hasattr(backend, "status")
-                    else backend.stats()
-                )
-                cache = info.get("cache", {})
-                print(
-                    f"serving cache: {cache.get('hits', 0):.0f} hits / "
-                    f"{cache.get('misses', 0):.0f} misses "
-                    f"(hit rate {cache.get('hit_rate', 0.0):.1%}, "
-                    f"{cache.get('entries', 0):.0f} entries)"
-                )
-                # Mirror the printed line as real counters in this
-                # process's metrics snapshot. Socket backends only: an
-                # in-process server already counted its hits/misses live
-                # on this registry, and double-counting would lie.
-                if backend.stats().get("backend") == "socket":
-                    obs.add("serve.cache.hits", int(cache.get("hits", 0)))
-                    obs.add("serve.cache.misses", int(cache.get("misses", 0)))
-            except Exception:
-                pass
-            backend.close()
-    print(format_series(curves, metric_name="races", points=8))
+        spec = _spec_from_args(args)
+        for result, report in execute(spec):
+            curves[result.label] = result.history
+            reports.append(report)
+            _print_result(result)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if spec.fleet is None:
+        print(format_series(curves, metric_name="races", points=8))
+    else:
+        print(render_fleet_report(reports))
+        if spec.fleet.receipts_dir:
+            print(f"provenance receipts verified in {spec.fleet.receipts_dir}")
     return 0
 
 
@@ -1220,38 +984,26 @@ def _cmd_serve(args) -> int:
     from repro.serve import ServerConfig, SocketBackend, serve_forever
 
     if args.action == "status" and args.watch:
-        import time as _time
-
         from repro.obs.export import render_serve_watch
 
         backend = SocketBackend(args.socket)
-        previous = None
-        refreshes = 0
+        previous = []  # the last frame's (status, snapshot), once there is one
+
+        def frame() -> str:
+            current = (backend.status(), backend.metrics()["snapshot"])
+            line = render_serve_watch(
+                current,
+                previous[0] if previous else None,
+                elapsed=args.interval if previous else None,
+            )
+            previous[:] = [current]
+            return line
+
         try:
-            while True:
-                try:
-                    current = (
-                        backend.status(),
-                        backend.metrics()["snapshot"],
-                    )
-                except ServeError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 2
-                print(
-                    render_serve_watch(
-                        current,
-                        previous,
-                        elapsed=args.interval if previous else None,
-                    ),
-                    flush=True,
-                )
-                previous = current
-                refreshes += 1
-                if args.count and refreshes >= args.count:
-                    return 0
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
+            return _watch(frame, args.interval, args.count)
+        except ServeError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         finally:
             backend.close()
 
@@ -1476,9 +1228,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    import time as _time
+def _watch(render_frame, interval: float, count: int, watch: bool = True) -> int:
+    """Print ``render_frame()`` once or, with ``watch``, every ``interval``
+    seconds until ``count`` frames (0 = no limit) or Ctrl-C."""
+    refreshes = 0
+    try:
+        while True:
+            print(render_frame(), flush=True)
+            refreshes += 1
+            if not watch or (count and refreshes >= count):
+                return 0
+            time.sleep(interval)
+    except KeyboardInterrupt:
+        return 0
 
+
+def _cmd_top(args) -> int:
     from repro.obs.export import render_fleet_top, render_learn_top, render_top
 
     if not args.heartbeat_file and not args.fleet and not args.learn:
@@ -1487,139 +1252,28 @@ def _cmd_top(args) -> int:
             file=sys.stderr,
         )
         return 2
-    refreshes = 0
-    try:
-        while True:
-            frames = []
-            if args.heartbeat_file:
-                frames.append(render_top(args.heartbeat_file))
-            if args.fleet:
-                frames.append(render_fleet_top(args.fleet))
-            if args.learn:
-                frames.append(render_learn_top(args.learn))
-            print("\n".join(frames), flush=True)
-            refreshes += 1
-            if not args.watch or (args.count and refreshes >= args.count):
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
+
+    def frame() -> str:
+        frames = []
+        if args.heartbeat_file:
+            frames.append(render_top(args.heartbeat_file))
+        if args.fleet:
+            frames.append(render_fleet_top(args.fleet))
+        if args.learn:
+            frames.append(render_learn_top(args.learn))
+        return "\n".join(frames)
+
+    return _watch(frame, args.interval, args.count, args.watch)
 
 
 def _cmd_fleet(args) -> int:
-    if args.action == "status":
-        import time as _time
+    if args.action == "run":
+        return _cmd_campaign(args)
+    from repro.obs.export import render_fleet_top
 
-        from repro.obs.export import render_fleet_top
-
-        refreshes = 0
-        try:
-            while True:
-                print(render_fleet_top(args.dir), flush=True)
-                refreshes += 1
-                if not args.watch or (
-                    args.count and refreshes >= args.count
-                ):
-                    return 0
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-    # -- run -----------------------------------------------------------------
-    from repro.errors import (
-        CheckpointError,
-        FaultSpecError,
-        FleetError,
-        JournalError,
+    return _watch(
+        lambda: render_fleet_top(args.dir), args.interval, args.count, args.watch
     )
-    from repro.fleet import FleetConfig, render_fleet_report, run_fleet
-    from repro.resilience.faults import FaultPlan
-
-    if args.inject_faults is not None:
-        try:  # validate the spec before any expensive work
-            FaultPlan.parse(args.inject_faults, seed=args.seed)
-        except FaultSpecError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    status, open_journal = _open_journal(args)
-    if status is not None:
-        return status
-
-    if args.threads < 2:
-        print("error: --threads must be at least 2", file=sys.stderr)
-        return 2
-    exploration = ExplorationConfig(
-        score_batch_size=args.batch_size,
-        num_threads=args.threads,
-        irq=args.irq,
-        memory_model=args.memory_model,
-    )
-    if args.pct_only:
-        snowcat = Snowcat.standard(args.seed, exploration=exploration)
-        backend = None
-    else:
-        # Reuse the campaign serving seam; fleets never use the
-        # in-process --serve path (each worker process needs its own
-        # connection), so pin that flag off before delegating.
-        setattr(args, "serve", False)
-        snowcat, degraded, backend = _campaign_backend(args, exploration)
-        if snowcat is None:
-            return 2
-        if degraded:
-            print(
-                "error: model checkpoint unusable; rerun with --pct-only "
-                "for the baseline",
-                file=sys.stderr,
-            )
-            return 2
-
-    journal, status = open_journal()
-    if status is not None:
-        return status
-
-    config = FleetConfig(
-        workers=args.workers,
-        lease_seconds=args.lease_seconds,
-        heartbeat_dir=args.heartbeat_dir,
-        receipts_dir=args.receipts,
-        max_job_attempts=args.max_job_attempts,
-        fault_spec=args.inject_faults,
-        serve_socket=args.serve_socket,
-    )
-    explorers = [snowcat.pct_explorer()]
-    if not args.pct_only:
-        explorers.append(
-            snowcat.mlpct_explorer(args.strategy, backend=backend)
-        )
-    if args.capture_labels:
-        for explorer in explorers:
-            explorer.capture_labels = True
-    ctis = snowcat.cti_stream(args.ctis, threads=args.threads)
-    reports = []
-    try:
-        for explorer in explorers:
-            try:
-                result, fleet_report = run_fleet(
-                    explorer, ctis, config=config, journal=journal
-                )
-            except (FleetError, JournalError, CheckpointError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            reports.append(fleet_report)
-            print(
-                f"{explorer.label}: {result.total_races} races, "
-                f"{result.ledger.executions} executions, "
-                f"{result.ledger.total_hours:.2f} simulated hours"
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-        if backend is not None:
-            backend.close()
-    print(render_fleet_report(reports))
-    if args.receipts:
-        print(f"provenance receipts verified in {args.receipts}")
-    return 0
 
 
 def _cmd_learn(args) -> int:

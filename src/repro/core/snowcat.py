@@ -97,8 +97,10 @@ class Snowcat:
     ) -> "Snowcat":
         """The CLI's canonical deployment: default kernel, 200-round corpus.
 
-        Campaigns, fleets, and the continuous-learning worker all build
-        their deployment through this one constructor, which is what
+        Campaigns and fleets (:func:`repro.run.execute` — trained, loaded
+        from a checkpoint or served alike), every other command that
+        trains, and the continuous-learning worker all build their
+        deployment through this one constructor, which is what
         guarantees the learn worker maps journaled ``sti_id`` values onto
         the *same* corpus entries the campaign executed.
         """

@@ -47,6 +47,13 @@ class FaultSpecError(ReproError):
     """Raised when a fault-injection spec string cannot be parsed."""
 
 
+class SpecError(ReproError):
+    """Raised when a :class:`repro.run.RunSpec` cannot be run as written:
+    a combination of settings that is refused (one of them could not
+    take effect), or a journal, socket or checkpoint it names that
+    cannot be opened."""
+
+
 class JournalError(ReproError):
     """Raised when a campaign journal is corrupt or inconsistent with the
     run being resumed (wrong seed, wrong CTI stream, missing checkpoint)."""

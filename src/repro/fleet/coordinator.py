@@ -127,6 +127,31 @@ class FleetConfig:
     poll_seconds: float = 0.05
 
 
+def _check_shardable(exploration, config: FleetConfig, cascade: bool) -> None:
+    """Raise :class:`FleetError` unless a campaign explored under
+    ``exploration`` (with a scoring cascade, if ``cascade``) can be
+    sharded by a fleet configured as ``config``."""
+    if exploration.supervision is not None or exploration.fault_spec:
+        raise FleetError(
+            "fleet campaigns own their fault handling; build the "
+            "explorer without supervision or a runner fault spec "
+            "(use FleetConfig.fault_spec to inject fleet faults)"
+        )
+    if exploration.parallel_workers:
+        raise FleetError(
+            "fleet campaigns own their parallelism; build the "
+            "explorer with parallel_workers=0"
+        )
+    if config.workers < 1:
+        raise FleetError("a fleet needs at least one worker")
+    if cascade:
+        raise FleetError(
+            "the scoring cascade's fallback scores are position-"
+            "dependent and cannot be sharded; build the fleet "
+            "explorer without a cascade filter"
+        )
+
+
 @dataclass
 class _Job:
     """One leased unit of work. Job ids are a stable function of the CTI
@@ -201,27 +226,12 @@ class FleetCoordinator:
         self._last_liveness = 0.0
 
     def _validate(self) -> None:
-        config = self.explorer.config
-        if config.supervision is not None or config.fault_spec:
-            raise FleetError(
-                "fleet campaigns own their fault handling; build the "
-                "explorer without supervision or a runner fault spec "
-                "(use FleetConfig.fault_spec to inject fleet faults)"
-            )
-        if config.parallel_workers:
-            raise FleetError(
-                "fleet campaigns own their parallelism; build the "
-                "explorer with parallel_workers=0"
-            )
-        if self.config.workers < 1:
-            raise FleetError("a fleet needs at least one worker")
         scorer = getattr(self.explorer, "scorer", None)
-        if scorer is not None and scorer.cascade_filter is not None:
-            raise FleetError(
-                "the scoring cascade's fallback scores are position-"
-                "dependent and cannot be sharded; build the fleet "
-                "explorer without a cascade filter"
-            )
+        _check_shardable(
+            self.explorer.config,
+            self.config,
+            scorer is not None and scorer.cascade_filter is not None,
+        )
 
     # -- the explorer's stages, in strict CTI order ---------------------------
 

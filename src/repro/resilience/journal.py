@@ -9,9 +9,10 @@ documents, the header → units → checkpoint resume protocol) are the
 log's; this module holds only what is campaign-shaped (operator view:
 ``docs/ROBUSTNESS.md``):
 
-- :class:`CampaignJournal` — unit = one CTI. The header pins seed and
-  CTI stream; each ``cti`` record carries the CTI's stats plus **audit
-  digests** of the execution results (and, for MLPCT, of the scored
+- :class:`CampaignJournal` — unit = one CTI. The header pins seed, CTI
+  stream and the explorer's result-affecting settings; each ``cti``
+  record carries the CTI's stats plus **audit digests** of the
+  execution results (and, for MLPCT, of the scored
   predictions) that produced it, so divergence between a resumed run and
   its journal is detectable evidence rather than a silent franken-run;
   the checkpoint carries the explorer's ``state_dict()``. One file can
@@ -219,6 +220,31 @@ def _cti_stream_digest(ctis) -> str:
     )
 
 
+#: The :class:`~repro.core.mlpct.ExplorationConfig` fields a journal
+#: header binds: resuming under another value would splice two different
+#: campaigns into one result. Deliberately unbound, being result-neutral:
+#: ``score_batch_size``, ``parallel_workers``, ``supervision``,
+#: ``fault_spec`` (a drill resumes without its ``die`` spec) — and the
+#: model checkpoint, which a hot-swap legitimately changes mid-run.
+_BOUND_SETTINGS = (
+    "execution_budget",
+    "inference_cap",
+    "proposal_pool",
+    "num_threads",
+    "irq",
+    "memory_model",
+)
+
+
+def _bound_settings(explorer) -> Dict[str, object]:
+    settings = {name: getattr(explorer.config, name) for name in _BOUND_SETTINGS}
+    scorer = getattr(explorer, "scorer", None)
+    if scorer is not None:  # a predicting explorer: is a cascade attached?
+        attached = scorer.cascade_filter
+        settings["cascade"] = None if attached is None else attached.threshold
+    return settings
+
+
 # -- campaign journal ---------------------------------------------------------
 
 
@@ -228,7 +254,8 @@ class CampaignJournal(UnitJournal):
     Auto-resumes: constructing one over an existing journal file picks
     up whatever progress it holds; :meth:`prepare` validates that the
     resuming campaign matches the journaled one (label, seed, CTI
-    stream) and restores the explorer's full state from the checkpoint.
+    stream, result-affecting settings) and restores the explorer's full
+    state from the checkpoint.
     Use :func:`reset_journal` first to start over.
     """
 
@@ -242,15 +269,17 @@ class CampaignJournal(UnitJournal):
         :class:`~repro.errors.CheckpointError` if the checkpoint sidecar
         is corrupt.
         """
-        records, state = self.resume(
-            explorer.label,
-            "cti",
-            {
-                "seed": explorer.seed,
-                "num_ctis": len(ctis),
-                "ctis": _cti_stream_digest(ctis),
-            },
-        )
+        header: Dict[str, object] = {
+            "seed": explorer.seed,
+            "num_ctis": len(ctis),
+            "ctis": _cti_stream_digest(ctis),
+        }
+        written = self._records_of(explorer.label, "header")
+        if not written or "settings" in written[0]:
+            # A header from before settings were bound cannot be checked:
+            # it resumes on seed and CTI stream alone, as it always did.
+            header["settings"] = _bound_settings(explorer)
+        records, state = self.resume(explorer.label, "cti", header)
         if state is not None:
             explorer.load_state(state)
         return [stats_from_dict(record["stats"]) for record in records], len(records)

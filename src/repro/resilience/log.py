@@ -183,6 +183,19 @@ def read_sealed_document(path: str, error: Type[Exception], noun: str) -> Record
 # -- unit journal -------------------------------------------------------------
 
 
+def _differing_fields(written: Record, header: Record) -> List[str]:
+    """Names of the fields two headers disagree on — a field only one of
+    them has included; a dict-valued field names its inner keys."""
+    names: List[str] = []
+    for key in written.keys() | header.keys():
+        was, now = written.get(key), header.get(key)
+        if isinstance(was, dict) and isinstance(now, dict):
+            names += _differing_fields(was, now)
+        elif was != now:
+            names.append(key)
+    return sorted(names)
+
+
 class UnitJournal(SealedLog):
     """A sealed log of ordered work units that can be resumed (see the
     module docstring for the protocol).
@@ -210,11 +223,12 @@ class UnitJournal(SealedLog):
         has committed yet).
 
         Raises :class:`~repro.errors.JournalError` if the journal was
-        written by a different run (any ``header`` field differs), is out
-        of order, or is behind its checkpoint, and
+        written by a different run (any ``header`` field differs or is
+        on one side only), is out of order, or is behind its checkpoint, and
         :class:`~repro.errors.CheckpointError` if the sidecar is corrupt.
         """
         where = f"journal {self.path!r}"
+        header = {"c": label, "kind": "header", "schema": JOURNAL_SCHEMA, **header}
         headers = self._records_of(label, "header")
         units = self._records_of(label, unit)
         if not headers:
@@ -222,9 +236,7 @@ class UnitJournal(SealedLog):
                 raise JournalError(
                     f"{where} holds {unit} records for {label!r} but no header"
                 )
-            self.append(
-                {"c": label, "kind": "header", "schema": JOURNAL_SCHEMA, **header}
-            )
+            self.append(header)
             return [], None
         if len(headers) > 1:
             raise JournalError(f"{where} holds duplicate headers for {label!r}")
@@ -234,7 +246,7 @@ class UnitJournal(SealedLog):
                 f"{where} has schema {found.get('schema')}, this build reads "
                 f"schema {JOURNAL_SCHEMA}"
             )
-        differing = sorted(key for key in header if found.get(key) != header[key])
+        differing = _differing_fields(found, header)
         if differing:
             raise JournalError(
                 f"{where} was written by a different campaign or run "

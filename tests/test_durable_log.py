@@ -269,6 +269,11 @@ class TestUnitJournal:
         journal = UnitJournal(path)
         with pytest.raises(JournalError, match="different campaign.*seed"):
             journal.resume("PCT", "cti", {**self.HEADER, "seed": 4})
+        # A field only one side has is a mismatch too, whichever side.
+        with pytest.raises(JournalError, match=r"\(num_ctis mismatch"):
+            journal.resume("PCT", "cti", {"seed": 3})
+        with pytest.raises(JournalError, match=r"\(irq mismatch"):
+            journal.resume("PCT", "cti", {**self.HEADER, "irq": True})
         journal.rewrite(journal.records[:2])  # header + unit 0 only
         with pytest.raises(JournalError, match="behind its checkpoint"):
             journal.resume("PCT", "cti", self.HEADER)

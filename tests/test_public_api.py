@@ -76,6 +76,7 @@ PUBLIC_SYMBOLS = {
         "run_quality_gate",
         "measure_quality",
     ],
+    "repro.run": ["RunSpec", "execute"],
     "repro.reporting": [
         "format_table",
         "format_series",
