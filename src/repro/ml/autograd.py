@@ -14,13 +14,17 @@ Design notes:
 - Gradients of broadcast operands are un-broadcast by summing over the
   broadcast axes, so biases and scalar coefficients "just work".
 - :class:`Parameter` marks leaf tensors the optimizer should update.
+- Training runs two fused ops, :func:`embedding_mean` and
+  :func:`relational_layer`, bit-identical to the composed ops they
+  replace (the tests' references; see docs/PERFORMANCE.md, "Training").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools  # the kernels ``@`` runs, minus dispatch
 
 __all__ = [
     "Tensor",
@@ -32,6 +36,8 @@ __all__ = [
     "spmm",
     "rowwise_sum",
     "masked_mean",
+    "embedding_mean",
+    "relational_layer",
     "dropout",
     "bce_with_logits",
     "softmax_cross_entropy",
@@ -39,6 +45,27 @@ __all__ = [
 ]
 
 ArrayLike = Union[np.ndarray, float, int]
+
+
+class _CSR(NamedTuple):  # what _csr_dot reads of a (scipy) CSR matrix
+    shape: Tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _csr_dot(matrix, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``matrix @ x`` or ``matrix.T @ x`` through scipy's kernel: rows start
+    at zero and add their products in stored order. The transpose is the
+    CSC kernel over the same arrays (``matrix.T @ x`` without building
+    ``matrix.T``): a row of it adds in ascending row order of ``matrix``,
+    as ``np.add.at`` does; ``1.0 * v == v`` for incidence entries."""
+    rows, cols = matrix.shape[::-1] if transpose else matrix.shape
+    out = np.zeros((rows, x.shape[1]))
+    kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+    kernel(rows, cols, x.shape[1], matrix.indptr, matrix.indices, matrix.data,
+           x.ravel(), out.ravel())
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -81,8 +108,11 @@ class Tensor:
 
     def accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy (``__add__`` hands one array to both operands) that
+            # maps -0.0 to +0.0, exactly as adding into zeros would.
+            self.grad = grad + 0.0
+        else:
+            self.grad += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Back-propagate from this tensor (defaults to d(self)=1)."""
@@ -210,9 +240,14 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if table.requires_grad:
-            accumulated = np.zeros_like(table.data)
-            np.add.at(accumulated, indices, grad)
-            table.accumulate(accumulated)
+            # np.add.at(zeros, indices, grad) as an incidence product; the
+            # forward's indexing bounds-checked, ``%`` wraps negative indices
+            rows = table.data.shape[0]
+            flat = indices.ravel() % rows
+            ones = np.ones(flat.size)
+            incidence = _CSR((flat.size, rows), np.arange(flat.size + 1), flat, ones)
+            summed = _csr_dot(incidence, grad.reshape(flat.size, -1), transpose=True)
+            table.accumulate(summed.reshape(table.data.shape))
 
     out._backward = backward
     return out
@@ -280,6 +315,69 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
 
     out._backward = backward
     return out
+
+
+def embedding_mean(table: Tensor, token_ids: np.ndarray, pad_id: int) -> Tensor:
+    """``masked_mean(gather_rows(table, token_ids), token_ids != pad_id)``
+    without the (N, T, D) tensors: ``P @ table / counts`` with ``P`` the
+    incidence of the non-pad (n, t) in position order, ``P.T @ (grad /
+    counts)`` back. Bit-identical for ``D >= 2`` (NumPy sums a width-1
+    axis pairwise)."""
+    mask = token_ids != pad_id
+    per_row = mask.sum(axis=1)
+    counts = np.maximum(per_row, 1).astype(np.float64)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(per_row)])
+    vocab = table.data.shape[0]
+    # the kernel does not bounds-check; indexing does, and wraps negatives
+    tokens = np.arange(vocab)[token_ids[mask]]
+    incidence = _CSR((len(per_row), vocab), indptr, tokens, np.ones(tokens.size))
+    out = Tensor(_csr_dot(incidence, table.data) / counts, parents=(table,))
+
+    def backward(grad: np.ndarray) -> None:
+        if table.requires_grad:
+            table.accumulate(_csr_dot(incidence, grad / counts, transpose=True))
+
+    out._backward = backward
+    return out
+
+
+def relational_layer(
+    h: Tensor, w_self: Tensor, bias: Tensor, terms: Sequence[Tuple[object, Tensor]]
+) -> Tensor:
+    """``relu(h @ w_self + bias + Σ_k (A_k @ h) @ W_k)`` as one graph node;
+    ``terms`` are (constant CSR ``A_k``, ``W_k``) pairs. Same products in
+    the same order as the ``matmul``/``spmm``/``+``/``relu`` chain, and
+    each input's gradient summed in that chain's sweep order: into ``h``
+    the last term's first, down to the first's, then the self term's.
+    Intermediate gradients skip the sweep's +0.0 normalisation: a -0.0
+    can only flip a zero's sign, and every sum they reach starts from
+    +0.0 or ends in :meth:`Tensor.accumulate`."""
+    out = h.data @ w_self.data + bias.data
+    messages = []
+    for matrix, weight in terms:
+        message = _csr_dot(matrix, h.data)
+        out += message @ weight.data
+        messages.append(message)
+    mask = out > 0
+    parents = (h, w_self, bias) + tuple(weight for _, weight in terms)
+    result = Tensor(out * mask, parents=parents)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad * mask
+        for (matrix, weight), message in zip(reversed(terms), reversed(messages)):
+            if weight.requires_grad:
+                weight.accumulate(message.T @ grad)
+            if h.requires_grad:
+                h.accumulate(_csr_dot(matrix, grad @ weight.data.T, transpose=True))
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(grad, bias.data.shape))
+        if w_self.requires_grad:
+            w_self.accumulate(h.data.T @ grad)
+        if h.requires_grad:
+            h.accumulate(grad @ w_self.data.T)
+
+    result._backward = backward
+    return result
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -1,15 +1,15 @@
-"""Mini-batching of CT graphs.
+"""Disjoint-union batches of CT graphs, and the training order.
 
-PyTorch Geometric trains GNNs on batches formed as disjoint unions of
-graphs — one big block-diagonal adjacency, node features concatenated.
-The same trick works here: message passing never crosses components, so a
-merged batch computes exactly the per-graph results while amortising the
-Python/NumPy overhead of many small forward passes.
+PyTorch Geometric batches GNN inputs as disjoint unions of graphs — one
+big block-diagonal adjacency, node features concatenated. Message passing
+never crosses components, so a merged graph computes exactly the
+per-graph results: :func:`merge_graphs` / :func:`merge_examples` build
+one, :func:`node_offsets` splits per-node results back out.
 
-The per-graph BCE normalisation of §3.2 ("binary cross entropy within
-each graph first") is preserved through per-node weights: every node's
-weight is divided by its graph's total weight, so each graph contributes
-equally to the batch loss regardless of size.
+Training does not merge. It takes one gradient step per graph
+(:func:`iter_batches`), which is what keeps §3.2's per-graph BCE ("binary
+cross entropy within each graph first") exact: a merged example's loss
+would weight graphs by their node counts.
 """
 
 from __future__ import annotations
@@ -100,27 +100,10 @@ def merge_examples(examples: Sequence[CTExample]) -> CTExample:
     )
 
 
-def per_graph_weights(examples: Sequence[CTExample]) -> np.ndarray:
-    """Node weights making each component count equally in a batch loss."""
-    parts = []
-    for example in examples:
-        n = max(example.num_nodes, 1)
-        parts.append(np.full(example.num_nodes, 1.0 / n))
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def iter_batches(
-    examples: Sequence[CTExample],
-    batch_size: int,
-    rng: np.random.Generator,
+    examples: Sequence[CTExample], rng: np.random.Generator
 ) -> Iterator[CTExample]:
-    """Shuffle and yield merged batches of ``batch_size`` examples."""
-    if batch_size < 1:
-        raise DatasetError("batch size must be >= 1")
-    order = rng.permutation(len(examples))
-    for start in range(0, len(order), batch_size):
-        chunk = [examples[int(i)] for i in order[start : start + batch_size]]
-        if batch_size == 1:
-            yield chunk[0]
-        else:
-            yield merge_examples(chunk)
+    """One epoch's gradient steps: every example once, as its own batch,
+    in the order of one ``rng.permutation``."""
+    for index in rng.permutation(len(examples)):
+        yield examples[int(index)]

@@ -25,8 +25,7 @@ from repro.kernel.code import Kernel
 from repro.ml.autograd import (
     Parameter,
     Tensor,
-    gather_rows,
-    masked_mean,
+    embedding_mean,
     matmul,
     relu,
     softmax_cross_entropy,
@@ -69,10 +68,13 @@ class AsmEncoder:
         return [self.token_table, self.w_proj, self.b_proj]
 
     def pooled(self, token_ids: np.ndarray, pad_id: int) -> Tensor:
-        """Masked mean of token embeddings: (N, T) ids → (N, token_dim)."""
-        embedded = gather_rows(self.token_table, token_ids)  # (N, T, D)
-        mask = token_ids != pad_id
-        return masked_mean(embedded, mask)
+        """Masked mean of token embeddings: (N, T) ids → (N, token_dim).
+
+        One fused :func:`~repro.ml.autograd.embedding_mean` node, never
+        the (N, T, token_dim) gather; training, pre-training and the
+        per-template inference encode all pool here.
+        """
+        return embedding_mean(self.token_table, token_ids, pad_id)
 
     def encode(self, token_ids: np.ndarray, pad_id: int) -> Tensor:
         """(N, T) token ids → (N, output_dim) block embeddings."""

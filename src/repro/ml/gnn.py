@@ -35,14 +35,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-try:  # scipy's C kernel directly: lets the hot loop reuse one output buffer
-    from scipy.sparse import _sparsetools as _sptools
-except ImportError:  # pragma: no cover - all supported scipy versions have it
-    _sptools = None
+# scipy's C kernel directly: lets the hot loop reuse one output buffer
+from scipy.sparse import _sparsetools
 
 from repro import rng as rngmod
 from repro.graphs.ctgraph import CTGraph, EDGE_SCHEDULE, NUM_EDGE_TYPES
-from repro.ml.autograd import Parameter, Tensor, matmul, relu, spmm
+from repro.ml.autograd import Parameter, Tensor, relational_layer
 
 __all__ = ["GNNConfig", "RelationalGCN", "prepare_adjacency"]
 
@@ -344,16 +342,20 @@ class RelationalGCN:
         return flat
 
     def forward(self, h: Tensor, graph: CTGraph) -> Tensor:
-        """Run all layers; input and output are (num_nodes, hidden_dim)."""
+        """Run all layers; input and output are (num_nodes, hidden_dim).
+
+        One :func:`~repro.ml.autograd.relational_layer` node per layer;
+        terms in edge-type order, forward direction before reverse.
+        """
         adjacency = prepare_adjacency(graph)
+        directions = 2 if self.config.bidirectional else 1
         for layer in range(self.config.num_layers):
-            out = matmul(h, self.w_self[layer]) + self.bias[layer]
-            for edge_type, (forward_adj, reverse_adj) in adjacency.items():
-                weights = self.w_edge[layer][edge_type]
-                out = out + matmul(spmm(forward_adj, h), weights[0])
-                if self.config.bidirectional:
-                    out = out + matmul(spmm(reverse_adj, h), weights[1])
-            h = relu(out)
+            terms = [
+                (pair[direction], self.w_edge[layer][edge_type][direction])
+                for edge_type, pair in adjacency.items()
+                for direction in range(directions)
+            ]
+            h = relational_layer(h, self.w_self[layer], self.bias[layer], terms)
         return h
 
     def forward_numpy(self, h: np.ndarray, graph: CTGraph) -> np.ndarray:
@@ -395,7 +397,8 @@ class RelationalGCN:
         base_cache = first.base_cache
         if base_cache is None:
             return self._build_plan(first, 1)
-        key = ("__plan__", len(run), first.num_nodes)
+        # Models of either direction setting may score one template.
+        key = ("__plan__", len(run), first.num_nodes, self.config.bidirectional)
         plan = base_cache.get(key)
         if plan is None:
             plan = base_cache[key] = self._build_plan(first, len(run))
@@ -511,19 +514,16 @@ class RelationalGCN:
                     weight = w_edge[layer][edge_type][direction]
                     segment = slice(plan.slices[i], plan.slices[i + 1])
                     np.dot(gather[segment], weight, out=scratch[segment])
-                if _sptools is not None:
-                    _sptools.csr_matvecs(
-                        matrix.shape[0],
-                        matrix.shape[1],
-                        width,
-                        matrix.indptr,
-                        matrix.indices,
-                        matrix.data,
-                        scratch.ravel(),
-                        out.ravel(),
-                    )
-                else:
-                    out += matrix @ scratch
+                _sparsetools.csr_matvecs(
+                    matrix.shape[0],
+                    matrix.shape[1],
+                    width,
+                    matrix.indptr,
+                    matrix.indices,
+                    matrix.data,
+                    scratch.ravel(),
+                    out.ravel(),
+                )
             for direction, rows_out, rows_in, coeff in schedule_terms:
                 weight = w_edge[layer][EDGE_SCHEDULE][direction]
                 contrib = (h[rows_in] * coeff[:, None]) @ weight

@@ -53,9 +53,6 @@ class TrainingConfig:
     weight_decay: float = 0.0
     seed: int = 0
     threshold_beta: float = 2.0
-    #: Graphs merged per gradient step (disjoint-union batching); 1 keeps
-    #: the paper's one-graph-per-step loop.
-    batch_size: int = 1
 
 
 @dataclass
@@ -138,7 +135,7 @@ def train_pic(
         for epoch in range(config.epochs):
             epoch_started = time.perf_counter() if obs.is_enabled() else 0.0
             losses = []
-            for example in iter_batches(train, config.batch_size, rng):
+            for example in iter_batches(train, rng):
                 optimizer.zero_grad()
                 loss = model.loss(example, training=True)
                 loss.backward()

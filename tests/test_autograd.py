@@ -11,10 +11,12 @@ from repro.ml.autograd import (
     bce_with_logits,
     concat_rows,
     dropout,
+    embedding_mean,
     gather_rows,
     masked_mean,
     matmul,
     propagate,
+    relational_layer,
     relu,
     softmax_cross_entropy,
     spmm,
@@ -129,6 +131,31 @@ class TestGatherAndPropagate:
         )
         check(h, lambda: (spmm(matrix, h) * spmm(matrix, h)).sum())
 
+    @pytest.mark.parametrize("name", ["h", "self", "bias", "w0", "w1"])
+    def test_relational_layer_gradient(self, name):
+        rng = np.random.default_rng(14)
+        params = {
+            "h": Parameter(rng.normal(size=(5, 3)), name="h"),
+            "self": Parameter(rng.normal(size=(3, 3)), name="self"),
+            "bias": Parameter(rng.normal(size=(3,)), name="bias"),
+            "w0": Parameter(rng.normal(size=(3, 3)), name="w0"),
+            "w1": Parameter(rng.normal(size=(3, 3)), name="w1"),
+        }
+        matrix = sp.csr_matrix(
+            (np.array([1.0, 0.5, 0.5, 1.0]), ([1, 2, 2, 0], [0, 1, 3, 4])),
+            shape=(5, 5),
+        )
+        terms = [(matrix, params["w0"]), (matrix.T.tocsr(), params["w1"])]
+        weights = Tensor(rng.normal(size=(5, 3)))
+
+        def loss():
+            out = relational_layer(
+                params["h"], params["self"], params["bias"], terms
+            )
+            return (out * weights).sum()
+
+        check(params[name], loss)
+
 
 class TestPoolingAndLosses:
     def test_masked_mean(self):
@@ -136,6 +163,17 @@ class TestPoolingAndLosses:
         x = Parameter(rng.normal(size=(2, 4, 3)), name="x")
         mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]])
         check(x, lambda: (masked_mean(x, mask) * masked_mean(x, mask)).sum())
+
+    def test_embedding_mean_gradient(self):
+        rng = np.random.default_rng(15)
+        table = Parameter(rng.normal(size=(4, 3)), name="t")
+        # repeated tokens, and an all-pad row (pad id 0)
+        ids = np.array([[2, 2, 0, 3], [0, 0, 0, 0], [1, 3, 1, 1]])
+        def loss():
+            pooled = embedding_mean(table, ids, 0)
+            return (pooled * pooled).sum()
+
+        check(table, loss)
 
     def test_bce_gradient(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import rng as rngmod
 from repro.errors import DatasetError
-from repro.ml.batching import iter_batches, merge_examples, per_graph_weights
+from repro.ml.batching import iter_batches, merge_examples
 from repro.ml.pic import PICConfig, PICModel
 
 
@@ -68,29 +68,14 @@ class TestEquivalence:
 
 
 class TestWeightsAndIteration:
-    def test_per_graph_weights_sum_to_one_each(self, small_splits):
-        parts = small_splits.train[:3]
-        weights = per_graph_weights(parts)
-        offset = 0
-        for part in parts:
-            assert weights[offset : offset + part.num_nodes].sum() == pytest.approx(1.0)
-            offset += part.num_nodes
-
     def test_iter_batches_covers_everything(self, small_splits):
         examples = small_splits.train[:7]
-        batches = list(iter_batches(examples, 3, rngmod.make_rng(0)))
-        assert sum(b.num_nodes for b in batches) == sum(
-            e.num_nodes for e in examples
-        )
-        assert len(batches) == 3  # 3 + 3 + 1
+        batches = list(iter_batches(examples, rngmod.make_rng(0)))
+        assert sorted(map(id, batches)) == sorted(map(id, examples))
 
     def test_batch_size_one_passthrough(self, small_splits):
+        """One graph per step, in the order of one seeded permutation."""
         examples = small_splits.train[:3]
-        batches = list(iter_batches(examples, 1, rngmod.make_rng(0)))
-        assert all(
-            any(b is e for e in examples) for b in batches
-        )
-
-    def test_invalid_batch_size(self, small_splits):
-        with pytest.raises(DatasetError):
-            list(iter_batches(small_splits.train[:2], 0, rngmod.make_rng(0)))
+        batches = list(iter_batches(examples, rngmod.make_rng(0)))
+        order = rngmod.make_rng(0).permutation(len(examples))
+        assert all(b is examples[i] for b, i in zip(batches, order))

@@ -1,5 +1,7 @@
 """Tests for GNN internals: adjacency preparation, caching, directions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -87,6 +89,25 @@ class TestDirections:
         h2[dst] = 0.0
         changed = gnn.forward_numpy(h2, graph)
         assert not np.allclose(base[src], changed[src])
+
+    def test_directions_share_a_template_but_not_its_plans(
+        self, graphs_from_one_template
+    ):
+        """Regression: batch plans were cached per template without the
+        direction count, so a one-direction model scoring a template a
+        two-direction model had planned indexed a reverse weight it does
+        not have."""
+        graph = graphs_from_one_template[0]
+        h = np.random.default_rng(1).normal(size=(graph.num_nodes, 8))
+        for bidirectional in (True, False):
+            gnn = RelationalGCN(
+                GNNConfig(hidden_dim=8, num_layers=2, bidirectional=bidirectional),
+                seed=2,
+            )
+            fresh = dataclasses.replace(graph, base_cache={})
+            assert np.array_equal(
+                gnn.forward_numpy(h, graph), gnn.forward_numpy(h, fresh)
+            )
 
     def test_parameter_names_unique(self):
         gnn = RelationalGCN(GNNConfig(hidden_dim=8, num_layers=3), seed=0)

@@ -11,6 +11,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -45,6 +46,37 @@ def _digests(results):
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Seconds a killed campaign's workers get to exit.
+WORKER_EXIT_DEADLINE = 30.0
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name (index 0
+    is the state, 1 the parent pid, 19 the start time: proc(5) fields 3,
+    4 and 22), or None once the process has been reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _running(workers):
+    """``{pid: state}`` of the ``{pid: start time}`` workers that are
+    still running: not reaped, not a zombie, and not a recycled pid."""
+    running = {}
+    for pid, started in workers.items():
+        fields = _proc_stat(pid)
+        if fields and fields[0] not in ("Z", "X") and fields[19] == started:
+            try:
+                with open(f"/proc/{pid}/wchan") as handle:
+                    waiting = handle.read()
+            except OSError:
+                waiting = "?"
+            running[pid] = f"state {fields[0]}, parent {fields[1]}, wchan {waiting}"
+    return running
+
 
 #: A campaign process that dies without unwinding (SIGKILL, ``die@N``):
 #: bring a 3-worker pool up, run one task, report the worker pids, vanish.
@@ -223,10 +255,18 @@ class TestPoolSupervision:
         assert runner.worker_deaths == len(tasks)
         assert runner.quarantined == 0
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads worker states from /proc"
+    )
     def test_workers_do_not_outlive_a_killed_campaign(self):
         """Every worker forked later holds a copy of the campaign's end
         of its siblings' pipes, so a campaign that dies without closing
-        them never EOFs anybody: workers must notice the re-parenting."""
+        them never EOFs anybody: workers must notice the re-parenting.
+
+        The test waits on the workers themselves. It used to wait for
+        EOF on the campaign's stdout, which the workers inherit, for
+        3 s; that also waits on any other process holding the pipe and
+        on however long a loaded host takes to schedule the exits."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -237,25 +277,30 @@ class TestPoolSupervision:
             cwd=REPO_ROOT,
             env=env,
         )
-        pids = []
+        workers = {}
         try:
             ready, _, _ = select.select([process.stdout], [], [], 120.0)
             assert ready, "the campaign subprocess never reported its workers"
             pids = [int(pid) for pid in process.stdout.readline().split()]
             assert len(pids) == 3
+            # A worker already reaped gets no start time: never "running".
+            stats = {pid: _proc_stat(pid) for pid in pids}
+            workers = {pid: stat and stat[19] for pid, stat in stats.items()}
             assert process.wait(timeout=60) == 137
-            # The workers inherited this pipe's write end: it reaches EOF
-            # only once the last of them has exited.
-            ready, _, _ = select.select([process.stdout], [], [], 3.0)
-            assert ready and os.read(process.stdout.fileno(), 1) == b"", (
-                f"workers {pids} outlived their campaign process"
+            # A worker notices within one 0.5 s poll; the deadline only
+            # absorbs scheduling delay. Workers that never notice fail here.
+            deadline = time.monotonic() + WORKER_EXIT_DEADLINE
+            running = _running(workers)
+            while running and time.monotonic() < deadline:
+                time.sleep(0.05)
+                running = _running(workers)
+            assert not running, (
+                f"workers outlived their campaign process by "
+                f"{WORKER_EXIT_DEADLINE:.0f} s: {running}"
             )
         finally:
             process.kill()
             process.wait()
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            for pid in _running(workers):
+                os.kill(pid, signal.SIGKILL)
             process.stdout.close()
