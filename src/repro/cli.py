@@ -20,8 +20,7 @@ Runs the pipeline stages a downstream user needs without writing code:
   ``docs/TESTING.md``)
 - ``serve``     — shared PIC prediction service on a Unix socket
   (``start``/``stop``/``status``); campaigns attach to it with
-  ``campaign --serve-socket PATH``, or use ``campaign --serve`` for an
-  in-process service (shared cache + micro-batching; see
+  ``campaign --serve-socket PATH`` (shared cache + micro-batching; see
   ``docs/SERVING.md``)
 - ``fleet``     — fault-tolerant distributed campaign
   (``run``/``status``): a coordinator leases score/execute jobs to N
@@ -228,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retries before a failing CT is quarantined (implies --supervise)",
     )
     campaign.add_argument(
-        "--serve",
-        action="store_true",
-        help="route candidate scoring through an in-process prediction "
-        "service (content-addressed cache + micro-batching; results are "
-        "identical to direct scoring)",
-    )
-    campaign.add_argument(
         "--heartbeat",
         metavar="FILE",
         default=None,
@@ -372,14 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float64", "float32"),
         default="float64",
         help="GNN precision of every inference call on the server",
-    )
-    serve_start.add_argument(
-        "--score-threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads sharding large scoring batches "
-        "(0 = single-threaded)",
     )
     serve_stop = serve_actions.add_parser(
         "stop", help="shut down the server on a socket"
@@ -744,7 +728,6 @@ def _spec_from_args(args) -> RunSpec:
             fault_spec=args.inject_faults,
         )
         extras = dict(
-            serve=args.serve,
             cascade_recall=args.filter_recall if args.cascade else None,
             infer_dtype=args.infer_dtype,
             heartbeat=args.heartbeat,
@@ -1142,7 +1125,6 @@ def _cmd_serve(args) -> int:
         cache_bytes=args.cache_mb * 1024 * 1024,
         slow_request_ms=args.slow_request_ms,
         infer_dtype=args.infer_dtype,
-        score_threads=args.score_threads,
     )
     if obs.active() is None:
         # A sink-less registry so the 'metrics' op and 'status --watch'

@@ -58,8 +58,8 @@ class GNNConfig:
 def _freeze_csr(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """Mark a CSR matrix's backing arrays read-only.
 
-    Everything published into a template's shared ``base_cache`` is read
-    concurrently by server worker threads; freezing at publish time turns
+    Everything published into a template's shared ``base_cache`` may be
+    read by several threads at once; freezing at publish time turns
     any accidental in-place mutation into an immediate ``ValueError``
     instead of silent cross-thread corruption.
     """
@@ -172,8 +172,8 @@ class _BatchPlan:
 
     Plans live in a *shared* template cache and are therefore immutable
     on publish (arrays frozen read-only); the mutable layer buffers the
-    loop writes into are per-thread (:func:`_layer_buffers`), so server
-    worker threads can score the same template concurrently while
+    loop writes into are per-thread (:func:`_layer_buffers`), so several
+    threads can score the same template concurrently while
     steady-state scoring on any one thread still allocates almost
     nothing.
     """

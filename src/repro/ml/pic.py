@@ -374,20 +374,6 @@ class PICModel:
         """Boolean coverage predictions of many graphs (tuned threshold)."""
         return [proba >= self.threshold for proba in self.predict_proba_batch(graphs)]
 
-    def warm_inference_caches(self, graphs: Sequence[CTGraph]) -> None:
-        """Populate the per-template caches for ``graphs`` on this thread.
-
-        The thread-parallel batch scorer calls this on the dispatching
-        thread before sharding, so worker threads only *read* the shared
-        base-feature cache and cast-once weight views instead of racing
-        to fill them.
-        """
-        dtype = np.float32 if self.inference_mode == "float32" else np.float64
-        for graph in graphs:
-            self._base_node_features(graph, dtype)
-        self._head_views(dtype)
-        self.gnn._weight_views(dtype)
-
     def predict_dataflow_proba_batch(
         self,
         graphs: Sequence[CTGraph],

@@ -37,7 +37,7 @@ from repro.ml.pic import PICModel
 from repro.obs.export import HeartbeatWriter
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import CampaignJournal, reset_journal
-from repro.serve import BatcherConfig, InProcessServer, SocketBackend
+from repro.serve import SocketBackend
 
 __all__ = ["RunSpec", "execute"]
 
@@ -64,8 +64,6 @@ class RunSpec:
     #: ... or a running ``repro serve`` server's Unix socket, which owns
     #: the model and its dtype; neither trains one first.
     serve_socket: Optional[str] = None
-    #: Route scoring through an in-process prediction service.
-    serve: bool = False
     #: Recall floor of the two-stage scoring cascade; ``None`` is no
     #: cascade.
     cascade_recall: Optional[float] = None
@@ -98,8 +96,6 @@ class RunSpec:
                 FaultPlan.parse(fault_spec, seed=self.seed)
         if self.exploration.num_threads < 2:
             raise SpecError("--threads must be at least 2")
-        if self.serve and self.serve_socket:
-            raise SpecError("--serve and --serve-socket are mutually exclusive")
         if self.resume and not (self.journal and os.path.exists(self.journal)):
             raise SpecError(f"cannot resume: journal {self.journal} does not exist")
         if self.capture_labels and not self.journal:
@@ -114,24 +110,21 @@ class RunSpec:
                 "(give them to 'repro serve start')"
             )
         if self.strategy is None and (
-            self.model
-            or self.serve_socket
-            or self.serve
-            or self.cascade_recall is not None
+            self.model or self.serve_socket or self.cascade_recall is not None
         ):
             raise SpecError(
-                "--pct-only runs the baseline alone: --model, --serve-socket, "
-                "--serve and --cascade cannot take effect"
+                "--pct-only runs the baseline alone: --model, --serve-socket "
+                "and --cascade cannot take effect"
             )
         if self.fleet is not None:
             _check_shardable(
                 self.exploration, self.fleet, self.cascade_recall is not None
             )
-            if self.serve or self.heartbeat or self.fleet.serve_socket:
+            if self.heartbeat or self.fleet.serve_socket:
                 raise SpecError(
                     "a fleet scores in its workers and publishes to "
-                    "fleet.heartbeat_dir: serve, heartbeat and "
-                    "fleet.serve_socket (set serve_socket) cannot take effect"
+                    "fleet.heartbeat_dir: heartbeat and fleet.serve_socket "
+                    "(set serve_socket) cannot take effect"
                 )
         return self
 
@@ -190,24 +183,19 @@ def _check_server(backend, socket: str, vocab: int) -> None:
     )
 
 
-def _report_cache(backend) -> None:
-    """Print the serving cache's totals once an inline run is over."""
+def _report_cache(backend: SocketBackend) -> None:
+    """Print the server's cache totals once an inline run is over, and
+    mirror them as counters in this process's metrics snapshot."""
     try:
-        info = backend.status() if hasattr(backend, "status") else backend.stats()
-        cache = info.get("cache", {})
+        cache = backend.status().get("cache", {})
         print(
             f"serving cache: {cache.get('hits', 0):.0f} hits / "
             f"{cache.get('misses', 0):.0f} misses "
             f"(hit rate {cache.get('hit_rate', 0.0):.1%}, "
             f"{cache.get('entries', 0):.0f} entries)"
         )
-        # Mirror the printed line as real counters in this process's
-        # metrics snapshot. Socket backends only: an in-process server
-        # already counted its hits/misses live on this registry, and
-        # double-counting would lie.
-        if backend.stats().get("backend") == "socket":
-            obs.add("serve.cache.hits", int(cache.get("hits", 0)))
-            obs.add("serve.cache.misses", int(cache.get("misses", 0)))
+        obs.add("serve.cache.hits", int(cache.get("hits", 0)))
+        obs.add("serve.cache.misses", int(cache.get("misses", 0)))
     except Exception:
         pass
 
@@ -250,12 +238,6 @@ def execute(
         if spec.serve_socket:
             backend = stack.enter_context(closing(SocketBackend(spec.serve_socket)))
             _check_server(backend, spec.serve_socket, len(snowcat.graphs.vocabulary))
-        elif spec.serve and strategy is not None:
-            batcher = BatcherConfig(max_batch=spec.exploration.score_batch_size)
-            backend = InProcessServer(
-                snowcat.require_model(), version="local", batcher_config=batcher
-            )
-            stack.callback(backend.close)
         if spec.infer_dtype != "float64" and snowcat.model is not None:
             snowcat.model.set_inference_mode(spec.infer_dtype)
         if spec.cascade_recall is not None and strategy is not None:

@@ -25,12 +25,13 @@ prediction into a service with four layers:
 - :mod:`repro.serve.backend` / :mod:`repro.serve.server` — the
   :class:`PredictionBackend` seam consumed by
   :class:`repro.core.scoring.CandidateScorer`: :class:`LocalBackend`
-  (the byte-identical default), :class:`InProcessServer` (one shared
-  model + cache + batcher inside the process), and a Unix-socket
+  (a transparent pass-through), :class:`InProcessServer` (one shared
+  model + cache + batcher: the server's engine), and a Unix-socket
   JSON server/client pair (:class:`PredictionServer` /
   :class:`SocketBackend`, length-prefixed frames over stdlib
   ``socketserver``) so parallel campaign workers share one model
-  instance instead of N copies.
+  instance instead of N copies. A single-process campaign scores
+  directly; there is no in-process serving mode.
 
 Everything is instrumented through :mod:`repro.obs` under the
 ``serve.*`` namespace; see ``docs/SERVING.md`` for the architecture,

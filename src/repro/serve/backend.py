@@ -1,4 +1,4 @@
-"""The PredictionBackend seam and the in-process serving backend.
+"""The PredictionBackend seam and the serving engine.
 
 :class:`repro.core.scoring.CandidateScorer` historically called its
 predictor directly; the backend seam generalises that call-site to
@@ -8,14 +8,16 @@ anything exposing the predictor surface (``predict_proba``,
 - :class:`LocalBackend` wraps a plain predictor with zero added
   machinery — it is the default and is byte-identical to calling the
   predictor directly.
-- :class:`InProcessServer` is the full service in one process: a single
+- :class:`InProcessServer` is the socket server's engine: a single
   shared model behind a :class:`~repro.serve.batching.MicroBatcher`
   (which serialises all inference onto one thread), fronted by a
   content-addressed :class:`~repro.serve.cache.PredictionCache`, with
   registry-driven hot-swap (:meth:`InProcessServer.swap_model`).
 - :class:`repro.serve.server.SocketBackend` (separate module) speaks the
   same surface over a Unix socket to an :class:`InProcessServer` hosted
-  elsewhere.
+  elsewhere. A single-process campaign scores directly: measured as its
+  backend, the in-process server only added a batcher thread and its
+  deadline wait (see ``docs/SERVING.md``).
 
 Cache coherence across hot-swap: cache keys embed the model version, so
 requests admitted before a swap read/write the old version's key space
@@ -110,9 +112,12 @@ class InProcessServer(PredictionBackend):
     its single worker thread, holding ``_model_lock`` so a concurrent
     :meth:`swap_model` can never interleave with inference.
 
-    Concurrent requests for the *same* graph content are deduplicated
-    in flight: the second requester waits on the first's pending result
-    instead of submitting a duplicate compute.
+    Two concurrent requests missing on the same graph each submit it;
+    the results are bitwise equal and the cache keeps one. A request
+    dedupes its own repeats; across requests, neither one socket client
+    nor a two-worker fleet ever had one graph in flight twice on the
+    benchmark deployment (0 of 6,916 submitted graphs), so nothing
+    tracks pending computes.
     """
 
     def __init__(
@@ -124,17 +129,11 @@ class InProcessServer(PredictionBackend):
         batcher_config: Optional[BatcherConfig] = None,
         clock=None,
         registry=None,
-        score_threads: int = 0,
     ) -> None:
         if cache is not None and cache_bytes is not None:
             raise ValueError("pass either cache or cache_bytes, not both")
         self._model = model
         self._version = version
-        #: >1 shards large gathered batches across a thread pool inside
-        #: :meth:`_compute` (still under ``_model_lock``); 0/1 keeps the
-        #: historical single-threaded forward pass.
-        self._score_threads = max(0, int(score_threads))
-        self._score_pool = None
         #: Explicit telemetry registry; ``None`` falls back to the
         #: process-global one. Injection exists so a server sharing a
         #: process with its client (tests, embedded serving) can keep
@@ -146,8 +145,6 @@ class InProcessServer(PredictionBackend):
         )
         kwargs = {} if clock is None else {"clock": clock}
         self._batcher = MicroBatcher(self._compute, batcher_config, **kwargs)
-        self._inflight: Dict[str, PendingResult] = {}
-        self._inflight_lock = threading.Lock()
         self._requests = 0
         self._stats_lock = threading.Lock()
         #: Version tag of the most recent batch served to a caller —
@@ -225,51 +222,10 @@ class InProcessServer(PredictionBackend):
             version = self._version
             if registry is not None:
                 with registry.span("serve.compute", batch=len(graphs)):
-                    probas = self._forward(model, list(graphs))
+                    probas = model.predict_proba_batch(list(graphs))
             else:
-                probas = self._forward(model, list(graphs))
+                probas = model.predict_proba_batch(list(graphs))
         return [(version, proba) for proba in probas]
-
-    def _forward(self, model: object, graphs: List[object]) -> List[np.ndarray]:
-        """One gathered batch through the model, optionally sharded.
-
-        With ``score_threads > 1`` and a batch big enough for every
-        worker to get at least two graphs, the batch is split into
-        contiguous shards scored concurrently (the PR 5 thread-safety
-        groundwork — frozen template caches, per-thread layer buffers —
-        makes concurrent same-model scoring sound). The per-template
-        caches are pre-warmed on this thread first so workers only read
-        shared state. Shard boundaries don't change results: batched
-        scoring is per-graph exact regardless of chunking.
-        """
-        threads = self._score_threads
-        if (
-            threads <= 1
-            or len(graphs) < 2 * threads
-            or not hasattr(model, "predict_proba_batch")
-        ):
-            return model.predict_proba_batch(graphs)
-        warm = getattr(model, "warm_inference_caches", None)
-        if warm is not None:
-            warm(graphs)
-        pool = self._score_pool
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="serve-score"
-            )
-            self._score_pool = pool
-        stride = (len(graphs) + threads - 1) // threads
-        shards = [
-            graphs[start : start + stride]
-            for start in range(0, len(graphs), stride)
-        ]
-        futures = [pool.submit(model.predict_proba_batch, shard) for shard in shards]
-        results: List[np.ndarray] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
 
     # -- the predictor surface -----------------------------------------------
 
@@ -328,7 +284,7 @@ class InProcessServer(PredictionBackend):
         graphs = [materialise() for _digest, materialise in items]
         with self._model_lock:
             version = self._version
-            probas = self._forward(self._model, graphs)
+            probas = self._model.predict_proba_batch(graphs)
         for (digest, _materialise), proba in zip(items, probas):
             self.cache.put(f"{version}:{digest}", proba)
         self.observed_version = version
@@ -362,58 +318,33 @@ class InProcessServer(PredictionBackend):
             )
 
         # Materialise every distinct miss before submitting any, so a
-        # thunk that raises leaves nothing queued or registered in flight.
+        # thunk that raises leaves nothing queued.
         missing: Dict[str, object] = {}
         for key, (_digest, materialise), cached in zip(keys, items, results):
             if cached is None and key not in missing:
                 missing[key] = materialise()
+        pending_by_key: Dict[str, PendingResult] = {
+            key: self._batcher.submit(graph) for key, graph in missing.items()
+        }
 
-        # For each distinct missing key, either adopt the in-flight
-        # computation another thread already submitted or submit one.
-        pending_by_key: Dict[str, PendingResult] = {}
-        submitted: Dict[str, PendingResult] = {}
-        for key, graph in missing.items():
-            with self._inflight_lock:
-                pending = self._inflight.get(key)
-                if pending is None:
-                    pending = self._batcher.submit(graph)
-                    self._inflight[key] = pending
-                    submitted[key] = pending
-            pending_by_key[key] = pending
-
-        waited = list(pending_by_key.values())
-        filled = dict(submitted)
+        computed: Dict[str, np.ndarray] = {}
         raced = False
-        try:
-            for key, pending in pending_by_key.items():
-                computed_version, proba = pending.result()
-                if computed_version != version:
-                    raced = True
-                if key in submitted:
-                    if computed_version == version:
-                        self.cache.put(key, proba)
-                    filled.pop(key, None)
-                    with self._inflight_lock:
-                        if self._inflight.get(key) is pending:
-                            del self._inflight[key]
-                pending_by_key[key] = proba
-        finally:
-            # On error, un-register what we submitted so later requests
-            # re-compute instead of inheriting a poisoned pending.
-            if filled:
-                with self._inflight_lock:
-                    for key, pending in filled.items():
-                        if self._inflight.get(key) is pending:
-                            del self._inflight[key]
+        for key, pending in pending_by_key.items():
+            computed_version, proba = pending.result()
+            if computed_version == version:
+                self.cache.put(key, proba)
+            else:
+                raced = True
+            computed[key] = proba
 
-        if registry is not None and waited:
+        if registry is not None and pending_by_key:
             self._emit_batch_spans(
-                registry, waited, anchor_registry, anchor_batcher
+                registry, pending_by_key.values(), anchor_registry, anchor_batcher
             )
         return (
             version,
             [
-                cached if cached is not None else pending_by_key[key]
+                cached if cached is not None else computed[key]
                 for key, cached in zip(keys, results)
             ],
             raced,
@@ -458,7 +389,3 @@ class InProcessServer(PredictionBackend):
 
     def close(self) -> None:
         self._batcher.close()
-        pool = self._score_pool
-        if pool is not None:
-            self._score_pool = None
-            pool.shutdown(wait=True)

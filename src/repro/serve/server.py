@@ -372,9 +372,6 @@ class ServerConfig:
     #: Serve calls slower than this land in the flight recorder's
     #: slow-request log (``None`` disables; CLI: ``--slow-request-ms``).
     slow_request_ms: Optional[float] = None
-    #: >1 shards large gathered batches across this many scorer threads
-    #: (CLI: ``--score-threads``); 0/1 keeps single-threaded scoring.
-    score_threads: int = 0
     #: Batched-inference dtype for the hosted model: "float64" (exact,
     #: default) or "float32" (CLI: ``--infer-dtype``).
     infer_dtype: str = "float64"
@@ -457,7 +454,6 @@ class PredictionServer:
         model,
         config: ServerConfig,
         version: str = "v0",
-        backend: Optional[InProcessServer] = None,
         registry=None,
         model_registry=None,
         model_seed: int = 0,
@@ -476,14 +472,9 @@ class PredictionServer:
         self._model_registry = model_registry
         self._model_seed = int(model_seed)
         self._started_monotonic = time.monotonic()
-        if (
-            backend is None
-            and model is not None
-            and config.infer_dtype != "float64"
-            and hasattr(model, "set_inference_mode")
-        ):
+        if config.infer_dtype != "float64" and hasattr(model, "set_inference_mode"):
             model.set_inference_mode(config.infer_dtype)
-        self.backend = backend or InProcessServer(
+        self.backend = InProcessServer(
             model,
             version=version,
             cache_bytes=config.cache_bytes,
@@ -493,7 +484,6 @@ class PredictionServer:
                 max_queue=config.max_queue,
             ),
             registry=registry,
-            score_threads=config.score_threads,
         )
         path = config.socket_path
         state = probe_socket(path)

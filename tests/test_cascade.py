@@ -8,8 +8,6 @@ set, and float32 must agree with float64 on every predicted class
 within a documented tolerance.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -414,94 +412,3 @@ class TestFloat32FastPath:
         finally:
             tiny_model.set_inference_mode("float64")
         assert report.passed, report.render()
-
-
-class TestScoreThreads:
-    def _pool(self, model, candidate_graphs, threads):
-        from repro.serve import BatcherConfig, InProcessServer
-
-        return InProcessServer(
-            model,
-            version="t",
-            batcher_config=BatcherConfig(max_batch=len(candidate_graphs)),
-            score_threads=threads,
-        )
-
-    def test_threaded_batches_match_single_threaded_bitwise(
-        self, tiny_model, candidate_graphs
-    ):
-        single = self._pool(tiny_model, candidate_graphs, 0)
-        sharded = self._pool(tiny_model, candidate_graphs, 2)
-        try:
-            expect = single.predict_proba_batch(candidate_graphs)
-            got = sharded.predict_proba_batch(candidate_graphs)
-        finally:
-            single.close()
-            sharded.close()
-        assert len(got) == len(expect)
-        for a, b in zip(expect, got):
-            np.testing.assert_array_equal(b, a)
-
-    def test_small_batches_stay_on_the_dispatch_thread(
-        self, tiny_model, candidate_graphs
-    ):
-        """Pools smaller than 2×threads are not worth sharding; the
-        result must still be exact."""
-        sharded = self._pool(tiny_model, candidate_graphs, 8)
-        try:
-            got = sharded.predict_proba_batch(candidate_graphs[:2])
-        finally:
-            sharded.close()
-        expect = tiny_model.predict_proba_batch(candidate_graphs[:2])
-        for a, b in zip(expect, got):
-            np.testing.assert_array_equal(b, a)
-
-    def test_threaded_float32_matches_single_threaded_float32(
-        self, tiny_model, candidate_graphs
-    ):
-        try:
-            tiny_model.set_inference_mode("float32")
-            single = self._pool(tiny_model, candidate_graphs, 0)
-            sharded = self._pool(tiny_model, candidate_graphs, 2)
-            try:
-                expect = single.predict_proba_batch(candidate_graphs)
-                got = sharded.predict_proba_batch(candidate_graphs)
-            finally:
-                single.close()
-                sharded.close()
-        finally:
-            tiny_model.set_inference_mode("float64")
-        for a, b in zip(expect, got):
-            np.testing.assert_array_equal(b, a)
-
-    def test_concurrent_clients_under_sharded_scoring(
-        self, tiny_model, candidate_graphs
-    ):
-        forward = list(candidate_graphs)
-        backward = list(reversed(candidate_graphs))
-        # Each ordering gets its own bitwise reference.
-        reference = {
-            0: tiny_model.predict_proba_batch(forward),
-            1: tiny_model.predict_proba_batch(backward),
-        }
-        server = self._pool(tiny_model, candidate_graphs, 2)
-        failures = []
-
-        def client(worker):
-            pool = backward if worker % 2 else forward
-            got = server.predict_proba_batch(pool)
-            for index, (a, b) in enumerate(zip(reference[worker % 2], got)):
-                if not np.array_equal(a, b):
-                    failures.append((worker, index))
-
-        try:
-            threads = [
-                threading.Thread(target=client, args=(n,)) for n in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            server.close()
-        assert not failures

@@ -59,7 +59,6 @@ COMMAND_FLAGS = {
         "--supervise": ("supervise", False, None, FLAG),
         "--ct-timeout": ("ct_timeout", None, None, STORE),
         "--retries": ("retries", None, None, STORE),
-        "--serve": ("serve", False, None, FLAG),
         "--heartbeat": ("heartbeat", None, None, STORE),
         "--cascade": ("cascade", False, None, FLAG),
         "--filter-recall": ("filter_recall", 0.95, None, STORE),
@@ -295,10 +294,6 @@ REFUSALS = [
     (["campaign", "--serve-socket", "S", "--infer-dtype", "float32"], "its dtype"),
     (["fleet", "run", "--pct-only", "--serve-socket", "S"], "--pct-only"),
     (["fleet", "run", "--pct-only", "--model", "M"], "--pct-only"),
-    (
-        ["campaign", "--serve", "--serve-socket", "S", "--capture-labels"],
-        "--serve and --serve-socket are mutually exclusive",
-    ),
     (["fleet", "run", "--workers", "0"], "at least one worker"),
     # ... and the existing wordings, now for both commands:
     (["campaign", "--journal", "a", "--resume", "b"], "mutually exclusive"),
@@ -331,7 +326,6 @@ def test_literal_only_refusals():
     for spec, error in [
         (RunSpec(fleet=fleet, cascade_recall=0.9), FleetError),
         (RunSpec(fleet=fleet, exploration=ExplorationConfig(parallel_workers=2)), FleetError),
-        (RunSpec(fleet=fleet, serve=True), SpecError),
         (RunSpec(fleet=fleet, heartbeat="H"), SpecError),
         (RunSpec(fleet=replace(fleet, serve_socket="S")), SpecError),
         (RunSpec(strategy=None, cascade_recall=0.9), SpecError),

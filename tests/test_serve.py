@@ -518,6 +518,48 @@ class TestInProcessServer:
         finally:
             server.close()
 
+    def test_concurrent_misses_on_one_graph_agree(
+        self, tiny_model, candidate_graphs
+    ):
+        """Nothing dedupes across requests: two requests that miss on the
+        same graph at once each submit it, get bitwise-equal results and
+        leave one cache entry."""
+        graph = candidate_graphs[0]
+        server = self._server(tiny_model)
+        real_cache = server.cache
+        both_missed = threading.Barrier(2, timeout=30.0)
+
+        class MissTogether:
+            def get(self, key):
+                value = real_cache.get(key)
+                both_missed.wait()
+                return value
+
+            def __getattr__(self, name):
+                return getattr(real_cache, name)
+
+        server.cache = MissTogether()
+        results = [None, None]
+
+        def client(slot: int) -> None:
+            results[slot] = server.predict_proba(graph)
+
+        try:
+            threads = [threading.Thread(target=client, args=(n,)) for n in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            server.cache = real_cache
+            stats = server.stats()
+        finally:
+            server.close()
+        assert stats["batcher"]["submitted"] == 2
+        assert stats["cache"]["misses"] == 2 and stats["cache"]["entries"] == 1
+        for proba in results:
+            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
+
 
 class TestLocalBackend:
     def test_local_backend_is_transparent(self, tiny_model, candidate_graphs):
@@ -1292,14 +1334,22 @@ class TestServeCli:
         args = parser.parse_args(
             ["campaign", "--serve-socket", "/tmp/x.sock", "--ctis", "1"]
         )
-        assert args.serve_socket == "/tmp/x.sock" and not args.serve
-        assert parser.parse_args(["campaign", "--serve"]).serve
+        assert args.serve_socket == "/tmp/x.sock"
 
-    def test_campaign_rejects_conflicting_serve_flags(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--serve", "--ctis", "1"],
+            ["serve", "start", "--socket", "/tmp/x.sock", "--score-threads", "2"],
+        ],
+        ids=["campaign --serve", "serve start --score-threads"],
+    )
+    def test_deleted_serve_modes_are_refused(self, argv, capsys):
+        """In-process ``campaign --serve`` and ``--score-threads`` sharding
+        are gone: an old command line exits 2 before building anything."""
         from repro.cli import main
 
-        code = main(
-            ["campaign", "--serve", "--serve-socket", "/tmp/x.sock", "--ctis", "1"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
