@@ -109,7 +109,7 @@ def _served_campaign(adapted, ctis, model, version, heartbeat=None):
     server = InProcessServer(
         model,
         version=version,
-        batcher_config=BatcherConfig(max_batch=1, max_wait_ms=0.5),
+        batcher_config=BatcherConfig(max_batch=1),
     )
     if heartbeat is not None:
         heartbeat.backend = server

@@ -341,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest coalesced inference batch",
     )
     serve_start.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window after the first queued request",
-    )
-    serve_start.add_argument(
         "--cache-mb",
         type=int,
         default=64,
@@ -1026,8 +1020,7 @@ def _cmd_serve(args) -> int:
             f"{cache.get('bytes', 0):.0f}/{cache.get('max_bytes', 0):.0f} B, "
             f"{cache.get('evictions', 0):.0f} evictions\n"
             f"  batcher: {batcher.get('batches', 0)} batches "
-            f"({batcher.get('flush_full', 0)} full / "
-            f"{batcher.get('flush_deadline', 0)} deadline flushes), "
+            f"({batcher.get('flush_full', 0)} full), "
             f"{batcher.get('rejected', 0)} rejected, "
             f"{batcher.get('backpressure', 0)} backpressured"
         )
@@ -1121,7 +1114,6 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         socket_path=args.socket,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_bytes=args.cache_mb * 1024 * 1024,
         slow_request_ms=args.slow_request_ms,
         infer_dtype=args.infer_dtype,
@@ -1134,7 +1126,7 @@ def _cmd_serve(args) -> int:
         obs.set_registry(obs.MetricsRegistry(process="server"))
     print(
         f"serving {model.config.name} version {version} on {args.socket} "
-        f"(max batch {config.max_batch}, window {config.max_wait_ms} ms, "
+        f"(max batch {config.max_batch}, "
         f"cache {args.cache_mb} MiB) — Ctrl-C or "
         f"'repro serve stop --socket {args.socket}' to stop"
     )

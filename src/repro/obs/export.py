@@ -135,7 +135,6 @@ def snapshot_from_stats(stats: Dict[str, object]) -> Dict[str, object]:
         "serve.cache.misses": int(cache.get("misses", 0)),
         "serve.cache.evictions": int(cache.get("evictions", 0)),
         "serve.batch.flush_full": int(batcher.get("flush_full", 0)),
-        "serve.batch.flush_deadline": int(batcher.get("flush_deadline", 0)),
         "serve.queue.rejected": int(batcher.get("rejected", 0)),
         "serve.queue.backpressure": int(batcher.get("backpressure", 0)),
     }

@@ -16,9 +16,10 @@ prediction into a service with four layers:
   CT graph structure, schedule hints) so repeated candidates across
   strategies and campaign generations are never re-scored
   (:mod:`repro.serve.digest` defines the key).
-- :mod:`repro.serve.batching` — :class:`MicroBatcher`: coalesces
-  concurrent single-graph requests into ``predict_proba_batch`` calls
-  (flush on max-batch or max-wait deadline) behind a bounded queue with
+- :mod:`repro.serve.batching` — :class:`MicroBatcher`: one request's
+  misses are one queued unit; the worker merges whatever units are
+  queued (up to ``max_batch`` graphs) into one ``predict_proba_batch``
+  call and never waits on a clock, behind a bounded queue with
   admission control; also the model's concurrency discipline — all
   inference runs on the batcher thread, so the ``PICModel``'s internal
   caches never see concurrent writers.

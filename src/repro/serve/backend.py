@@ -16,8 +16,8 @@ anything exposing the predictor surface (``predict_proba``,
 - :class:`repro.serve.server.SocketBackend` (separate module) speaks the
   same surface over a Unix socket to an :class:`InProcessServer` hosted
   elsewhere. A single-process campaign scores directly: measured as its
-  backend, the in-process server only added a batcher thread and its
-  deadline wait (see ``docs/SERVING.md``).
+  backend, the in-process server only added a batcher thread (see
+  ``docs/SERVING.md``).
 
 Cache coherence across hot-swap: cache keys embed the model version, so
 requests admitted before a swap read/write the old version's key space
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.serve.batching import BatcherConfig, MicroBatcher, PendingResult
+from repro.serve.batching import BatcherConfig, MicroBatcher
 from repro.serve.cache import PredictionCache
 from repro.serve.digest import graph_digest
 
@@ -127,7 +127,6 @@ class InProcessServer(PredictionBackend):
         cache: Optional[PredictionCache] = None,
         cache_bytes: Optional[int] = None,
         batcher_config: Optional[BatcherConfig] = None,
-        clock=None,
         registry=None,
     ) -> None:
         if cache is not None and cache_bytes is not None:
@@ -143,8 +142,7 @@ class InProcessServer(PredictionBackend):
         self.cache = cache if cache is not None else PredictionCache(
             **({"max_bytes": cache_bytes} if cache_bytes is not None else {})
         )
-        kwargs = {} if clock is None else {"clock": clock}
-        self._batcher = MicroBatcher(self._compute, batcher_config, **kwargs)
+        self._batcher = MicroBatcher(self._compute, batcher_config)
         self._requests = 0
         self._stats_lock = threading.Lock()
         #: Version tag of the most recent batch served to a caller —
@@ -167,22 +165,18 @@ class InProcessServer(PredictionBackend):
         The batcher stamps its lifecycle timestamps in *its* clock on
         another thread; this maps them into the registry's timeline via
         a pair of anchors sampled at request entry and emits one
-        aggregate sub-tree per request (under the thread's open span,
-        e.g. the server's ``serve.request``).
+        sub-tree per request (under the thread's open span, e.g. the
+        server's ``serve.request``).
         """
-        done = [p for p in pendings if p.compute_end is not None]
-        if not done:
-            return
 
         def rel(stamp: float) -> float:
             return anchor_registry + (stamp - anchor_batcher)
 
-        enqueued = min(p.enqueued_at for p in done)
-        model_start = min(p.compute_start for p in done)
-        model_end = max(p.compute_end for p in done)
+        enqueued = pendings[0].enqueued_at  # one stamp; units run in order
+        model_start, model_end = pendings[0].compute_start, pendings[-1].compute_end
         queue_wait = max(model_start - enqueued, 0.0)
         model_seconds = max(model_end - model_start, 0.0)
-        batch_size = max(p.batch_size for p in done)
+        batch_size = max(pending.batch_size for pending in pendings)
         open_span = registry.current_span()
         base_depth = open_span.depth + 1 if open_span is not None else 0
         batch_id = registry.record_span(
@@ -323,24 +317,22 @@ class InProcessServer(PredictionBackend):
         for key, (_digest, materialise), cached in zip(keys, items, results):
             if cached is None and key not in missing:
                 missing[key] = materialise()
-        pending_by_key: Dict[str, PendingResult] = {
-            key: self._batcher.submit(graph) for key, graph in missing.items()
-        }
-
         computed: Dict[str, np.ndarray] = {}
         raced = False
-        for key, pending in pending_by_key.items():
-            computed_version, proba = pending.result()
-            if computed_version == version:
-                self.cache.put(key, proba)
-            else:
-                raced = True
-            computed[key] = proba
-
-        if registry is not None and pending_by_key:
-            self._emit_batch_spans(
-                registry, pending_by_key.values(), anchor_registry, anchor_batcher
-            )
+        if missing:
+            # Queued together: up to max_batch misses are one forward pass.
+            pendings = self._batcher.submit(list(missing.values()))
+            tagged = (value for pending in pendings for value in pending.result())
+            for key, (computed_version, proba) in zip(missing, tagged):
+                if computed_version == version:
+                    self.cache.put(key, proba)
+                else:
+                    raced = True
+                computed[key] = proba
+            if registry is not None:
+                self._emit_batch_spans(
+                    registry, pendings, anchor_registry, anchor_batcher
+                )
         return (
             version,
             [

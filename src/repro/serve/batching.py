@@ -1,40 +1,39 @@
-"""Micro-batching scheduler: coalesce single-graph requests into batches.
+"""Micro-batching scheduler: coalesce concurrent requests into batches.
 
 The PIC model's batched forward pass is what makes inference cheap
 (:meth:`predict_proba_batch` amortises per-call overhead across a
-block-diagonal union), but concurrent clients naturally produce *single*
-requests. The :class:`MicroBatcher` sits between them and the model: a
-bounded queue feeds one worker thread that gathers up to
-``max_batch`` requests — waiting at most ``max_wait_ms`` after the first
-one arrives — and runs the whole gather through one compute call.
+block-diagonal union). A request's graphs enter a bounded queue
+together, as consecutive *units* of at most ``max_batch``; one worker
+thread takes the oldest unit, adds every other unit already queued
+while the batch stays at or under ``max_batch`` graphs, and runs the
+batch through one compute call. Nothing waits on a clock:
+a lone request is computed as soon as the worker is free, and
+concurrent clients still merge, because whatever queued during one
+compute joins the next.
 
 Two deliberate properties:
 
 - **Serialised inference.** All compute runs on the single worker
   thread, so the shared model's internal caches (encoder memo, base
-  features, template batch plans) never see concurrent writers. The
-  batcher *is* the model's concurrency discipline, not just a perf
-  device.
-- **Admission control.** The queue is bounded; the default policy
-  blocks the submitter (backpressure, counted in
-  ``serve.queue.backpressure``), and ``block_on_full=False`` turns a
-  full queue into an immediate :class:`~repro.errors.AdmissionError`
-  (load-shedding, counted in ``serve.queue.rejected``).
+  features, template batch plans) never see concurrent writers.
+- **Admission control.** The queue holds at most ``max_queue`` graphs
+  (a larger unit is admitted into an empty queue). By default a
+  submitter waits for room without holding any lock the worker needs
+  (``serve.queue.backpressure``); ``block_on_full=False`` raises
+  :class:`~repro.errors.AdmissionError` instead (``serve.queue.rejected``).
 
-Telemetry: ``serve.batch.size`` histogram, ``serve.batch.flush_full`` /
-``serve.batch.flush_deadline`` counters, queue-depth gauge
-``serve.queue.depth``; :meth:`MicroBatcher.stats` mirrors all of it for
-the server's ``status`` op. The clock is injectable so deadline-flush
-behaviour is testable under a fake clock.
+Telemetry: ``serve.batch.size`` histogram, ``serve.batch.flush_full``
+counter (batches that reached ``max_batch``), ``serve.queue.depth``
+gauge; :meth:`MicroBatcher.stats` mirrors them for the ``status`` op.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import AdmissionError, ServeError
@@ -45,15 +44,11 @@ __all__ = ["BatcherConfig", "PendingResult", "MicroBatcher"]
 
 @dataclass(frozen=True)
 class BatcherConfig:
-    """Coalescing and admission knobs (CLI: ``--max-batch``,
-    ``--max-wait-ms``)."""
+    """Coalescing and admission knobs (CLI: ``--max-batch``)."""
 
-    #: Largest compute batch; also the flush trigger.
+    #: Largest batch that merging several queued units may build.
     max_batch: int = 8
-    #: How long the worker waits after the first request of a batch for
-    #: more to arrive before flushing a partial batch.
-    max_wait_ms: float = 2.0
-    #: Bounded-queue capacity (admission control).
+    #: Bounded-queue capacity in graphs (admission control).
     max_queue: int = 256
     #: Full-queue policy: ``True`` blocks the submitter (backpressure),
     #: ``False`` raises :class:`~repro.errors.AdmissionError`.
@@ -61,19 +56,20 @@ class BatcherConfig:
 
 
 class PendingResult:
-    """A single request's future result (set once by the worker).
+    """One unit's future: its payloads' results, in order, set once.
 
     Carries the lifecycle timestamps of its trip through the batcher
     (all in the batcher's clock): ``enqueued_at`` stamped by
     :meth:`MicroBatcher.submit`, ``compute_start``/``compute_end`` and
-    ``batch_size`` stamped by the worker before resolving. The waiting
-    thread may read them after :meth:`result` returns (the event wait
-    orders the stamps); the serving backend turns them into synthetic
-    ``serve.batch`` / ``serve.queue_wait`` / ``serve.model`` spans.
+    ``batch_size`` (graphs in the batch it joined) stamped by the worker
+    before resolving. The waiting thread may read them after
+    :meth:`result` returns (the event wait orders the stamps); the
+    serving backend turns them into synthetic ``serve.batch`` /
+    ``serve.queue_wait`` / ``serve.model`` spans.
     """
 
     __slots__ = (
-        "payload",
+        "payloads",
         "_event",
         "_value",
         "_error",
@@ -83,25 +79,17 @@ class PendingResult:
         "batch_size",
     )
 
-    def __init__(self, payload: object) -> None:
-        self.payload = payload
+    def __init__(self, payloads: List[object], enqueued_at: float) -> None:
+        self.payloads = payloads
         self._event = threading.Event()
-        self._value: object = None
+        self._value: List[object] = []
         self._error: Optional[BaseException] = None
-        self.enqueued_at: float = 0.0
+        self.enqueued_at = enqueued_at
         self.compute_start: float = 0.0
         self.compute_end: Optional[float] = None
         self.batch_size: int = 0
 
-    def _resolve(self, value: object) -> None:
-        self._value = value
-        self._event.set()
-
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def result(self, timeout: Optional[float] = None) -> object:
+    def result(self, timeout: Optional[float] = None) -> List[object]:
         if not self._event.wait(timeout):
             raise ServeError("timed out waiting for a served prediction")
         if self._error is not None:
@@ -110,11 +98,11 @@ class PendingResult:
 
 
 class MicroBatcher:
-    """One worker thread turning a request queue into compute batches.
+    """One worker thread turning a queue of request units into batches.
 
-    ``compute`` receives the payloads of one gathered batch (a list) and
-    must return one result per payload, in order. Any exception it
-    raises is propagated to every requester in that batch.
+    ``compute`` receives the payloads of one batch (a list) and must
+    return one result per payload, in order. Any exception it raises is
+    propagated to every requester in that batch.
     """
 
     def __init__(
@@ -130,16 +118,16 @@ class MicroBatcher:
             raise ValueError("max_queue must be at least 1")
         self._compute = compute
         self._clock = clock
-        self._queue: "queue.Queue[Optional[PendingResult]]" = queue.Queue(
-            maxsize=self.config.max_queue
-        )
-        self._lock = threading.Lock()
+        #: Queued units and their total graph count; ``_ready`` guards
+        #: them and the counters.
+        self._units: Deque[PendingResult] = deque()
+        self._queued = 0
+        self._ready = threading.Condition()
         self._submitted = 0
         self._rejected = 0
         self._backpressure = 0
         self._batches = 0
         self._flush_full = 0
-        self._flush_deadline = 0
         self._closed = False
         self._worker = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
@@ -148,124 +136,130 @@ class MicroBatcher:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, payload: object) -> PendingResult:
-        """Enqueue one request; returns its :class:`PendingResult`."""
-        if self._closed:
-            raise ServeError("micro-batcher is closed")
-        pending = PendingResult(payload)
-        pending.enqueued_at = self._clock()
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            if not self.config.block_on_full:
-                with self._lock:
-                    self._rejected += 1
-                obs.add("serve.queue.rejected")
-                recorder = active_recorder()
-                if recorder is not None:  # load shedding is a post-mortem trigger
-                    recorder.dump_now(
-                        "admission_error",
-                        detail=f"queue full at {self.config.max_queue} pending",
-                    )
-                raise AdmissionError(
-                    f"serving queue full ({self.config.max_queue} pending); "
-                    "request rejected by admission control"
-                ) from None
-            with self._lock:
-                self._backpressure += 1
-            obs.add("serve.queue.backpressure")
-            self._queue.put(pending)  # backpressure: wait for capacity
-        with self._lock:
-            self._submitted += 1
-        obs.gauge("serve.queue.depth", self._queue.qsize())
-        return pending
+    def _fits(self, size: int) -> bool:
+        return self._queued == 0 or self._queued + size <= self.config.max_queue
 
-    def submit_many(self, payloads: Sequence[object]) -> List[PendingResult]:
-        return [self.submit(payload) for payload in payloads]
+    def submit(self, payloads: Sequence[object]) -> List[PendingResult]:
+        """Enqueue one request's payloads together, as consecutive units of
+        at most ``max_batch``; one :class:`PendingResult` per unit."""
+        now, step, size = self._clock(), self.config.max_batch, len(payloads)
+        units = [
+            PendingResult(list(payloads[i : i + step]), now)
+            for i in range(0, size, step)
+        ]
+        with self._ready:
+            if self._closed:
+                raise ServeError("micro-batcher is closed")
+            shed = not self.config.block_on_full and not self._fits(size)
+            if shed:
+                self._rejected += 1
+            else:
+                depth = self._admit(units, size)
+        if shed:
+            obs.add("serve.queue.rejected")
+            recorder = active_recorder()
+            if recorder is not None:  # load shedding is a post-mortem trigger
+                recorder.dump_now(
+                    "admission_error",
+                    detail=f"queue full at {self.config.max_queue} pending",
+                )
+            raise AdmissionError(
+                f"serving queue full ({self.config.max_queue} pending); "
+                "request rejected by admission control"
+            )
+        obs.gauge("serve.queue.depth", depth)
+        return units
+
+    def _admit(self, units: List[PendingResult], size: int) -> int:
+        """Queue ``units`` once they fit; the caller holds ``_ready``, which
+        ``wait`` releases, so the worker drains while this one waits."""
+        if not self._fits(size):
+            self._backpressure += 1
+            obs.add("serve.queue.backpressure")
+            while not self._closed and not self._fits(size):
+                self._ready.wait()
+            if self._closed:
+                raise ServeError("micro-batcher is closed")
+        self._units.extend(units)
+        self._queued += size
+        self._submitted += size
+        self._ready.notify_all()
+        return self._queued
 
     # -- the worker ----------------------------------------------------------
 
-    def _gather(self, first: PendingResult) -> List[PendingResult]:
-        """One coalescing window: flush on max-batch or the deadline.
-
-        The deadline is ``max_wait_ms`` after the window opens; a batch
-        that fills first flushes immediately. Uses only ``self._clock``
-        for time, so tests drive it with a fake clock.
-        """
-        batch = [first]
-        deadline = self._clock() + self.config.max_wait_ms / 1000.0
-        while len(batch) < self.config.max_batch:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is None:  # shutdown sentinel: flush what we have
-                self._queue.put(None)  # re-post for the main loop to see
-                break
-            batch.append(item)
-        with self._lock:
+    def _take(self) -> List[PendingResult]:
+        """The oldest unit plus every queued unit that still fits under
+        ``max_batch``; empty once closed and drained."""
+        with self._ready:
+            while not self._units and not self._closed:
+                self._ready.wait()
+            units, size = [], 0
+            while self._units and (
+                size + len(self._units[0].payloads) <= self.config.max_batch
+            ):
+                units.append(self._units.popleft())
+                size += len(units[-1].payloads)
+            if not units:
+                return units
+            self._queued -= size
             self._batches += 1
-            if len(batch) >= self.config.max_batch:
+            if size >= self.config.max_batch:
                 self._flush_full += 1
                 obs.add("serve.batch.flush_full")
-            else:
-                self._flush_deadline += 1
-                obs.add("serve.batch.flush_deadline")
-        obs.observe("serve.batch.size", len(batch))
-        return batch
+            self._ready.notify_all()  # room for blocked submitters
+        obs.observe("serve.batch.size", size)
+        return units
 
     def _run(self) -> None:
         while True:
-            first = self._queue.get()
-            if first is None:
+            units = self._take()
+            if not units:
                 return
-            batch = self._gather(first)
+            payloads = [payload for unit in units for payload in unit.payloads]
             started = self._clock()
-            for pending in batch:
-                pending.batch_size = len(batch)
-                pending.compute_start = started
+            error: Optional[BaseException] = None
             try:
-                results = self._compute([pending.payload for pending in batch])
-                if len(results) != len(batch):
+                results = self._compute(payloads)
+                if len(results) != len(payloads):
                     raise ServeError(
                         f"compute returned {len(results)} results "
-                        f"for a batch of {len(batch)}"
+                        f"for a batch of {len(payloads)}"
                     )
-            except BaseException as error:  # propagate to every requester
-                finished = self._clock()
-                for pending in batch:
-                    pending.compute_end = finished
-                    pending._reject(error)
-                continue
+            except BaseException as raised:  # propagate to every requester
+                error = raised
             finished = self._clock()
-            for pending, value in zip(batch, results):
-                pending.compute_end = finished
-                pending._resolve(value)
+            offset = 0
+            for unit in units:
+                unit.batch_size = len(payloads)
+                unit.compute_start, unit.compute_end = started, finished
+                end = offset + len(unit.payloads)
+                if error is None:
+                    unit._value = list(results[offset:end])
+                unit._error = error
+                unit._event.set()
+                offset = end
 
     # -- lifecycle / stats ---------------------------------------------------
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, drain the queue, and join the worker."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
+        with self._ready:
+            if self._closed:
+                return
+            self._closed = True
+            self._ready.notify_all()
         self._worker.join(timeout)
 
     def stats(self) -> dict:
-        with self._lock:
+        with self._ready:
             return {
                 "submitted": self._submitted,
                 "batches": self._batches,
                 "flush_full": self._flush_full,
-                "flush_deadline": self._flush_deadline,
                 "rejected": self._rejected,
                 "backpressure": self._backpressure,
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": self._queued,
                 "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
                 "max_queue": self.config.max_queue,
             }

@@ -32,9 +32,11 @@ Wire protocol (deliberately stdlib-only):
   digest it is sent under before it is interned; every materialised
   miss is range-checked and its digest recomputed — nothing is cached
   under a digest the server did not reproduce.
-- **Exactness**: probabilities return as JSON floats. Python's float
-  repr is shortest-round-trip, so every float64 crosses the socket
-  bit-identically — served predictions are byte-equal to local ones.
+- **Exactness**: a reply carries every probability as raw little-endian
+  float64 bytes — one base64 string, the graphs' arrays back to back in
+  request order — which the client splits by the ``num_nodes`` of the
+  graphs it sent. Served predictions are byte-equal to local ones by
+  construction; a payload of the wrong length is a protocol error.
 
 Malformed frames raise :class:`~repro.errors.ProtocolError`;
 server-side failures come back as ``{"ok": false, ...}`` and re-raise
@@ -43,6 +45,7 @@ client-side as :class:`~repro.errors.ServeError`.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import functools
 import json
@@ -357,6 +360,29 @@ def decode_graphs(payload: dict, vocab_size: Optional[int] = None) -> List[CTGra
     return [materialise() for _digest, materialise in items]
 
 
+def _pack_probas(probas: Sequence[np.ndarray]) -> str:
+    """A reply's probabilities: raw little-endian float64, base64."""
+    raw = b"".join(proba.astype("<f8", copy=False).tobytes() for proba in probas)
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack_probas(response: dict, sizes: Sequence[int]) -> List[np.ndarray]:
+    """Split a reply's float64 bytes by the node counts of the graphs sent."""
+    packed = response.get("probas_f64le")
+    if not isinstance(packed, str):
+        raise ProtocolError("server refused a frame that carried its templates")
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as error:  # binascii.Error, or a non-ASCII string
+        raise ProtocolError(f"undecodable probabilities: {error}") from None
+    if len(raw) != 8 * sum(sizes):
+        raise ProtocolError(
+            f"server returned {len(raw)} probability bytes for {sum(sizes)} nodes"
+        )
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # owned, writable
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
 # -- the server --------------------------------------------------------------
 
 
@@ -366,7 +392,6 @@ class ServerConfig:
 
     socket_path: str
     max_batch: int = 8
-    max_wait_ms: float = 2.0
     cache_bytes: int = DEFAULT_CACHE_BYTES
     max_queue: int = 256
     #: Serve calls slower than this land in the flight recorder's
@@ -472,19 +497,6 @@ class PredictionServer:
         self._model_registry = model_registry
         self._model_seed = int(model_seed)
         self._started_monotonic = time.monotonic()
-        if config.infer_dtype != "float64" and hasattr(model, "set_inference_mode"):
-            model.set_inference_mode(config.infer_dtype)
-        self.backend = InProcessServer(
-            model,
-            version=version,
-            cache_bytes=config.cache_bytes,
-            batcher_config=BatcherConfig(
-                max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
-                max_queue=config.max_queue,
-            ),
-            registry=registry,
-        )
         path = config.socket_path
         state = probe_socket(path)
         if state == "live":
@@ -496,6 +508,18 @@ class PredictionServer:
             os.unlink(path)  # leftover socket from a SIGKILLed server
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         self._server = _UnixServer(path, _Handler)
+        if config.infer_dtype != "float64" and hasattr(model, "set_inference_mode"):
+            model.set_inference_mode(config.infer_dtype)
+        # Built last: a refused start leaves no batcher thread behind.
+        self.backend = InProcessServer(
+            model,
+            version=version,
+            cache_bytes=config.cache_bytes,
+            batcher_config=BatcherConfig(
+                max_batch=config.max_batch, max_queue=config.max_queue
+            ),
+            registry=registry,
+        )
         self._server.prediction_server = self
         self._thread: Optional[threading.Thread] = None
         self._connections: set = set()
@@ -579,7 +603,7 @@ class PredictionServer:
             return {
                 "ok": True,
                 "version": batch_version,
-                "probas": [proba.tolist() for proba in probas],
+                "probas_f64le": _pack_probas(probas),
             }
         if op == "status":
             status = self.backend.stats()
@@ -916,17 +940,15 @@ class SocketBackend(PredictionBackend):
                 response = self._request(
                     {"op": "predict_batch", **encode_graphs(graphs, bodies=needed)}
                 )
-        if "probas" not in response:
-            raise ProtocolError("server refused a frame that carried its templates")
-        probas = response["probas"]
-        if len(probas) != len(graphs):
-            raise ProtocolError(
-                f"server returned {len(probas)} predictions for {len(graphs)} graphs"
-            )
+        try:
+            probas = _unpack_probas(response, [graph.num_nodes for graph in graphs])
+        except ProtocolError:
+            self.close()  # the next request starts on a fresh stream
+            raise
         served = response.get("version")
         if served is not None:
             self.observed_version = str(served)
-        return [np.asarray(proba, dtype=np.float64) for proba in probas]
+        return probas
 
     # -- service management --------------------------------------------------
 

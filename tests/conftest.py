@@ -20,6 +20,8 @@ Markers (registered in ``pyproject.toml``):
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import settings
 
@@ -49,6 +51,28 @@ def pytest_collection_modifyitems(config, items):
             item.get_closest_marker("oracle") is None
         ):
             item.add_marker(pytest.mark.tier1)
+
+
+#: Threads a closed batcher or stopped server must not leave running.
+_SERVE_THREADS = ("repro-serve-batcher", "repro-serve-socket")
+
+
+def _serve_threads() -> set:
+    return {t for t in threading.enumerate() if t.name in _SERVE_THREADS}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_serve_threads():
+    """Fail a test that leaves a batcher or socket-server thread alive:
+    close every server and batcher in teardown."""
+    before = _serve_threads()
+    yield
+    leaked = _serve_threads() - before
+    for thread in leaked:
+        thread.join(timeout=1.0)  # one already told to stop may be exiting
+    alive = sorted(thread.name for thread in leaked if thread.is_alive())
+    if alive:
+        pytest.fail(f"test left serving threads running: {alive}")
 
 
 @pytest.fixture(scope="session")

@@ -407,7 +407,7 @@ def restartable_server(tiny_model, tmp_path):
     def start():
         return PredictionServer(
             tiny_model,
-            ServerConfig(socket_path=path, max_batch=4, max_wait_ms=0.5),
+            ServerConfig(socket_path=path, max_batch=4),
             version="v1",
         ).start()
 
@@ -551,7 +551,7 @@ class TestFleetChaos:
         def start_server():
             return PredictionServer(
                 tiny_model,
-                ServerConfig(socket_path=path, max_batch=4, max_wait_ms=0.5),
+                ServerConfig(socket_path=path, max_batch=4),
                 version="v1",
             ).start()
 

@@ -326,7 +326,7 @@ class TestHotSwap:
         server = InProcessServer(
             model,
             version="base",
-            batcher_config=BatcherConfig(max_batch=1, max_wait_ms=0.5),
+            batcher_config=BatcherConfig(max_batch=1),
         )
         heartbeat = _SwapAt(server, other, "ft-v2", at=2)
         explorer = env.snowcat.mlpct_explorer(backend=server)

@@ -157,7 +157,6 @@ def traced_socket_pair(tiny_model, tmp_path):
         ServerConfig(
             socket_path=str(tmp_path / "traced.sock"),
             max_batch=4,
-            max_wait_ms=1.0,
         ),
         version="v1",
         registry=server_registry,
@@ -336,7 +335,7 @@ class TestPrometheusExposition:
                 "requests": 7,
                 "cache": {"hits": 5, "misses": 2, "hit_rate": 5 / 7,
                           "bytes": 128, "evictions": 0},
-                "batcher": {"flush_full": 1, "flush_deadline": 2,
+                "batcher": {"flush_full": 1,
                             "rejected": 0, "backpressure": 0,
                             "queue_depth": 0},
             }
@@ -420,7 +419,7 @@ class TestFlightRecorder:
                     # Worker blocks on the first payload; flood the
                     # 1-deep queue until admission control rejects.
                     for _ in range(8):
-                        batcher.submit(object())
+                        batcher.submit([object()])
             finally:
                 release.set()
                 batcher.close()

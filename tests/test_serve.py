@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -217,79 +218,159 @@ class TestPredictionCache:
 # -- the micro-batcher -------------------------------------------------------
 
 
-class _FakeClock:
-    """Scripted monotonic clock: returns values in order, then repeats
-    the last one."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def __call__(self) -> float:
-        if len(self.values) > 1:
-            return self.values.pop(0)
-        return self.values[0]
+def _results(pendings, timeout=10.0):
+    """One request's results, in order, from its units' futures."""
+    return [value for pending in pendings for value in pending.result(timeout)]
 
 
 class TestMicroBatcher:
-    def _idle_batcher(self, config, clock=None) -> MicroBatcher:
-        """A batcher whose worker is stopped so ``_gather`` can be driven
-        synchronously and deterministically."""
-        import queue
+    @staticmethod
+    def _gated(record, **config):
+        """A batcher whose compute records each batch and, while
+        ``gate`` is clear, blocks after announcing itself on ``entered``."""
+        gate, entered = threading.Event(), threading.Event()
 
+        def compute(payloads):
+            record.append(list(payloads))
+            entered.set()
+            gate.wait(10.0)
+            return payloads
+
+        return MicroBatcher(compute, BatcherConfig(**config)), gate, entered
+
+    def test_a_lone_request_never_waits_on_the_clock(self):
+        batches = []
         batcher = MicroBatcher(
-            lambda payloads: payloads,
-            config,
-            clock=clock or (lambda: 0.0),
+            lambda payloads: batches.append(list(payloads)) or payloads,
+            BatcherConfig(max_batch=8),
+            clock=lambda: 0.0,  # a clock that never advances
         )
-        batcher._queue.put(None)
-        batcher._worker.join(timeout=5.0)
-        assert not batcher._worker.is_alive()
-        try:  # drop a sentinel the worker re-posted instead of consuming
-            batcher._queue.get_nowait()
-        except queue.Empty:
-            pass
-        return batcher
+        try:
+            assert _results(batcher.submit(["a", "b"]), timeout=5.0) == ["a", "b"]
+        finally:
+            batcher.close()
+        assert batches == [["a", "b"]]
+        assert batcher.stats()["batches"] == 1
 
-    def test_deadline_flush_under_fake_clock(self):
-        # Window opens at t=0 (deadline 0.002); two more requests are
-        # already queued and are gathered at t=0; the clock then jumps
-        # past the deadline, flushing a partial batch of 3.
-        clock = _FakeClock([0.0, 0.0, 0.0, 10.0])
-        batcher = self._idle_batcher(
-            BatcherConfig(max_batch=8, max_wait_ms=2.0), clock
-        )
-        pendings = [batcher.submit(i) for i in range(3)]
-        first = batcher._queue.get()
-        batch = batcher._gather(first)
-        assert [pending.payload for pending in batch] == [0, 1, 2]
-        stats = batcher.stats()
-        assert stats["flush_deadline"] == 1 and stats["flush_full"] == 0
-        assert pendings[0] is batch[0]
+    def test_one_requests_misses_are_one_batch(self, tiny_model, candidate_graphs):
+        model = _RecordingModel(tiny_model)
+        server = InProcessServer(model, version="v1")  # max_batch 8 > 7 graphs
+        try:
+            served = server.predict_proba_batch(candidate_graphs)
+            stats = server.stats()["batcher"]
+        finally:
+            server.close()
+        assert stats["batches"] == 1 and stats["submitted"] == len(candidate_graphs)
+        assert len(model.seen) == len(candidate_graphs)
+        for graph, proba in zip(candidate_graphs, served):
+            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
 
-    def test_full_flush_before_deadline(self):
-        batcher = self._idle_batcher(BatcherConfig(max_batch=4, max_wait_ms=60_000))
-        for i in range(6):
-            batcher.submit(i)
-        batch = batcher._gather(batcher._queue.get())
-        assert [pending.payload for pending in batch] == [0, 1, 2, 3]
-        stats = batcher.stats()
-        assert stats["flush_full"] == 1 and stats["flush_deadline"] == 0
-        assert batcher._queue.qsize() == 2  # the rest await the next window
+    def test_units_queued_during_a_compute_merge_into_the_next_batch(self):
+        batches = []
+        batcher, gate, entered = self._gated(batches, max_batch=4)
+        try:
+            first = batcher.submit(["a"])
+            assert entered.wait(10.0)  # the worker holds "a", gated
+            requests = [["b"], ["c", "d"], ["e", "f", "g"], ["h"], list("ijklmn")]
+            pendings = [batcher.submit(request) for request in requests]
+            gate.set()
+            assert _results(first) == ["a"]
+            for request, request_pendings in zip(requests, pendings):
+                assert _results(request_pendings) == request
+        finally:
+            gate.set()
+            batcher.close()
+        # b+c+d fill 3 of 4; e-g would overflow, so they lead the next
+        # batch and h joins them. A request over max_batch is cut into
+        # units of max_batch, the last of which merges like any other.
+        assert batches == [
+            ["a"],
+            ["b", "c", "d"],
+            ["e", "f", "g", "h"],
+            ["i", "j", "k", "l"],
+            ["m", "n"],
+        ]
+        assert batcher.stats()["flush_full"] == 2
+
+    def test_backpressure_admits_a_request_larger_than_the_free_queue(self):
+        batches = []
+        batcher, gate, entered = self._gated(batches, max_batch=2, max_queue=2)
+        outcome = {}
+
+        def large():
+            outcome["large"] = _results(batcher.submit(["c", "d", "e"]))
+
+        thread = threading.Thread(target=large)
+        try:
+            first = batcher.submit(["a"])
+            assert entered.wait(10.0)
+            queued = batcher.submit(["b"])  # one of two slots left
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while batcher.stats()["backpressure"] == 0:  # "large" is blocked
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            gate.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "a blocked submitter deadlocked"
+            assert _results(first) == ["a"] and _results(queued) == ["b"]
+        finally:
+            gate.set()
+            batcher.close()
+        assert outcome["large"] == ["c", "d", "e"]
+        assert batches == [["a"], ["b"], ["c", "d"], ["e"]]
 
     def test_threaded_end_to_end(self):
         batcher = MicroBatcher(
             lambda payloads: [payload * 2 for payload in payloads],
-            BatcherConfig(max_batch=4, max_wait_ms=1.0),
+            BatcherConfig(max_batch=4),
         )
         try:
-            pendings = batcher.submit_many(list(range(10)))
-            assert [pending.result(timeout=10.0) for pending in pendings] == [
-                2 * i for i in range(10)
+            pendings = [batcher.submit([i]) for i in range(10)]
+            assert [_results(units) for units in pendings] == [
+                [2 * i] for i in range(10)
             ]
             stats = batcher.stats()
             assert stats["submitted"] == 10 and stats["batches"] >= 3
         finally:
             batcher.close()
+
+    def test_many_blocked_submitters_all_complete(self):
+        """Stress: more submitters than cores against a tiny queue, with
+        the interpreter switching threads as often as it can. Every
+        request gets exactly its own results and nothing stays queued."""
+        import sys
+
+        batcher = MicroBatcher(
+            lambda payloads: [payload * 2 for payload in payloads],
+            BatcherConfig(max_batch=3, max_queue=4),
+        )
+        failures = []
+
+        def client(worker: int) -> None:
+            for round_ in range(40):
+                request = [(worker, round_, i) for i in range(1 + (worker + round_) % 6)]
+                if _results(batcher.submit(request)) != [p * 2 for p in request]:
+                    failures.append((worker, round_))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert not failures
+        stats = batcher.stats()
+        assert stats["queue_depth"] == 0 and stats["backpressure"] > 0
+        assert stats["submitted"] == sum(
+            1 + (n + r) % 6 for n in range(8) for r in range(40)
+        )
 
     def test_admission_control_rejects_when_full(self):
         gate = threading.Event()
@@ -303,24 +384,22 @@ class TestMicroBatcher:
             BatcherConfig(max_batch=1, max_queue=1, block_on_full=False),
         )
         try:
-            first = batcher.submit("a")  # taken by the worker, blocks
-            import time
-
+            first = batcher.submit(["a"])  # taken by the worker, blocks
             deadline = time.monotonic() + 5.0
             queued = None
             while time.monotonic() < deadline:  # fill the 1-slot queue
                 try:
-                    queued = batcher.submit("b")
+                    queued = batcher.submit(["b"])
                     break
                 except AdmissionError:
                     continue
             assert queued is not None
             with pytest.raises(AdmissionError):
                 # Queue now holds "b" while the worker blocks on "a".
-                batcher.submit("c")
+                batcher.submit(["c"])
             assert batcher.stats()["rejected"] >= 1
             gate.set()
-            assert first.result(timeout=10.0) == "a"
+            assert _results(first) == ["a"]
         finally:
             gate.set()
             batcher.close()
@@ -329,9 +408,9 @@ class TestMicroBatcher:
         def broken(payloads):
             raise RuntimeError("model exploded")
 
-        batcher = MicroBatcher(broken, BatcherConfig(max_batch=4, max_wait_ms=1.0))
+        batcher = MicroBatcher(broken, BatcherConfig(max_batch=4))
         try:
-            pending = batcher.submit("x")
+            (pending,) = batcher.submit(["x"])
             with pytest.raises(RuntimeError, match="model exploded"):
                 pending.result(timeout=10.0)
         finally:
@@ -341,7 +420,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(lambda payloads: payloads)
         batcher.close()
         with pytest.raises(ServeError):
-            batcher.submit("x")
+            batcher.submit(["x"])
 
 
 # -- the model registry ------------------------------------------------------
@@ -410,7 +489,7 @@ class TestModelRegistry:
 class TestInProcessServer:
     def _server(self, model, **kwargs) -> InProcessServer:
         kwargs.setdefault(
-            "batcher_config", BatcherConfig(max_batch=1, max_wait_ms=0.5)
+            "batcher_config", BatcherConfig(max_batch=1)
         )
         return InProcessServer(model, version="v1", **kwargs)
 
@@ -581,9 +660,7 @@ class TestLocalBackend:
 def socket_server(tiny_model, tmp_path):
     server = PredictionServer(
         tiny_model,
-        ServerConfig(
-            socket_path=str(tmp_path / "pic.sock"), max_batch=1, max_wait_ms=0.5
-        ),
+        ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=1),
         version="v1",
     ).start()
     yield server
@@ -795,9 +872,7 @@ class TestDigestAddressedWire:
         model = _RecordingModel(tiny_model)
         server = PredictionServer(
             model,
-            ServerConfig(
-                socket_path=str(tmp_path / "pic.sock"), max_batch=1, max_wait_ms=0.5
-            ),
+            ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=1),
         ).start()
         clients = [SocketBackend(server.config.socket_path) for _ in range(2)]
         try:
@@ -934,9 +1009,7 @@ class TestDigestAddressedWire:
         failed every request gathered into the same batch."""
         server = PredictionServer(
             tiny_model,
-            ServerConfig(
-                socket_path=str(tmp_path / "pic.sock"), max_batch=8, max_wait_ms=200.0
-            ),
+            ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=8),
         ).start()
         bad = encode_graphs(candidate_graphs[:1])
         bad["graphs"][0]["schedule"].append([0, 10_000])
@@ -981,44 +1054,165 @@ class TestDigestAddressedWire:
         """Regression: a fatal frame used to leave its unread body on a
         kept connection, so the next request parsed payload bytes as a
         length header."""
-        path = str(tmp_path / "fake.sock")
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(path)
-        listener.listen(2)
-        listener.settimeout(30.0)
         oversize = server_module._LENGTH.pack(server_module.MAX_FRAME_BYTES + 1)
 
-        def fake_server():
-            answered = 0
-            while answered < 2:
-                connection, _ = listener.accept()
-                with connection, connection.makefile("rb") as rfile, (
-                    connection.makefile("wb")
-                ) as wfile:
-                    try:
-                        while answered < 2:
-                            server_module.read_frame(rfile)
-                            if answered == 0:
-                                wfile.write(oversize + b"AAAA" * 64)
-                                wfile.flush()
-                            else:
-                                server_module.write_frame(wfile, {"ok": True})
-                            answered += 1
-                    except (EOFError, OSError):
-                        continue
+        def reply(wfile):
+            wfile.write(oversize + b"AAAA" * 64)
+            wfile.flush()
 
-        thread = threading.Thread(target=fake_server, daemon=True)
-        thread.start()
-        client = SocketBackend(path, timeout=10.0)
+        with _FakeServer(str(tmp_path / "fake.sock"), reply) as fake:
+            client = SocketBackend(fake.path, timeout=10.0)
+            try:
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    client._request({"op": "ping"})
+                assert client.ping()
+            finally:
+                client.close()
+        assert fake.connections == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "not base64", "wrong length"])
+    def test_undecodable_probabilities_are_fatal_and_reconnect(
+        self, tmp_path, candidate_graphs, damage
+    ):
+        """A reply whose bytes are not one float64 per node sent is a
+        protocol error; the client drops the connection, so the next
+        request starts on a fresh stream."""
+        graphs = candidate_graphs[:2]
+        nodes = sum(graph.num_nodes for graph in graphs)
+        packed = server_module._pack_probas([np.zeros(nodes)])
+        probas = {
+            "truncated": packed[:-3],
+            "not base64": "!" * len(packed),
+            "wrong length": server_module._pack_probas([np.zeros(nodes - 1)]),
+        }[damage]
+
+        def reply(wfile):
+            server_module.write_frame(
+                wfile, {"ok": True, "version": "v1", "probas_f64le": probas}
+            )
+
+        with _FakeServer(str(tmp_path / "fake.sock"), reply) as fake:
+            client = SocketBackend(fake.path, timeout=10.0)
+            try:
+                with pytest.raises(ProtocolError, match="probabilit"):
+                    client.predict_proba_batch(graphs)
+                assert client._sock is None
+                assert client.ping()
+            finally:
+                client.close()
+        assert fake.connections == 2
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_float64_bit_pattern_crosses_the_socket(
+        self, bits_server, candidate_graphs, data
+    ):
+        server, model = bits_server
+        graphs = candidate_graphs[: data.draw(st.integers(1, 3))]
+        total = sum(graph.num_nodes for graph in graphs)
+        special = st.sampled_from(
+            [
+                0x0000000000000000,  # +0.0
+                0x8000000000000000,  # -0.0
+                0x0000000000000001,  # smallest subnormal
+                0x800FFFFFFFFFFFFF,  # largest negative subnormal
+                0x7FF0000000000000,  # +inf
+                0xFFF0000000000000,  # -inf
+                0x7FF8000000000000,  # quiet NaN
+                0x7FF0000000000001,  # signalling NaN, payload 1
+                0xFFFABCDEF0123456,  # negative NaN with payload bits
+            ]
+        )
+        words = data.draw(
+            st.lists(
+                st.one_of(special, st.integers(0, 2**64 - 1)),
+                min_size=total,
+                max_size=total,
+            )
+        )
+        model.bits = np.array(words, dtype=np.uint64)
+        client = SocketBackend(server.config.socket_path)
         try:
-            with pytest.raises(ProtocolError, match="exceeds"):
-                client._request({"op": "ping"})
-            assert client.ping()
+            served = client.predict_proba_batch(graphs)
         finally:
             client.close()
-            thread.join(timeout=30.0)
-            listener.close()
-        assert not thread.is_alive()
+        assert [len(proba) for proba in served] == [g.num_nodes for g in graphs]
+        assert all(proba.dtype == np.float64 for proba in served)
+        np.testing.assert_array_equal(
+            np.concatenate(served).view(np.uint64), model.bits
+        )
+
+
+class _BitsModel:
+    """Answers every batch with ``bits`` reinterpreted as float64, split
+    by node count, whatever the graphs say."""
+
+    def __init__(self, model):
+        self.config = model.config
+        self.threshold = model.threshold
+        self.bits = np.zeros(0, dtype=np.uint64)
+
+    def predict_proba_batch(self, graphs):
+        values = self.bits.view(np.float64)
+        sizes = np.cumsum([graph.num_nodes for graph in graphs])[:-1]
+        return np.split(values, sizes)
+
+
+@pytest.fixture(scope="module")
+def bits_server(tiny_model, tmp_path_factory):
+    """A real server over a :class:`_BitsModel`, with a one-byte cache so
+    every example's bits are computed, never served from a hit."""
+    model = _BitsModel(tiny_model)
+    path = str(tmp_path_factory.mktemp("bits") / "bits.sock")
+    server = PredictionServer(
+        model, ServerConfig(socket_path=path, cache_bytes=1)
+    ).start()
+    yield server, model
+    server.stop()
+
+
+class _FakeServer:
+    """A one-listener stand-in for a prediction server: the first request
+    gets ``reply(wfile)``, the second ``{"ok": true}``. Counts accepted
+    connections."""
+
+    def __init__(self, path, reply):
+        self.path = path
+        self._reply = reply
+        self.connections = 0
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(path)
+        self._listener.listen(2)
+        self._listener.settimeout(30.0)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        answered = 0
+        while answered < 2:
+            connection, _ = self._listener.accept()
+            self.connections += 1
+            with connection, connection.makefile("rb") as rfile, (
+                connection.makefile("wb")
+            ) as wfile:
+                try:
+                    while answered < 2:
+                        server_module.read_frame(rfile)
+                        if answered == 0:
+                            self._reply(wfile)
+                        else:
+                            server_module.write_frame(wfile, {"ok": True})
+                        answered += 1
+                except (EOFError, OSError):
+                    continue
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join(timeout=30.0)
+        self._listener.close()
+        assert not self._thread.is_alive()
 
 
 # -- registry mutation racing live hot-swaps ---------------------------------
@@ -1072,7 +1266,7 @@ class TestRegistryHotSwapRaces:
         server = InProcessServer(
             tiny_model,
             version="v1",
-            batcher_config=BatcherConfig(max_batch=1, max_wait_ms=0.5),
+            batcher_config=BatcherConfig(max_batch=1),
         )
         real_cache = server.cache
 
@@ -1122,7 +1316,6 @@ class TestRegistryHotSwapRaces:
             ServerConfig(
                 socket_path=str(tmp_path / "race.sock"),
                 max_batch=1,
-                max_wait_ms=0.5,
             ),
             version="v1",
             model_registry=registry,
@@ -1320,8 +1513,6 @@ class TestServeCli:
                 "/tmp/x.sock",
                 "--max-batch",
                 "16",
-                "--max-wait-ms",
-                "5",
                 "--cache-mb",
                 "8",
             ]
@@ -1341,12 +1532,18 @@ class TestServeCli:
         [
             ["campaign", "--serve", "--ctis", "1"],
             ["serve", "start", "--socket", "/tmp/x.sock", "--score-threads", "2"],
+            ["serve", "start", "--socket", "/tmp/x.sock", "--max-wait-ms", "1"],
         ],
-        ids=["campaign --serve", "serve start --score-threads"],
+        ids=[
+            "campaign --serve",
+            "serve start --score-threads",
+            "serve start --max-wait-ms",
+        ],
     )
     def test_deleted_serve_modes_are_refused(self, argv, capsys):
-        """In-process ``campaign --serve`` and ``--score-threads`` sharding
-        are gone: an old command line exits 2 before building anything."""
+        """In-process ``campaign --serve``, ``--score-threads`` sharding and
+        the batching window are gone: an old command line exits 2 before
+        building anything."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
