@@ -234,21 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "races, rate, ETA) to FILE for 'repro top'",
     )
     campaign.add_argument(
-        "--cascade",
-        action="store_true",
-        help="two-stage scoring cascade: a cheap trained filter rejects "
-        "unpromising candidates before the full PIC runs "
-        "(see docs/PERFORMANCE.md)",
-    )
-    campaign.add_argument(
-        "--filter-recall",
-        type=float,
-        default=0.95,
-        metavar="FLOOR",
-        help="cascade recall floor, calibrated on a campaign-style "
-        "candidate pool; 1.0 accepts everything (behaviour-preserving)",
-    )
-    campaign.add_argument(
         "--infer-dtype",
         choices=("float64", "float32"),
         default="float64",
@@ -722,7 +707,6 @@ def _spec_from_args(args) -> RunSpec:
             fault_spec=args.inject_faults,
         )
         extras = dict(
-            cascade_recall=args.filter_recall if args.cascade else None,
             infer_dtype=args.infer_dtype,
             heartbeat=args.heartbeat,
         )

@@ -49,17 +49,12 @@ class DirectedScheduleSearch:
         predictor: CoveragePredictor,
         seed: int = 0,
         score_batch_size: int = DEFAULT_BATCH_SIZE,
-        cascade_filter: Optional[object] = None,
     ) -> None:
         self.graphs = graphs
         self.kernel = graphs.kernel
         self.predictor = predictor
         self.seed = seed
-        self.scorer = CandidateScorer(
-            predictor,
-            batch_size=score_batch_size,
-            cascade_filter=cascade_filter,
-        )
+        self.scorer = CandidateScorer(predictor, batch_size=score_batch_size)
 
     def rank_schedules(
         self,

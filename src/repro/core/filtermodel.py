@@ -1,4 +1,4 @@
-"""Rejection filtering: the analytic cost model and the trained filter.
+"""Rejection filtering: the analytic cost model of §2 and §A.6.
 
 Analytic model (§2, Figure 3; §A.6): models a testing loop where a
 fraction ``p`` of candidate tests is fruitful, dynamic execution costs
@@ -15,40 +15,19 @@ Closed forms (per fruitful test found):
 
 The Monte-Carlo simulator cross-checks the closed forms and also yields
 the omniscient/realistic/no-filter scenario of the paper's Figure 3.
-
-:class:`TrainedFilter` is the *real* cheap filter the scoring cascade
-uses (see ``docs/PERFORMANCE.md``): a tiny logistic model over per-
-candidate features that cost a handful of NumPy ops — no GNN forward
-pass — trained on the same labelled CT examples the PIC trains on. Its
-threshold is calibrated on held-out data to guarantee a recall floor,
-and :meth:`TrainedFilter.operating_point` plugs the measured TPR/FPR
-back into the analytic :class:`FilterModel` so the closed forms decide
-whether the operating point actually pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro import rng as rngmod
 from repro.core.costs import CostModel
-from repro.graphs.ctgraph import (
-    HINT_NONE,
-    NUM_EDGE_TYPES,
-    CTGraph,
-)
 
-__all__ = [
-    "FilterModel",
-    "TrainedFilter",
-    "candidate_features",
-    "candidate_feature_matrix",
-    "pic_flags",
-    "simulate_filter",
-]
+__all__ = ["FilterModel", "simulate_filter"]
 
 
 @dataclass(frozen=True)
@@ -116,268 +95,6 @@ class FilterModel:
         #   (r + p·tpr + (1-p)·fpr) / (p·tpr) = 1 / p
         numerator = tpr - r - p * tpr
         return max(0.0, min(1.0, numerator / (1.0 - p)))
-
-
-# -- cheap per-candidate features ---------------------------------------------
-
-#: Dimensionality of :func:`candidate_features`.
-NUM_FILTER_FEATURES = 13
-
-
-def candidate_features(graph: CTGraph) -> np.ndarray:
-    """Features available without running the GNN: O(nodes + edges) NumPy.
-
-    Size/topology (log node and edge counts, per-type edge fractions)
-    plus hint-vector statistics (how many nodes the candidate schedule
-    touches, where in the graph they sit, how many are URBs) — the
-    signal a schedule's coverage outcome correlates with most cheaply.
-    """
-    n = graph.num_nodes
-    e = graph.num_edges
-    out = np.zeros(NUM_FILTER_FEATURES, dtype=np.float64)
-    out[0] = np.log1p(n)
-    out[1] = np.log1p(e)
-    if e:
-        out[2 : 2 + NUM_EDGE_TYPES] = (
-            np.bincount(graph.edges[:, 2], minlength=NUM_EDGE_TYPES)[:NUM_EDGE_TYPES]
-            / e
-        )
-    out[8] = np.log1p(len(graph.hints))
-    hinted = np.flatnonzero(graph.hint_flags != HINT_NONE)
-    if n:
-        out[9] = hinted.size / n
-        out[12] = float(graph.urb_mask().mean())
-    if hinted.size:
-        out[10] = float(graph.urb_mask()[hinted].mean())
-        out[11] = float(hinted.mean()) / max(n - 1, 1)
-    else:
-        out[11] = 0.5
-    return out
-
-
-def candidate_feature_matrix(graphs: Sequence[CTGraph]) -> np.ndarray:
-    """Stacked :func:`candidate_features`, shape ``(len(graphs), d)``."""
-    if not graphs:
-        return np.zeros((0, NUM_FILTER_FEATURES), dtype=np.float64)
-    return np.stack([candidate_features(g) for g in graphs])
-
-
-def _filter_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def pic_flags(predictor, graphs: Sequence[CTGraph]) -> np.ndarray:
-    """Would the full PIC flag each candidate? Boolean per graph.
-
-    A candidate is *flagged* when the predictor scores at least one of
-    its URB nodes at or above 0.5 — the same nodes the MLPCT strategies
-    and the directed search act on. Graphs without URB nodes fall back
-    to any-node. This is the distillation target for
-    :class:`TrainedFilter`: the cascade's job is to keep candidates the
-    PIC would rank highly, so the cheap model learns to predict the
-    PIC's verdict, not the ground truth the PIC itself only estimates.
-    """
-    flags = np.zeros(len(graphs), dtype=bool)
-    for i, graph in enumerate(graphs):
-        proba = predictor.predict_proba(graph)
-        urb = graph.urb_mask()
-        hot = proba[urb] if urb.any() else proba
-        flags[i] = bool((hot >= 0.5).any())
-    return flags
-
-
-def _graphs_of(examples: Sequence) -> List[CTGraph]:
-    """Accept labelled CT examples or raw CT graphs interchangeably."""
-    return [getattr(ex, "graph", ex) for ex in examples]
-
-
-def _example_labels(examples: Sequence, predictor=None) -> np.ndarray:
-    if predictor is not None:
-        return pic_flags(predictor, _graphs_of(examples))
-    return np.array([ex.urb_labels().sum() > 0 for ex in examples])
-
-
-@dataclass
-class TrainedFilter:
-    """The cheap stage of the scoring cascade.
-
-    A logistic model over :func:`candidate_features`, trained by
-    deterministic full-batch gradient descent (zero init, no RNG) on
-    labelled CT examples. With a ``predictor`` the label is the PIC's
-    own verdict (:func:`pic_flags`) — distillation, which transfers to
-    unseen CTIs far better than the ground-truth *fruitful* label (the
-    executed CT covered at least one URB node) because the PIC's output
-    is a smooth deterministic function of the graph while fruitfulness
-    is noisy at the template level. Without a predictor it falls back
-    to the ground-truth label.
-    ``threshold`` is calibrated on held-out examples so that validation
-    recall stays at or above ``recall_floor``; a floor ``>= 1.0``
-    degenerates to accept-everything (threshold ``-inf``), which is the
-    behaviour-preserving operating point.
-    """
-
-    weights: np.ndarray
-    bias: float
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    threshold: float = float("-inf")
-    recall_floor: float = 0.95
-    #: Measured on the calibration split at ``threshold``.
-    measured_tpr: float = 1.0
-    measured_fpr: float = 1.0
-    prevalence: float = 0.5
-
-    # -- inference -------------------------------------------------------------
-
-    def score_features(self, features: np.ndarray) -> np.ndarray:
-        """Sigmoid scores for a pre-built feature matrix."""
-        z = (features - self.feature_mean) / self.feature_scale @ self.weights
-        return _filter_sigmoid(z + self.bias)
-
-    def score_graphs(self, graphs: Sequence[CTGraph]) -> np.ndarray:
-        """Sigmoid score per graph, strictly inside ``(0, 1)``."""
-        return self.score_features(candidate_feature_matrix(graphs))
-
-    def accept(self, graphs: Sequence[CTGraph]) -> np.ndarray:
-        """Boolean accept mask at the calibrated threshold."""
-        return self.score_graphs(graphs) >= self.threshold
-
-    # -- the analytic model as cost model --------------------------------------
-
-    def operating_point(self, costs: Optional[CostModel] = None) -> FilterModel:
-        """This filter's measured operating point as a :class:`FilterModel`.
-
-        The closed forms (``speedup``, ``breakeven_false_positive_rate``)
-        then answer whether cascading at this threshold pays for the
-        given cost regime.
-        """
-        return FilterModel(
-            fruitful_probability=self.prevalence,
-            true_positive_rate=self.measured_tpr,
-            false_positive_rate=self.measured_fpr,
-            costs=costs or CostModel(),
-        )
-
-    # -- training --------------------------------------------------------------
-
-    @classmethod
-    def train(
-        cls,
-        examples: Sequence,
-        validation: Optional[Sequence] = None,
-        recall_floor: float = 0.95,
-        epochs: int = 200,
-        learning_rate: float = 0.5,
-        l2: float = 0.05,
-        margin: float = 1.0,
-        predictor=None,
-    ) -> "TrainedFilter":
-        """Fit on labelled :class:`repro.graphs.dataset.CTExample` lists.
-
-        ``validation`` (defaults to ``examples``) calibrates the
-        threshold and measures the operating point; keep it disjoint
-        from the training examples when you can, exactly as the PIC
-        does. ``l2`` regularises the weights — candidate features are
-        partly template-level, so an unregularised fit memorises
-        training CTIs and its score scale does not transfer to unseen
-        ones. ``margin`` is the calibration safety margin (see
-        :meth:`calibrate`). With ``predictor`` (the deployment's PIC),
-        labels are the PIC's own verdicts (:func:`pic_flags`) instead
-        of ground truth — the cascade setting.
-        """
-        if not examples:
-            raise ValueError("TrainedFilter.train needs at least one example")
-        x = candidate_feature_matrix(_graphs_of(examples))
-        y = _example_labels(examples, predictor).astype(np.float64)
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale[scale < 1e-9] = 1.0
-        xn = (x - mean) / scale
-        n_pos = float(y.sum())
-        n_neg = float(y.size - n_pos)
-        # Balanced class weights keep the rare class from being ignored;
-        # degenerate single-class datasets fall back to uniform weights.
-        if n_pos and n_neg:
-            sample_w = np.where(y == 1.0, y.size / (2.0 * n_pos), y.size / (2.0 * n_neg))
-        else:
-            sample_w = np.ones_like(y)
-        w = np.zeros(x.shape[1], dtype=np.float64)
-        b = 0.0
-        inv_n = 1.0 / y.size
-        for _ in range(int(epochs)):
-            p = _filter_sigmoid(xn @ w + b)
-            g = (p - y) * sample_w
-            w -= learning_rate * (inv_n * (xn.T @ g) + l2 * w)
-            b -= learning_rate * inv_n * float(g.sum())
-        fitted = cls(
-            weights=w,
-            bias=b,
-            feature_mean=mean,
-            feature_scale=scale,
-            recall_floor=float(recall_floor),
-        )
-        fitted.calibrate(
-            validation if validation is not None else examples,
-            recall_floor,
-            margin=margin,
-            predictor=predictor,
-        )
-        return fitted
-
-    def calibrate(
-        self,
-        examples: Sequence,
-        recall_floor: float,
-        margin: float = 1.0,
-        predictor=None,
-    ) -> float:
-        """Pick the largest threshold keeping recall ``>= recall_floor``.
-
-        The threshold is the score of the k-th best calibration positive
-        (``k = ceil(recall_floor × positives)``) relaxed by ``margin``
-        logit units. The margin buys robustness: candidate features are
-        partly template-level, so score distributions shift between the
-        calibration CTIs and unseen ones — with a near-perfect ranking
-        (the measured regime; see the operating-point numbers in
-        docs/PERFORMANCE.md) the relaxation costs little rejection but
-        protects the recall floor off-distribution.
-
-        A floor at or above 1.0 forces threshold ``-inf`` (accept
-        everything): that is the only threshold that *guarantees* full
-        recall on unseen candidates, and it makes the cascade execute
-        exactly the CT set the uncascaded pipeline would.
-
-        ``examples`` may be labelled CT examples or — with ``predictor``
-        supplied, since PIC verdicts need no ground truth — raw CT
-        graphs, e.g. a campaign-style candidate pool. Calibrating on
-        such a pool removes the CTI distribution shift entirely: the
-        threshold is picked on exactly the kind of candidates the
-        cascade will score.
-        """
-        self.recall_floor = float(recall_floor)
-        scores = self.score_graphs(_graphs_of(examples))
-        labels = _example_labels(examples, predictor)
-        if recall_floor >= 1.0 or not labels.any():
-            self.threshold = float("-inf")
-        else:
-            pos = np.sort(scores[labels])[::-1]
-            keep = int(np.ceil(recall_floor * pos.size))
-            keep = min(max(keep, 1), pos.size)
-            pivot = min(max(float(pos[keep - 1]), 1e-12), 1.0 - 1e-12)
-            logit = np.log(pivot / (1.0 - pivot)) - margin
-            self.threshold = float(1.0 / (1.0 + np.exp(-logit)))
-        accepted = scores >= self.threshold
-        n_pos = int(labels.sum())
-        n_neg = int(labels.size - n_pos)
-        self.measured_tpr = float(accepted[labels].mean()) if n_pos else 1.0
-        self.measured_fpr = float(accepted[~labels].mean()) if n_neg else 0.0
-        self.prevalence = n_pos / labels.size if labels.size else 0.5
-        return self.threshold
 
 
 # -- Monte-Carlo simulator -----------------------------------------------------

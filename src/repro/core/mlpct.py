@@ -596,18 +596,13 @@ class MLPCTExplorer(_ExplorerBase):
         predictor: Optional[CoveragePredictor],
         strategy: SelectionStrategy,
         backend: Optional[object] = None,
-        cascade_filter: Optional[object] = None,
         **kwargs,
     ) -> None:
         """``backend`` routes all predictions through a serving backend
         (:mod:`repro.serve`) instead of calling ``predictor`` directly;
         ``predictor`` may then be ``None`` (socket campaigns have no
         local model). The default (no backend) is byte-identical to the
-        historical direct-call path.
-
-        ``cascade_filter`` (a :class:`repro.core.filtermodel.TrainedFilter`)
-        enables two-stage scoring: cheap-filter rejects never reach the
-        full predictor and are treated as predicted-uncovered."""
+        historical direct-call path."""
         kwargs.setdefault("label", f"MLPCT-{strategy.name}")
         super().__init__(graphs, **kwargs)
         self.predictor = predictor
@@ -617,7 +612,6 @@ class MLPCTExplorer(_ExplorerBase):
             predictor,
             batch_size=self.config.score_batch_size,
             backend=backend,
-            cascade_filter=cascade_filter,
         )
 
     def selection_state(self) -> Dict[str, object]:

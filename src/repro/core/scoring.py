@@ -35,25 +35,10 @@ never sits in front of a backend: a backend owns its cache, version
 tags and hit accounting, and dedups structural repeats itself because
 :func:`repro.serve.digest.graph_digest` hashes the same key.
 
-The opt-in *cascade* (``cascade_filter``) puts a
-:class:`repro.core.filtermodel.TrainedFilter` in front of the full
-predictor: every candidate is scored by the cheap filter first and only
-predicted-positives pay for a GNN forward pass. Rejected candidates
-still get a total order — their per-node "probability" is the filter's
-sigmoid score scaled *below* the decision threshold, so ranking
-consumers sort them beneath every PIC-scored candidate and boolean
-consumers see all-``False`` predictions. The cascade requires a
-batch-capable RNG-free predictor (it reorders and skips predictor
-calls) and sits behind the memo, so a structural repeat is filtered
-once too.
-
 Telemetry: the engine counts ``inference.batched`` (graphs sent to the
 predictor), ``inference.memo_hits`` (candidates answered from the memo)
 and ``inference.single``, and records an ``inference.batch_size``
 histogram, so a trace shows how well a campaign amortises its scoring.
-The cascade adds ``cascade.filter_pass`` / ``cascade.filter_reject``
-counters and ``cascade.filter_seconds`` / ``cascade.pic_seconds`` stage
-timers.
 """
 
 from __future__ import annotations
@@ -65,7 +50,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro import obs
-from repro.core.filtermodel import TrainedFilter
 from repro.execution.concurrent import ScheduleHint
 from repro.fuzz.corpus import CorpusEntry
 from repro.graphs.ctgraph import CTGraph, schedule_key
@@ -117,12 +101,6 @@ class CandidateScorer:
     backend so consumers that inspect the model (threshold tuning,
     reporting) keep working, but it may be ``None`` for socket backends
     where no local model exists.
-
-    ``cascade_filter`` (a :class:`repro.core.filtermodel.TrainedFilter`)
-    enables the two-stage cascade: candidates the filter rejects never
-    reach the predictor. Requires a batch-capable target — the cascade
-    reorders and skips predictor calls, which is only sound for RNG-free
-    predictors (the same contract the batch path already demands).
     """
 
     def __init__(
@@ -130,20 +108,12 @@ class CandidateScorer:
         predictor: Optional[CoveragePredictor],
         batch_size: int = DEFAULT_BATCH_SIZE,
         backend: Optional[object] = None,
-        cascade_filter: Optional[TrainedFilter] = None,
     ) -> None:
         if predictor is None and backend is None:
             raise ValueError("CandidateScorer needs a predictor or a backend")
         self.predictor = predictor
         self.backend = backend
         self.batch_size = max(1, int(batch_size))
-        self.cascade_filter = cascade_filter
-        if cascade_filter is not None and not hasattr(
-            self.target, "predict_proba_batch"
-        ):
-            raise ValueError(
-                "cascade filtering needs a batch-capable (RNG-free) predictor"
-            )
 
     @property
     def target(self) -> object:
@@ -154,76 +124,27 @@ class CandidateScorer:
     @property
     def batched(self) -> bool:
         """Whether the block-diagonal batch path is in use."""
-        if self.cascade_filter is not None:
-            return True
         return self.batch_size > 1 and hasattr(
             self.target, "predict_proba_batch"
         )
 
-    def _threshold(self) -> float:
-        return float(getattr(self.target, "threshold", 0.5))
+    # -- one window ------------------------------------------------------------
 
-    # -- one batch ---------------------------------------------------------------
-
-    def _pic_proba(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
-        """Full-predictor probabilities, chunked to ``batch_size``."""
+    def _score_window(
+        self, graphs: Sequence[CTGraph], want: str
+    ) -> List[np.ndarray]:
+        """One look-ahead window through the target, chunked to
+        ``batch_size``."""
         probas: List[np.ndarray] = []
         for start in range(0, len(graphs), self.batch_size):
             chunk = graphs[start : start + self.batch_size]
             probas.extend(self.target.predict_proba_batch(chunk))
             obs.add("inference.batched", len(chunk))
             obs.observe("inference.batch_size", len(chunk))
-        return probas
-
-    def _cascade_scores(
-        self, graphs: Sequence[CTGraph], want: str
-    ) -> List[np.ndarray]:
-        """Two-stage scoring: cheap filter, then the predictor on survivors.
-
-        Rejected candidates fall back to ``filter_score × threshold`` per
-        node (``want="proba"``) — strictly below the decision threshold
-        because the sigmoid score is strictly below 1 — or all-``False``
-        (``want="predicted"``), so consumers see a total order in which
-        every rejected candidate ranks beneath every scored one.
-        """
-        assert self.cascade_filter is not None
-        threshold = self._threshold()
-        started = obs.tick()
-        filter_scores = self.cascade_filter.score_graphs(graphs)
-        accepted = filter_scores >= self.cascade_filter.threshold
-        obs.tock("cascade.filter_seconds", started)
-        kept = [i for i in range(len(graphs)) if accepted[i]]
-        obs.add("cascade.filter_pass", len(kept))
-        obs.add("cascade.filter_reject", len(graphs) - len(kept))
-        results: List[Optional[np.ndarray]] = [None] * len(graphs)
-        if kept:
-            started = obs.tick()
-            probas = self._pic_proba([graphs[i] for i in kept])
-            obs.tock("cascade.pic_seconds", started)
-            for index, proba in zip(kept, probas):
-                results[index] = (
-                    proba if want == "proba" else proba >= threshold
-                )
-        for index, graph in enumerate(graphs):
-            if results[index] is None:
-                if want == "proba":
-                    results[index] = np.full(
-                        graph.num_nodes, filter_scores[index] * threshold
-                    )
-                else:
-                    results[index] = np.zeros(graph.num_nodes, dtype=bool)
-        return results  # type: ignore[return-value]
-
-    def _score_window(
-        self, graphs: Sequence[CTGraph], want: str
-    ) -> List[np.ndarray]:
-        """One look-ahead window through the cascade or the predictor."""
-        if self.cascade_filter is not None:
-            return self._cascade_scores(graphs, want)
         if want == "proba":
-            return self._pic_proba(graphs)
-        threshold = self._threshold()
-        return [proba >= threshold for proba in self._pic_proba(graphs)]
+            return probas
+        threshold = float(getattr(self.target, "threshold", 0.5))
+        return [proba >= threshold for proba in probas]
 
     # -- the engine --------------------------------------------------------------
 

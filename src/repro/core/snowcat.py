@@ -24,7 +24,6 @@ import numpy as np
 from repro import obs
 from repro import rng as rngmod
 from repro.core.costs import CostLedger, CostModel
-from repro.core.filtermodel import TrainedFilter
 from repro.core.mlpct import (
     CampaignResult,
     ExplorationConfig,
@@ -221,47 +220,6 @@ class Snowcat:
             raise ModelError("no trained PIC model; call train() first")
         return self.model
 
-    def trained_filter(
-        self,
-        recall_floor: float = 0.95,
-        calibration_ctis: int = 8,
-        calibration_pool: int = 16,
-    ) -> TrainedFilter:
-        """Train the cascade's cheap filter from this deployment's dataset.
-
-        Fits on the training split. When this deployment has a trained
-        PIC the filter distils it — labels are the PIC's verdicts, the
-        quantity the cascade must preserve — and the recall-floor
-        threshold is calibrated on a campaign-style candidate pool
-        (``calibration_ctis`` CTI pairs × ``calibration_pool`` proposed
-        schedules each, PIC-labelled): exactly the candidate
-        distribution the cascade will face, so the floor transfers.
-        Without a model it falls back to ground-truth fruitfulness
-        labels and validation-split calibration. Requires
-        :meth:`collect_dataset` (or :meth:`train`) to have run.
-        """
-        if self.splits is None:
-            self.collect_dataset()
-        assert self.splits is not None
-        fitted = TrainedFilter.train(
-            self.splits.train,
-            validation=self.splits.validation or self.splits.train,
-            recall_floor=recall_floor,
-            predictor=self.model,
-        )
-        if self.model is not None and calibration_ctis > 0:
-            from repro.execution.pct import propose_hint_pairs
-
-            rng = rngmod.split(self.config.seed, "filter-calibration")
-            pool: List = []
-            for a, b in self.cti_stream(calibration_ctis, "filter-calibration"):
-                for pair in propose_hint_pairs(
-                    rng, a.trace, b.trace, calibration_pool
-                ):
-                    pool.append(self.graphs.graph_for(a, b, list(pair)))
-            fitted.calibrate(pool, recall_floor, predictor=self.model)
-        return fitted
-
     # -- explorers -----------------------------------------------------------
 
     def _ledger(self, include_startup: bool) -> CostLedger:
@@ -277,22 +235,18 @@ class Snowcat:
         s3_limit: int = 3,
         label: Optional[str] = None,
         backend: Optional[object] = None,
-        cascade_filter: Optional[TrainedFilter] = None,
     ) -> MLPCTExplorer:
         """``backend`` (a :mod:`repro.serve` prediction backend) routes
         scoring through the shared inference service; campaigns without
         one call this deployment's model directly, as before. With a
         backend, a deployment that never trained locally (socket
-        campaigns) is allowed — predictions come from the service.
-        ``cascade_filter`` (see :meth:`trained_filter`) enables the
-        two-stage scoring cascade."""
+        campaigns) is allowed — predictions come from the service."""
         model = self.model if backend is not None else self.require_model()
         return MLPCTExplorer(
             self.graphs,
             predictor=model,
             strategy=make_strategy(strategy, s3_limit=s3_limit),
             backend=backend,
-            cascade_filter=cascade_filter,
             config=self.config.exploration,
             seed=self.config.seed,
             ledger=self._ledger(include_startup_cost),

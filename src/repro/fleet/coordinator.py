@@ -127,10 +127,9 @@ class FleetConfig:
     poll_seconds: float = 0.05
 
 
-def _check_shardable(exploration, config: FleetConfig, cascade: bool) -> None:
+def _check_shardable(exploration, config: FleetConfig) -> None:
     """Raise :class:`FleetError` unless a campaign explored under
-    ``exploration`` (with a scoring cascade, if ``cascade``) can be
-    sharded by a fleet configured as ``config``."""
+    ``exploration`` can be sharded by a fleet configured as ``config``."""
     if exploration.supervision is not None or exploration.fault_spec:
         raise FleetError(
             "fleet campaigns own their fault handling; build the "
@@ -144,12 +143,6 @@ def _check_shardable(exploration, config: FleetConfig, cascade: bool) -> None:
         )
     if config.workers < 1:
         raise FleetError("a fleet needs at least one worker")
-    if cascade:
-        raise FleetError(
-            "the scoring cascade's fallback scores are position-"
-            "dependent and cannot be sharded; build the fleet "
-            "explorer without a cascade filter"
-        )
 
 
 @dataclass
@@ -196,7 +189,7 @@ class FleetCoordinator:
         self.ctis = list(ctis)
         self.config = config or FleetConfig()
         self.journal = journal
-        self._validate()
+        _check_shardable(explorer.config, self.config)
         explorer.journaled = journal is not None
         self.fault_plan = (
             FaultPlan.parse(self.config.fault_spec, seed=explorer.seed)
@@ -224,14 +217,6 @@ class FleetCoordinator:
         self._own_heartbeat_dir = False
         self._coordinator_beat: Optional[HeartbeatWriter] = None
         self._last_liveness = 0.0
-
-    def _validate(self) -> None:
-        scorer = getattr(self.explorer, "scorer", None)
-        _check_shardable(
-            self.explorer.config,
-            self.config,
-            scorer is not None and scorer.cascade_filter is not None,
-        )
 
     # -- the explorer's stages, in strict CTI order ---------------------------
 

@@ -237,12 +237,7 @@ _BOUND_SETTINGS = (
 
 
 def _bound_settings(explorer) -> Dict[str, object]:
-    settings = {name: getattr(explorer.config, name) for name in _BOUND_SETTINGS}
-    scorer = getattr(explorer, "scorer", None)
-    if scorer is not None:  # a predicting explorer: is a cascade attached?
-        attached = scorer.cascade_filter
-        settings["cascade"] = None if attached is None else attached.threshold
-    return settings
+    return {name: getattr(explorer.config, name) for name in _BOUND_SETTINGS}
 
 
 # -- campaign journal ---------------------------------------------------------

@@ -7,11 +7,11 @@ two commands that run campaigns (``campaign`` inline, ``fleet run``
 sharded): it embeds the config objects that already exist
 (:class:`~repro.core.mlpct.ExplorationConfig`, optionally a
 :class:`~repro.fleet.FleetConfig`) next to the values that had no home
-(seed, CTI count, strategy, model source, cascade, dtype, journal,
+(seed, CTI count, strategy, model source, dtype, journal,
 label capture, heartbeat). :meth:`RunSpec.validated` refuses every
 combination that cannot take effect before anything expensive happens;
 :func:`execute` is the one assembly path — deployment → backend →
-cascade filter → explorers → CTI stream → journal →
+explorers → CTI stream → journal →
 :func:`~repro.core.mlpct.run_campaign` or :func:`~repro.fleet.run_fleet`.
 
 Refusals are worded in the CLI's flag names: those are the operator's
@@ -64,9 +64,6 @@ class RunSpec:
     #: ... or a running ``repro serve`` server's Unix socket, which owns
     #: the model and its dtype; neither trains one first.
     serve_socket: Optional[str] = None
-    #: Recall floor of the two-stage scoring cascade; ``None`` is no
-    #: cascade.
-    cascade_recall: Optional[float] = None
     #: GNN precision of every local PIC inference call.
     infer_dtype: str = "float64"
     #: Durable journal file: reset and started over, or, with ``resume``,
@@ -110,16 +107,14 @@ class RunSpec:
                 "(give them to 'repro serve start')"
             )
         if self.strategy is None and (
-            self.model or self.serve_socket or self.cascade_recall is not None
+            self.model or self.serve_socket or self.infer_dtype != "float64"
         ):
             raise SpecError(
                 "--pct-only runs the baseline alone: --model, --serve-socket "
-                "and --cascade cannot take effect"
+                "and --infer-dtype cannot take effect"
             )
         if self.fleet is not None:
-            _check_shardable(
-                self.exploration, self.fleet, self.cascade_recall is not None
-            )
+            _check_shardable(self.exploration, self.fleet)
             if self.heartbeat or self.fleet.serve_socket:
                 raise SpecError(
                     "a fleet scores in its workers and publishes to "
@@ -210,8 +205,8 @@ def execute(
     corpus, plus training a PIC or loading ``spec.model``): an
     already-built :class:`Snowcat` is used as it is, under the spec's
     seed and exploration config. Everything after is the same path.
-    Setup narrates itself on stdout (``scoring via``, ``cascade filter:``,
-    the closing ``serving cache:`` line) in stage order; journal and
+    Setup narrates itself on stdout (``scoring via``, the closing
+    ``serving cache:`` line) in stage order; journal and
     backend are released when the generator finishes or is closed.
     """
     spec.validated()
@@ -234,22 +229,12 @@ def execute(
         snowcat = _trained_snowcat(spec.seed, exploration=spec.exploration)
 
     with ExitStack() as stack:
-        backend = cascade_filter = journal = heartbeat = None
+        backend = journal = heartbeat = None
         if spec.serve_socket:
             backend = stack.enter_context(closing(SocketBackend(spec.serve_socket)))
             _check_server(backend, spec.serve_socket, len(snowcat.graphs.vocabulary))
         if spec.infer_dtype != "float64" and snowcat.model is not None:
             snowcat.model.set_inference_mode(spec.infer_dtype)
-        if spec.cascade_recall is not None and strategy is not None:
-            cascade_filter = snowcat.trained_filter(recall_floor=spec.cascade_recall)
-            op = cascade_filter.operating_point(snowcat.config.costs)
-            print(
-                f"cascade filter: threshold {cascade_filter.threshold:.3f} "
-                f"(recall floor {spec.cascade_recall:.2f}, calibrated "
-                f"tpr {cascade_filter.measured_tpr:.2f} / "
-                f"fpr {cascade_filter.measured_fpr:.2f}, "
-                f"projected speedup {op.speedup:.2f}x)"
-            )
         if spec.journal:
             if not spec.resume:
                 reset_journal(spec.journal)
@@ -262,11 +247,7 @@ def execute(
 
         explorers = [snowcat.pct_explorer()]
         if strategy is not None:
-            explorers.append(
-                snowcat.mlpct_explorer(
-                    strategy, backend=backend, cascade_filter=cascade_filter
-                )
-            )
+            explorers.append(snowcat.mlpct_explorer(strategy, backend=backend))
         for explorer in explorers:
             explorer.capture_labels = spec.capture_labels
         ctis = snowcat.cti_stream(spec.ctis, threads=spec.exploration.num_threads)

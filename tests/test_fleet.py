@@ -208,12 +208,6 @@ class TestFleetValidation:
         with pytest.raises(FleetError, match="parallelism"):
             run_fleet(explorer, [], _fleet_config())
 
-    def test_rejects_cascade_filter(self, dataset_builder, tiny_model):
-        explorer = _mlpct(dataset_builder, tiny_model)
-        explorer.scorer.cascade_filter = object()
-        with pytest.raises(FleetError, match="cascade"):
-            run_fleet(explorer, [], _fleet_config())
-
     def test_rejects_zero_workers(self, dataset_builder):
         with pytest.raises(FleetError, match="at least one worker"):
             run_fleet(_pct(dataset_builder), [], _fleet_config(workers=0))

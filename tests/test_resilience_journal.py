@@ -20,21 +20,24 @@ import time
 import pytest
 
 from repro.core.continuous import ContinuousConfig, run_continuous
-from repro.core.mlpct import run_campaign
+from repro.core.mlpct import MLPCTExplorer, run_campaign
+from repro.core.strategies import make_strategy
 from repro.errors import CheckpointError, JournalError
 from repro.kernel import EvolutionConfig, build_kernel, evolve_kernel
+from repro.ml.pic import PICConfig, PICModel
 from repro.resilience.atomic import canonical_json
 from repro.resilience.journal import (
     CampaignJournal,
     ContinuousJournal,
+    _cti_stream_digest,
     campaign_result_to_dict,
     outcome_to_dict,
     reset_journal,
 )
-from repro.resilience.log import SealedLog
+from repro.resilience.log import JOURNAL_SCHEMA, SealedLog
 from repro.resilience.supervisor import DIE_EXIT_STATUS
 
-from tests._journal_driver import KERNEL_CONFIG, NUM_CTIS, build_campaign
+from tests._journal_driver import KERNEL_CONFIG, NUM_CTIS, SEED, build_campaign
 
 pytestmark = pytest.mark.slow  # CI recovery suite: run via `-m slow`
 
@@ -302,6 +305,107 @@ class TestCampaignJournal:
         reset_journal(path)
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".PCT.ckpt")
+
+
+def _mlpct_campaign():
+    """:func:`build_campaign`'s corpus, budgets and CTIs under MLPCT-S1
+    with a seeded, untrained PIC (resuming only needs the same one)."""
+    baseline, ctis = build_campaign()
+    vocabulary = baseline.graphs.vocabulary
+    model = PICModel(
+        PICConfig(
+            vocab_size=len(vocabulary),
+            pad_id=vocabulary.pad_id,
+            token_dim=8,
+            hidden_dim=12,
+            num_layers=2,
+        ),
+        seed=SEED,
+    )
+    explorer = MLPCTExplorer(
+        baseline.graphs,
+        predictor=model,
+        strategy=make_strategy("S1"),
+        config=baseline.config,
+        seed=SEED,
+    )
+    return explorer, ctis
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class TestParentHeaders:
+    """Journals written while an MLPCT explorer could carry a scoring
+    cascade bind ``settings.cascade``: ``null`` for a run without one."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        explorer, ctis = _mlpct_campaign()
+        return _result_json(run_campaign(explorer, ctis))
+
+    def _parent_journal(self, path: str, cascade) -> None:
+        """Two committed CTIs under a hand-written parent-shaped header."""
+        explorer, ctis = _mlpct_campaign()
+        journal = CampaignJournal(path)
+        commit = journal.record_cti
+
+        def stop_after_two(label, index, plan, state):
+            commit(label, index, plan, state)
+            if index == 1:
+                raise _Interrupted
+
+        journal.record_cti = stop_after_two
+        with pytest.raises(_Interrupted):
+            run_campaign(explorer, ctis, journal=journal)
+        journal.close()
+        log = SealedLog(path)
+        header = {
+            "c": explorer.label,
+            "kind": "header",
+            "schema": JOURNAL_SCHEMA,
+            "seed": SEED,
+            "num_ctis": NUM_CTIS,
+            "ctis": _cti_stream_digest(ctis),
+            "settings": {
+                "execution_budget": 3,
+                "inference_cap": 1600,
+                "proposal_pool": 6,
+                "num_threads": 2,
+                "irq": False,
+                "memory_model": "sc",
+                "cascade": cascade,
+            },
+        }
+        log.rewrite(
+            [header if r.get("kind") == "header" else r for r in log.records]
+        )
+        log.close()
+
+    def test_null_cascade_header_resumes_to_the_same_result(
+        self, tmp_path, reference
+    ):
+        path = str(tmp_path / "parent.journal")
+        self._parent_journal(path, cascade=None)
+        explorer, ctis = _mlpct_campaign()
+        journal = CampaignJournal(path)
+        resumed = run_campaign(explorer, ctis, journal=journal)
+        journal.close()
+        assert _result_json(resumed) == reference
+        committed = [r for r in _journal_records(path) if r.get("kind") == "cti"]
+        assert [r["index"] for r in committed] == list(range(NUM_CTIS))
+
+    def test_cascade_threshold_header_is_refused(self, tmp_path):
+        path = str(tmp_path / "parent.journal")
+        self._parent_journal(path, cascade=0.42)
+        explorer, ctis = _mlpct_campaign()
+        journal = CampaignJournal(path)
+        try:
+            with pytest.raises(JournalError, match="cascade mismatch"):
+                run_campaign(explorer, ctis, journal=journal)
+        finally:
+            journal.close()
 
 
 class TestKillAndResume:

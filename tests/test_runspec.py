@@ -60,8 +60,6 @@ COMMAND_FLAGS = {
         "--ct-timeout": ("ct_timeout", None, None, STORE),
         "--retries": ("retries", None, None, STORE),
         "--heartbeat": ("heartbeat", None, None, STORE),
-        "--cascade": ("cascade", False, None, FLAG),
-        "--filter-recall": ("filter_recall", 0.95, None, STORE),
         "--infer-dtype": (
             "infer_dtype", "float64", ("float64", "float32"), STORE,
         ),
@@ -323,14 +321,14 @@ def test_refused_before_any_deployment_is_built(argv, fragment, capsys, monkeypa
 def test_literal_only_refusals():
     """Combinations no flag can express are refused all the same."""
     fleet = FleetConfig(workers=1)
-    for spec, error in [
-        (RunSpec(fleet=fleet, cascade_recall=0.9), FleetError),
-        (RunSpec(fleet=fleet, exploration=ExplorationConfig(parallel_workers=2)), FleetError),
-        (RunSpec(fleet=fleet, heartbeat="H"), SpecError),
-        (RunSpec(fleet=replace(fleet, serve_socket="S")), SpecError),
-        (RunSpec(strategy=None, cascade_recall=0.9), SpecError),
+    for spec, error, fragment in [
+        (RunSpec(fleet=fleet, exploration=ExplorationConfig(parallel_workers=2)), FleetError, "parallelism"),
+        (RunSpec(fleet=fleet, heartbeat="H"), SpecError, "heartbeat"),
+        (RunSpec(fleet=replace(fleet, serve_socket="S")), SpecError, "serve_socket"),
+        # The baseline builds no model, so no dtype can take effect.
+        (RunSpec(strategy=None, infer_dtype="float32"), SpecError, "--infer-dtype"),
     ]:
-        with pytest.raises(error):
+        with pytest.raises(error, match=fragment):
             spec.validated()
     assert RunSpec().validated() == RunSpec()
 

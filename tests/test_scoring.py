@@ -648,6 +648,83 @@ class TestBatchIndependence:
             )
 
 
+class TestFloat32FastPath:
+    #: Documented agreement bound for float32 batched scoring; measured
+    #: max |Δproba| on the golden pipeline is ~2e-7.
+    PROBA_ATOL = 1e-5
+
+    def test_invalid_mode_rejected(self, tiny_model):
+        from repro.errors import ModelError
+
+        with pytest.raises(ModelError):
+            tiny_model.set_inference_mode("float16")
+
+    def test_float32_probas_close_and_classes_agree(
+        self, tiny_model, candidate_graphs
+    ):
+        p64 = tiny_model.predict_proba_batch(candidate_graphs)
+        try:
+            tiny_model.set_inference_mode("float32")
+            p32 = tiny_model.predict_proba_batch(candidate_graphs)
+        finally:
+            tiny_model.set_inference_mode("float64")
+        threshold = float(tiny_model.threshold)
+        for a, b in zip(p64, p32):
+            assert b.dtype == np.float64  # probas stay float64 downstream
+            np.testing.assert_allclose(b, a, rtol=0, atol=self.PROBA_ATOL)
+            np.testing.assert_array_equal(b >= threshold, a >= threshold)
+
+    def test_float64_unchanged_after_mode_flips(
+        self, tiny_model, candidate_graphs
+    ):
+        before = tiny_model.predict_proba_batch(candidate_graphs)
+        try:
+            tiny_model.set_inference_mode("float32")
+            tiny_model.predict_proba_batch(candidate_graphs)
+        finally:
+            tiny_model.set_inference_mode("float64")
+        after = tiny_model.predict_proba_batch(candidate_graphs)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+
+    def test_single_graph_follows_float32_mode(
+        self, tiny_model, candidate_graphs
+    ):
+        """The mode governs every inference call: a single graph is a
+        batch of one, so under float32 it equals its float32 batch row
+        (and no longer silently stays float64)."""
+        graph = candidate_graphs[0]
+        before = tiny_model.predict_proba(graph)
+        try:
+            tiny_model.set_inference_mode("float32")
+            during = tiny_model.predict_proba(graph)
+            row = tiny_model.predict_proba_batch(candidate_graphs)[0]
+        finally:
+            tiny_model.set_inference_mode("float64")
+        np.testing.assert_array_equal(during, row)
+        assert not np.array_equal(during, before)
+        np.testing.assert_allclose(during, before, rtol=0, atol=self.PROBA_ATOL)
+
+    def test_quality_gate_passes_under_float32(
+        self, tiny_model, small_splits
+    ):
+        from repro.oracle.quality import run_quality_gate
+
+        graph = small_splits.evaluation[0].graph
+        exact = tiny_model.predict_proba(graph)
+        try:
+            tiny_model.set_inference_mode("float32")
+            # The gate scores through predict_proba: make sure that call
+            # really runs float32 now, or this test proves nothing.
+            assert not np.array_equal(tiny_model.predict_proba(graph), exact)
+            report = run_quality_gate(
+                model=tiny_model, examples=small_splits.evaluation
+            )
+        finally:
+            tiny_model.set_inference_mode("float64")
+        assert report.passed, report.render()
+
+
 class TestRunners:
     def _tasks(self, dataset_builder, cti, count=3):
         entry_a, entry_b = cti

@@ -1533,19 +1533,28 @@ class TestServeCli:
             ["campaign", "--serve", "--ctis", "1"],
             ["serve", "start", "--socket", "/tmp/x.sock", "--score-threads", "2"],
             ["serve", "start", "--socket", "/tmp/x.sock", "--max-wait-ms", "1"],
+            ["campaign", "--cascade", "--ctis", "1"],
+            ["campaign", "--filter-recall", "0.9", "--ctis", "1"],
         ],
         ids=[
             "campaign --serve",
             "serve start --score-threads",
             "serve start --max-wait-ms",
+            "campaign --cascade",
+            "campaign --filter-recall",
         ],
     )
-    def test_deleted_serve_modes_are_refused(self, argv, capsys):
-        """In-process ``campaign --serve``, ``--score-threads`` sharding and
-        the batching window are gone: an old command line exits 2 before
-        building anything."""
+    def test_deleted_serve_modes_are_refused(self, argv, capsys, monkeypatch):
+        """In-process ``campaign --serve``, ``--score-threads`` sharding,
+        the batching window and the two-stage scoring cascade are gone:
+        an old command line exits 2 before building anything."""
         from repro.cli import main
+        from repro.core import Snowcat
 
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was built for a refused command")
+
+        monkeypatch.setattr(Snowcat, "standard", no_deployment)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
