@@ -28,7 +28,7 @@ from repro.core.mlpct import ExplorationConfig, run_campaign
 from repro.core.snowcat import Snowcat, SnowcatConfig
 from repro.kernel import EvolutionConfig, KernelConfig, build_kernel, evolve_kernel
 from repro.reporting import format_table
-from repro.serve import BatcherConfig, InProcessServer
+from repro.serve import InProcessServer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -106,11 +106,7 @@ def _build_substrate():
 
 
 def _served_campaign(adapted, ctis, model, version, heartbeat=None):
-    server = InProcessServer(
-        model,
-        version=version,
-        batcher_config=BatcherConfig(max_batch=1),
-    )
+    server = InProcessServer(model, version=version)
     if heartbeat is not None:
         heartbeat.backend = server
     explorer = adapted.mlpct_explorer(backend=server, label=f"MLPCT ({version})")

@@ -26,13 +26,7 @@ from repro.core import ExplorationConfig, Snowcat, SnowcatConfig
 from repro.execution.pct import propose_hint_pairs
 from repro.kernel import KernelConfig, build_kernel
 from repro.reporting import format_table
-from repro.serve import (
-    BatcherConfig,
-    InProcessServer,
-    PredictionServer,
-    ServerConfig,
-    SocketBackend,
-)
+from repro.serve import InProcessServer, PredictionServer, ServerConfig, SocketBackend
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -88,9 +82,7 @@ def test_serve_cache_speedup(report, tmp_path):
 
     local_total = _time_pool(model.predict_proba_batch, pool, TIMING_REPEATS)
 
-    server = InProcessServer(
-        model, version="bench", batcher_config=BatcherConfig(max_batch=8)
-    )
+    server = InProcessServer(model, version="bench")
     try:
         cold_total = _time_pool(server.predict_proba_batch, pool, 1)
         warm_total = _time_pool(server.predict_proba_batch, pool, TIMING_REPEATS)

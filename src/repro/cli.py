@@ -20,8 +20,8 @@ Runs the pipeline stages a downstream user needs without writing code:
   ``docs/TESTING.md``)
 - ``serve``     — shared PIC prediction service on a Unix socket
   (``start``/``stop``/``status``); campaigns attach to it with
-  ``campaign --serve-socket PATH`` (shared cache + micro-batching; see
-  ``docs/SERVING.md``)
+  ``campaign --serve-socket PATH`` (shared model and prediction cache;
+  see ``docs/SERVING.md``)
 - ``fleet``     — fault-tolerant distributed campaign
   (``run``/``status``): a coordinator leases score/execute jobs to N
   worker processes, survives worker crashes/hangs and its own SIGKILL
@@ -181,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="arm the flight recorder: keep a ring of recent telemetry "
-        "events and dump them atomically to FILE on crash, SIGUSR1, or "
-        "admission-control rejection",
+        "events and dump them atomically to FILE on crash or SIGUSR1",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -318,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-version",
         default=None,
         help="version label for --model, or the registry version to serve",
-    )
-    serve_start.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="largest coalesced inference batch",
     )
     serve_start.add_argument(
         "--cache-mb",
@@ -990,7 +983,6 @@ def _cmd_serve(args) -> int:
         finally:
             backend.close()
         cache = status.get("cache", {})
-        batcher = status.get("batcher", {})
         print(
             f"serving {status.get('model_name')} "
             f"version {status.get('version')} on {args.socket}\n"
@@ -1002,11 +994,7 @@ def _cmd_serve(args) -> int:
             f"(hit rate {cache.get('hit_rate', 0.0):.1%}), "
             f"{cache.get('entries', 0):.0f} entries, "
             f"{cache.get('bytes', 0):.0f}/{cache.get('max_bytes', 0):.0f} B, "
-            f"{cache.get('evictions', 0):.0f} evictions\n"
-            f"  batcher: {batcher.get('batches', 0)} batches "
-            f"({batcher.get('flush_full', 0)} full), "
-            f"{batcher.get('rejected', 0)} rejected, "
-            f"{batcher.get('backpressure', 0)} backpressured"
+            f"{cache.get('evictions', 0):.0f} evictions"
         )
         return 0
 
@@ -1097,7 +1085,6 @@ def _cmd_serve(args) -> int:
         return 2
     config = ServerConfig(
         socket_path=args.socket,
-        max_batch=args.max_batch,
         cache_bytes=args.cache_mb * 1024 * 1024,
         slow_request_ms=args.slow_request_ms,
         infer_dtype=args.infer_dtype,
@@ -1110,8 +1097,7 @@ def _cmd_serve(args) -> int:
         obs.set_registry(obs.MetricsRegistry(process="server"))
     print(
         f"serving {model.config.name} version {version} on {args.socket} "
-        f"(max batch {config.max_batch}, "
-        f"cache {args.cache_mb} MiB) — Ctrl-C or "
+        f"(cache {args.cache_mb} MiB) — Ctrl-C or "
         f"'repro serve stop --socket {args.socket}' to stop"
     )
     try:

@@ -102,14 +102,6 @@ class ServeError(ReproError):
     (unknown model version, server unreachable, server-side failure)."""
 
 
-class AdmissionError(ServeError):
-    """Raised when the micro-batcher's bounded queue rejects a request.
-
-    Only raised under the non-blocking admission policy; the default
-    policy applies backpressure (blocks the submitter) instead.
-    """
-
-
 class ProtocolError(ServeError):
     """Raised on a malformed frame or payload on the serving socket."""
 

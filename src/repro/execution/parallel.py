@@ -193,7 +193,10 @@ def worker_main(
     # A registry inherited across fork would double-write events (and
     # interleave with the parent on a shared file descriptor).
     obs.clear_registry()
-    parent_pid = os.getppid()
+    # The pid the parent recorded before forking: a getppid() here could
+    # already read the re-parented pid if the parent died first.
+    parent = multiprocessing.parent_process()
+    parent_pid = parent.pid if parent is not None else os.getppid()
     while True:
         # Poll instead of blocking in recv: every worker forked later
         # inherits the parent's end of our pipe, so a dead parent

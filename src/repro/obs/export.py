@@ -125,23 +125,18 @@ def snapshot_from_stats(stats: Dict[str, object]) -> Dict[str, object]:
 
     The serve server's ``metrics`` op falls back to this when the
     server process runs without a telemetry registry, so the exposition
-    endpoint always has the cache/batcher core series.
+    endpoint always has the request and cache core series.
     """
     cache = stats.get("cache") or {}
-    batcher = stats.get("batcher") or {}
     counters = {
         "serve.requests": int(stats.get("requests", 0)),
         "serve.cache.hits": int(cache.get("hits", 0)),
         "serve.cache.misses": int(cache.get("misses", 0)),
         "serve.cache.evictions": int(cache.get("evictions", 0)),
-        "serve.batch.flush_full": int(batcher.get("flush_full", 0)),
-        "serve.queue.rejected": int(batcher.get("rejected", 0)),
-        "serve.queue.backpressure": int(batcher.get("backpressure", 0)),
     }
     gauges = {
         "serve.cache.bytes": float(cache.get("bytes", 0)),
         "serve.cache.hit_rate": float(cache.get("hit_rate", 0.0)),
-        "serve.queue.depth": float(batcher.get("queue_depth", 0)),
     }
     return {"counters": counters, "gauges": gauges, "histograms": {}, "spans": {}}
 
@@ -433,13 +428,11 @@ def render_serve_watch(
     histograms = snapshot.get("histograms") or {}
     latency = histograms.get("serve.request.seconds") or {}
     cache = status.get("cache") or {}
-    batcher = status.get("batcher") or {}
     return (
         f"qps {qps:6.1f} | "
         f"p50 {float(latency.get('p50', 0.0)) * 1000:7.2f} ms | "
         f"p99 {float(latency.get('p99', 0.0)) * 1000:7.2f} ms | "
         f"cache hit {float(cache.get('hit_rate', 0.0)):6.1%} | "
-        f"queue {int(batcher.get('queue_depth', 0)):3d} | "
         f"model {status.get('model_name', '?')} {status.get('version', '?')} | "
         f"requests {requests}"
     )

@@ -4,8 +4,7 @@ A :class:`FlightRecorder` is a tee :class:`~repro.obs.TelemetrySink`
 that keeps a bounded in-memory ring of recent events (wrapping another
 sink, or standing alone when no trace file was requested). Nothing is
 written in steady state; on a *trigger* — unhandled crash, ``SIGUSR1``,
-an :class:`~repro.serve.batching.AdmissionError` shedding load, or an
-explicit :meth:`dump_now` — the ring, a registry snapshot, and the
+or an explicit :meth:`dump_now` — the ring, a registry snapshot, and the
 slow-request log are dumped to disk in one atomic write (via
 :mod:`repro.resilience.atomic`), so the file at the dump path is always
 a complete, parseable post-mortem even if the process dies mid-dump.

@@ -172,7 +172,13 @@ class MetricsRegistry:
             stack.pop()
         if stack:
             stack[-1].child_seconds += span.duration
-        self._fold_span_stats(span.name, span.duration, span.child_seconds)
+        with self._lock:
+            stats = self.span_stats.setdefault(
+                span.name, {"count": 0, "total": 0.0, "exclusive": 0.0}
+            )
+            stats["count"] += 1
+            stats["total"] += span.duration
+            stats["exclusive"] += max(span.duration - span.child_seconds, 0.0)
         event: Dict[str, object] = {
             "event": "span",
             "name": span.name,
@@ -190,66 +196,6 @@ class MetricsRegistry:
         if failed:
             event["failed"] = True
         self.emit(event)
-
-    def _fold_span_stats(
-        self, name: str, duration: float, child_seconds: float
-    ) -> None:
-        with self._lock:
-            stats = self.span_stats.setdefault(
-                name, {"count": 0, "total": 0.0, "exclusive": 0.0}
-            )
-            stats["count"] += 1
-            stats["total"] += duration
-            stats["exclusive"] += max(duration - child_seconds, 0.0)
-
-    def record_span(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        attrs: Optional[Dict[str, object]] = None,
-        parent: Optional[int] = None,
-        depth: Optional[int] = None,
-        child_seconds: float = 0.0,
-    ) -> int:
-        """Emit a span with explicit timing; returns its span id.
-
-        The escape hatch for work measured *outside* a ``with`` block —
-        e.g. queue wait and batched model time observed from timestamps
-        the micro-batcher recorded on another thread. With ``parent``
-        unset the span parents under the calling thread's open span
-        (charging its ``child_seconds`` like a real child would); pass
-        an explicit ``parent`` id (+ ``depth``) to build synthetic
-        sub-trees under a span returned by a previous call.
-        """
-        if parent is None:
-            stack = self._state.stack
-            open_span = stack[-1] if stack else None
-            parent_id = open_span.span_id if open_span is not None else None
-            span_depth = open_span.depth + 1 if open_span is not None else 0
-            if open_span is not None:
-                open_span.child_seconds += duration
-        else:
-            parent_id = parent
-            span_depth = depth if depth is not None else 1
-        span_id = self._allocate_span_id()
-        self._fold_span_stats(name, duration, child_seconds)
-        event: Dict[str, object] = {
-            "event": "span",
-            "name": name,
-            "id": span_id,
-            "parent": parent_id,
-            "depth": span_depth,
-            "start": round(start, 6),
-            "dur": round(duration, 6),
-            "attrs": dict(attrs or {}),
-            "trace": self.current_trace_id(),
-        }
-        remote = self._state.remote
-        if parent_id is None and remote is not None:
-            event["remote"] = remote.span_ref
-        self.emit(event)
-        return span_id
 
     # -- events --------------------------------------------------------------
 

@@ -131,31 +131,24 @@ SERVE_ORDER = (
     "serve.call",
     "serve.request",
     "serve.cache",
-    "serve.batch",
-    "serve.queue_wait",
-    "serve.model",
     "serve.compute",
 )
 
 
 def serve_rows(spans: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """One row per serve-path span name: where a served request's time
-    goes (client call → server request → cache → queue wait → model)."""
+    goes (client call → server request → cache lookup → model compute)."""
     groups: Dict[str, Dict[str, object]] = {}
     for span in spans:
         name = str(span.get("name", ""))
         if not name.startswith("serve."):
             continue
-        group = groups.setdefault(
-            name, {"count": 0, "total": 0.0, "batch": [], "queue_wait": []}
-        )
+        group = groups.setdefault(name, {"count": 0, "total": 0.0, "batch": []})
         group["count"] += 1
         group["total"] += float(span.get("dur", 0.0))
         attrs = span.get("attrs") or {}
         if "batch" in attrs:
             group["batch"].append(float(attrs["batch"]))
-        if "queue_wait" in attrs:
-            group["queue_wait"].append(float(attrs["queue_wait"]))
 
     def order(name: str) -> tuple:
         try:
@@ -168,7 +161,6 @@ def serve_rows(spans: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
         count = int(group["count"])
         total = float(group["total"])
         batches = group["batch"]
-        waits = group["queue_wait"]
         rows.append(
             {
                 "span": name,
@@ -178,7 +170,6 @@ def serve_rows(spans: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
                 "mean batch": (
                     f"{sum(batches) / len(batches):.1f}" if batches else "-"
                 ),
-                "queue wait s": f"{sum(waits):.4f}" if waits else "-",
             }
         )
     return rows

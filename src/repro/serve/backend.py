@@ -9,22 +9,20 @@ anything exposing the predictor surface (``predict_proba``,
   machinery — it is the default and is byte-identical to calling the
   predictor directly.
 - :class:`InProcessServer` is the socket server's engine: a single
-  shared model behind a :class:`~repro.serve.batching.MicroBatcher`
-  (which serialises all inference onto one thread), fronted by a
-  content-addressed :class:`~repro.serve.cache.PredictionCache`, with
-  registry-driven hot-swap (:meth:`InProcessServer.swap_model`).
+  shared model behind one lock, fronted by a content-addressed
+  :class:`~repro.serve.cache.PredictionCache`, with registry-driven
+  hot-swap (:meth:`InProcessServer.swap_model`).
 - :class:`repro.serve.server.SocketBackend` (separate module) speaks the
   same surface over a Unix socket to an :class:`InProcessServer` hosted
   elsewhere. A single-process campaign scores directly: measured as its
-  backend, the in-process server only added a batcher thread (see
+  backend, the in-process server was 1.8× slower (see
   ``docs/SERVING.md``).
 
 Cache coherence across hot-swap: cache keys embed the model version, so
-requests admitted before a swap read/write the old version's key space
-and requests after it a fresh one — no explicit invalidation. The one
-subtle race (a request keyed against version A whose compute lands on
-version B mid-swap) is closed by tagging every computed result with the
-version that produced it and refusing to cache a mismatch.
+requests served before a swap read/write the old version's key space
+and requests after it a fresh one — no explicit invalidation. A request
+holds the model lock from its version pin to its last cache write, so
+no swap can land between them.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.serve.batching import BatcherConfig, MicroBatcher
+from repro.core.scoring import DEFAULT_BATCH_SIZE
+from repro.obs.tracing import NOOP_SPAN
 from repro.serve.cache import PredictionCache
 from repro.serve.digest import graph_digest
 
@@ -104,20 +103,21 @@ class LocalBackend(PredictionBackend):
 
 
 class InProcessServer(PredictionBackend):
-    """One shared model + prediction cache + micro-batcher.
+    """One shared model + prediction cache, behind one lock.
 
     Thread-safe: any number of client threads may call the prediction
-    methods concurrently. Cache lookups happen on the calling thread;
-    every actual forward pass is submitted to the batcher and runs on
-    its single worker thread, holding ``_model_lock`` so a concurrent
-    :meth:`swap_model` can never interleave with inference.
+    methods concurrently. A request does all of its work on its own
+    thread while holding ``_model_lock`` (see
+    :meth:`predict_items_versioned`), and :meth:`swap_model` takes the
+    same lock, so a reply is single-version by construction and the
+    model's internal caches (encoder memo, base features, batch plans)
+    never see concurrent writers. A second request for a graph that is
+    being computed waits on the lock and then hits the cache.
 
-    Two concurrent requests missing on the same graph each submit it;
-    the results are bitwise equal and the cache keeps one. A request
-    dedupes its own repeats; across requests, neither one socket client
-    nor a two-worker fleet ever had one graph in flight twice on the
-    benchmark deployment (0 of 6,916 submitted graphs), so nothing
-    tracks pending computes.
+    No thread is started: there is no queue to merge requests from. A
+    socket client sends at most 8 graphs per request, and merging
+    concurrent requests into one forward pass did not pay for its thread
+    hop (``docs/SERVING.md``, "What the serve tier does not buy").
     """
 
     def __init__(
@@ -126,7 +126,6 @@ class InProcessServer(PredictionBackend):
         version: str = "v0",
         cache: Optional[PredictionCache] = None,
         cache_bytes: Optional[int] = None,
-        batcher_config: Optional[BatcherConfig] = None,
         registry=None,
     ) -> None:
         if cache is not None and cache_bytes is not None:
@@ -142,84 +141,16 @@ class InProcessServer(PredictionBackend):
         self.cache = cache if cache is not None else PredictionCache(
             **({"max_bytes": cache_bytes} if cache_bytes is not None else {})
         )
-        self._batcher = MicroBatcher(self._compute, batcher_config)
         self._requests = 0
-        self._stats_lock = threading.Lock()
         #: Version tag of the most recent batch served to a caller —
         #: how explorers notice a hot-swap boundary (``None`` until the
         #: first prediction).
         self.observed_version: Optional[str] = None
 
-    # -- telemetry plumbing --------------------------------------------------
-
     def _obs(self):
         """The effective registry: injected one, else the global one."""
         registry = self._obs_registry
         return registry if registry is not None else obs.active()
-
-    def _emit_batch_spans(
-        self, registry, pendings, anchor_registry: float, anchor_batcher: float
-    ) -> None:
-        """Synthetic serve.batch/serve.queue_wait/serve.model spans.
-
-        The batcher stamps its lifecycle timestamps in *its* clock on
-        another thread; this maps them into the registry's timeline via
-        a pair of anchors sampled at request entry and emits one
-        sub-tree per request (under the thread's open span, e.g. the
-        server's ``serve.request``).
-        """
-
-        def rel(stamp: float) -> float:
-            return anchor_registry + (stamp - anchor_batcher)
-
-        enqueued = pendings[0].enqueued_at  # one stamp; units run in order
-        model_start, model_end = pendings[0].compute_start, pendings[-1].compute_end
-        queue_wait = max(model_start - enqueued, 0.0)
-        model_seconds = max(model_end - model_start, 0.0)
-        batch_size = max(pending.batch_size for pending in pendings)
-        open_span = registry.current_span()
-        base_depth = open_span.depth + 1 if open_span is not None else 0
-        batch_id = registry.record_span(
-            "serve.batch",
-            start=rel(enqueued),
-            duration=max(model_end - enqueued, 0.0),
-            attrs={"batch": batch_size, "queue_wait": round(queue_wait, 6)},
-            child_seconds=queue_wait + model_seconds,
-        )
-        registry.record_span(
-            "serve.queue_wait",
-            start=rel(enqueued),
-            duration=queue_wait,
-            parent=batch_id,
-            depth=base_depth + 1,
-        )
-        registry.record_span(
-            "serve.model",
-            start=rel(model_start),
-            duration=model_seconds,
-            attrs={"batch": batch_size},
-            parent=batch_id,
-            depth=base_depth + 1,
-        )
-
-    # -- the single compute path ---------------------------------------------
-
-    def _compute(self, graphs: List[object]) -> List[tuple]:
-        """Batcher worker entry: one forward pass for a gathered batch.
-
-        Tags each result with the version that produced it so the
-        requesting side can detect a hot-swap that raced its request.
-        """
-        registry = self._obs()
-        with self._model_lock:
-            model = self._model
-            version = self._version
-            if registry is not None:
-                with registry.span("serve.compute", batch=len(graphs)):
-                    probas = model.predict_proba_batch(list(graphs))
-            else:
-                probas = model.predict_proba_batch(list(graphs))
-        return [(version, proba) for proba in probas]
 
     # -- the predictor surface -----------------------------------------------
 
@@ -249,106 +180,63 @@ class InProcessServer(PredictionBackend):
     ) -> Tuple[str, List[np.ndarray]]:
         """One batch plus the single model version that produced it.
 
-        A batch is never mixed-version: if a concurrent
-        :meth:`swap_model` lands between this request reading the
-        version and the batcher running its forward pass, the partial
-        gather (old-version cache hits plus new-version computes) is
-        discarded and retried; under sustained swap churn the batch is
-        finally scored in one piece under the model lock, which no swap
-        can interleave with.
+        Everything runs on the calling thread under ``_model_lock``: pin
+        the version, look up the cache, materialise the distinct misses,
+        score them in :data:`~repro.core.scoring.DEFAULT_BATCH_SIZE`-graph
+        chunks (one 128-graph pool scores faster as 16 forwards of 8 than
+        as one of 128) and cache the results. A swap waits for the whole
+        request, so old-version hits never meet new-version computes.
 
         Results are cached under the digest each item claims, so its
         thunk must return a graph with that :func:`graph_digest` or raise.
         """
         items = list(items)
-        if not items:
-            with self._model_lock:
-                return self._version, []
-        with self._stats_lock:
-            self._requests += 1
         registry = self._obs()
-        for _attempt in range(3):
-            version, results, raced = self._gather_batch(items, registry)
-            if not raced:
-                self.observed_version = version
-                return version, results
-        # Swap churn outran the optimistic path: score the whole batch
-        # in one forward pass under the model lock, where the version
-        # and the weights cannot diverge.
-        graphs = [materialise() for _digest, materialise in items]
         with self._model_lock:
             version = self._version
-            probas = self._model.predict_proba_batch(graphs)
-        for (digest, _materialise), proba in zip(items, probas):
-            self.cache.put(f"{version}:{digest}", proba)
-        self.observed_version = version
-        return version, probas
-
-    def _gather_batch(
-        self, items: List[GraphItem], registry
-    ) -> Tuple[str, List[np.ndarray], bool]:
-        """One optimistic cache+batcher pass; ``raced`` flags a batch
-        whose computed results came from a different version than the
-        one this request (and its cache hits) pinned at entry."""
-        if registry is not None:
-            registry.counter("serve.requests").add(1)
-            # Anchor pair: same instant in the registry's timeline and
-            # the batcher's clock, for mapping worker-side stamps.
-            anchor_registry = registry.now()
-            anchor_batcher = self._batcher._clock()
-        with self._model_lock:
-            version = self._version
-        # The key format is :func:`repro.serve.digest.prediction_key`'s.
-        keys = [f"{version}:{digest}" for digest, _materialise in items]
-        cache_started = registry.now() if registry is not None else 0.0
-        results: List[Optional[np.ndarray]] = [self.cache.get(key) for key in keys]
-        if registry is not None:
-            hits = sum(1 for cached in results if cached is not None)
-            registry.record_span(
-                "serve.cache",
-                start=cache_started,
-                duration=max(registry.now() - cache_started, 0.0),
-                attrs={"hits": hits, "misses": len(results) - hits},
-            )
-
-        # Materialise every distinct miss before submitting any, so a
-        # thunk that raises leaves nothing queued.
-        missing: Dict[str, object] = {}
-        for key, (_digest, materialise), cached in zip(keys, items, results):
-            if cached is None and key not in missing:
-                missing[key] = materialise()
-        computed: Dict[str, np.ndarray] = {}
-        raced = False
-        if missing:
-            # Queued together: up to max_batch misses are one forward pass.
-            pendings = self._batcher.submit(list(missing.values()))
-            tagged = (value for pending in pendings for value in pending.result())
-            for key, (computed_version, proba) in zip(missing, tagged):
-                if computed_version == version:
-                    self.cache.put(key, proba)
-                else:
-                    raced = True
-                computed[key] = proba
+            if not items:
+                return version, []
+            self._requests += 1
             if registry is not None:
-                self._emit_batch_spans(
-                    registry, pendings, anchor_registry, anchor_batcher
-                )
-        return (
-            version,
-            [
-                cached if cached is not None else computed[key]
-                for key, cached in zip(keys, results)
-            ],
-            raced,
-        )
+                registry.counter("serve.requests").add(1)
+            # The key format is :func:`repro.serve.digest.prediction_key`'s.
+            keys = [f"{version}:{digest}" for digest, _materialise in items]
+            with self._span(registry, "serve.cache") as span:
+                results = [self.cache.get(key) for key in keys]
+                hits = sum(1 for cached in results if cached is not None)
+                span.set(hits=hits, misses=len(results) - hits)
+            # Materialise every distinct miss before scoring any, so a
+            # thunk that raises leaves nothing half-cached.
+            missing: Dict[str, object] = {}
+            for key, (_digest, materialise), cached in zip(keys, items, results):
+                if cached is None and key not in missing:
+                    missing[key] = materialise()
+            graphs = list(missing.values())
+            probas: List[np.ndarray] = []
+            for start in range(0, len(graphs), DEFAULT_BATCH_SIZE):
+                chunk = graphs[start : start + DEFAULT_BATCH_SIZE]
+                with self._span(registry, "serve.compute", batch=len(chunk)):
+                    probas.extend(self._model.predict_proba_batch(chunk))
+            computed = dict(zip(missing, probas))
+            for key, proba in computed.items():
+                self.cache.put(key, proba)
+            self.observed_version = version
+        return version, [
+            cached if cached is not None else computed[key]
+            for key, cached in zip(keys, results)
+        ]
+
+    @staticmethod
+    def _span(registry, name: str, **attrs: object):
+        return registry.span(name, **attrs) if registry is not None else NOOP_SPAN
 
     # -- administration ------------------------------------------------------
 
     def swap_model(self, model: object, version: str) -> None:
         """Atomically replace the served model (registry hot-swap).
 
-        Waits for any in-progress forward pass to finish, then installs
-        the new model and version. Cached predictions of the old version
+        Waits for any in-progress request to finish, then installs the
+        new model and version. Cached predictions of the old version
         stop being addressed (keys embed the version) and age out.
         """
         with self._model_lock:
@@ -360,10 +248,9 @@ class InProcessServer(PredictionBackend):
             registry.point("serve.swap", previous=old, version=version)
 
     def stats(self) -> dict:
-        with self._stats_lock:
-            requests = self._requests
         with self._model_lock:
             version = self._version
+            requests = self._requests
             config = getattr(self._model, "config", None)
             model_name = getattr(config, "name", "?")
             vocab_size = int(getattr(config, "vocab_size", 0))
@@ -376,8 +263,4 @@ class InProcessServer(PredictionBackend):
             "vocab_size": vocab_size,
             "requests": requests,
             "cache": self.cache.stats(),
-            "batcher": self._batcher.stats(),
         }
-
-    def close(self) -> None:
-        self._batcher.close()

@@ -8,8 +8,7 @@ make memory use depend on workload shape.
 
 Thread safety: one lock around every operation. Lookups, insertions
 and evictions are dict/deque manipulations — microseconds against a
-model forward pass — so a single lock never becomes the bottleneck the
-batcher exists to amortise.
+model forward pass — so a single lock never becomes a bottleneck.
 
 Telemetry: ``serve.cache.hits`` / ``serve.cache.misses`` /
 ``serve.cache.evictions`` counters and a ``serve.cache.bytes`` gauge,

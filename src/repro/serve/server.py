@@ -76,7 +76,6 @@ from repro.obs.export import render_prometheus, snapshot_from_stats
 from repro.obs.flight import active_recorder
 from repro.obs.propagation import TraceContext, current_context
 from repro.serve.backend import GraphItem, InProcessServer, PredictionBackend
-from repro.serve.batching import BatcherConfig
 from repro.serve.cache import DEFAULT_CACHE_BYTES
 from repro.serve.digest import graph_digest, template_digest
 
@@ -391,9 +390,7 @@ class ServerConfig:
     """Socket-server knobs (CLI: ``repro serve``)."""
 
     socket_path: str
-    max_batch: int = 8
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    max_queue: int = 256
     #: Serve calls slower than this land in the flight recorder's
     #: slow-request log (``None`` disables; CLI: ``--slow-request-ms``).
     slow_request_ms: Optional[float] = None
@@ -510,15 +507,8 @@ class PredictionServer:
         self._server = _UnixServer(path, _Handler)
         if config.infer_dtype != "float64" and hasattr(model, "set_inference_mode"):
             model.set_inference_mode(config.infer_dtype)
-        # Built last: a refused start leaves no batcher thread behind.
         self.backend = InProcessServer(
-            model,
-            version=version,
-            cache_bytes=config.cache_bytes,
-            batcher_config=BatcherConfig(
-                max_batch=config.max_batch, max_queue=config.max_queue
-            ),
-            registry=registry,
+            model, version=version, cache_bytes=config.cache_bytes, registry=registry
         )
         self._server.prediction_server = self
         self._thread: Optional[threading.Thread] = None
@@ -752,9 +742,9 @@ class SocketBackend(PredictionBackend):
     """Client half of the pair: the predictor surface over a socket.
 
     One connection, guarded by a lock (requests from concurrent threads
-    serialise client-side; the server batches across *connections*, so
-    parallelism should come from multiple workers each owning a
-    backend). Model identity (threshold, version, vocab size) is
+    serialise client-side; the server serves each connection on its own
+    thread, so parallelism should come from multiple workers each owning
+    a backend). Model identity (threshold, version, vocab size) is
     fetched once from ``status`` and cached.
 
     Transport failures are classified: a connect refusal, a mid-request

@@ -53,8 +53,9 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.tier1)
 
 
-#: Threads a closed batcher or stopped server must not leave running.
-_SERVE_THREADS = ("repro-serve-batcher", "repro-serve-socket")
+#: Threads a stopped server must not leave running (an
+#: ``InProcessServer`` starts none: it serves on its callers' threads).
+_SERVE_THREADS = ("repro-serve-socket",)
 
 
 def _serve_threads() -> set:
@@ -63,8 +64,8 @@ def _serve_threads() -> set:
 
 @pytest.fixture(autouse=True)
 def no_leaked_serve_threads():
-    """Fail a test that leaves a batcher or socket-server thread alive:
-    close every server and batcher in teardown."""
+    """Fail a test that leaves a socket-server thread alive: stop every
+    server in teardown."""
     before = _serve_threads()
     yield
     leaked = _serve_threads() - before

@@ -401,7 +401,7 @@ def restartable_server(tiny_model, tmp_path):
     def start():
         return PredictionServer(
             tiny_model,
-            ServerConfig(socket_path=path, max_batch=4),
+            ServerConfig(socket_path=path),
             version="v1",
         ).start()
 
@@ -545,7 +545,7 @@ class TestFleetChaos:
         def start_server():
             return PredictionServer(
                 tiny_model,
-                ServerConfig(socket_path=path, max_batch=4),
+                ServerConfig(socket_path=path),
                 version="v1",
             ).start()
 

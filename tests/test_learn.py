@@ -41,7 +41,7 @@ from repro.resilience.journal import (
     campaign_result_to_dict,
 )
 from repro.resilience.log import SealedLog, read_log_tolerant
-from repro.serve import BatcherConfig, InProcessServer, ModelRegistry
+from repro.serve import InProcessServer, ModelRegistry
 
 from tests._learn_driver import LEARN_CONFIG, NUM_CTIS, build_environment
 
@@ -323,11 +323,7 @@ class TestHotSwap:
     def test_swap_boundary_is_recorded_and_serialized(self, env, tmp_path):
         model = env.snowcat.model
         other = PICModel(model.config, seed=99)  # untrained: differs
-        server = InProcessServer(
-            model,
-            version="base",
-            batcher_config=BatcherConfig(max_batch=1),
-        )
+        server = InProcessServer(model, version="base")
         heartbeat = _SwapAt(server, other, "ft-v2", at=2)
         explorer = env.snowcat.mlpct_explorer(backend=server)
         try:

@@ -2,11 +2,10 @@
 
 The load-bearing claims: (1) trace context propagates over the serve
 socket, so a client's and a server's span trees merge into one tree
-under one trace id with queue-wait/batch/cache/model attribution; (2)
+under one trace id with cache/compute attribution; (2)
 the operational exports (Prometheus exposition, heartbeats, ``repro
 top``, the serve watch line) render real registry data; (3) the flight
-recorder dumps a complete atomic post-mortem on SIGUSR1 and on
-admission-control rejection; (4) none of it exists when telemetry is
+recorder dumps a complete atomic post-mortem on SIGUSR1; (4) none of it exists when telemetry is
 off — a served campaign's results are identical either way.
 """
 
@@ -25,7 +24,6 @@ from repro import rng as rngmod
 from repro.execution.pct import propose_hint_pairs
 from repro.core.mlpct import ExplorationConfig, MLPCTExplorer, run_campaign
 from repro.core.strategies import make_strategy
-from repro.errors import AdmissionError
 from repro.obs.export import (
     HeartbeatWriter,
     read_heartbeat,
@@ -39,13 +37,7 @@ from repro.obs.propagation import TraceContext, current_context, parse_span_ref
 from repro.obs.report import merge_traces, render_merged_report, serve_rows
 from repro.obs.sink import MemorySink, read_events_tolerant
 from repro.oracle import DifferentialRunner, add_campaign_check
-from repro.serve import (
-    BatcherConfig,
-    MicroBatcher,
-    PredictionServer,
-    ServerConfig,
-    SocketBackend,
-)
+from repro.serve import PredictionServer, ServerConfig, SocketBackend
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +146,7 @@ def traced_socket_pair(tiny_model, tmp_path):
     client_registry = obs.MetricsRegistry(sink=client_sink, process="client")
     server = PredictionServer(
         tiny_model,
-        ServerConfig(
-            socket_path=str(tmp_path / "traced.sock"),
-            max_batch=4,
-        ),
+        ServerConfig(socket_path=str(tmp_path / "traced.sock")),
         version="v1",
         registry=server_registry,
     ).start()
@@ -190,31 +179,31 @@ class TestCrossProcessMerge:
 
         call = spans["serve.call"]
         request = spans["serve.request"]
-        batch = spans["serve.batch"]
-        # One tree: server request under client call, attribution under
-        # the request, all on the client's trace id.
+        cache = spans["serve.cache"]
+        compute = spans["serve.compute"]
+        # One tree: server request under client call, cache lookup and
+        # model compute as plain children of the request, all on the
+        # client's trace id.
         assert request["parent"] == call["id"]
-        assert spans["serve.cache"]["parent"] == request["id"]
-        assert batch["parent"] == request["id"]
-        assert spans["serve.queue_wait"]["parent"] == batch["id"]
-        assert spans["serve.model"]["parent"] == batch["id"]
+        assert cache["parent"] == compute["parent"] == request["id"]
         assert (
             call["trace"]
             == request["trace"]
-            == batch["trace"]
+            == compute["trace"]
             == client_reg.trace_id
         )
-        # Batch attribution: real batch size and a nonzero queue wait.
-        assert batch["attrs"]["batch"] >= 1
-        assert batch["attrs"]["queue_wait"] > 0.0
-        assert spans["serve.model"]["dur"] > 0.0
+        # Attribution: every graph missed, in one 7-graph compute.
+        assert cache["attrs"] == {"hits": 0, "misses": len(candidate_graphs)}
+        assert compute["attrs"]["batch"] == len(candidate_graphs)
+        assert compute["dur"] > 0.0
+        assert compute["start"] >= cache["start"]
         # Time alignment: the server's request starts at/after the
         # client call on the merged timeline (median-offset alignment).
         assert request["start"] >= call["start"] - 1e-6
 
         report = render_merged_report(merged)
         assert "serve attribution" in report
-        assert "serve.batch" in report
+        assert "serve.compute" in report
         assert "cross-process links resolved: 1" in report
 
     def test_untraced_client_leaves_the_wire_clean(
@@ -244,19 +233,18 @@ class TestCrossProcessMerge:
 
     def test_serve_rows_aggregate_attribution(self):
         spans = [
+            {"name": "serve.compute", "dur": 0.1, "attrs": {"batch": 4}},
             {"name": "serve.call", "dur": 0.2, "attrs": {}},
-            {"name": "serve.batch", "dur": 0.1,
-             "attrs": {"batch": 4, "queue_wait": 0.03}},
-            {"name": "serve.batch", "dur": 0.3,
-             "attrs": {"batch": 2, "queue_wait": 0.01}},
+            {"name": "serve.compute", "dur": 0.3, "attrs": {"batch": 2}},
             {"name": "campaign.cti", "dur": 9.9, "attrs": {}},
         ]
         rows = serve_rows(spans)
-        assert [row["span"] for row in rows] == ["serve.call", "serve.batch"]
-        batch_row = rows[1]
-        assert batch_row["count"] == 2
-        assert batch_row["mean batch"] == "3.0"
-        assert batch_row["queue wait s"] == "0.0400"
+        assert [row["span"] for row in rows] == ["serve.call", "serve.compute"]
+        compute_row = rows[1]
+        assert compute_row["count"] == 2
+        assert compute_row["mean batch"] == "3.0"
+        assert compute_row["mean ms"] == pytest.approx(200.0)
+        assert rows[0]["mean batch"] == "-"
 
 
 # -- tolerant trace reading --------------------------------------------------
@@ -296,7 +284,7 @@ class TestPrometheusExposition:
     def test_registry_snapshot_renders(self):
         registry = obs.MetricsRegistry(sink=MemorySink(), process="server")
         registry.counter("serve.cache.hits").add(3)
-        registry.gauge("serve.queue.depth").set(2)
+        registry.gauge("serve.cache.bytes").set(2)
         for value in (0.001, 0.002, 0.004):
             registry.histogram("serve.request.seconds").observe(value)
         with registry.span("serve.request"):
@@ -304,7 +292,7 @@ class TestPrometheusExposition:
         text = render_prometheus(registry.snapshot())
         assert "# TYPE repro_serve_cache_hits_total counter" in text
         assert "repro_serve_cache_hits_total 3" in text
-        assert "repro_serve_queue_depth 2" in text
+        assert "repro_serve_cache_bytes 2" in text
         assert "# TYPE repro_serve_request_seconds summary" in text
         assert 'repro_serve_request_seconds{quantile="0.99"}' in text
         assert "repro_serve_request_seconds_count 3" in text
@@ -335,9 +323,6 @@ class TestPrometheusExposition:
                 "requests": 7,
                 "cache": {"hits": 5, "misses": 2, "hit_rate": 5 / 7,
                           "bytes": 128, "evictions": 0},
-                "batcher": {"flush_full": 1,
-                            "rejected": 0, "backpressure": 0,
-                            "queue_depth": 0},
             }
         )
         text = render_prometheus(snapshot)
@@ -396,35 +381,6 @@ class TestFlightRecorder:
             assert recorder.inner is sink
             obs.point("a")
         assert sink.events  # events still reach the original sink
-
-    def test_admission_error_triggers_a_dump(self, tmp_path):
-        import threading
-
-        path = tmp_path / "admission.json"
-        release = threading.Event()
-
-        def compute(payloads):
-            release.wait(timeout=10.0)
-            return list(payloads)
-
-        registry = obs.MetricsRegistry(sink=MemorySink())
-        with obs.use_registry(registry):
-            install_flight(str(path), handlers=False)
-            batcher = MicroBatcher(
-                compute,
-                BatcherConfig(max_batch=1, max_queue=1, block_on_full=False),
-            )
-            try:
-                with pytest.raises(AdmissionError):
-                    # Worker blocks on the first payload; flood the
-                    # 1-deep queue until admission control rejects.
-                    for _ in range(8):
-                        batcher.submit([object()])
-            finally:
-                release.set()
-                batcher.close()
-        dump = json.loads(path.read_text())
-        assert dump["reason"] == "admission_error"
 
     def test_slow_request_log(self, tmp_path):
         recorder = FlightRecorder(str(tmp_path / "slow.json"), slow_capacity=2)
@@ -534,7 +490,6 @@ class TestServeWatch:
             "model_name": "pic",
             "version": "v1",
             "cache": {"hit_rate": 0.5},
-            "batcher": {"queue_depth": 3},
         }
         snapshot = {
             "histograms": {
@@ -547,6 +502,7 @@ class TestServeWatch:
         assert "p99   10.00 ms" in line
         assert "cache hit  50.0%" in line
         assert "model pic v1" in line
+        assert "queue" not in line
         previous = (dict(status, requests=100), snapshot)
         line = render_serve_watch((status, snapshot), previous, elapsed=2.0)
         assert "qps   10.0" in line
@@ -579,7 +535,7 @@ class TestTelemetryOnOffEquivalence:
         ctis = dataset_builder.corpus.sample_pairs(rngmod.make_rng(3), 2)
         server = PredictionServer(
             tiny_model,
-            ServerConfig(socket_path=str(tmp_path / "equiv.sock"), max_batch=4),
+            ServerConfig(socket_path=str(tmp_path / "equiv.sock")),
             version="v1",
         ).start()
         try:

@@ -9,7 +9,7 @@ closed-form schedule counts on straight-line shapes, pruning soundness
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.errors import OracleError, OracleLimitError
@@ -67,17 +67,27 @@ class TestScheduleCounts:
         assert not truth.bug_iids
 
 
+def _unpruned_or_reject(kernel, programs):
+    """The unpruned ground truth; a kernel whose unpruned exploration
+    exceeds the oracle's schedule limit is an invalid draw. A pruned
+    mode that hits the limit still fails its test."""
+    try:
+        return explore_interleavings(kernel, programs, pruning="none")
+    except OracleLimitError:
+        reject()
+
+
 class TestPruningSoundness:
     @RELAXED
     @given(seed=st.integers(0, 10_000))
     def test_all_modes_agree_on_ground_truth(self, seed):
         """Sleep sets and POR prune *schedules*, never *behaviours*."""
         kernel, programs = random_tiny_kernel(seed)
+        unpruned = _unpruned_or_reject(kernel, programs)
         truths = {
             mode: explore_interleavings(kernel, programs, pruning=mode)
-            for mode in PRUNING_MODES
+            for mode in ("por", "sleep")
         }
-        unpruned = truths["none"]
         for mode in ("por", "sleep"):
             assert truths[mode].behavior_key() == unpruned.behavior_key(), mode
         assert (
@@ -94,8 +104,8 @@ class TestPruningSoundness:
         from repro.execution.concurrent import ScheduleHint, run_concurrent
 
         kernel, programs = random_tiny_kernel(seed)
+        none = _unpruned_or_reject(kernel, programs)
         sleep = explore_interleavings(kernel, programs, pruning="sleep")
-        none = explore_interleavings(kernel, programs, pruning="none")
         for priority_a, priority_b in ((0, 4), (4, 0), (2, 2)):
             result = run_concurrent(
                 kernel,
@@ -103,6 +113,17 @@ class TestPruningSoundness:
                 hints=[ScheduleHint(0, priority_a), ScheduleHint(1, priority_b)],
             )
             assert sleep.check_result(result) == none.check_result(result) == []
+
+    def test_the_limit_rejection_is_real(self):
+        """Seed 7321 is a draw the properties above reject: unpruned, its
+        tiny kernel exceeds the 20,000-schedule limit, while sleep sets
+        (10 schedules) and POR (20) complete."""
+        kernel, programs = random_tiny_kernel(7321)
+        with pytest.raises(OracleLimitError):
+            explore_interleavings(kernel, programs, pruning="none")
+        sleep = explore_interleavings(kernel, programs, pruning="sleep")
+        por = explore_interleavings(kernel, programs, pruning="por")
+        assert (sleep.num_schedules, por.num_schedules) == (10, 20)
 
 
 class TestDeterminism:

@@ -98,6 +98,70 @@ os._exit(137)
 """
 
 
+#: A parent that dies before its only worker is first scheduled: the
+#: worker's first step is slowed so that it runs after the exit.
+_ORPHANED_BEFORE_FIRST_POLL = """
+import os, time
+from repro import obs
+from repro.execution import parallel
+
+clear = obs.clear_registry
+
+
+def slow_clear():
+    clear()
+    time.sleep(0.5)
+
+
+obs.clear_registry = slow_clear
+worker = parallel.WorkerProcess(parallel.worker_main, lambda job: job)
+print(worker.process.pid, flush=True)
+os._exit(137)
+"""
+
+
+def _assert_workers_exit_with(script, workers):
+    """Run ``script``, which prints its worker pids and exits 137, and
+    assert that every worker exits within :data:`WORKER_EXIT_DEADLINE`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        cwd=REPO_ROOT,
+        env=env,
+    )
+    started = {}
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 120.0)
+        assert ready, "the campaign subprocess never reported its workers"
+        pids = [int(pid) for pid in process.stdout.readline().split()]
+        assert len(pids) == workers
+        # A worker already reaped gets no start time: never "running".
+        stats = {pid: _proc_stat(pid) for pid in pids}
+        started = {pid: stat and stat[19] for pid, stat in stats.items()}
+        assert process.wait(timeout=60) == 137
+        # A worker notices within one 0.5 s poll; the deadline only
+        # absorbs scheduling delay. Workers that never notice fail here.
+        deadline = time.monotonic() + WORKER_EXIT_DEADLINE
+        running = _running(started)
+        while running and time.monotonic() < deadline:
+            time.sleep(0.05)
+            running = _running(started)
+        assert not running, (
+            f"workers outlived their campaign process by "
+            f"{WORKER_EXIT_DEADLINE:.0f} s: {running}"
+        )
+    finally:
+        process.kill()
+        process.wait()
+        for pid in _running(started):
+            os.kill(pid, signal.SIGKILL)
+        process.stdout.close()
+
+
 class TestSerialSupervision:
     def test_matches_plain_serial_runner(self, kernel, corpus):
         tasks = _tasks(corpus, 4)
@@ -267,40 +331,13 @@ class TestPoolSupervision:
         EOF on the campaign's stdout, which the workers inherit, for
         3 s; that also waits on any other process holding the pipe and
         on however long a loaded host takes to schedule the exits."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-c", _DYING_CAMPAIGN],
-            stdout=subprocess.PIPE,
-            cwd=REPO_ROOT,
-            env=env,
-        )
-        workers = {}
-        try:
-            ready, _, _ = select.select([process.stdout], [], [], 120.0)
-            assert ready, "the campaign subprocess never reported its workers"
-            pids = [int(pid) for pid in process.stdout.readline().split()]
-            assert len(pids) == 3
-            # A worker already reaped gets no start time: never "running".
-            stats = {pid: _proc_stat(pid) for pid in pids}
-            workers = {pid: stat and stat[19] for pid, stat in stats.items()}
-            assert process.wait(timeout=60) == 137
-            # A worker notices within one 0.5 s poll; the deadline only
-            # absorbs scheduling delay. Workers that never notice fail here.
-            deadline = time.monotonic() + WORKER_EXIT_DEADLINE
-            running = _running(workers)
-            while running and time.monotonic() < deadline:
-                time.sleep(0.05)
-                running = _running(workers)
-            assert not running, (
-                f"workers outlived their campaign process by "
-                f"{WORKER_EXIT_DEADLINE:.0f} s: {running}"
-            )
-        finally:
-            process.kill()
-            process.wait()
-            for pid in _running(workers):
-                os.kill(pid, signal.SIGKILL)
-            process.stdout.close()
+        _assert_workers_exit_with(_DYING_CAMPAIGN, workers=3)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads worker states from /proc"
+    )
+    def test_a_worker_orphaned_before_its_first_poll_exits(self):
+        """Regression: a worker read its parent's pid with ``getppid()``
+        after the fork, so one first scheduled after its parent died
+        recorded the re-parented pid and polled forever."""
+        _assert_workers_exit_with(_ORPHANED_BEFORE_FIRST_POLL, workers=1)

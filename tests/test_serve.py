@@ -1,5 +1,5 @@
-"""Tests of :mod:`repro.serve`: digests, cache, batching, registry,
-backends, the socket server, and served-campaign equivalence.
+"""Tests of :mod:`repro.serve`: digests, cache, registry, backends, the
+socket server, and served-campaign equivalence.
 
 The load-bearing claims: (1) the cache key is *content*-addressed — any
 prediction-relevant difference changes it, nothing else does; (2) all
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -23,16 +23,14 @@ from repro import rng as rngmod
 from repro.core.mlpct import ExplorationConfig, MLPCTExplorer, run_campaign
 from repro.core.scoring import CandidateScorer
 from repro.core.strategies import make_strategy
-from repro.errors import AdmissionError, CheckpointError, ProtocolError, ServeError
+from repro.errors import CheckpointError, ProtocolError, ServeError
 from repro.execution.pct import propose_hint_pairs
 from repro.graphs.ctgraph import schedule_key
 from repro.ml.gnn import GNNConfig, RelationalGCN, prepare_adjacency
 from repro.oracle import DifferentialRunner, add_campaign_check
 from repro.serve import (
-    BatcherConfig,
     InProcessServer,
     LocalBackend,
-    MicroBatcher,
     ModelRegistry,
     PredictionCache,
     PredictionServer,
@@ -215,214 +213,6 @@ class TestPredictionCache:
         assert len(cache) == 0 and cache.bytes_used == 0
 
 
-# -- the micro-batcher -------------------------------------------------------
-
-
-def _results(pendings, timeout=10.0):
-    """One request's results, in order, from its units' futures."""
-    return [value for pending in pendings for value in pending.result(timeout)]
-
-
-class TestMicroBatcher:
-    @staticmethod
-    def _gated(record, **config):
-        """A batcher whose compute records each batch and, while
-        ``gate`` is clear, blocks after announcing itself on ``entered``."""
-        gate, entered = threading.Event(), threading.Event()
-
-        def compute(payloads):
-            record.append(list(payloads))
-            entered.set()
-            gate.wait(10.0)
-            return payloads
-
-        return MicroBatcher(compute, BatcherConfig(**config)), gate, entered
-
-    def test_a_lone_request_never_waits_on_the_clock(self):
-        batches = []
-        batcher = MicroBatcher(
-            lambda payloads: batches.append(list(payloads)) or payloads,
-            BatcherConfig(max_batch=8),
-            clock=lambda: 0.0,  # a clock that never advances
-        )
-        try:
-            assert _results(batcher.submit(["a", "b"]), timeout=5.0) == ["a", "b"]
-        finally:
-            batcher.close()
-        assert batches == [["a", "b"]]
-        assert batcher.stats()["batches"] == 1
-
-    def test_one_requests_misses_are_one_batch(self, tiny_model, candidate_graphs):
-        model = _RecordingModel(tiny_model)
-        server = InProcessServer(model, version="v1")  # max_batch 8 > 7 graphs
-        try:
-            served = server.predict_proba_batch(candidate_graphs)
-            stats = server.stats()["batcher"]
-        finally:
-            server.close()
-        assert stats["batches"] == 1 and stats["submitted"] == len(candidate_graphs)
-        assert len(model.seen) == len(candidate_graphs)
-        for graph, proba in zip(candidate_graphs, served):
-            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
-
-    def test_units_queued_during_a_compute_merge_into_the_next_batch(self):
-        batches = []
-        batcher, gate, entered = self._gated(batches, max_batch=4)
-        try:
-            first = batcher.submit(["a"])
-            assert entered.wait(10.0)  # the worker holds "a", gated
-            requests = [["b"], ["c", "d"], ["e", "f", "g"], ["h"], list("ijklmn")]
-            pendings = [batcher.submit(request) for request in requests]
-            gate.set()
-            assert _results(first) == ["a"]
-            for request, request_pendings in zip(requests, pendings):
-                assert _results(request_pendings) == request
-        finally:
-            gate.set()
-            batcher.close()
-        # b+c+d fill 3 of 4; e-g would overflow, so they lead the next
-        # batch and h joins them. A request over max_batch is cut into
-        # units of max_batch, the last of which merges like any other.
-        assert batches == [
-            ["a"],
-            ["b", "c", "d"],
-            ["e", "f", "g", "h"],
-            ["i", "j", "k", "l"],
-            ["m", "n"],
-        ]
-        assert batcher.stats()["flush_full"] == 2
-
-    def test_backpressure_admits_a_request_larger_than_the_free_queue(self):
-        batches = []
-        batcher, gate, entered = self._gated(batches, max_batch=2, max_queue=2)
-        outcome = {}
-
-        def large():
-            outcome["large"] = _results(batcher.submit(["c", "d", "e"]))
-
-        thread = threading.Thread(target=large)
-        try:
-            first = batcher.submit(["a"])
-            assert entered.wait(10.0)
-            queued = batcher.submit(["b"])  # one of two slots left
-            thread.start()
-            deadline = time.monotonic() + 10.0
-            while batcher.stats()["backpressure"] == 0:  # "large" is blocked
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            gate.set()
-            thread.join(timeout=10.0)
-            assert not thread.is_alive(), "a blocked submitter deadlocked"
-            assert _results(first) == ["a"] and _results(queued) == ["b"]
-        finally:
-            gate.set()
-            batcher.close()
-        assert outcome["large"] == ["c", "d", "e"]
-        assert batches == [["a"], ["b"], ["c", "d"], ["e"]]
-
-    def test_threaded_end_to_end(self):
-        batcher = MicroBatcher(
-            lambda payloads: [payload * 2 for payload in payloads],
-            BatcherConfig(max_batch=4),
-        )
-        try:
-            pendings = [batcher.submit([i]) for i in range(10)]
-            assert [_results(units) for units in pendings] == [
-                [2 * i] for i in range(10)
-            ]
-            stats = batcher.stats()
-            assert stats["submitted"] == 10 and stats["batches"] >= 3
-        finally:
-            batcher.close()
-
-    def test_many_blocked_submitters_all_complete(self):
-        """Stress: more submitters than cores against a tiny queue, with
-        the interpreter switching threads as often as it can. Every
-        request gets exactly its own results and nothing stays queued."""
-        import sys
-
-        batcher = MicroBatcher(
-            lambda payloads: [payload * 2 for payload in payloads],
-            BatcherConfig(max_batch=3, max_queue=4),
-        )
-        failures = []
-
-        def client(worker: int) -> None:
-            for round_ in range(40):
-                request = [(worker, round_, i) for i in range(1 + (worker + round_) % 6)]
-                if _results(batcher.submit(request)) != [p * 2 for p in request]:
-                    failures.append((worker, round_))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-            batcher.close()
-        assert not failures
-        stats = batcher.stats()
-        assert stats["queue_depth"] == 0 and stats["backpressure"] > 0
-        assert stats["submitted"] == sum(
-            1 + (n + r) % 6 for n in range(8) for r in range(40)
-        )
-
-    def test_admission_control_rejects_when_full(self):
-        gate = threading.Event()
-
-        def blocked(payloads):
-            gate.wait(10.0)
-            return payloads
-
-        batcher = MicroBatcher(
-            blocked,
-            BatcherConfig(max_batch=1, max_queue=1, block_on_full=False),
-        )
-        try:
-            first = batcher.submit(["a"])  # taken by the worker, blocks
-            deadline = time.monotonic() + 5.0
-            queued = None
-            while time.monotonic() < deadline:  # fill the 1-slot queue
-                try:
-                    queued = batcher.submit(["b"])
-                    break
-                except AdmissionError:
-                    continue
-            assert queued is not None
-            with pytest.raises(AdmissionError):
-                # Queue now holds "b" while the worker blocks on "a".
-                batcher.submit(["c"])
-            assert batcher.stats()["rejected"] >= 1
-            gate.set()
-            assert _results(first) == ["a"]
-        finally:
-            gate.set()
-            batcher.close()
-
-    def test_compute_errors_propagate_to_requesters(self):
-        def broken(payloads):
-            raise RuntimeError("model exploded")
-
-        batcher = MicroBatcher(broken, BatcherConfig(max_batch=4))
-        try:
-            (pending,) = batcher.submit(["x"])
-            with pytest.raises(RuntimeError, match="model exploded"):
-                pending.result(timeout=10.0)
-        finally:
-            batcher.close()
-
-    def test_closed_batcher_rejects_submissions(self):
-        batcher = MicroBatcher(lambda payloads: payloads)
-        batcher.close()
-        with pytest.raises(ServeError):
-            batcher.submit(["x"])
-
-
 # -- the model registry ------------------------------------------------------
 
 
@@ -487,18 +277,14 @@ class TestModelRegistry:
 
 
 class TestInProcessServer:
-    def _server(self, model, **kwargs) -> InProcessServer:
-        kwargs.setdefault(
-            "batcher_config", BatcherConfig(max_batch=1)
-        )
-        return InProcessServer(model, version="v1", **kwargs)
+    def _server(self, model) -> InProcessServer:
+        return InProcessServer(model, version="v1")
 
     def test_served_predictions_are_byte_identical(
         self, tiny_model, candidate_graphs
     ):
-        # max_batch=1 makes every compute a single-graph batch, which the
-        # model defines as exactly predict_proba — so equality here is
-        # bitwise, not approximate.
+        # A graph's probabilities do not depend on its batch, so a
+        # batched compute equals predict_proba bitwise, not approximately.
         server = self._server(tiny_model)
         try:
             served = server.predict_proba_batch(candidate_graphs)
@@ -569,11 +355,15 @@ class TestInProcessServer:
     def test_concurrent_clients_get_correct_results(
         self, tiny_model, candidate_graphs
     ):
+        """Stress: more clients than cores, switching threads as often as
+        the interpreter can. Every reply is bitwise right, each graph is
+        computed once, and no request or lookup goes uncounted."""
         reference = [
             tiny_model.predict_proba(graph) for graph in candidate_graphs
         ]
-        server = self._server(tiny_model, batcher_config=BatcherConfig(max_batch=1))
+        server = self._server(tiny_model)
         failures = []
+        workers = 6
 
         def client(worker: int) -> None:
             order = list(range(len(candidate_graphs)))
@@ -584,58 +374,120 @@ class TestInProcessServer:
                 if not np.array_equal(proba, reference[index]):
                     failures.append((worker, index))
 
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
             threads = [
                 threading.Thread(target=client, args=(worker,))
-                for worker in range(6)
+                for worker in range(workers)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60.0)
-            assert not failures
+            assert not any(thread.is_alive() for thread in threads)
         finally:
-            server.close()
+            sys.setswitchinterval(interval)
+        assert not failures
+        stats = server.stats()
+        requests = workers * len(candidate_graphs)
+        assert stats["requests"] == requests
+        assert stats["cache"]["misses"] == len(candidate_graphs)
+        assert stats["cache"]["hits"] == requests - len(candidate_graphs)
+
+    def test_one_requests_misses_are_one_batch(
+        self, tiny_model, dataset_builder, cti, candidate_graphs
+    ):
+        """A request's misses are one forward pass, in 8-graph chunks:
+        7 misses are one compute, 19 are computes of 8, 8 and 3."""
+        entry_a, entry_b = cti
+        pairs = propose_hint_pairs(
+            rngmod.make_rng(21), entry_a.trace, entry_b.trace, 40
+        )
+        pool = {graph_digest(graph): graph for graph in candidate_graphs}
+        for pair in pairs:
+            graph = dataset_builder.graph_for(entry_a, entry_b, list(pair))
+            pool.setdefault(graph_digest(graph), graph)
+        larger = list(pool.values())[len(candidate_graphs) :][:19]
+        assert len(larger) == 19
+        model = _RecordingModel(tiny_model)
+        server = InProcessServer(model, version="v1")
+        served = server.predict_proba_batch(candidate_graphs)
+        assert model.batches == [len(candidate_graphs)]
+        served += server.predict_proba_batch(larger)
+        assert model.batches == [len(candidate_graphs), 8, 8, 3]
+        assert len(model.seen) == len(candidate_graphs) + len(larger)
+        for graph, proba in zip(candidate_graphs + larger, served):
+            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
+
+    def test_serving_starts_no_thread(self, tiny_model, candidate_graphs):
+        """Every request runs on its caller's thread; constructing,
+        scoring, swapping and closing leave the thread set unchanged."""
+        before = set(threading.enumerate())
+        server = InProcessServer(tiny_model, version="v1")
+        assert set(threading.enumerate()) == before
+        server.predict_proba_batch(candidate_graphs)
+        server.swap_model(tiny_model, "v2")
+        server.predict_proba_batch(candidate_graphs[:2])
+        assert server.stats()["requests"] == 2
+        server.close()
+        assert set(threading.enumerate()) == before
 
     def test_concurrent_misses_on_one_graph_agree(
         self, tiny_model, candidate_graphs
     ):
-        """Nothing dedupes across requests: two requests that miss on the
-        same graph at once each submit it, get bitwise-equal results and
-        leave one cache entry."""
+        """A second request for a graph whose compute is in flight waits
+        for it, then hits: the model sees the graph once, and the cache
+        counts one miss, one hit and one entry."""
         graph = candidate_graphs[0]
-        server = self._server(tiny_model)
-        real_cache = server.cache
-        both_missed = threading.Barrier(2, timeout=30.0)
+        gate, entered = threading.Event(), threading.Event()
 
-        class MissTogether:
+        class GatedModel(_RecordingModel):
+            def predict_proba_batch(self, graphs):
+                entered.set()
+                assert gate.wait(30.0)
+                return super().predict_proba_batch(graphs)
+
+        model = GatedModel(tiny_model)
+        server = InProcessServer(model, version="v1")
+        real_cache = server.cache
+        lookups = []
+        second_lookup = threading.Event()
+
+        class CountLookups:
             def get(self, key):
-                value = real_cache.get(key)
-                both_missed.wait()
-                return value
+                lookups.append(key)
+                if len(lookups) == 2:
+                    second_lookup.set()
+                return real_cache.get(key)
 
             def __getattr__(self, name):
                 return getattr(real_cache, name)
 
-        server.cache = MissTogether()
+        server.cache = CountLookups()
         results = [None, None]
 
         def client(slot: int) -> None:
             results[slot] = server.predict_proba(graph)
 
+        threads = [threading.Thread(target=client, args=(n,)) for n in (0, 1)]
         try:
-            threads = [threading.Thread(target=client, args=(n,)) for n in (0, 1)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
-            server.cache = real_cache
-            stats = server.stats()
+            threads[0].start()
+            assert entered.wait(30.0)  # the first compute holds the graph
+            threads[1].start()
+            # The second request cannot even look the graph up while the
+            # first one's compute is in flight.
+            assert not second_lookup.wait(0.3)
         finally:
-            server.close()
-        assert stats["batcher"]["submitted"] == 2
-        assert stats["cache"]["misses"] == 2 and stats["cache"]["entries"] == 1
+            gate.set()
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = real_cache.stats()
+        assert len(model.seen) == 1
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["entries"] == 1
         for proba in results:
             np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
 
@@ -660,7 +512,7 @@ class TestLocalBackend:
 def socket_server(tiny_model, tmp_path):
     server = PredictionServer(
         tiny_model,
-        ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=1),
+        ServerConfig(socket_path=str(tmp_path / "pic.sock")),
         version="v1",
     ).start()
     yield server
@@ -692,7 +544,7 @@ class TestSocketServer:
             assert status["model_name"] == tiny_model.config.name
             assert status["vocab_size"] == tiny_model.config.vocab_size
             assert status["cache"]["misses"] == len(candidate_graphs)
-            assert status["batcher"]["batches"] >= 1
+            assert status["requests"] == 1
         finally:
             client.close()
 
@@ -737,9 +589,11 @@ class _RecordingModel:
         self.config = model.config
         self.threshold = model.threshold
         self.seen = []
+        self.batches = []
 
     def predict_proba_batch(self, graphs):
         self.seen.extend(graphs)
+        self.batches.append(len(graphs))
         return self._model.predict_proba_batch(graphs)
 
 
@@ -872,7 +726,7 @@ class TestDigestAddressedWire:
         model = _RecordingModel(tiny_model)
         server = PredictionServer(
             model,
-            ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=1),
+            ServerConfig(socket_path=str(tmp_path / "pic.sock")),
         ).start()
         clients = [SocketBackend(server.config.socket_path) for _ in range(2)]
         try:
@@ -916,7 +770,6 @@ class TestDigestAddressedWire:
                 before = _status(socket_server)
                 served = client.predict_proba_batch(graphs)
                 after = _status(socket_server)
-                # The fixture's server scores one graph per batch.
                 for graph, proba in zip(graphs, served):
                     np.testing.assert_array_equal(proba, local.predict_proba(graph))
                 assert after[0] == before[0] + 1
@@ -1005,11 +858,11 @@ class TestDigestAddressedWire:
     def test_a_malformed_frame_fails_only_its_sender(
         self, tiny_model, candidate_graphs, tmp_path
     ):
-        """A bad graph used to reach the batcher, where the compute error
-        failed every request gathered into the same batch."""
+        """A bad graph is refused on its sender's connection thread; it
+        once reached a shared compute batch and failed every request
+        gathered into it."""
         server = PredictionServer(
-            tiny_model,
-            ServerConfig(socket_path=str(tmp_path / "pic.sock"), max_batch=8),
+            tiny_model, ServerConfig(socket_path=str(tmp_path / "pic.sock"))
         ).start()
         bad = encode_graphs(candidate_graphs[:1])
         bad["graphs"][0]["schedule"].append([0, 10_000])
@@ -1252,32 +1105,32 @@ class TestRegistryHotSwapRaces:
             stop.set()
             thread.join()
 
-    def test_swap_mid_gather_retries_to_a_consistent_batch(
+    def test_swap_at_first_lookup_waits_for_a_single_version_reply(
         self, tiny_model, candidate_graphs
     ):
-        # Deterministic injection of the worst interleaving: the swap
-        # lands right after the request pinned its version, so the
-        # optimistic gather would pair old-version cache keys with
-        # new-model computes. The backend must detect the race and
-        # retry to a batch that is all one version.
+        # The worst interleaving, injected deterministically: a swap
+        # starts on another thread right after the request pinned its
+        # version. It must block until the request has returned wholly
+        # v1; the next request is wholly v2.
         from repro.ml.pic import PICModel
 
         other = PICModel(tiny_model.config, seed=99)
-        server = InProcessServer(
-            tiny_model,
-            version="v1",
-            batcher_config=BatcherConfig(max_batch=1),
-        )
+        server = InProcessServer(tiny_model, version="v1")
         real_cache = server.cache
+        swapped = threading.Event()
+
+        def swap():
+            server.swap_model(other, "v2")
+            swapped.set()
+
+        swapper = threading.Thread(target=swap)
+        blocked = []
 
         class SwapOnFirstGet:
-            def __init__(self):
-                self.fired = False
-
             def get(self, key):
-                if not self.fired:
-                    self.fired = True
-                    server.swap_model(other, "v2")
+                if not blocked:
+                    swapper.start()
+                    blocked.append(not swapped.wait(0.3))
                 return real_cache.get(key)
 
             def __getattr__(self, name):
@@ -1288,14 +1141,17 @@ class TestRegistryHotSwapRaces:
             version, probas = server.predict_proba_batch_versioned(
                 candidate_graphs
             )
-            assert version == "v2"
-            assert server.observed_version == "v2"
-            for graph, proba in zip(candidate_graphs, probas):
-                np.testing.assert_array_equal(
-                    proba, other.predict_proba(graph)
-                )
         finally:
-            server.close()
+            swapper.join(timeout=30.0)
+        assert blocked == [True]
+        assert version == "v1"
+        for graph, proba in zip(candidate_graphs, probas):
+            np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
+        assert swapped.is_set() and server.version == "v2"
+        version, probas = server.predict_proba_batch_versioned(candidate_graphs)
+        assert version == "v2" and server.observed_version == "v2"
+        for graph, proba in zip(candidate_graphs, probas):
+            np.testing.assert_array_equal(proba, other.predict_proba(graph))
 
     def test_activation_churn_never_serves_a_mixed_version_batch(
         self, tmp_path, tiny_model, candidate_graphs
@@ -1313,10 +1169,7 @@ class TestRegistryHotSwapRaces:
         }
         server = PredictionServer(
             tiny_model,
-            ServerConfig(
-                socket_path=str(tmp_path / "race.sock"),
-                max_batch=1,
-            ),
+            ServerConfig(socket_path=str(tmp_path / "race.sock")),
             version="v1",
             model_registry=registry,
         ).start()
@@ -1511,14 +1364,12 @@ class TestServeCli:
                 "start",
                 "--socket",
                 "/tmp/x.sock",
-                "--max-batch",
-                "16",
                 "--cache-mb",
                 "8",
             ]
         )
         assert args.command == "serve" and args.action == "start"
-        assert args.max_batch == 16 and args.cache_mb == 8
+        assert args.cache_mb == 8
         for action in ("stop", "status"):
             args = parser.parse_args(["serve", action, "--socket", "/tmp/x.sock"])
             assert args.action == action
@@ -1533,6 +1384,7 @@ class TestServeCli:
             ["campaign", "--serve", "--ctis", "1"],
             ["serve", "start", "--socket", "/tmp/x.sock", "--score-threads", "2"],
             ["serve", "start", "--socket", "/tmp/x.sock", "--max-wait-ms", "1"],
+            ["serve", "start", "--socket", "/tmp/x.sock", "--max-batch", "8"],
             ["campaign", "--cascade", "--ctis", "1"],
             ["campaign", "--filter-recall", "0.9", "--ctis", "1"],
         ],
@@ -1540,13 +1392,15 @@ class TestServeCli:
             "campaign --serve",
             "serve start --score-threads",
             "serve start --max-wait-ms",
+            "serve start --max-batch",
             "campaign --cascade",
             "campaign --filter-recall",
         ],
     )
     def test_deleted_serve_modes_are_refused(self, argv, capsys, monkeypatch):
         """In-process ``campaign --serve``, ``--score-threads`` sharding,
-        the batching window and the two-stage scoring cascade are gone:
+        the batching window, the micro-batcher's ``--max-batch`` and the
+        two-stage scoring cascade are gone:
         an old command line exits 2 before building anything."""
         from repro.cli import main
         from repro.core import Snowcat
