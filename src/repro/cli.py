@@ -22,19 +22,23 @@ Runs the pipeline stages a downstream user needs without writing code:
   (``start``/``stop``/``status``); campaigns attach to it with
   ``campaign --serve-socket PATH`` (shared model and prediction cache;
   see ``docs/SERVING.md``)
-- ``fleet``     — fault-tolerant distributed campaign
-  (``run``/``status``): a coordinator leases score/execute jobs to N
+- ``fleet``     — fault-tolerant distributed campaign (``run``): a
+  coordinator leases score/execute jobs to N
   worker processes, survives worker crashes/hangs and its own SIGKILL
   (``--resume``), and aggregates byte-identically to the
   single-process campaign (see ``docs/FLEET.md``). ``campaign`` and
   ``fleet run`` share one flag table and one :class:`repro.run.RunSpec`;
   :func:`repro.run.execute` is the only code that runs either
 - ``learn``     — continuous-learning lifecycle
-  (``run``/``status``/``publish``): tail ``--capture-labels`` campaign
+  (``run``/``publish``): tail ``--capture-labels`` campaign
   journals into a durable label store, fine-tune the registry's active
   model on fresh labels, gate the candidate on a fresh-label holdout,
   and promote (or quarantine) it; a live ``serve`` server hot-swaps to
   the promoted version with ``serve swap`` (see ``docs/LIFECYCLE.md``)
+- ``top``       — the one live progress view: renders the heartbeat
+  snapshots of campaigns (``--heartbeat FILE``), fleets
+  (``--heartbeat-dir DIR``) and the learn worker (``learn run --dir
+  DIR``) from any mix of files and directories
 
 Every command accepts ``--seed`` and prints deterministic results. The
 global ``--trace FILE`` flag records a JSON-lines telemetry trace of the
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch",
         action="store_true",
         help="live view: one line per refresh with qps, p50/p99 latency, "
-        "cache hit rate, queue depth, and model version",
+        "cache hit rate, model version and request count",
     )
     serve_status.add_argument(
         "--interval",
@@ -417,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="directory for coordinator + worker heartbeat files "
-        "(watch with 'repro fleet status --dir DIR' or "
-        "'repro top --fleet DIR')",
+        "(watch with 'repro top DIR')",
     )
     fleet_run.add_argument(
         "--receipts",
@@ -427,27 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a checksummed provenance receipt per job to DIR and "
         "verify coverage at the end",
     )
-    fleet_status = fleet_actions.add_parser(
-        "status",
-        help="render coordinator + worker heartbeats from a fleet "
-        "heartbeat directory",
-    )
-    fleet_status.add_argument(
-        "--dir", required=True, metavar="DIR", help="fleet heartbeat dir"
-    )
-    fleet_status.add_argument(
-        "--watch", action="store_true", help="refresh until Ctrl-C"
-    )
-    fleet_status.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between refreshes"
-    )
-    fleet_status.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="stop --watch after this many refreshes (0 = until Ctrl-C)",
-    )
-
     learn = commands.add_parser(
         "learn",
         help="continuous-learning lifecycle: tail labels, fine-tune, "
@@ -527,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="maximum fine-tune cycles this invocation runs",
     )
-    learn_status = learn_actions.add_parser(
-        "status", help="print the worker's status heartbeat"
-    )
-    learn_status.add_argument("--dir", required=True, metavar="DIR")
     learn_publish = learn_actions.add_parser(
         "publish",
         help="publish a checkpoint into a registry as the active base "
@@ -568,25 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = commands.add_parser(
         "top",
-        help="campaign fleet progress from heartbeat files "
-        "(campaign --heartbeat FILE)",
+        help="live progress of campaigns, fleets and the learn worker "
+        "from their heartbeat files",
     )
     top.add_argument(
-        "heartbeat_file", nargs="*", help="heartbeat JSON file(s) to watch"
-    )
-    top.add_argument(
-        "--fleet",
-        metavar="DIR",
-        default=None,
-        help="also render coordinator + worker rows from a fleet "
-        "heartbeat directory (fleet run --heartbeat-dir DIR)",
-    )
-    top.add_argument(
-        "--learn",
-        metavar="DIR",
-        default=None,
-        help="also render the continuous-learning worker's status from "
-        "its state directory (learn run --dir DIR)",
+        "path",
+        nargs="+",
+        help="heartbeat file(s) and/or directories of them (a fleet's "
+        "--heartbeat-dir, a learn run --dir)",
     )
     top.add_argument(
         "--watch", action="store_true", help="refresh until Ctrl-C"
@@ -1188,35 +1155,10 @@ def _watch(render_frame, interval: float, count: int, watch: bool = True) -> int
 
 
 def _cmd_top(args) -> int:
-    from repro.obs.export import render_fleet_top, render_learn_top, render_top
-
-    if not args.heartbeat_file and not args.fleet and not args.learn:
-        print(
-            "error: give heartbeat file(s), --fleet DIR, and/or --learn DIR",
-            file=sys.stderr,
-        )
-        return 2
-
-    def frame() -> str:
-        frames = []
-        if args.heartbeat_file:
-            frames.append(render_top(args.heartbeat_file))
-        if args.fleet:
-            frames.append(render_fleet_top(args.fleet))
-        if args.learn:
-            frames.append(render_learn_top(args.learn))
-        return "\n".join(frames)
-
-    return _watch(frame, args.interval, args.count, args.watch)
-
-
-def _cmd_fleet(args) -> int:
-    if args.action == "run":
-        return _cmd_campaign(args)
-    from repro.obs.export import render_fleet_top
+    from repro.obs.export import render_top
 
     return _watch(
-        lambda: render_fleet_top(args.dir), args.interval, args.count, args.watch
+        lambda: render_top(args.path), args.interval, args.count, args.watch
     )
 
 
@@ -1240,12 +1182,6 @@ def _cmd_learn(args) -> int:
             f"published {record.model_name} as {record.version} "
             f"(active) in {args.registry}"
         )
-        return 0
-
-    if args.action == "status":
-        from repro.obs.export import render_learn_top
-
-        print(render_learn_top(args.dir))
         return 0
 
     # -- run -----------------------------------------------------------------
@@ -1322,7 +1258,7 @@ _COMMANDS = {
     "filter-model": _cmd_filter_model,
     "quality": _cmd_quality,
     "serve": _cmd_serve,
-    "fleet": _cmd_fleet,
+    "fleet": _cmd_campaign,  # ``run``, its one action
     "learn": _cmd_learn,
     "report": _cmd_report,
     "top": _cmd_top,

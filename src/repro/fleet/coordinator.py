@@ -100,7 +100,7 @@ class FleetConfig:
     #: Worker heartbeat-file rewrite interval.
     heartbeat_interval: float = 0.2
     #: Directory for coordinator + worker heartbeat files (``repro top
-    #: --fleet`` reads it). ``None`` uses a private temp dir, deleted at
+    #: DIR`` renders it). ``None`` uses a private temp dir, deleted at
     #: exit — leases still work, nothing is observable.
     heartbeat_dir: Optional[str] = None
     #: Directory for per-job provenance receipts; ``None`` disables them.
@@ -487,25 +487,18 @@ class FleetCoordinator:
         if self._coordinator_beat is None:
             return
         now = time.monotonic()
-        leases = {
-            f"w{lease.worker}": {
-                "job": lease.job_id,
-                "attempt": lease.attempt,
-                "age_seconds": round(lease.age(now), 3),
-            }
+        leases = "".join(
+            f"; w{lease.worker} job {lease.job_id} attempt {lease.attempt} "
+            f"age {lease.age(now):.1f}s"
             for lease in self.leases.active()
-        }
+        )
         self._coordinator_beat.update(
             done=self._next_fold,
             races=sum(stats.new_races for stats in self._result_stats),
             executions=sum(stats.executions for stats in self._result_stats),
             force=force,
-            role="coordinator",
-            workers=sum(1 for w in self._workers if w is not None),
-            pending=len(self._pending),
-            reassignments=self.report.reassignments,
-            worker_deaths=self.report.worker_deaths,
-            leases=leases,
+            detail=f"pending {len(self._pending)}, reassigned "
+            f"{self.report.reassignments}{leases}",
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -531,6 +524,7 @@ class FleetCoordinator:
         self._coordinator_beat = HeartbeatWriter(
             os.path.join(self._heartbeat_dir, "coordinator.json"),
             interval=max(self.config.heartbeat_interval, 0.2),
+            role="coordinator",
         )
         self._coordinator_beat.begin(
             f"fleet:{self.explorer.label}", len(self.ctis), done=start_index

@@ -15,7 +15,8 @@ campaign.
 
 Liveness is proven two ways: every pipe message renews the worker's
 lease, and a daemon heartbeat thread rewrites the worker's heartbeat
-file (the standard ``--heartbeat`` JSON shape) every interval. Injected
+file (the one :class:`~repro.obs.export.HeartbeatWriter` snapshot
+shape, role ``worker``) every interval. Injected
 hangs pause the heartbeat thread first — a hung worker must *look*
 hung, or lease expiry could never be tested.
 
@@ -80,14 +81,15 @@ class _WorkerBeat:
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
-        self._writer = HeartbeatWriter(spec.heartbeat_path, interval=0.0)
+        self._writer = HeartbeatWriter(
+            spec.heartbeat_path, interval=0.0, role="worker"
+        )
         self._interval = spec.heartbeat_interval
-        self._worker_id = spec.worker_id
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._paused = False
         self._jobs_done = 0
-        self._state = {"job": None, "kind": None, "cti": None, "attempt": None}
+        self._detail = "idle"
         self._writer.begin(f"fleet-worker-{spec.worker_id}", total=0)
         self._write()
         self._thread = threading.Thread(target=self._loop, daemon=True)
@@ -102,21 +104,15 @@ class _WorkerBeat:
             if self._paused:
                 return
             self._writer.update(
-                done=self._jobs_done,
-                force=True,
-                role="worker",
-                worker=self._worker_id,
-                **self._state,
+                done=self._jobs_done, force=True, detail=self._detail
             )
 
     def begin_job(self, job: dict, fault_kind: Optional[str]) -> None:
         with self._lock:
-            self._state = {
-                "job": job["job_id"],
-                "kind": job["kind"],
-                "cti": job["cti_index"],
-                "attempt": job["attempt"],
-            }
+            self._detail = (
+                f"{job['kind']}:{job['job_id']} (cti {job['cti_index']}) "
+                f"attempt {job['attempt']}"
+            )
         self._write()
         with self._lock:
             self._paused = fault_kind == "hang"
@@ -125,8 +121,7 @@ class _WorkerBeat:
         with self._lock:
             self._jobs_done += 1
             self._paused = False
-            self._state = {"job": None, "kind": None, "cti": None,
-                           "attempt": None}
+            self._detail = "idle"
         self._write()
 
     def close(self) -> None:

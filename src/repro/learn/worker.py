@@ -24,16 +24,15 @@ after a crash reproduces the identical checkpoint because every input
 is pinned and every stage is deterministic.
 
 The worker's only nondeterministic output is the ``learn.json`` status
-heartbeat (wall-clock timestamps) — observability, never consumed by
-the deterministic path.
+heartbeat (a :class:`~repro.obs.export.HeartbeatWriter` snapshot, role
+``learn``, that ``repro top DIR`` renders) — observability, never
+consumed by the deterministic path.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.learn.labels import LabelStore
 from repro.learn.promote import evaluate_candidate, publish_candidate, quarantine
 from repro.ml.pic import PICModel
 from repro.ml.training import TrainingConfig, fine_tune_with_replay
-from repro.resilience.atomic import atomic_write_text
+from repro.obs.export import HeartbeatWriter
 from repro.resilience.log import SealedLog
 
 __all__ = ["LearnConfig", "FineTuneWorker", "STATUS_NAME"]
@@ -115,6 +114,12 @@ class FineTuneWorker:
         self.candidates_dir = os.path.join(self.root, "candidates")
         os.makedirs(self.candidates_dir, exist_ok=True)
         self._pause_hook = pause
+        self._status = HeartbeatWriter(
+            self.status_path, interval=0.0, role="learn"
+        )
+        self._status.begin(
+            f"learn:{os.path.basename(self.root)}", total=0, done=store.count
+        )
 
     # -- journal bookkeeping --------------------------------------------------
 
@@ -143,16 +148,17 @@ class FineTuneWorker:
     def status_path(self) -> str:
         return os.path.join(self.root, STATUS_NAME)
 
-    def _write_status(self, **fields: object) -> None:
-        payload: Dict[str, object] = {
-            "total_labels": self.store.count,
-            "active_version": self.registry.active_version,
-            "config": asdict(self.config),
-            "updated_unix": time.time(),
-        }
-        payload.update(fields)
-        atomic_write_text(
-            self.status_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    def _report(
+        self, stage: str, cycle: Optional[int] = None, candidate: str = "-"
+    ) -> None:
+        active = self.registry.active_version
+        self._status.update(
+            done=self.store.count,
+            force=True,
+            detail=f"{stage}, cycle {'-' if cycle is None else cycle}, "
+            f"candidate {candidate}, {self.store.count} labels, active {active}",
+            stage=stage,
+            active_version=active,
         )
 
     # -- dataset reconstruction -----------------------------------------------
@@ -254,7 +260,7 @@ class FineTuneWorker:
             next_cycle = 1
         fresh = self.store.count - last_total
         if fresh < self.config.min_labels:
-            self._write_status(stage="idle", fresh_labels=fresh, cycle=None)
+            self._report("idle")
             return None
         return self._run_cycle(next_cycle, {})
 
@@ -283,7 +289,7 @@ class FineTuneWorker:
             self.journal.append(start)
         base = str(start["base"])
         candidate_name = str(start["candidate"])
-        self._write_status(stage="training", cycle=cycle, candidate=candidate_name)
+        self._report("training", cycle, candidate_name)
         self._pause("cycle")
 
         by_id = {str(record["id"]): record for record in self.store.labels}
@@ -396,7 +402,7 @@ class FineTuneWorker:
             "candidate_ap": gate["report"]["candidate_ap"],
             "active_ap": gate["report"]["active_ap"],
         }
-        self._write_status(stage=outcome, cycle=cycle, candidate=candidate_name)
+        self._report(outcome, cycle, candidate_name)
         return summary
 
     def close(self) -> None:

@@ -9,10 +9,12 @@ Three consumers of the same :class:`~repro.obs.MetricsRegistry` data:
   so ``repro serve metrics --socket PATH`` is the ``/metrics`` endpoint
   of the stack.
 - :class:`HeartbeatWriter` + :func:`read_heartbeat` +
-  :func:`render_top` are the campaign progress channel: the campaign
-  loop writes a small JSON status file atomically (throttled, durable
-  via :mod:`repro.resilience.atomic`), and ``repro top`` renders any
-  number of them as a live fleet table with rates and ETAs.
+  :func:`render_top` are the one live-progress channel: campaigns,
+  fleet coordinators and workers, and the learn worker each write one
+  small JSON snapshot atomically (throttled, durable via
+  :mod:`repro.resilience.atomic`), and ``repro top`` renders any
+  number of them, or directories of them, as one table with rates and
+  ETAs.
 - :func:`render_serve_watch` is one refresh line of
   ``repro serve status --watch``: qps and latency percentiles computed
   from successive server snapshots.
@@ -37,8 +39,6 @@ __all__ = [
     "HeartbeatWriter",
     "read_heartbeat",
     "render_top",
-    "render_fleet_top",
-    "render_learn_top",
     "render_serve_watch",
 ]
 
@@ -141,18 +141,28 @@ def snapshot_from_stats(stats: Dict[str, object]) -> Dict[str, object]:
     return {"counters": counters, "gauges": gauges, "histograms": {}, "spans": {}}
 
 
-# -- campaign heartbeats ------------------------------------------------------
+# -- live progress snapshots --------------------------------------------------
+
+#: Version of the snapshot shape every :class:`HeartbeatWriter` writes.
+HEARTBEAT_SCHEMA = 1
 
 
 class HeartbeatWriter:
-    """Throttled atomic campaign-progress snapshots for ``repro top``.
+    """Throttled atomic progress snapshots: the one live-status file shape.
 
-    One writer follows one campaign process through any number of
-    campaigns (``begin`` resets the rate clock per campaign). ``update``
-    is cheap enough for the per-CTI loop: it returns without touching
-    the filesystem unless ``interval`` seconds have passed since the
-    last write (or ``force=True``), and each write is a whole-file
-    atomic replace so ``repro top`` never reads a torn snapshot.
+    Every file-based live view is written by one of these — a campaign's
+    ``--heartbeat`` file (``role="campaign"``), a fleet's
+    ``coordinator.json`` and ``worker-N.json``, the learn worker's
+    ``learn.json`` — and :func:`render_top` renders them all alike. The
+    producer formats ``detail`` (one short string per update); the
+    renderer never interprets ``role``.
+
+    One writer follows one process through any number of runs
+    (``begin`` resets the rate clock per run). ``update`` is cheap
+    enough for the per-CTI loop: it returns without touching the
+    filesystem unless ``interval`` seconds have passed since the last
+    write (or ``force=True``), and each write is a whole-file atomic
+    replace so ``repro top`` never reads a torn snapshot.
     """
 
     def __init__(
@@ -160,20 +170,27 @@ class HeartbeatWriter:
         path: str,
         interval: float = 1.0,
         clock=time.monotonic,
+        role: str = "campaign",
     ) -> None:
         self.path = path
         self.interval = float(interval)
+        self.role = str(role)
         self._clock = clock
         self._origin = clock()
         self._last_write: Optional[float] = None
         self._label = "?"
         self._total = 0
+        self._base = 0
 
     def begin(self, label: str, total: int, done: int = 0) -> None:
-        """Start following a campaign of ``total`` units (resume-aware:
-        pass the already-completed count as ``done``)."""
+        """Start following a run of ``total`` units (0 = open-ended).
+
+        Resume-aware: pass the already-completed count as ``done``; the
+        rate counts only units finished after this call.
+        """
         self._label = str(label)
         self._total = int(total)
+        self._base = int(done)
         self._origin = self._clock()
         self._last_write = None
         self.update(done=done, force=True)
@@ -184,6 +201,7 @@ class HeartbeatWriter:
         races: int = 0,
         executions: int = 0,
         force: bool = False,
+        detail: str = "",
         **extra: object,
     ) -> bool:
         """Write a snapshot if due; returns whether a write happened."""
@@ -197,11 +215,14 @@ class HeartbeatWriter:
         ):
             return False
         elapsed = max(now - self._origin, 0.0)
-        rate = done / elapsed if elapsed > 0 else 0.0
+        rate = (done - self._base) / elapsed if elapsed > 0 else 0.0
         remaining = max(self._total - done, 0)
-        eta = remaining / rate if rate > 0 else None
+        eta = remaining / rate if self._total and rate > 0 else None
         payload: Dict[str, object] = {
+            "schema": HEARTBEAT_SCHEMA,
+            "role": self.role,
             "label": self._label,
+            "detail": str(detail),
             "pid": os.getpid(),
             "done": int(done),
             "total": self._total,
@@ -244,25 +265,41 @@ def _format_eta(seconds: Optional[float]) -> str:
     return f"{seconds:.0f}s"
 
 
+def _snapshots(path: str) -> List[Tuple[str, Optional[Dict[str, object]]]]:
+    """``(path, snapshot)`` pairs for one ``repro top`` argument: a file
+    as given, a directory as its ``*.json`` snapshots in name order."""
+    if not os.path.isdir(path):
+        return [(path, read_heartbeat(path))]
+    found = []
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".json"):
+            beat = read_heartbeat(os.path.join(path, name))
+            if beat is not None and "schema" in beat:
+                found.append((os.path.join(path, name), beat))
+    return found or [(path, None)]
+
+
 def render_top(
     paths: Sequence[str],
     now: Optional[float] = None,
-    title: str = "campaign fleet",
+    title: str = "live progress",
 ) -> str:
-    """Render heartbeat files as the ``repro top`` table."""
+    """Render snapshot files and directories as the ``repro top`` table:
+    one row per snapshot, a ``(no heartbeat)`` row per path without one."""
     now = time.time() if now is None else now
     rows: List[Dict[str, object]] = []
-    for path in paths:
-        beat = read_heartbeat(path)
+    for path, beat in (pair for path in paths for pair in _snapshots(path)):
         if beat is None:
             rows.append(
                 {
-                    "campaign": os.path.basename(path),
+                    "role": "-",
+                    "label": os.path.basename(path.rstrip(os.sep)) or path,
                     "progress": "(no heartbeat)",
                     "races": "-",
                     "executions": "-",
                     "rate/s": "-",
                     "eta": "-",
+                    "detail": "-",
                     "age": "-",
                 }
             )
@@ -273,130 +310,17 @@ def render_top(
         age = max(now - float(beat.get("updated_unix", now)), 0.0)
         rows.append(
             {
-                "campaign": str(beat.get("label", os.path.basename(path))),
-                "progress": f"{done}/{total}{fraction}",
+                "role": str(beat.get("role", "-")),
+                "label": str(beat.get("label", os.path.basename(path))),
+                "progress": f"{done}/{total}{fraction}" if total else str(done),
                 "races": beat.get("races", 0),
                 "executions": beat.get("executions", 0),
                 "rate/s": f"{float(beat.get('rate_per_second', 0.0)):.2f}",
                 "eta": _format_eta(beat.get("eta_seconds")),
+                "detail": str(beat.get("detail") or "-"),
                 "age": f"{age:.0f}s",
             }
         )
-    return format_table(rows, title=title)
-
-
-def render_fleet_top(
-    directory: str,
-    now: Optional[float] = None,
-    title: str = "fleet",
-) -> str:
-    """Render a fleet heartbeat directory: one coordinator row plus one
-    row per worker (current job, lease age, attempt), for ``repro top
-    --fleet DIR`` and ``repro fleet status``.
-
-    The coordinator's heartbeat carries the lease table (job id, attempt,
-    lease age per worker); each worker's own heartbeat proves liveness
-    (the ``age`` column) and names the job it believes it is running.
-    """
-    now = time.time() if now is None else now
-    coordinator = read_heartbeat(os.path.join(directory, "coordinator.json"))
-    rows: List[Dict[str, object]] = []
-    leases: Dict[str, Dict[str, object]] = {}
-    if coordinator is None:
-        rows.append(
-            {
-                "role": "coordinator",
-                "campaign": "(no heartbeat)",
-                "progress": "-",
-                "job": "-",
-                "attempt": "-",
-                "lease age": "-",
-                "age": "-",
-            }
-        )
-    else:
-        leases = coordinator.get("leases") or {}
-        done = int(coordinator.get("done", 0))
-        total = int(coordinator.get("total", 0))
-        fraction = f" ({done / total:.0%})" if total else ""
-        age = max(now - float(coordinator.get("updated_unix", now)), 0.0)
-        rows.append(
-            {
-                "role": "coordinator",
-                "campaign": str(coordinator.get("label", "?")),
-                "progress": f"{done}/{total}{fraction}",
-                "job": f"pending {coordinator.get('pending', 0)}",
-                "attempt": f"reassigned {coordinator.get('reassignments', 0)}",
-                "lease age": "-",
-                "age": f"{age:.0f}s",
-            }
-        )
-    worker_files = sorted(
-        name
-        for name in (os.listdir(directory) if os.path.isdir(directory) else [])
-        if name.startswith("worker-") and name.endswith(".json")
-    )
-    for name in worker_files:
-        beat = read_heartbeat(os.path.join(directory, name))
-        if beat is None:
-            continue
-        worker = beat.get("worker")
-        lease = leases.get(f"w{worker}") or {}
-        job = beat.get("job")
-        kind = beat.get("kind")
-        cti = beat.get("cti")
-        job_text = f"{kind}:{job} (cti {cti})" if job is not None else "idle"
-        age = max(now - float(beat.get("updated_unix", now)), 0.0)
-        rows.append(
-            {
-                "role": f"worker {worker}",
-                "campaign": str(beat.get("label", name)),
-                "progress": f"{int(beat.get('done', 0))} jobs",
-                "job": job_text,
-                "attempt": beat.get("attempt", lease.get("attempt", "-")),
-                "lease age": (
-                    f"{float(lease.get('age_seconds', 0.0)):.1f}s"
-                    if lease
-                    else "-"
-                ),
-                "age": f"{age:.0f}s",
-            }
-        )
-    return format_table(rows, title=title)
-
-
-def render_learn_top(
-    directory: str,
-    now: Optional[float] = None,
-    title: str = "continuous learning",
-) -> str:
-    """Render the learn worker's status heartbeat (``learn run --dir``)
-    for ``repro top --learn DIR`` and ``repro learn status``."""
-    now = time.time() if now is None else now
-    beat = read_heartbeat(os.path.join(directory, "learn.json"))
-    if beat is None:
-        rows = [
-            {
-                "stage": "(no status)",
-                "cycle": "-",
-                "candidate": "-",
-                "labels": "-",
-                "active": "-",
-                "age": "-",
-            }
-        ]
-        return format_table(rows, title=title)
-    age = max(now - float(beat.get("updated_unix", now)), 0.0)
-    rows = [
-        {
-            "stage": str(beat.get("stage", "?")),
-            "cycle": beat.get("cycle") if beat.get("cycle") is not None else "-",
-            "candidate": str(beat.get("candidate", "-")),
-            "labels": beat.get("total_labels", 0),
-            "active": str(beat.get("active_version", "-")),
-            "age": f"{age:.0f}s",
-        }
-    ]
     return format_table(rows, title=title)
 
 

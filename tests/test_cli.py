@@ -28,9 +28,9 @@ class TestParser:
             "train": ["--epochs", "1"],
             "report": ["trace.jsonl"],
             "serve": ["status", "--socket", "/tmp/repro.sock"],
-            "fleet": ["status", "--dir", "/tmp/fleet-heartbeats"],
+            "fleet": ["run"],
             "top": ["heartbeat.json"],
-            "learn": ["status", "--dir", "/tmp/learn"],
+            "learn": ["publish", "--registry", "reg", "--model", "m.npz"],
         }
         parser = build_parser()
         for command in _COMMANDS:
@@ -181,9 +181,30 @@ class TestRobustness:
         assert code == 2
         assert "cannot be combined with --model" in capsys.readouterr().err
 
-    def test_learn_status_without_state(self, capsys, tmp_path):
-        assert main(["learn", "status", "--dir", str(tmp_path)]) == 0
-        assert "(no status)" in capsys.readouterr().out
+    def test_top_without_state(self, capsys, tmp_path):
+        assert main(["top", str(tmp_path)]) == 0
+        assert "(no heartbeat)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "status", "--dir", "X"],
+            ["learn", "status", "--dir", "X"],
+            ["top", "--fleet", "X"],
+        ],
+    )
+    def test_deleted_status_views_refused(self, argv, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a refused command ran")
+
+        for command in ("fleet", "learn", "top"):
+            monkeypatch.setitem(cli._COMMANDS, command, ran)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_learn_publish_missing_checkpoint(self, capsys, tmp_path):
         code = main(

@@ -308,8 +308,8 @@ class TestFleetIdentity:
 
 
 class TestFleetObservability:
-    def test_heartbeat_dir_feeds_fleet_top(self, dataset_builder, tmp_path):
-        from repro.obs.export import render_fleet_top
+    def test_heartbeat_dir_feeds_top(self, dataset_builder, tmp_path):
+        from repro.obs.export import render_top
 
         beats = str(tmp_path / "beats")
         result, _ = run_fleet(
@@ -317,10 +317,48 @@ class TestFleetObservability:
             _ctis(dataset_builder),
             _fleet_config(heartbeat_dir=beats),
         )
-        rendered = render_fleet_top(beats)
+        rendered = render_top([beats])
         assert "coordinator" in rendered
-        assert "worker" in rendered
+        assert f"{NUM_CTIS}/{NUM_CTIS} (100%)" in rendered
+        assert "pending 0, reassigned 0" in rendered
         assert "fleet:PCT" in rendered
+        for slot in range(2):
+            assert f"fleet-worker-{slot}" in rendered
+
+    def test_one_top_table_over_campaign_fleet_and_learn(
+        self, dataset_builder, tmp_path, capsys
+    ):
+        """Campaign file, fleet dir and learn dir: one ``repro top`` table."""
+        from repro.cli import main
+        from repro.learn import FineTuneWorker, LabelStore
+        from repro.obs.export import HeartbeatWriter
+        from repro.serve import ModelRegistry
+
+        campaign = str(tmp_path / "campaign.json")
+        HeartbeatWriter(campaign).begin("MLPCT-S1", total=4)
+        beats = str(tmp_path / "beats")
+        run_fleet(
+            _pct(dataset_builder),
+            _ctis(dataset_builder),
+            _fleet_config(heartbeat_dir=beats),
+        )
+        learn_dir = str(tmp_path / "learn")
+        store = LabelStore(learn_dir)
+        worker = FineTuneWorker(
+            learn_dir, store, ModelRegistry(str(tmp_path / "reg")), None
+        )
+        try:
+            assert worker.run_once() is None  # no labels: idle
+        finally:
+            worker.close()
+            store.close()
+        assert main(["top", campaign, beats, learn_dir]) == 0
+        table = capsys.readouterr().out
+        assert table.count("live progress") == 1
+        roles = [line.split("|")[0].strip() for line in table.splitlines()[3:]]
+        assert roles == ["campaign", "coordinator", "worker", "worker", "learn"]
+        assert "MLPCT-S1" in table and "fleet:PCT" in table
+        assert "idle, cycle -" in table
 
     def test_fleet_report_renders(self):
         report = FleetReport(

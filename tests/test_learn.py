@@ -34,7 +34,7 @@ from repro.learn import (
     maybe_rollback,
 )
 from repro.ml.pic import PICModel
-from repro.obs.export import render_learn_top
+from repro.obs.export import render_top
 from repro.resilience.journal import (
     CampaignJournal,
     campaign_result_from_dict,
@@ -200,8 +200,9 @@ class TestWorkerCycle:
             status = json.loads(open(worker.status_path).read())
             assert status["stage"] == "promoted"
             assert status["active_version"] == "ft-c1"
-            rendered = render_learn_top(worker.root)
-            assert "promoted" in rendered and "ft-c1" in rendered
+            rendered = render_top([worker.root])
+            assert "promoted, cycle 1, candidate ft-c1" in rendered
+            assert "active ft-c1" in rendered
             # No fresh labels since the cycle: the next call idles.
             assert worker.run_once() is None
             status = json.loads(open(worker.status_path).read())

@@ -446,6 +446,27 @@ class TestHeartbeat:
         clock[0] = 2.5
         assert writer.update(done=10)  # completion always writes
 
+    def test_rate_after_resume_counts_only_this_session(self, tmp_path):
+        clock = [0.0]
+        path = str(tmp_path / "beat.json")
+        writer = HeartbeatWriter(path, clock=lambda: clock[0])
+        writer.begin("MLPCT-S1", total=10, done=8)  # 8 done before resume
+        clock[0] = 60.0
+        assert writer.update(done=9)
+        beat = read_heartbeat(path)
+        assert beat["rate_per_second"] == pytest.approx(1 / 60, abs=1e-4)
+        assert beat["eta_seconds"] == 60.0
+
+    def test_snapshot_schema(self, tmp_path):
+        path = str(tmp_path / "beat.json")
+        writer = HeartbeatWriter(path, interval=0.0, role="worker")
+        writer.begin("fleet-worker-0", total=0)
+        writer.update(done=1, detail="execute:3 (cti 1) attempt 1")
+        beat = read_heartbeat(path)
+        assert beat["schema"] == 1 and beat["role"] == "worker"
+        assert beat["detail"] == "execute:3 (cti 1) attempt 1"
+        assert beat["eta_seconds"] is None  # open-ended: no ETA
+
     def test_render_top(self, tmp_path):
         clock = [0.0]
         writer = HeartbeatWriter(
@@ -460,6 +481,21 @@ class TestHeartbeat:
         assert "MLPCT-S1" in table
         assert "2/4 (50%)" in table
         assert "(no heartbeat)" in table
+
+    def test_render_top_expands_directories(self, tmp_path):
+        for name, role in (("worker-0", "worker"), ("coordinator", "coordinator")):
+            writer = HeartbeatWriter(str(tmp_path / f"{name}.json"), role=role)
+            writer.begin(name, total=0)
+        (tmp_path / "other.json").write_text('{"not": "a heartbeat"}')
+        (tmp_path / "empty").mkdir()
+        table = render_top([str(tmp_path), str(tmp_path / "empty")])
+        body = table.splitlines()[3:]  # title, header, rule
+        assert [line.split("|")[0].strip() for line in body] == [
+            "coordinator",
+            "worker",
+            "-",
+        ]
+        assert "(no heartbeat)" in body[2] and "not" not in table
 
     def test_campaign_loop_emits_heartbeats(self, dataset_builder, tiny_model):
         ctis = dataset_builder.corpus.sample_pairs(rngmod.make_rng(3), 2)
