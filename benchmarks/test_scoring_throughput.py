@@ -130,12 +130,16 @@ def test_scoring_throughput(report):
     warm = stamp_pool()
     model.predict_proba(warm[0])
     scorer = CandidateScorer(model, batch_size=BATCH_SIZE)
-    scorer.score_proba(warm[:BATCH_SIZE])
+
+    def scored(pool, _s=scorer):
+        return list(_s.iter_scores(pool, "proba"))
+
+    scored(warm[:BATCH_SIZE])
 
     def scored_f32(pool):
         model.set_inference_mode("float32")
         try:
-            scorer.score_proba(pool)
+            scored(pool)
         finally:
             model.set_inference_mode("float64")
 
@@ -144,7 +148,7 @@ def test_scoring_throughput(report):
     serial_total, batched_total, batched32_total = _interleaved_totals(
         [
             lambda pool: [model.predict_proba(graph) for graph in pool],
-            scorer.score_proba,
+            scored,
             scored_f32,
         ],
         stamp_pool,
@@ -164,12 +168,12 @@ def test_scoring_throughput(report):
         def sweep32(pool, _s=sweep_scorer):
             model.set_inference_mode("float32")
             try:
-                _s.score_proba(pool)
+                scored(pool, _s)
             finally:
                 model.set_inference_mode("float64")
 
         f64_total, f32_total = _interleaved_totals(
-            [sweep_scorer.score_proba, sweep32],
+            [lambda pool, _s=sweep_scorer: scored(pool, _s), sweep32],
             stamp_pool,
             1 if SMOKE else 2,
         )
@@ -189,7 +193,7 @@ def test_scoring_throughput(report):
     )
     real_distinct = len(distinct(real_pairs))
     (real_total,) = _interleaved_totals(
-        [scorer.score_proba], lambda: stamp(real_pairs), 1 if SMOKE else 2
+        [scored], lambda: stamp(real_pairs), 1 if SMOKE else 2
     )
     effective_rate = len(real_pairs) * (1 if SMOKE else 2) / real_total
 

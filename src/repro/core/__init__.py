@@ -11,13 +11,14 @@ from repro.core.scoring import (
     CandidateScorer,
     ScoredCandidate,
     iter_score_candidates,
-    score_candidates,
+    select,
 )
 from repro.core.strategies import (
     NewCoverageSet,
     NewPositiveBlocks,
     PositiveBlocksLimitedTrials,
     SelectionStrategy,
+    TargetBlocks,
     make_strategy,
 )
 from repro.core.mlpct import (
@@ -41,12 +42,13 @@ __all__ = [
     "CostLedger",
     "CandidateScorer",
     "ScoredCandidate",
-    "score_candidates",
     "iter_score_candidates",
+    "select",
     "SelectionStrategy",
     "NewCoverageSet",
     "NewPositiveBlocks",
     "PositiveBlocksLimitedTrials",
+    "TargetBlocks",
     "make_strategy",
     "ExplorationConfig",
     "MLPCTExplorer",

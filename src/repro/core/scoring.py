@@ -1,13 +1,15 @@
-"""The batched candidate-scoring engine shared by every predictor consumer.
+"""The batched candidate-scoring engine and the one selection loop.
 
 Snowcat's economics rest on inference being ~190× cheaper than a dynamic
 execution (§5.2.2), so campaigns score huge candidate pools. One-graph-at-
 a-time prediction leaves most of that margin on the table: per-call
-Python/NumPy overhead dominates the small graphs. This module is the
-single scoring path MLPCT, directed search, Razzer-PIC and SB-PIC all go
-through; it chunks candidates into disjoint-union batches when the
-predictor supports :meth:`predict_proba_batch` (the PIC model does) and
-falls back to the exact per-graph calls otherwise.
+Python/NumPy overhead dominates the small graphs. MLPCT, directed
+search, Razzer-PIC and SB-PIC all score through one lazy engine,
+:meth:`CandidateScorer.iter_scores`; it chunks candidates into
+disjoint-union batches when the predictor supports
+:meth:`predict_proba_batch` (the PIC model does) and falls back to the
+exact per-graph calls otherwise. All but directed search (which sorts a
+``"proba"`` stream) then judge the stream in one loop, :func:`select`.
 
 Determinism contract: the fallback path calls ``predict``/``predict_proba``
 once per candidate *in consumption order*, so predictors whose boolean
@@ -22,7 +24,7 @@ Structural repeats: PCT draws hints that are distinct per *instruction*,
 the §3.1 encoding maps each to the *block* containing it, so a pool
 holds many candidates whose graphs the model cannot tell apart. On the
 direct (backend-less) batch path the engine keeps a memo per pool — one
-lazy or eager scoring call — keyed by template identity (the shared
+``iter_scores`` call — keyed by template identity (the shared
 ``token_ids`` array, as for the model's base-feature cache and the
 digest memo) plus :func:`~repro.graphs.ctgraph.schedule_key`. Each distinct
 graph reaches the predictor once; the lazy look-ahead is "up to
@@ -45,13 +47,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.core.strategies import SelectionStrategy
 from repro.execution.concurrent import ScheduleHint
-from repro.fuzz.corpus import CorpusEntry
 from repro.graphs.ctgraph import CTGraph, schedule_key
 from repro.graphs.dataset import GraphDatasetBuilder
 from repro.ml.baselines import CoveragePredictor
@@ -60,8 +62,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "ScoredCandidate",
     "CandidateScorer",
-    "score_candidates",
     "iter_score_candidates",
+    "select",
 ]
 
 #: Default candidate-pool chunk; large enough to amortise per-call
@@ -128,32 +130,30 @@ class CandidateScorer:
             self.target, "predict_proba_batch"
         )
 
-    # -- one window ------------------------------------------------------------
+    # -- the engine --------------------------------------------------------------
 
-    def _score_window(
-        self, graphs: Sequence[CTGraph], want: str
-    ) -> List[np.ndarray]:
-        """One look-ahead window through the target, chunked to
-        ``batch_size``."""
-        probas: List[np.ndarray] = []
-        for start in range(0, len(graphs), self.batch_size):
-            chunk = graphs[start : start + self.batch_size]
-            probas.extend(self.target.predict_proba_batch(chunk))
-            obs.add("inference.batched", len(chunk))
-            obs.observe("inference.batch_size", len(chunk))
+    def _score_batch(self, graphs: List[CTGraph], want: str) -> List[np.ndarray]:
+        """One batch of at most ``batch_size`` graphs through the target."""
+        probas = self.target.predict_proba_batch(graphs)
+        obs.add("inference.batched", len(graphs))
+        obs.observe("inference.batch_size", len(graphs))
         if want == "proba":
             return probas
         threshold = float(getattr(self.target, "threshold", 0.5))
         return [proba >= threshold for proba in probas]
 
-    # -- the engine --------------------------------------------------------------
-
-    def _scores(
-        self, graphs: Iterable[CTGraph], want: str, ahead: int
+    def iter_scores(
+        self, graphs: Iterable[CTGraph], want: str = "predicted"
     ) -> Iterator[np.ndarray]:
-        """One result per graph, in order, scoring ``ahead`` at a time:
-        ``ahead`` graphs through a backend, ``ahead`` *distinct unscored*
-        graphs on the direct path (see the module docstring)."""
+        """Lazily yield one result per graph, in order.
+
+        ``want`` is ``"predicted"`` (booleans) or ``"proba"``. Fallback
+        mode is strictly lazy (one predictor call per yielded result),
+        preserving early-exit semantics exactly. Batched mode pulls one
+        batch ahead of the consumer: ``batch_size`` graphs through a
+        backend, ``batch_size`` *distinct unscored* graphs on the direct
+        path (see the module docstring).
+        """
         if not self.batched:
             call = (
                 self.target.predict
@@ -167,10 +167,10 @@ class CandidateScorer:
         iterator = iter(graphs)
         if self.backend is not None:
             while True:
-                window = list(itertools.islice(iterator, ahead))
+                window = list(itertools.islice(iterator, self.batch_size))
                 if not window:
                     return
-                yield from self._score_window(window, want)
+                yield from self._score_batch(window, want)
         memo: Dict[Tuple[int, bytes], np.ndarray] = {}
         #: Every keyed ``token_ids``, kept alive so ``id()`` is not reused.
         templates: Dict[int, np.ndarray] = {}
@@ -185,12 +185,12 @@ class CandidateScorer:
                 pulled.append(key)
                 if key not in memo and key not in fresh:
                     fresh[key] = graph
-                    if len(fresh) == ahead:
+                    if len(fresh) == self.batch_size:
                         break
             if not pulled:
                 return
             if fresh:
-                results = self._score_window(list(fresh.values()), want)
+                results = self._score_batch(list(fresh.values()), want)
                 for key, result in zip(fresh, results):
                     result.setflags(write=False)  # shared by every repeat
                     memo[key] = result
@@ -198,54 +198,12 @@ class CandidateScorer:
             for key in pulled:
                 yield memo[key]
 
-    def iter_scores(
-        self, graphs: Iterable[CTGraph], want: str = "predicted"
-    ) -> Iterator[np.ndarray]:
-        """Lazily yield one result per graph, in order.
-
-        ``want`` is ``"predicted"`` (booleans) or ``"proba"``. Fallback
-        mode is strictly lazy (one predictor call per yielded result),
-        preserving early-exit semantics exactly; batched mode pulls one
-        batch ahead of the consumer.
-        """
-        return self._scores(graphs, want, self.batch_size)
-
-    def score_proba(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
-        """Coverage probabilities per graph, batched when possible."""
-        return list(self._scores(graphs, "proba", len(graphs)))
-
-    def predict_graphs(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
-        """Boolean predictions per graph, batched when possible."""
-        return list(self._scores(graphs, "predicted", len(graphs)))
-
-    def iter_predicted(
-        self, graphs: Iterable[CTGraph]
-    ) -> Iterator[Tuple[CTGraph, np.ndarray]]:
-        """Lazily yield ``(graph, predicted)`` pairs (see
-        :meth:`iter_scores` for how far each mode runs ahead)."""
-        # ``echo`` replays the graphs the engine pulled ahead.
-        graphs, echo = itertools.tee(graphs)
-        return zip(echo, self.iter_scores(graphs, "predicted"))
-
-
-def _as_scorer(
-    predictor: Union[CoveragePredictor, CandidateScorer],
-    batch_size: Optional[int],
-) -> CandidateScorer:
-    if isinstance(predictor, CandidateScorer):
-        return predictor
-    return CandidateScorer(
-        predictor,
-        batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
-    )
-
 
 def iter_score_candidates(
-    predictor: Union[CoveragePredictor, CandidateScorer],
+    scorer: CandidateScorer,
     graphs: GraphDatasetBuilder,
     *args,
     mode: str = "predicted",
-    batch_size: Optional[int] = None,
 ) -> Iterator[ScoredCandidate]:
     """Lazily score a CTI's candidate schedules through the engine.
 
@@ -262,7 +220,6 @@ def iter_score_candidates(
         raise ValueError("iter_score_candidates needs at least one corpus entry")
     if mode not in ("predicted", "proba"):
         raise ValueError(f"unknown scoring mode {mode!r}")
-    scorer = _as_scorer(predictor, batch_size)
 
     def candidates() -> Iterator[ScoredCandidate]:
         for index, hints in enumerate(schedules):
@@ -281,17 +238,31 @@ def iter_score_candidates(
         yield candidate
 
 
-def score_candidates(
-    predictor: Union[CoveragePredictor, CandidateScorer],
-    graphs: GraphDatasetBuilder,
-    *args,
-    mode: str = "predicted",
-    batch_size: Optional[int] = None,
-) -> List[ScoredCandidate]:
-    """Eagerly score a CTI's candidate schedules (see
-    :func:`iter_score_candidates`)."""
-    return list(
-        iter_score_candidates(
-            predictor, graphs, *args, mode=mode, batch_size=batch_size
-        )
-    )
+def select(
+    candidates: Iterable[ScoredCandidate],
+    strategy: SelectionStrategy,
+    budget: Optional[int] = None,
+) -> Tuple[List[ScoredCandidate], List[int], int]:
+    """The one place a strategy judges a scored candidate.
+
+    Pulls ``candidates`` until ``budget`` are selected or the stream
+    ends, checking the budget *before* each pull, so an RNG-consuming
+    fallback predictor draws once per candidate considered. A cap is
+    ``itertools.islice(stream, cap)``; a first-hit stop is ``budget=1``.
+    Returns the selected candidates, the number pulled when each was
+    selected, and the total pulled.
+    """
+    selected: List[ScoredCandidate] = []
+    pulled_at: List[int] = []
+    pulled = 0
+    stream = iter(candidates)
+    while budget is None or len(selected) < budget:
+        candidate = next(stream, None)
+        if candidate is None:
+            break
+        pulled += 1
+        if strategy.is_interesting(candidate.graph, candidate.predicted):
+            strategy.commit(candidate.graph, candidate.predicted)
+            selected.append(candidate)
+            pulled_at.append(pulled)
+    return selected, pulled_at, pulled

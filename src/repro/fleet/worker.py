@@ -136,12 +136,12 @@ def _score_job(spec: WorkerSpec, scorer: CandidateScorer, job: dict) -> List[np.
     would have computed inline.
     """
     entries = spec.ctis[job["cti_index"]]
-    predicted = []
-    for candidate in iter_score_candidates(
-        scorer, spec.graphs, *entries, job["proposals"]
-    ):
-        predicted.append(np.asarray(candidate.predicted, dtype=bool))
-    return predicted
+    return [
+        np.asarray(candidate.predicted, dtype=bool)
+        for candidate in iter_score_candidates(
+            scorer, spec.graphs, *entries, job["proposals"]
+        )
+    ]
 
 
 def _fleet_worker_main(conn, spec: WorkerSpec) -> None:

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import obs
+from repro.graphs.ctgraph import schedule_key
 from repro.integrations.razzer import RazzerConfig, RazzerHarness, RazzerVariant
 from repro.integrations.snowboard import SnowboardConfig, SnowboardHarness
+from repro.obs import MemorySink, MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +77,37 @@ class TestSnowboardCaches:
             pytest.skip("no buggy clusters in this corpus")
         cluster = buggy[0]
         harness.evaluate_sampler(cluster, "SB-PIC(S2)", 0.5)
-        filled = len(harness._prediction_cache)
+        scored = harness._prediction_cache[cluster.key]
+        assert [c.index for c in scored] == list(range(len(cluster)))
         harness.evaluate_sampler(cluster, "SB-PIC(S1)", 0.5)
-        # S1 visits the same CTIs; no new predictions are computed.
-        assert len(harness._prediction_cache) == filled
+        # S1 visits the same CTIs; the cluster is not scored again.
+        assert list(harness._prediction_cache) == [cluster.key]
+        assert harness._prediction_cache[cluster.key] is scored
+
+    def test_each_probe_graph_reaches_the_predictor_once(
+        self, dataset_builder, tiny_model
+    ):
+        """Across every trial of both PIC samplers, the predictor sees
+        each distinct probe graph of the cluster once."""
+        harness = SnowboardHarness(
+            dataset_builder,
+            predictor=tiny_model,
+            config=SnowboardConfig(schedules_per_cti=4, trials=4, max_cluster_size=8),
+            seed=0,
+        )
+        buggy = harness.buggy_clusters(harness.build_clusters(max_pairs_per_cti=8))
+        if not buggy:
+            pytest.skip("no buggy clusters in this corpus")
+        cluster = buggy[0]
+        with obs.use_registry(MetricsRegistry(sink=MemorySink())) as registry:
+            harness.evaluate_sampler(cluster, "SB-PIC(S2)")
+            harness.evaluate_sampler(cluster, "SB-PIC(S1)")
+            batched = registry.counter("inference.batched").value
+            hits = registry.counter("inference.memo_hits").value
+        graphs = [c.graph for c in harness._prediction_cache[cluster.key]]
+        distinct = {(id(g.token_ids), schedule_key(g)) for g in graphs}
+        assert batched == len(distinct)
+        assert batched + hits == len(cluster)
 
     def test_exploration_cache_shared_across_samplers(self, harness):
         clusters = harness.build_clusters(max_pairs_per_cti=8)

@@ -6,6 +6,7 @@ path computes exactly what the slow path computed".
 """
 
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -25,9 +26,9 @@ from repro.core.mlpct import (
 from repro.core.scoring import (
     CandidateScorer,
     iter_score_candidates,
-    score_candidates,
+    select,
 )
-from repro.core.strategies import make_strategy
+from repro.core.strategies import TargetBlocks, make_strategy
 from repro.execution.parallel import (
     CTTask,
     SerialCTRunner,
@@ -131,7 +132,9 @@ class TestCandidateScorer:
         single full-pool batch all reproduce the per-graph path."""
         scorer = CandidateScorer(tiny_model, batch_size=batch_size)
         serial = [tiny_model.predict_proba(g) for g in candidate_graphs]
-        for one, many in zip(serial, scorer.score_proba(candidate_graphs)):
+        for one, many in zip(
+            serial, scorer.iter_scores(candidate_graphs, "proba")
+        ):
             np.testing.assert_allclose(many, one, rtol=0, atol=1e-9)
 
     def test_predict_graphs_matches_model_threshold(
@@ -139,7 +142,7 @@ class TestCandidateScorer:
     ):
         scorer = CandidateScorer(tiny_model, batch_size=4)
         serial = [tiny_model.predict(g) for g in candidate_graphs]
-        for one, many in zip(serial, scorer.predict_graphs(candidate_graphs)):
+        for one, many in zip(serial, scorer.iter_scores(candidate_graphs)):
             np.testing.assert_array_equal(many, one)
 
     def test_fallback_preserves_coin_rng_stream(self, candidate_graphs):
@@ -148,12 +151,14 @@ class TestCandidateScorer:
         reference = FairCoin(seed=9)
         direct = [reference.predict(g) for g in candidate_graphs]
         scorer = CandidateScorer(FairCoin(seed=9), batch_size=32)
-        engine = [p for _, p in scorer.iter_predicted(iter(candidate_graphs))]
+        engine = list(scorer.iter_scores(iter(candidate_graphs)))
         for one, many in zip(direct, engine):
             np.testing.assert_array_equal(many, one)
 
-    def test_fallback_is_lazy(self, candidate_graphs):
-        """The fallback path must not predict ahead of consumption."""
+    def test_fallback_is_lazy(self, dataset_builder, cti):
+        """``select`` over the fallback path predicts exactly the
+        candidates it considers: once with the budget binding, once with
+        the cap binding."""
 
         class CountingCoin(FairCoin):
             calls = 0
@@ -162,16 +167,41 @@ class TestCandidateScorer:
                 CountingCoin.calls += 1
                 return super().predict(graph)
 
-        scorer = CandidateScorer(CountingCoin(seed=2), batch_size=32)
-        iterator = scorer.iter_predicted(iter(candidate_graphs))
-        next(iterator)
-        next(iterator)
+        entry_a, entry_b = cti
+        schedules = propose_hint_pairs(
+            rngmod.make_rng(11), entry_a.trace, entry_b.trace, 7
+        )
+        assert len(schedules) == 7
+
+        def stream():
+            return iter_score_candidates(
+                CandidateScorer(CountingCoin(seed=2), batch_size=32),
+                dataset_builder,
+                entry_a,
+                entry_b,
+                schedules,
+            )
+
+        # Budget binds: every candidate is accepted, two are wanted.
+        selected, pulled_at, pulled = select(
+            itertools.islice(stream(), 5), TargetBlocks([]), budget=2
+        )
+        assert (len(selected), pulled_at, pulled) == (2, [1, 2], 2)
         assert CountingCoin.calls == 2
+        # Cap binds: no candidate is accepted, three may be considered.
+        CountingCoin.calls = 0
+        selected, pulled_at, pulled = select(
+            itertools.islice(stream(), 3), TargetBlocks([-1]), budget=2
+        )
+        assert (selected, pulled_at, pulled) == ([], [], 3)
+        assert CountingCoin.calls == 3
 
     def test_engine_emits_batch_telemetry(self, tiny_model, candidate_graphs):
         with obs.use_registry(MetricsRegistry(sink=MemorySink())) as registry:
-            CandidateScorer(tiny_model, batch_size=3).score_proba(
-                candidate_graphs
+            list(
+                CandidateScorer(tiny_model, batch_size=3).iter_scores(
+                    candidate_graphs, "proba"
+                )
             )
             assert registry.counter("inference.batched").value == 7
             histogram = registry.histogram("inference.batch_size")
@@ -183,16 +213,24 @@ class TestScoreCandidates:
         entry_a, entry_b = cti
         rng = rngmod.make_rng(5)
         schedules = propose_hint_pairs(rng, entry_a.trace, entry_b.trace, 5)
-        predicted = score_candidates(
-            tiny_model, dataset_builder, entry_a, entry_b, schedules
+        predicted = list(
+            iter_score_candidates(
+                CandidateScorer(tiny_model),
+                dataset_builder,
+                entry_a,
+                entry_b,
+                schedules,
+            )
         )
-        proba = score_candidates(
-            tiny_model,
-            dataset_builder,
-            entry_a,
-            entry_b,
-            schedules,
-            mode="proba",
+        proba = list(
+            iter_score_candidates(
+                CandidateScorer(tiny_model),
+                dataset_builder,
+                entry_a,
+                entry_b,
+                schedules,
+                mode="proba",
+            )
         )
         assert [c.index for c in predicted] == list(range(5))
         assert [c.hints for c in predicted] == [tuple(s) for s in schedules]
@@ -207,7 +245,12 @@ class TestScoreCandidates:
         with pytest.raises(ValueError):
             next(
                 iter_score_candidates(
-                    tiny_model, dataset_builder, entry_a, entry_b, [], mode="x"
+                    CandidateScorer(tiny_model),
+                    dataset_builder,
+                    entry_a,
+                    entry_b,
+                    [],
+                    mode="x",
                 )
             )
 
@@ -385,12 +428,14 @@ class TestStructuralMemo:
     ):
         entries, schedules = _pool(dataset_builder, axis, seed)
         stub = _KeyedStub()
-        scored = score_candidates(
-            CandidateScorer(stub, batch_size=batch_size),
-            dataset_builder,
-            *entries,
-            schedules,
-            mode=mode,
+        scored = list(
+            iter_score_candidates(
+                CandidateScorer(stub, batch_size=batch_size),
+                dataset_builder,
+                *entries,
+                schedules,
+                mode=mode,
+            )
         )
         assert [c.index for c in scored] == list(range(len(schedules)))
         assert [c.hints for c in scored] == [tuple(s) for s in schedules]
@@ -410,12 +455,14 @@ class TestStructuralMemo:
         self, dataset_builder, tiny_model, repeated_pool
     ):
         entries, schedules = repeated_pool
-        scored = score_candidates(
-            CandidateScorer(tiny_model, batch_size=4),
-            dataset_builder,
-            *entries,
-            schedules,
-            mode="proba",
+        scored = list(
+            iter_score_candidates(
+                CandidateScorer(tiny_model, batch_size=4),
+                dataset_builder,
+                *entries,
+                schedules,
+                mode="proba",
+            )
         )
         for candidate in scored:
             np.testing.assert_allclose(
@@ -425,30 +472,17 @@ class TestStructuralMemo:
                 atol=1e-9,
             )
 
-    def test_eager_paths_share_the_memo(self, dataset_builder, repeated_pool):
-        entries, schedules = repeated_pool
-        graphs = [dataset_builder.graph_for(*entries, list(h)) for h in schedules]
-        stub = _KeyedStub()
-        scorer = CandidateScorer(stub, batch_size=4)
-        for proba, predicted, graph in zip(
-            scorer.score_proba(graphs), scorer.predict_graphs(graphs), graphs
-        ):
-            np.testing.assert_array_equal(proba, stub.predict_proba(graph))
-            np.testing.assert_array_equal(predicted, stub.predict(graph))
-        distinct = len({schedule_key(graph) for graph in graphs})
-        assert distinct < len(graphs)
-        # One memo per call: each eager call scored each distinct graph once.
-        assert sum(len(batch) for batch in stub.batches) == 2 * distinct
-
     def test_shared_results_are_read_only(self, dataset_builder, repeated_pool):
         entries, schedules = repeated_pool
         for mode in ("predicted", "proba"):
-            scored = score_candidates(
-                CandidateScorer(_KeyedStub(), batch_size=4),
-                dataset_builder,
-                *entries,
-                schedules,
-                mode=mode,
+            scored = list(
+                iter_score_candidates(
+                    CandidateScorer(_KeyedStub(), batch_size=4),
+                    dataset_builder,
+                    *entries,
+                    schedules,
+                    mode=mode,
+                )
             )
             first, repeat = scored[0], scored[len(scored) // 2]
             assert getattr(first, mode) is getattr(repeat, mode)
@@ -464,11 +498,13 @@ class TestStructuralMemo:
 
         entries, schedules = repeated_pool
         stub = _KeyedStub()
-        score_candidates(
-            CandidateScorer(None, batch_size=4, backend=LocalBackend(stub)),
-            dataset_builder,
-            *entries,
-            schedules,
+        list(
+            iter_score_candidates(
+                CandidateScorer(None, batch_size=4, backend=LocalBackend(stub)),
+                dataset_builder,
+                *entries,
+                schedules,
+            )
         )
         assert [len(batch) for batch in stub.batches] == [4] * (
             len(schedules) // 4
@@ -483,8 +519,13 @@ class TestStructuralMemo:
             reference.predict(dataset_builder.graph_for(*entries, list(h)))
             for h in schedules
         ]
-        scored = score_candidates(
-            FairCoin(seed=9), dataset_builder, *entries, schedules
+        scored = list(
+            iter_score_candidates(
+                CandidateScorer(FairCoin(seed=9)),
+                dataset_builder,
+                *entries,
+                schedules,
+            )
         )
         for one, candidate in zip(direct, scored):
             np.testing.assert_array_equal(candidate.predicted, one)
@@ -500,27 +541,28 @@ class TestStructuralMemo:
         schedules = [schedules[first], schedules[first + half]]
         selected = {}
         for name in ("S1", "S3"):
-            strategy = make_strategy(name)
-            selected[name] = 0
-            for candidate in iter_score_candidates(
-                CandidateScorer(_KeyedStub(), batch_size=4),
-                dataset_builder,
-                *entries,
-                schedules,
-            ):
-                if strategy.is_interesting(candidate.graph, candidate.predicted):
-                    strategy.commit(candidate.graph, candidate.predicted)
-                    selected[name] += 1
+            chosen, _, _ = select(
+                iter_score_candidates(
+                    CandidateScorer(_KeyedStub(), batch_size=4),
+                    dataset_builder,
+                    *entries,
+                    schedules,
+                ),
+                make_strategy(name),
+            )
+            selected[name] = len(chosen)
         assert selected == {"S1": 1, "S3": 2}
 
     def test_memo_hits_are_counted(self, dataset_builder, repeated_pool):
         entries, schedules = repeated_pool
         with obs.use_registry(MetricsRegistry(sink=MemorySink())) as registry:
-            score_candidates(
-                CandidateScorer(_KeyedStub(), batch_size=4),
-                dataset_builder,
-                *entries,
-                schedules,
+            list(
+                iter_score_candidates(
+                    CandidateScorer(_KeyedStub(), batch_size=4),
+                    dataset_builder,
+                    *entries,
+                    schedules,
+                )
             )
             batched = registry.counter("inference.batched").value
             hits = registry.counter("inference.memo_hits").value
@@ -536,11 +578,13 @@ class TestStructuralMemo:
         entries, schedules = _pool(dataset_builder, "two-thread", 0, size=400)
         assert len(schedules) == 400
         stub = _KeyedStub()
-        scored = score_candidates(
-            CandidateScorer(stub, batch_size=8),
-            dataset_builder,
-            *entries,
-            schedules,
+        scored = list(
+            iter_score_candidates(
+                CandidateScorer(stub, batch_size=8),
+                dataset_builder,
+                *entries,
+                schedules,
+            )
         )
         assert len(scored) == 400
         assert sum(len(batch) for batch in stub.batches) < 400

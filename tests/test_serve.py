@@ -1345,7 +1345,7 @@ class TestScorerSeam:
         scorer = CandidateScorer(None, batch_size=4, backend=backend)
         assert scorer.target is backend and scorer.batched
         direct = tiny_model.predict_proba_batch(candidate_graphs)
-        for a, b in zip(direct, scorer.score_proba(candidate_graphs)):
+        for a, b in zip(direct, scorer.iter_scores(candidate_graphs, "proba")):
             np.testing.assert_array_equal(a, b)
 
     def test_no_backend_keeps_direct_path(self, tiny_model):
