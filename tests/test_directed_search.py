@@ -21,7 +21,7 @@ class TestRanking:
     def test_scores_sorted_descending(self, search, cti):
         entry_a, entry_b = cti
         target = entry_a.trace.block_sequence[0]
-        ranked = search.rank_schedules(entry_a, entry_b, target, pool=20)
+        ranked, _ = search.rank_schedules(entry_a, entry_b, target, pool=20)
         scores = [score for score, _ in ranked]
         assert scores == sorted(scores, reverse=True)
 
@@ -35,8 +35,9 @@ class TestRanking:
         outside = next(
             b for b in kernel.blocks if b not in covered and b not in urbs
         )
-        ranked = search.rank_schedules(entry_a, entry_b, outside, pool=5)
+        ranked, scored = search.rank_schedules(entry_a, entry_b, outside, pool=5)
         assert all(score == 0.0 for score, _ in ranked)
+        assert scored == 0
 
     def test_covered_block_scores_high_with_allpos(self, dataset_builder, cti):
         search = DirectedScheduleSearch(
@@ -44,7 +45,7 @@ class TestRanking:
         )
         entry_a, entry_b = cti
         target = entry_a.trace.block_sequence[0]
-        ranked = search.rank_schedules(entry_a, entry_b, target, pool=5)
+        ranked, _ = search.rank_schedules(entry_a, entry_b, target, pool=5)
         assert all(score == 1.0 for score, _ in ranked)
 
 
@@ -74,10 +75,35 @@ class TestSearch:
         assert result.inferences == 0
         assert result.ledger.inferences == 0
 
-    def test_guided_charges_pool_inferences(self, search, cti):
+    def test_guided_charges_scored_inferences(self, search, cti):
+        """Guided search charges one inference per graph it scored: the
+        proposals whose graph contains the target."""
         entry_a, entry_b = cti
         target = entry_a.trace.block_sequence[0]
         result = search.search(
             entry_a, entry_b, target, execution_budget=2, pool=15, guided=True
         )
-        assert result.inferences == 15
+        ranked, scored = search.rank_schedules(entry_a, entry_b, target, pool=15)
+        graphs = [
+            search.graphs.graph_for(entry_a, entry_b, list(pair))
+            for _, pair in ranked
+        ]
+        assert scored == sum(1 for g in graphs if g.nodes_of_block(target))
+        assert result.inferences == result.ledger.inferences == scored == 15
+
+    def test_unreachable_target_charges_no_inferences(self, search, cti, kernel):
+        """A target in no candidate graph sends nothing to the model, so
+        guided search charges nothing for it."""
+        entry_a, entry_b = cti
+        covered = entry_a.trace.covered_blocks | entry_b.trace.covered_blocks
+        from repro.analysis import find_urbs
+
+        urbs = find_urbs(search.graphs.cfg, covered, hops=1)
+        outside = next(
+            b for b in kernel.blocks if b not in covered and b not in urbs
+        )
+        result = search.search(
+            entry_a, entry_b, outside, execution_budget=2, pool=15, guided=True
+        )
+        assert result.inferences == 0
+        assert result.ledger.inferences == 0
