@@ -19,9 +19,9 @@ Runs the pipeline stages a downstream user needs without writing code:
   baseline with tolerance bands (non-zero exit on regression; see
   ``docs/TESTING.md``)
 - ``serve``     — shared PIC prediction service on a Unix socket
-  (``start``/``stop``/``status``); campaigns attach to it with
-  ``campaign --serve-socket PATH`` (shared model and prediction cache;
-  see ``docs/SERVING.md``)
+  (``start``/``stop``/``status``/``swap``/``metrics``); campaigns
+  attach to it with ``campaign --serve-socket PATH`` (shared model and
+  prediction cache; see ``docs/SERVING.md``)
 - ``fleet``     — fault-tolerant distributed campaign (``run``): a
   coordinator leases score/execute jobs to N
   worker processes, survives worker crashes/hangs and its own SIGKILL

@@ -22,8 +22,7 @@ source upstream of the coverage predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +31,7 @@ from repro.fuzz.corpus import Corpus, CorpusEntry
 
 __all__ = [
     "random_ctis",
-    "random_cti_groups",
     "communication_score",
-    "group_communication_score",
     "OverlapPrioritizedGenerator",
 ]
 
@@ -53,37 +50,11 @@ def communication_score(entry_a: CorpusEntry, entry_b: CorpusEntry) -> int:
     return len(a_writes & b_reads) + len(b_writes & a_reads)
 
 
-def group_communication_score(entries: Sequence[CorpusEntry]) -> int:
-    """Communication potential of an N-thread CTI.
-
-    Sums :func:`communication_score` over every unordered thread pair —
-    at N=2 this is exactly the pairwise score.
-    """
-    total = 0
-    for i, entry_a in enumerate(entries):
-        for entry_b in entries[i + 1:]:
-            total += communication_score(entry_a, entry_b)
-    return total
-
-
 def random_ctis(
     corpus: Corpus, count: int, seed: int = 0
 ) -> List[Tuple[CorpusEntry, CorpusEntry]]:
     """Uniform random CTIs (the naive baseline source)."""
     return corpus.sample_pairs(rngmod.split(seed, "random-ctis"), count)
-
-
-def random_cti_groups(
-    corpus: Corpus, count: int, size: int, seed: int = 0
-) -> List[Tuple[CorpusEntry, ...]]:
-    """Uniform random N-thread CTIs (``size`` distinct entries each).
-
-    ``size == 2`` delegates to :func:`random_ctis` so the historical
-    two-thread stream is reproduced bit-for-bit.
-    """
-    if size == 2:
-        return random_ctis(corpus, count, seed)
-    return corpus.sample_groups(rngmod.split(seed, "random-ctis"), count, size)
 
 
 class OverlapPrioritizedGenerator:

@@ -608,7 +608,6 @@ class MLPCTExplorer(_ExplorerBase):
         historical direct-call path."""
         kwargs.setdefault("label", f"MLPCT-{strategy.name}")
         super().__init__(graphs, **kwargs)
-        self.predictor = predictor
         self.strategy = strategy
         self.scorer = CandidateScorer(
             predictor,

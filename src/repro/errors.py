@@ -27,18 +27,6 @@ class ExecutionLimitExceeded(ExecutionError):
     """
 
 
-class InvalidInstruction(ExecutionError):
-    """Raised when the interpreter decodes an unknown or malformed opcode."""
-
-
-class WorkerCrashError(ExecutionError):
-    """Raised when a supervised worker process dies mid-execution.
-
-    The supervisor converts crashes into retries (and eventually a
-    quarantined result); this error only escapes when supervision is off.
-    """
-
-
 class ScheduleError(ReproError):
     """Raised when scheduling hints are inconsistent (e.g. unknown thread)."""
 

@@ -190,6 +190,17 @@ class FleetCoordinator:
         self.config = config or FleetConfig()
         self.journal = journal
         _check_shardable(explorer.config, self.config)
+        #: The model score jobs run against in the workers (fork-shared).
+        self._predictor = explorer.scorer.predictor if explorer.predicts else None
+        if (
+            explorer.predicts
+            and self._predictor is None
+            and self.config.serve_socket is None
+        ):
+            raise FleetError(
+                "an MLPCT fleet needs a model: the explorer has no "
+                "predictor and FleetConfig.serve_socket is unset"
+            )
         explorer.journaled = journal is not None
         self.fault_plan = (
             FaultPlan.parse(self.config.fault_spec, seed=explorer.seed)
@@ -290,7 +301,7 @@ class FleetCoordinator:
             graphs=self.explorer.graphs,
             ctis=self.ctis,
             batch_size=self.explorer.config.score_batch_size,
-            predictor=getattr(self.explorer, "predictor", None),
+            predictor=self._predictor,
             serve_socket=self.config.serve_socket,
             serve_retries=self.config.serve_retries,
             serve_backoff_seconds=self.config.serve_backoff_seconds,

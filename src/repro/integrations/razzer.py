@@ -341,6 +341,3 @@ class RazzerHarness:
             worst_hours=worst_hours,
             inference_count=inferences,
         )
-
-    def run_all(self, spec: BugSpec) -> Dict[RazzerVariant, RazzerOutcome]:
-        return {variant: self.run_variant(spec, variant) for variant in RazzerVariant}

@@ -23,7 +23,6 @@ import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.propagation import parse_span_ref
-from repro.obs.sink import read_events
 from repro.reporting import format_span_timeline, format_table
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "render_trace_report",
     "render_merged_report",
     "render_metrics_summary",
-    "load_trace",
 ]
 
 #: Canonical pipeline order for the stage table; unknown stages follow,
@@ -50,11 +48,6 @@ STAGE_ORDER = (
     "campaign",
     "execution",
 )
-
-
-def load_trace(path: str) -> List[Dict[str, object]]:
-    """Alias of :func:`repro.obs.read_events` with a report-flavored name."""
-    return read_events(path)
 
 
 def collect_spans(events: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:

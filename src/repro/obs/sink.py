@@ -13,7 +13,7 @@ import errno
 import json
 import os
 import tempfile
-from typing import IO, Dict, Iterator, List, Optional, Union
+from typing import IO, Dict, List, Optional, Union
 
 __all__ = [
     "TelemetrySink",
@@ -139,8 +139,3 @@ def read_events_tolerant(path: str):
                 raise
     return events, truncated
 
-
-def iter_events(path: str) -> Iterator[Dict[str, object]]:
-    """Iterate a trace's events (same tail tolerance as
-    :func:`read_events`)."""
-    return iter(read_events(path))

@@ -1,8 +1,7 @@
 """Ground-truth oracles: the subsystem that checks the checker.
 
-Everything else in this repo is tested against itself — the batched
-scorer against the serial scorer, the pool runner against the serial
-runner.  This package provides *independent* references to test
+Most of this repo is tested against itself — one code path against
+another.  This package provides *independent* references to test
 against:
 
 - :mod:`repro.oracle.explorer` — a bounded exhaustive interleaving
@@ -11,10 +10,6 @@ against:
   schedule (with optional partial-order / sleep-set pruning) yields
   ground-truth coverage sets, race universes, and bug-manifestation
   verdicts that any single observed execution must be contained in.
-- :mod:`repro.oracle.differential` — a declarative conformance harness
-  (:class:`DifferentialRunner`) unifying the repo's scattered
-  "fast path == slow path" equivalence checks into structured,
-  telemetry-wired reports.
 - :mod:`repro.oracle.quality` — a model-quality regression gate:
   golden pinned pipeline, measured metrics, stored baselines with
   tolerance bands, surfaced as ``repro quality`` in the CLI.
@@ -22,18 +17,6 @@ against:
 See ``docs/TESTING.md`` for how the oracle suite is run in CI.
 """
 
-from repro.oracle.differential import (
-    CheckOutcome,
-    ConformanceReport,
-    DifferentialRunner,
-    Mismatch,
-    add_campaign_check,
-    add_runner_checks,
-    add_scoring_checks,
-    compare_array_sequences,
-    compare_campaigns,
-    compare_equal,
-)
 from repro.oracle.explorer import (
     DEFAULT_MAX_THREADS,
     PRUNING_MODES,
@@ -71,17 +54,6 @@ __all__ = [
     "conflicting_pairs",
     "reference_potential_races",
     "reference_alias_pairs",
-    # differential
-    "Mismatch",
-    "CheckOutcome",
-    "ConformanceReport",
-    "DifferentialRunner",
-    "compare_equal",
-    "compare_array_sequences",
-    "compare_campaigns",
-    "add_scoring_checks",
-    "add_runner_checks",
-    "add_campaign_check",
     # quality
     "QualityConfig",
     "GOLDEN_CONFIG",

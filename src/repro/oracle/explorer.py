@@ -109,7 +109,7 @@ DEFAULT_MAX_THREADS = 4
 #
 # Pure-Python mirrors of the vectorised detectors, used two ways: to derive
 # ground-truth universes here, and as the independent reference side of the
-# differential conformance checks in repro.oracle.differential.
+# detector conformance tests (tests/test_oracle_conformance.py).
 
 
 def _disjoint_locksets(a: MemoryAccess, b: MemoryAccess) -> bool:
@@ -147,8 +147,8 @@ def reference_potential_races(
 ) -> Set[PotentialRace]:
     """Naive O(n²) mirror of :func:`repro.execution.races.find_potential_races`.
 
-    Same semantics, no NumPy: the differential harness runs both over the
-    same access streams and reports any divergence.
+    Same semantics, no NumPy: the conformance tests run both over the
+    same access streams and assert they agree.
     """
     races: Set[PotentialRace] = set()
     for i, first in enumerate(accesses):
@@ -267,9 +267,6 @@ class GroundTruth:
                 "observed a deadlock but exhaustive exploration found none"
             )
         return violations
-
-    def subsumes(self, result: ConcurrentResult) -> bool:
-        return not self.check_result(result)
 
 
 class _Accumulator:

@@ -16,9 +16,10 @@ Spec grammar (entries are comma-separated)::
 
 Kinds:
 
-- ``crash``     — the worker process executing the CT dies (simulated as
-  a :class:`~repro.errors.WorkerCrashError` in serial mode, a real
-  ``os._exit`` in a supervised worker process);
+- ``crash``     — the worker process executing the CT dies (a real
+  ``os._exit`` in a supervised worker process; in serial mode the
+  supervisor charges a worker death, which may engage fallback, and
+  retries);
 - ``hang``      — the execution never finishes (a real sleep past the
   supervision timeout in a worker, an immediate timeout in serial mode);
 - ``transient`` — the execution raises an :class:`~repro.errors

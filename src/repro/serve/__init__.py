@@ -18,10 +18,10 @@ prediction into a service with three layers:
   (:mod:`repro.serve.digest` defines the key).
 - :mod:`repro.serve.backend` / :mod:`repro.serve.server` — the
   :class:`PredictionBackend` seam consumed by
-  :class:`repro.core.scoring.CandidateScorer`: :class:`LocalBackend`
-  (a transparent pass-through), :class:`InProcessServer` (one shared
-  model + cache behind one lock: the server's engine; a request runs
-  on its connection's thread, so no reply mixes model versions), and a
+  :class:`repro.core.scoring.CandidateScorer`: :class:`InProcessServer`
+  (one shared model + cache behind one lock: the server's engine; a
+  request runs on its connection's thread, so no reply mixes model
+  versions), and a
   Unix-socket JSON server/client pair (:class:`PredictionServer` /
   :class:`SocketBackend`, length-prefixed frames over stdlib
   ``socketserver``) so parallel campaign workers share one model
@@ -35,7 +35,7 @@ cache semantics, and tuning knobs.
 
 from __future__ import annotations
 
-from repro.serve.backend import InProcessServer, LocalBackend, PredictionBackend
+from repro.serve.backend import InProcessServer, PredictionBackend
 from repro.serve.cache import PredictionCache
 from repro.serve.digest import graph_digest, prediction_key
 from repro.serve.registry import ModelRecord, ModelRegistry
@@ -49,7 +49,6 @@ from repro.serve.server import (
 
 __all__ = [
     "PredictionBackend",
-    "LocalBackend",
     "InProcessServer",
     "PredictionCache",
     "graph_digest",

@@ -1,13 +1,11 @@
 """The PredictionBackend seam and the serving engine.
 
-:class:`repro.core.scoring.CandidateScorer` historically called its
-predictor directly; the backend seam generalises that call-site to
-anything exposing the predictor surface (``predict_proba``,
-``predict_proba_batch``, ``predict``/``predict_batch``, ``threshold``):
+:class:`repro.core.scoring.CandidateScorer` calls an in-memory
+predictor directly, or any ``backend=`` object exposing
+``predict_proba_batch`` and ``threshold``; :class:`PredictionBackend`
+derives the rest of the predictor surface (``predict_proba``,
+``predict``/``predict_batch``) from those two:
 
-- :class:`LocalBackend` wraps a plain predictor with zero added
-  machinery — it is the default and is byte-identical to calling the
-  predictor directly.
 - :class:`InProcessServer` is the socket server's engine: a single
   shared model behind one lock, fronted by a content-addressed
   :class:`~repro.serve.cache.PredictionCache`, with registry-driven
@@ -38,7 +36,7 @@ from repro.obs.tracing import NOOP_SPAN
 from repro.serve.cache import PredictionCache
 from repro.serve.digest import graph_digest
 
-__all__ = ["PredictionBackend", "LocalBackend", "InProcessServer"]
+__all__ = ["PredictionBackend", "InProcessServer"]
 
 #: One unit of a served batch: the graph's content digest plus a thunk
 #: producing the graph, called only when the digest misses the cache.
@@ -75,31 +73,6 @@ class PredictionBackend:
 
     def close(self) -> None:
         """Release any resources (threads, sockets). Idempotent."""
-
-
-class LocalBackend(PredictionBackend):
-    """Transparent pass-through to an in-memory predictor (the default).
-
-    Adds no queueing, caching, or copying — calls land on the wrapped
-    predictor exactly as direct calls would, so results (and campaign
-    outcomes) are byte-identical to not using a backend at all.
-    """
-
-    def __init__(self, predictor: object) -> None:
-        self.predictor = predictor
-
-    @property
-    def threshold(self) -> float:
-        return float(getattr(self.predictor, "threshold", 0.5))
-
-    def predict_proba_batch(self, graphs: Sequence[object]) -> List[np.ndarray]:
-        batch = getattr(self.predictor, "predict_proba_batch", None)
-        if batch is not None:
-            return batch(graphs)
-        return [self.predictor.predict_proba(graph) for graph in graphs]
-
-    def stats(self) -> dict:
-        return {"backend": "local"}
 
 
 class InProcessServer(PredictionBackend):

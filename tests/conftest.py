@@ -13,7 +13,9 @@ up simultaneously in the suite and in ``repro quality``.
 
 Markers (registered in ``pyproject.toml``):
 
-- ``slow``   — subprocess-heavy resilience/soak tests (opt-in via ``-m slow``)
+- ``slow``   — subprocess-heavy resilience/soak tests. Plain ``pytest``
+  runs them; ``-m "not slow"`` skips them, and CI runs them once, in
+  its "Recovery suite" step (``-m slow``)
 - ``oracle`` — ground-truth conformance suite (``-m oracle``)
 - ``tier1``  — everything else; applied automatically below
 """

@@ -212,6 +212,22 @@ class TestFleetValidation:
         with pytest.raises(FleetError, match="at least one worker"):
             run_fleet(_pct(dataset_builder), [], _fleet_config(workers=0))
 
+    def test_rejects_mlpct_without_a_model(self, dataset_builder, tiny_model):
+        # A backend but no local predictor: workers would have nothing
+        # to score with unless they reach a serve socket.
+        from repro.fleet import FleetCoordinator
+
+        explorer = MLPCTExplorer(
+            dataset_builder,
+            predictor=None,
+            strategy=make_strategy("S1"),
+            backend=tiny_model,
+            config=_config(),
+            seed=4,
+        )
+        with pytest.raises(FleetError, match="needs a model"):
+            FleetCoordinator(explorer, _ctis(dataset_builder), _fleet_config())
+
 
 # -- differential: fleet vs single process ------------------------------------
 

@@ -70,8 +70,6 @@ PUBLIC_SYMBOLS = {
         "ExhaustiveExplorer",
         "GroundTruth",
         "explore_interleavings",
-        "DifferentialRunner",
-        "ConformanceReport",
         "QualityConfig",
         "run_quality_gate",
         "measure_quality",

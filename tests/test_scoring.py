@@ -39,7 +39,6 @@ from repro.graphs.ctgraph import schedule_key
 from repro.ml.baselines import AllPositive, FairCoin
 from repro.ml.pic import stable_sigmoid
 from repro.obs import MemorySink, MetricsRegistry
-from repro.oracle import DifferentialRunner, add_campaign_check
 from repro.resilience.journal import (
     CampaignJournal,
     campaign_result_to_dict,
@@ -275,12 +274,7 @@ def _mlpct_campaign(
 
 
 def _assert_campaigns_identical(left, right):
-    """Campaign equivalence via the differential conformance harness
-    (see :mod:`repro.oracle.differential`): structured mismatch reports
-    instead of a bare assert on the first differing field."""
-    runner = DifferentialRunner("campaign-equivalence")
-    add_campaign_check(runner, "campaign", lambda: left, lambda: right)
-    runner.run().raise_if_failed()
+    assert campaign_result_to_dict(left) == campaign_result_to_dict(right)
 
 
 class TestCampaignEquivalence:
@@ -494,13 +488,11 @@ class TestStructuralMemo:
     ):
         """A backend owns its cache and hit accounting: it must be asked
         about every candidate, in plain ``batch_size`` chunks."""
-        from repro.serve import LocalBackend
-
         entries, schedules = repeated_pool
         stub = _KeyedStub()
         list(
             iter_score_candidates(
-                CandidateScorer(None, batch_size=4, backend=LocalBackend(stub)),
+                CandidateScorer(None, batch_size=4, backend=stub),
                 dataset_builder,
                 *entries,
                 schedules,

@@ -27,10 +27,9 @@ from repro.errors import CheckpointError, ProtocolError, ServeError
 from repro.execution.pct import propose_hint_pairs
 from repro.graphs.ctgraph import schedule_key
 from repro.ml.gnn import GNNConfig, RelationalGCN, prepare_adjacency
-from repro.oracle import DifferentialRunner, add_campaign_check
+from repro.resilience.journal import campaign_result_to_dict
 from repro.serve import (
     InProcessServer,
-    LocalBackend,
     ModelRegistry,
     PredictionCache,
     PredictionServer,
@@ -492,19 +491,6 @@ class TestInProcessServer:
             np.testing.assert_array_equal(proba, tiny_model.predict_proba(graph))
 
 
-class TestLocalBackend:
-    def test_local_backend_is_transparent(self, tiny_model, candidate_graphs):
-        backend = LocalBackend(tiny_model)
-        direct = tiny_model.predict_proba_batch(candidate_graphs)
-        for a, b in zip(direct, backend.predict_proba_batch(candidate_graphs)):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            backend.predict(candidate_graphs[0]),
-            tiny_model.predict(candidate_graphs[0]),
-        )
-        assert backend.threshold == tiny_model.threshold
-
-
 # -- the socket server -------------------------------------------------------
 
 
@@ -597,16 +583,6 @@ class _RecordingModel:
         return self._model.predict_proba_batch(graphs)
 
 
-class _RecordingBackend(LocalBackend):
-    def __init__(self, predictor):
-        super().__init__(predictor)
-        self.batches = []
-
-    def predict_proba_batch(self, graphs):
-        self.batches.append(list(graphs))
-        return super().predict_proba_batch(graphs)
-
-
 class TestWireCodec:
     @given(
         threads=st.sampled_from([2, 3]),
@@ -621,7 +597,7 @@ class TestWireCodec:
         """Whatever batches a campaign on any scenario axis scores (the
         IRQ and TSO axes change execution, the thread axis the graphs),
         the public codec round-trips them through JSON text."""
-        backend = _RecordingBackend(tiny_model)
+        backend = _RecordingModel(tiny_model)
         explorer = MLPCTExplorer(
             dataset_builder,
             predictor=None,
@@ -643,7 +619,7 @@ class TestWireCodec:
         )
         run_campaign(explorer, ctis)
         # One frame mixing both CTIs' templates, interleaved.
-        pool = [graph for batch in backend.batches for graph in batch]
+        pool = backend.seen
         batch = pool[::2] + pool[1::2]
         assert len({template_digest(graph) for graph in batch}) == 2
         payload = json.loads(json.dumps(encode_graphs(batch)))
@@ -763,7 +739,6 @@ class TestDigestAddressedWire:
             return response
 
         client._request = spy
-        local = LocalBackend(tiny_model)
         try:
             calls = [candidate_graphs, other_graphs, candidate_graphs, candidate_graphs]
             for number, graphs in enumerate(calls, start=1):
@@ -771,7 +746,9 @@ class TestDigestAddressedWire:
                 served = client.predict_proba_batch(graphs)
                 after = _status(socket_server)
                 for graph, proba in zip(graphs, served):
-                    np.testing.assert_array_equal(proba, local.predict_proba(graph))
+                    np.testing.assert_array_equal(
+                        proba, tiny_model.predict_proba(graph)
+                    )
                 assert after[0] == before[0] + 1
                 assert (after[1] - before[1]) + (after[2] - before[2]) == len(graphs)
                 assert len(socket_server._templates) == 1
@@ -1280,9 +1257,7 @@ def _campaign(dataset_builder, predictor, ctis, backend=None):
 
 
 def _assert_campaigns_identical(left, right):
-    runner = DifferentialRunner("served-equivalence")
-    add_campaign_check(runner, "campaign", lambda: left, lambda: right)
-    runner.run().raise_if_failed()
+    assert campaign_result_to_dict(left) == campaign_result_to_dict(right)
 
 
 class TestServedCampaignEquivalence:
@@ -1297,8 +1272,7 @@ class TestServedCampaignEquivalence:
     def test_local_backend_campaign_is_identical(
         self, dataset_builder, tiny_model, ctis, local_campaign
     ):
-        backend = LocalBackend(tiny_model)
-        served = _campaign(dataset_builder, tiny_model, ctis, backend=backend)
+        served = _campaign(dataset_builder, tiny_model, ctis, backend=tiny_model)
         _assert_campaigns_identical(local_campaign, served)
 
     def test_inprocess_campaign_is_identical(
@@ -1341,9 +1315,8 @@ class TestScorerSeam:
             CandidateScorer(None)
 
     def test_backend_is_the_scoring_target(self, tiny_model, candidate_graphs):
-        backend = LocalBackend(tiny_model)
-        scorer = CandidateScorer(None, batch_size=4, backend=backend)
-        assert scorer.target is backend and scorer.batched
+        scorer = CandidateScorer(None, batch_size=4, backend=tiny_model)
+        assert scorer.target is tiny_model and scorer.batched
         direct = tiny_model.predict_proba_batch(candidate_graphs)
         for a, b in zip(direct, scorer.iter_scores(candidate_graphs, "proba")):
             np.testing.assert_array_equal(a, b)
