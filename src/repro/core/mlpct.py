@@ -53,7 +53,7 @@ from repro.core.scoring import (
 from repro.core.strategies import SelectionStrategy
 from repro.execution.concurrent import ScheduleHint
 from repro.execution.parallel import CTTask, make_runner
-from repro.execution.pct import propose_hint_tuples
+from repro.execution.pct import ATTEMPTS_PER_PROPOSAL, iter_hint_tuples
 from repro.execution.races import RaceDetector
 from repro.execution.trace import ConcurrentResult
 from repro.fuzz.corpus import CorpusEntry
@@ -83,7 +83,7 @@ class ExplorationConfig:
     execution_budget: int = 50
     inference_cap: int = 1600
     #: Candidate schedules proposed per CTI (candidates beyond the caps are
-    #: never considered).
+    #: never considered; PCT draws only the first ``execution_budget``).
     proposal_pool: int = 1600
     #: Candidates scored per batched inference call (see
     #: :mod:`repro.core.scoring`); 1 forces per-graph scoring. Predictors
@@ -290,25 +290,30 @@ class _ExplorerBase:
     # -- shared plumbing -----------------------------------------------------
 
     def proposals_for(
-        self, *entries: CorpusEntry
+        self, *entries: CorpusEntry, count: Optional[int] = None
     ) -> List[Tuple[ScheduleHint, ...]]:
         """Deterministic per-CTI candidate stream (shared across explorers).
 
         Accepts one corpus entry per thread. Revisiting the same CTI
         yields a *fresh* candidate pool (visit count is folded into the
         seed), matching how SKI keeps sampling new PCT schedules over a
-        long campaign.
+        long campaign. ``count`` draws only the pool's first ``count``
+        candidates: the attempt limit stays the full pool's, so they are
+        exactly the full pool's prefix.
         """
         key = tuple(entry.sti.sti_id for entry in entries)
         visit = self._visit_counts.get(key, 0)
         self._visit_counts[key] = visit + 1
         label = "proposals:" + ":".join(str(sti_id) for sti_id in key)
         rng = rngmod.split(self.seed, f"{label}:{visit}")
-        return propose_hint_tuples(
+        pool = self.config.proposal_pool
+        stream = iter_hint_tuples(
             rng,
             tuple(entry.trace for entry in entries),
-            self.config.proposal_pool,
+            pool * ATTEMPTS_PER_PROPOSAL,
         )
+        wanted = pool if count is None else min(count, pool)
+        return list(itertools.islice(stream, wanted))
 
     def _record_bug(self, bug_id: int, stats: ExplorationStats) -> None:
         if bug_id not in self.manifested_bugs:
@@ -446,10 +451,17 @@ class _ExplorerBase:
     # -- the per-CTI stages (see the module docstring) -----------------------
 
     def plan_cti(self, *entries: CorpusEntry) -> CTIPlan:
-        """Stage 1: draw this CTI's candidate pool (strict stream order)."""
+        """Stage 1: draw this CTI's candidate pool (strict stream order).
+
+        An explorer that does not predict runs at most its execution
+        budget of candidates, so it draws only those (the pool's prefix).
+        """
         return CTIPlan(
             entries=entries,
-            proposals=self.proposals_for(*entries),
+            proposals=self.proposals_for(
+                *entries,
+                count=None if self.predicts else self.config.execution_budget,
+            ),
             audit=(
                 {"results": [], "scored": 0, "scored_digest": ""}
                 if self.journaled

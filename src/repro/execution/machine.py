@@ -199,13 +199,13 @@ class RecordingSink(TraceSink):
         address: int,
         is_write: bool,
     ) -> None:
-        # Positional (step, thread, iid, block_id, address, is_write,
-        # locks_held, epoch): one per access, and keywords cost a third more.
+        # One record per access: ``tuple.__new__`` skips the named tuple's
+        # generated Python ``__new__``; the field order is MemoryAccess's.
         self.accesses.append(
-            MemoryAccess(
+            tuple.__new__(MemoryAccess, (
                 self.step, thread.tid, instruction.iid, thread.block_id,
                 address, is_write, thread.locks_held, self.epoch,
-            )  # fmt: skip
+            ))  # fmt: skip
         )
 
     def on_bug_event(

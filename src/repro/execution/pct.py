@@ -22,7 +22,8 @@ the quantity the paper evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +38,13 @@ __all__ = [
     "run_concurrent_pct",
     "propose_hint_pairs",
     "propose_hint_tuples",
+    "iter_hint_tuples",
+    "ATTEMPTS_PER_PROPOSAL",
 ]
+
+#: Draws allowed per requested proposal before a proposer gives up on a
+#: small trace product (repeats are skipped, not retried forever).
+ATTEMPTS_PER_PROPOSAL = 5
 
 
 @dataclass
@@ -144,7 +151,7 @@ def propose_hint_pairs(
     trace_a: SequentialTrace,
     trace_b: SequentialTrace,
     count: int,
-    max_attempts_factor: int = 5,
+    max_attempts_factor: int = ATTEMPTS_PER_PROPOSAL,
 ) -> List[Tuple[ScheduleHint, ScheduleHint]]:
     """Propose up to ``count`` distinct scheduling-hint pairs.
 
@@ -159,28 +166,23 @@ def propose_hint_pairs(
     )
 
 
-def propose_hint_tuples(
+def iter_hint_tuples(
     rng: np.random.Generator,
     traces: Sequence[SequentialTrace],
-    count: int,
-    max_attempts_factor: int = 5,
-) -> List[Tuple[ScheduleHint, ...]]:
-    """Propose up to ``count`` distinct per-thread hint vectors.
+    max_attempts: int,
+) -> Iterator[Tuple[ScheduleHint, ...]]:
+    """Distinct per-thread hint vectors, drawn lazily.
 
-    The N-thread generalization of :func:`propose_hint_pairs`: each
-    proposal holds one hint per thread, drawn uniformly from that thread's
-    sequential instruction stream, in thread order. At two threads the
-    consumed RNG stream and the returned pairs are exactly those of the
-    original pair proposer.
+    Each draw takes one hint per thread, uniformly from that thread's
+    sequential instruction stream, in thread order; repeats of an earlier
+    draw are skipped. At most ``max_attempts`` draws are made, and none
+    before the consumer asks for the next vector, so a consumer that stops
+    early leaves the rest of ``rng``'s stream undrawn.
     """
     if any(not trace.iid_trace for trace in traces):
-        return []
-    proposals: List[Tuple[ScheduleHint, ...]] = []
+        return
     seen: Set[Tuple[int, ...]] = set()
-    attempts = 0
-    limit = count * max_attempts_factor
-    while len(proposals) < count and attempts < limit:
-        attempts += 1
+    for _ in range(max_attempts):
         key = tuple(
             int(trace.iid_trace[int(rng.integers(len(trace.iid_trace)))])
             for trace in traces
@@ -188,7 +190,24 @@ def propose_hint_tuples(
         if key in seen:
             continue
         seen.add(key)
-        proposals.append(
-            tuple(ScheduleHint(thread=tid, iid=iid) for tid, iid in enumerate(key))
-        )
-    return proposals
+        yield tuple(ScheduleHint(thread=tid, iid=iid) for tid, iid in enumerate(key))
+
+
+def propose_hint_tuples(
+    rng: np.random.Generator,
+    traces: Sequence[SequentialTrace],
+    count: int,
+    max_attempts_factor: int = ATTEMPTS_PER_PROPOSAL,
+) -> List[Tuple[ScheduleHint, ...]]:
+    """Propose up to ``count`` distinct per-thread hint vectors.
+
+    The N-thread generalization of :func:`propose_hint_pairs`: the first
+    ``count`` vectors of :func:`iter_hint_tuples` within
+    ``count * max_attempts_factor`` draws. At two threads the consumed RNG
+    stream and the returned pairs are exactly those of the original pair
+    proposer. Because draws are lazy, a shorter ``count`` under the same
+    attempt limit returns a prefix of the longer one's list.
+    """
+    return list(
+        islice(iter_hint_tuples(rng, traces, count * max_attempts_factor), count)
+    )

@@ -22,8 +22,7 @@ count across a campaign is a coverage-style set size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,39 +58,35 @@ def _race_keys(
 ) -> Set[RaceKey]:
     """One pass over the whole stream; see :func:`find_potential_races`.
 
-    The stream is sorted by address once (stably, so stream order survives
-    inside each address group), every earlier/later pair *within a group*
-    is enumerated with flat index arithmetic, and the conditions are NumPy
-    masks over those pairs. Surviving pairs are reduced to one integer
-    each and deduplicated as scalars.
+    The records are transposed into columns once (``zip(*accesses)``, one
+    NumPy array per column). The stream is sorted by address once
+    (stably, so stream order survives inside each address group), every
+    earlier/later pair *within a group* is enumerated with flat index
+    arithmetic, and the conditions are NumPy masks over those pairs.
+    Surviving pairs are reduced to one integer each and deduplicated as
+    scalars.
     """
     size = len(accesses)
     if size < 2:
         return set()
 
-    def column(name: str) -> np.ndarray:
-        return np.fromiter(map(attrgetter(name), accesses), np.int64, size)
-
-    order = np.argsort(column("address"), kind="stable")
-    address, step, epoch, thread, write = (
-        column(name)[order]
-        for name in ("address", "step", "epoch", "thread", "is_write")
+    step, thread, iid, _, address, is_write, locks, epoch = zip(*accesses)
+    address = np.array(address, np.int64)
+    order = np.argsort(address, kind="stable")
+    address = address[order]
+    step, epoch, thread, write, iid = (
+        np.array(column, np.int64)[order]
+        for column in (step, epoch, thread, is_write, iid)
     )
     # Ranks stand in for iids and group starts for addresses, so the scalar
     # a pair is reduced to below stays under size**3 whatever their values.
-    iids, iid = np.unique(column("iid")[order], return_inverse=True)
+    iids, iid = np.unique(iid, return_inverse=True)
     group = np.searchsorted(address, address, side="left")
-    # Interned locksets make these lookups identity-cheap; intersections
-    # are taken once per distinct pair of locksets.
-    lockset_ids: Dict[FrozenSet[str], int] = {}
-    lockset = np.fromiter(
-        (lockset_ids.setdefault(a.locks_held, len(lockset_ids)) for a in accesses),
-        np.int64,
-        size,
-    )[order]
-    disjoint = np.array(
-        [[a.isdisjoint(b) for b in lockset_ids] for a in lockset_ids], np.bool_
-    )
+    # Locksets are interned by equality (a dict does it in C), so
+    # intersections are taken once per distinct pair of locksets.
+    ids = {held: i for i, held in enumerate(dict.fromkeys(locks))}
+    lockset = np.fromiter(map(ids.__getitem__, locks), np.int64, size)[order]
+    disjoint = np.array([[a.isdisjoint(b) for b in ids] for a in ids], np.bool_)
 
     # later[i]: how many accesses follow sorted position i in its group;
     # before[i]: how many pairs positions 0..i-1 start.

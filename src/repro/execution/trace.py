@@ -4,18 +4,23 @@ These are the artefacts dynamic tests produce and everything else consumes:
 the graph builder turns sequential traces into CT-graph vertices and edges,
 the dataset builder labels vertices from concurrent coverage, and the race
 detector scans the serialized access stream.
+
+:class:`MemoryAccess` is a named tuple because one is recorded per
+shared-memory access (hundreds of thousands per PCT campaign): the
+recorder builds it by plain tuple construction, the race detector reads
+its columns in one transpose, and it pickles compactly when workers ship
+results back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 __all__ = ["MemoryAccess", "BugEvent", "SequentialTrace", "ConcurrentResult"]
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """One dynamic shared-memory access."""
 
     step: int

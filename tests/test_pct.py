@@ -1,16 +1,20 @@
 """Tests for PCT scheduling and hint proposal."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import rng as rngmod
+from repro.core.mlpct import PCTExplorer
 from repro.execution import (
     PctScheduler,
     propose_hint_pairs,
     run_concurrent_pct,
     run_sequential,
 )
+from repro.execution.trace import SequentialTrace
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +117,45 @@ class TestHintProposals:
         a = propose_hint_pairs(rngmod.make_rng(3), traces[0], traces[1], 10)
         b = propose_hint_pairs(rngmod.make_rng(3), traces[0], traces[1], 10)
         assert a == b
+
+
+class TestPlanIsPoolPrefix:
+    """A PCT explorer runs at most its execution budget of candidates, so
+    its plan draws only those: exactly the first ``budget`` of the pool a
+    same-seed explorer proposes in full."""
+
+    @staticmethod
+    def _plan_and_pool(dataset_builder, entries):
+        planner, pooler = (PCTExplorer(dataset_builder, seed=11) for _ in range(2))
+        try:
+            return (
+                planner.plan_cti(*entries).proposals,
+                pooler.proposals_for(*entries),
+                planner.config,
+            )
+        finally:
+            planner.close()
+            pooler.close()
+
+    def test_plan_is_the_pools_prefix(self, dataset_builder):
+        entries = dataset_builder.corpus.sample_pairs(rngmod.make_rng(8), 1)[0]
+        plan, pool, config = self._plan_and_pool(dataset_builder, entries)
+        assert plan == pool[: config.execution_budget]
+        assert len(plan) == min(config.execution_budget, config.proposal_pool)
+
+    def test_prefix_when_the_attempt_limit_binds(self, dataset_builder):
+        entries = dataset_builder.corpus.sample_pairs(rngmod.make_rng(8), 1)[0]
+        short = []
+        for entry in entries:
+            distinct = list(dict.fromkeys(entry.trace.iid_trace))[:7]
+            assert len(distinct) == 7
+            # One hot instruction and six rare ones: 49 distinct pairs, fewer
+            # than the budget, and the rare pairs take far more draws than
+            # five per budgeted proposal would allow.
+            trace = SequentialTrace(
+                sti_id=entry.trace.sti_id, iid_trace=[distinct[0]] * 12 + distinct[1:]
+            )
+            short.append(dataclasses.replace(entry, trace=trace))
+        plan, pool, config = self._plan_and_pool(dataset_builder, short)
+        assert len(pool) == 49 < config.execution_budget
+        assert plan == pool[: config.execution_budget]

@@ -1,14 +1,20 @@
 """Tests for potential-data-race detection."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.execution.machine import RecordingSink, ThreadContext
 from repro.execution.races import (
     PotentialRace,
     RaceDetector,
     find_potential_races,
 )
 from repro.execution.trace import ConcurrentResult, MemoryAccess
+from repro.kernel.isa import Instruction, Opcode
+from repro.oracle.explorer import reference_potential_races
 
 
 def access(step, thread, iid, address, is_write, locks=(), epoch=0):
@@ -80,6 +86,61 @@ class TestPairDetection:
 
     def test_race_identity_is_unordered(self):
         assert PotentialRace.of(10, 20, 5) == PotentialRace.of(20, 10, 5)
+
+
+class TestRecordForm:
+    """Access records are named tuples the sink builds positionally."""
+
+    def test_pickle_round_trip(self):
+        record = access(3, 1, 40, 7, True, locks=("L",), epoch=2)
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == record and type(restored) is MemoryAccess
+        assert restored.locks_held == frozenset({"L"}) and restored.epoch == 2
+
+    def test_sink_records_the_keyword_built_record(self):
+        accesses = []
+        sink = RecordingSink(accesses, [])
+        sink.step, sink.epoch = 17, 2
+        thread = ThreadContext(
+            tid=1, pending_syscalls=[], block_id=4, locks_held=frozenset({"L"})
+        )
+        sink.on_memory_access(thread, Instruction(Opcode.STORE, iid=33), 0x40, True)
+        assert accesses == [
+            MemoryAccess(
+                step=17,
+                thread=1,
+                iid=33,
+                block_id=4,
+                address=0x40,
+                is_write=True,
+                locks_held=frozenset({"L"}),
+                epoch=2,
+            )
+        ]
+        assert type(accesses[0]) is MemoryAccess and accesses[0].address == 0x40
+
+    def test_equal_locksets_in_distinct_objects(self):
+        """Locksets are compared by value: a stream whose equal locksets
+        are distinct objects finds what the pure-Python reference finds."""
+        rng = random.Random(5)
+        stream = [
+            access(
+                step,
+                rng.randrange(2),
+                100 + rng.randrange(12),
+                rng.randrange(4),
+                rng.random() < 0.5,
+                locks=rng.choice([(), ("L",), ("M",), ("L", "M")]),
+                epoch=step // 10,
+            )
+            for step in range(80)
+        ]
+        held = [a.locks_held for a in stream if a.locks_held]
+        assert len({id(locks) for locks in held}) == len(held) > len(set(held))
+        races = find_potential_races(stream, proximity_window=15)
+        assert races and races == reference_potential_races(
+            stream, proximity_window=15
+        )
 
 
 class TestWindowMonotonicity:
