@@ -20,13 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExecutionLimitExceeded, ScheduleError
-from repro.execution.machine import (
-    DEFAULT_MAX_STEPS,
-    Machine,
-    RecordingSink,
-    ThreadContext,
-    ThreadStatus,
-)
+from repro.execution.machine import DEFAULT_MAX_STEPS, Machine, ThreadStatus
 from repro.execution.trace import ConcurrentResult
 from repro.kernel.code import Kernel
 
@@ -39,15 +33,6 @@ class ScheduleHint:
 
     thread: int
     iid: int
-
-
-class ConcurrentSink(RecordingSink):
-    def __init__(self, num_threads: int = 2) -> None:
-        super().__init__([], [])
-        self.covered: Tuple[set, ...] = tuple(set() for _ in range(num_threads))
-
-    def on_block_entry(self, thread: ThreadContext, block_id: int) -> None:
-        self.covered[thread.tid].add(block_id)
 
 
 def run_concurrent(
@@ -75,8 +60,7 @@ def run_concurrent(
             raise ScheduleError(f"hint references unknown thread {hint.thread}")
 
     started = obs.tick()
-    sink = ConcurrentSink(num_threads)
-    machine = Machine(kernel, sink, max_steps=max_steps, memory_model=memory_model)
+    machine = Machine(kernel, max_steps=max_steps, memory_model=memory_model)
     threads = [machine.create_thread(sti) for sti in stis]
 
     pending_hints = list(hints)
@@ -93,7 +77,7 @@ def run_concurrent(
         nonlocal current, num_switches
         current = target
         num_switches += 1
-        sink.epoch += 1
+        machine.epoch += 1
 
     def switch_away() -> None:
         # Blind round-robin hand-off: the next thread in tid order. At two
@@ -180,19 +164,16 @@ def run_concurrent(
     if started is not None:
         obs.tock("execution.run_seconds", started)
         obs.add("execution.runs")
-        obs.add("execution.steps", sink.step)
+        obs.add("execution.steps", machine.steps)
         if deadlocked:
             obs.add("execution.deadlocks")
-    failure = "hang" if limit_hit else ("deadlock" if deadlocked else None)
     return ConcurrentResult(
-        covered_blocks=sink.covered,
-        accesses=sink.accesses,
-        bug_events=sink.bug_events,
+        covered_blocks=tuple(machine.covered),
+        accesses=machine.accesses,
+        bug_events=machine.bug_events,
         num_switches=num_switches,
         hints_enforced=hints_enforced,
-        steps=sink.step,
-        completed=not limit_hit and not deadlocked,
-        deadlocked=deadlocked,
+        steps=machine.steps,
         irqs_fired=irqs_fired,
-        failure=failure,
+        failure="hang" if limit_hit else ("deadlock" if deadlocked else None),
     )

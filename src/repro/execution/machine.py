@@ -7,7 +7,7 @@ thread runs next; the machine itself is policy-free.
 
 There is one execution core. Each kernel is decoded once
 (:func:`decode_program`, cached on the ``Kernel``): per block a tuple of
-``(op, a, b, iid, instruction)`` with the opcode as a small int and
+``(op, a, b, iid)`` with the opcode as a small int and
 registers, immediates, addresses, branch targets, the fall-through
 successor, the callee's entry block and the lock name already resolved.
 :meth:`Machine.run` interprets that program in a single loop over plain
@@ -23,9 +23,11 @@ act on:
   point) or the step budget.
 
 :meth:`Machine.step` is ``run`` with a budget of one step, for callers that
-decide per step (the oracle explorer). Block entries, memory accesses and
-bug assertions are delivered to a :class:`TraceSink`, which executors
-implement to build their trace records.
+decide per step (the oracle explorer). The machine records its own trace
+as it runs: the blocks each thread entered, one :class:`MemoryAccess` per
+shared-memory access and one :class:`BugEvent` per fired assertion, each
+stamped with the executed-instruction count and the scheduler's ``epoch``.
+Schedulers read those fields when the run is over.
 
 Memory models (§6's "predict concurrent executions on weak memory
 models"): the default is sequential consistency, matching the paper's
@@ -40,18 +42,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError, ExecutionLimitExceeded
 from repro.execution.trace import BugEvent, MemoryAccess
 from repro.kernel.code import BasicBlock, Kernel
-from repro.kernel.isa import NUM_REGISTERS, Instruction, Opcode
+from repro.kernel.isa import NUM_REGISTERS, Opcode
 
 __all__ = [
     "ThreadStatus",
     "ThreadContext",
-    "TraceSink",
-    "RecordingSink",
     "Machine",
     "decode_program",
 ]
@@ -109,16 +109,16 @@ def _decode_block(kernel: Kernel, block: BasicBlock) -> tuple:
             b = (b, fall) if instruction.opcode is Opcode.JZ else (fall, b)
         elif op == _CALL:
             a = kernel.functions[a].entry_block
-        code.append((op, a, b, instruction.iid, instruction))
+        code.append((op, a, b, instruction.iid))
     # Running past the last instruction lands on this sentinel, which saves
     # a bounds check per step.
-    code.append((_FELL_OFF, None, None, -1, None))
+    code.append((_FELL_OFF, None, None, -1))
     return tuple(code)
 
 
 def decode_program(kernel: Kernel) -> Dict[int, tuple]:
     """The kernel's pre-decoded program: block id → tuple of
-    ``(op, a, b, iid, instruction)``, built once per ``Kernel`` object."""
+    ``(op, a, b, iid)``, built once per ``Kernel`` object."""
     if kernel.decoded is None:
         kernel.decoded = {
             block_id: _decode_block(kernel, block)
@@ -153,76 +153,12 @@ class ThreadContext:
     steps: int = 0
 
 
-class TraceSink:
-    """Receiver of execution events; executors subclass it."""
-
-    #: Instructions executed on the machine so far (IRQ handlers included).
-    #: Maintained by the machine: current inside ``on_memory_access`` and
-    #: ``on_bug_event``, and whenever ``Machine.run`` has returned.
-    step = 0
-    #: Opt-in: a list that receives the id of every executed instruction.
-    iid_trace: Optional[List[int]] = None
-
-    def on_block_entry(self, thread: ThreadContext, block_id: int) -> None:
-        """Control transferred to the start of ``block_id``."""
-
-    def on_memory_access(
-        self,
-        thread: ThreadContext,
-        instruction: Instruction,
-        address: int,
-        is_write: bool,
-    ) -> None:
-        """A shared-memory load or store is about to execute."""
-
-    def on_bug_event(
-        self, thread: ThreadContext, instruction: Instruction, kind: str
-    ) -> None:
-        """A CHECK/DEREF assertion fired."""
-
-
-class RecordingSink(TraceSink):
-    """Appends a record per memory access and bug event to the two lists
-    it is given; ``epoch`` (context switches so far) is the scheduler's."""
-
-    def __init__(
-        self, accesses: List[MemoryAccess], bug_events: List[BugEvent]
-    ) -> None:
-        self.accesses = accesses
-        self.bug_events = bug_events
-        self.epoch = 0
-
-    def on_memory_access(
-        self,
-        thread: ThreadContext,
-        instruction: Instruction,
-        address: int,
-        is_write: bool,
-    ) -> None:
-        # One record per access: ``tuple.__new__`` skips the named tuple's
-        # generated Python ``__new__``; the field order is MemoryAccess's.
-        self.accesses.append(
-            tuple.__new__(MemoryAccess, (
-                self.step, thread.tid, instruction.iid, thread.block_id,
-                address, is_write, thread.locks_held, self.epoch,
-            ))  # fmt: skip
-        )
-
-    def on_bug_event(
-        self, thread: ThreadContext, instruction: Instruction, kind: str
-    ) -> None:
-        self.bug_events.append(
-            BugEvent(self.step, thread.tid, instruction.iid, thread.block_id, kind)
-        )
-
-
 class Machine:
     """Interpreter for one dynamic test."""
 
     def __init__(
         self,
         kernel: Kernel,
-        sink: Optional[TraceSink] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         memory_model: str = "sc",
         store_buffer_capacity: int = DEFAULT_STORE_BUFFER_CAPACITY,
@@ -231,15 +167,31 @@ class Machine:
             raise ExecutionError(f"unknown memory model {memory_model!r}")
         self.kernel = kernel
         self.program = decode_program(kernel)
-        self.sink = sink or TraceSink()
         self.max_steps = max_steps
         self.memory = kernel.memory.fresh_state()
         self.lock_owners: Dict[str, int] = {}
         self.threads: List[ThreadContext] = []
-        #: Steps taken, syscall dispatches included (``sink.step`` counts
+        #: Steps taken, syscall dispatches included (``steps`` counts
         #: executed instructions only). IRQ marks, PCT change points and
         #: the step budget all compare against this.
         self.total_steps = 0
+        #: Instructions executed so far, IRQ handlers included: the
+        #: ``step`` stamped on every record.
+        self.steps = 0
+        #: Scheduling epoch stamped on every access: the scheduler
+        #: advances it at each context switch, between ``run`` calls.
+        self.epoch = 0
+        self.accesses: List[MemoryAccess] = []
+        self.bug_events: List[BugEvent] = []
+        #: Blocks entered, one set per created thread; IRQ handler blocks
+        #: count for the interrupted thread.
+        self.covered: List[Set[int]] = []
+        #: Opt-in (the sequential executor): lists that receive the id of
+        #: every executed instruction and of every entered block. With
+        #: ``block_trace`` set, block entries go there and not to
+        #: ``covered``.
+        self.iid_trace: Optional[List[int]] = None
+        self.block_trace: Optional[List[int]] = None
         #: The last executed instruction, what a scheduling hint is tested
         #: against. A step that executes nothing (a dispatch) leaves it.
         self.last_thread: Optional[int] = None
@@ -331,6 +283,7 @@ class Machine:
             pending.append((name, spec.clamp_args(list(args))))
         thread = ThreadContext(tid=len(self.threads), pending_syscalls=pending)
         self.threads.append(thread)
+        self.covered.append(set())
         return thread
 
     # -- scheduling queries ------------------------------------------------
@@ -353,10 +306,17 @@ class Machine:
 
     # -- execution ---------------------------------------------------------
 
+    def _block_recorder(self, tid: int):
+        """What records thread ``tid``'s block entries: the opt-in entry
+        list if set, else the thread's covered set."""
+        if self.block_trace is None:
+            return self.covered[tid].add
+        return self.block_trace.append
+
     def _enter_block(self, thread: ThreadContext, block_id: int) -> None:
         thread.block_id = block_id
         thread.index = 0
-        self.sink.on_block_entry(thread, block_id)
+        self._block_recorder(thread.tid)(block_id)
 
     def _dispatch_next_syscall(self, thread: ThreadContext) -> bool:
         """Start the thread's next syscall; False when the thread is done."""
@@ -432,13 +392,15 @@ class Machine:
         instruction, without the per-step admission checks ``run`` makes.
         Returns the number of instructions executed. ``irq`` only words
         the fell-off-a-block error."""
-        sink = self.sink
-        on_block, on_access = sink.on_block_entry, sink.on_memory_access
-        iid_trace = sink.iid_trace
+        iid_trace = self.iid_trace
         program = self.program
         owners = self.lock_owners
         cells = self.memory.cells
         tid = thread.tid
+        record = self.accesses.append
+        # Schedulers change the epoch only between calls.
+        epoch = self.epoch
+        enter = self._block_recorder(tid)
         # The SC fast path stores straight to memory: no buffer.
         buffer = (
             self.store_buffers.setdefault(tid, [])
@@ -449,17 +411,22 @@ class Machine:
         stack = thread.call_stack
         code = program[thread.block_id]
         index = thread.index
-        first = step = sink.step
+        first = step = self.steps
         deadline = step + limit - self.total_steps
         while True:
-            op, a, b, iid, instruction = code[index]
+            op, a, b, iid = code[index]
             index += 1
             step += 1
             if iid_trace is not None:
                 iid_trace.append(iid)
             if op == _LOAD:
-                sink.step = step
-                on_access(thread, instruction, b, False)
+                # One record per access: ``tuple.__new__`` skips the named
+                # tuple's generated Python ``__new__``; the field order is
+                # MemoryAccess's.
+                record(tuple.__new__(MemoryAccess, (
+                    step, tid, iid, thread.block_id, b, False,
+                    thread.locks_held, epoch,
+                )))  # fmt: skip
                 if buffer:
                     # Store forwarding: the issuing thread sees its buffer.
                     for address, value in reversed(buffer):
@@ -473,8 +440,10 @@ class Machine:
             elif op == _MOVI:
                 regs[a] = b
             elif op == _STOREI or op == _STORE:
-                sink.step = step
-                on_access(thread, instruction, a, True)
+                record(tuple.__new__(MemoryAccess, (
+                    step, tid, iid, thread.block_id, a, True,
+                    thread.locks_held, epoch,
+                )))  # fmt: skip
                 value = b if op == _STOREI else regs[b]
                 if buffer is None:
                     cells[a] = value
@@ -495,7 +464,7 @@ class Machine:
                 thread.block_id = a
                 code = program[a]
                 index = 0
-                on_block(thread, a)
+                enter(a)
             elif op == _ADD:
                 regs[a] += regs[b]
             elif op == _XOR:
@@ -552,12 +521,14 @@ class Machine:
                 pass
             elif op == _CHECK:
                 if regs[a] == b:
-                    sink.step = step
-                    sink.on_bug_event(thread, instruction, "check")
+                    self.bug_events.append(
+                        BugEvent(step, tid, iid, thread.block_id, "check")
+                    )
             elif op == _DEREF:
                 if regs[a] == 0:
-                    sink.step = step
-                    sink.on_bug_event(thread, instruction, "deref")
+                    self.bug_events.append(
+                        BugEvent(step, tid, iid, thread.block_id, "deref")
+                    )
             elif op == _SUB:
                 regs[a] -= regs[b]
             elif op == _AND:
@@ -574,7 +545,7 @@ class Machine:
             if iid == stop_iid or step >= deadline:
                 break
         thread.index = index
-        sink.step = step
+        self.steps = step
         self.total_steps += step - first
         self.last_thread, self.last_iid = tid, iid
         return step - first

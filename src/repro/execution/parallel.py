@@ -128,7 +128,6 @@ def _run_task(kernel: Kernel, task: CTTask) -> ConcurrentResult:
         return ConcurrentResult(
             covered_blocks=tuple(set() for _ in task.programs),
             steps=task.max_steps,
-            completed=False,
             failure="hang",
         )
 

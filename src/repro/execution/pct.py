@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ExecutionLimitExceeded
-from repro.execution.concurrent import ConcurrentSink, ScheduleHint
+from repro.execution.concurrent import ScheduleHint
 from repro.execution.machine import DEFAULT_MAX_STEPS, Machine
 from repro.execution.trace import ConcurrentResult, SequentialTrace
 from repro.kernel.code import Kernel
@@ -103,8 +103,7 @@ def run_concurrent_pct(
     memory_model: str = "sc",
 ) -> ConcurrentResult:
     """Execute N STIs under a sampled PCT schedule."""
-    sink = ConcurrentSink(len(stis))
-    machine = Machine(kernel, sink, max_steps=max_steps, memory_model=memory_model)
+    machine = Machine(kernel, max_steps=max_steps, memory_model=memory_model)
     threads = [machine.create_thread(sti) for sti in stis]
     num_switches = 0
     previous: Optional[int] = None
@@ -122,7 +121,7 @@ def run_concurrent_pct(
                 break
             if previous is not None and previous != tid:
                 num_switches += 1
-                sink.epoch += 1
+                machine.epoch += 1
             previous = tid
             change_points = scheduler.change_points
             machine.run(
@@ -132,17 +131,13 @@ def run_concurrent_pct(
             scheduler.on_step(machine.total_steps, tid)
     except ExecutionLimitExceeded:
         limit_hit = True
-    failure = "hang" if limit_hit else ("deadlock" if deadlocked else None)
     return ConcurrentResult(
-        covered_blocks=sink.covered,
-        accesses=sink.accesses,
-        bug_events=sink.bug_events,
+        covered_blocks=tuple(machine.covered),
+        accesses=machine.accesses,
+        bug_events=machine.bug_events,
         num_switches=num_switches,
-        hints_enforced=0,
-        steps=sink.step,
-        completed=not limit_hit and not deadlocked,
-        deadlocked=deadlocked,
-        failure=failure,
+        steps=machine.steps,
+        failure="hang" if limit_hit else ("deadlock" if deadlocked else None),
     )
 
 
@@ -151,7 +146,6 @@ def propose_hint_pairs(
     trace_a: SequentialTrace,
     trace_b: SequentialTrace,
     count: int,
-    max_attempts_factor: int = ATTEMPTS_PER_PROPOSAL,
 ) -> List[Tuple[ScheduleHint, ScheduleHint]]:
     """Propose up to ``count`` distinct scheduling-hint pairs.
 
@@ -162,7 +156,7 @@ def propose_hint_pairs(
     the trace product is small.
     """
     return propose_hint_tuples(  # type: ignore[return-value]
-        rng, (trace_a, trace_b), count, max_attempts_factor=max_attempts_factor
+        rng, (trace_a, trace_b), count
     )
 
 
@@ -197,17 +191,16 @@ def propose_hint_tuples(
     rng: np.random.Generator,
     traces: Sequence[SequentialTrace],
     count: int,
-    max_attempts_factor: int = ATTEMPTS_PER_PROPOSAL,
 ) -> List[Tuple[ScheduleHint, ...]]:
     """Propose up to ``count`` distinct per-thread hint vectors.
 
     The N-thread generalization of :func:`propose_hint_pairs`: the first
     ``count`` vectors of :func:`iter_hint_tuples` within
-    ``count * max_attempts_factor`` draws. At two threads the consumed RNG
+    ``count * ATTEMPTS_PER_PROPOSAL`` draws. At two threads the consumed RNG
     stream and the returned pairs are exactly those of the original pair
     proposer. Because draws are lazy, a shorter ``count`` under the same
     attempt limit returns a prefix of the longer one's list.
     """
     return list(
-        islice(iter_hint_tuples(rng, traces, count * max_attempts_factor), count)
+        islice(iter_hint_tuples(rng, traces, count * ATTEMPTS_PER_PROPOSAL), count)
     )

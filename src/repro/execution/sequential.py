@@ -9,36 +9,14 @@ stream (the population scheduling hints are drawn from).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ExecutionLimitExceeded
-from repro.execution.machine import (
-    DEFAULT_MAX_STEPS,
-    Machine,
-    RecordingSink,
-    ThreadContext,
-)
+from repro.execution.machine import DEFAULT_MAX_STEPS, Machine
 from repro.execution.trace import SequentialTrace
 from repro.kernel.code import Kernel
 
 __all__ = ["run_sequential"]
-
-
-class _SequentialSink(RecordingSink):
-    def __init__(self, trace: SequentialTrace) -> None:
-        super().__init__(trace.accesses, trace.bug_events)
-        self.trace = trace
-        self.iid_trace = trace.iid_trace
-        self._previous_block: Optional[int] = None
-
-    def on_block_entry(self, thread: ThreadContext, block_id: int) -> None:
-        trace = self.trace
-        if self._previous_block is not None:
-            trace.flow_edges.append((self._previous_block, block_id))
-        self._previous_block = block_id
-        if block_id not in trace.covered_blocks:
-            trace.covered_blocks.add(block_id)
-            trace.block_sequence.append(block_id)
 
 
 def run_sequential(
@@ -53,13 +31,23 @@ def run_sequential(
     the trace ``completed=False`` instead of propagating, since a fuzzing
     campaign must survive pathological inputs.
     """
-    trace = SequentialTrace(sti_id=sti_id)
-    sink = _SequentialSink(trace)
-    machine = Machine(kernel, sink, max_steps=max_steps)
+    machine = Machine(kernel, max_steps=max_steps)
+    machine.iid_trace, machine.block_trace = [], []
     thread = machine.create_thread(syscalls)
+    completed = True
     try:
         while machine.runnable(thread):
             machine.run(thread)
     except ExecutionLimitExceeded:
-        trace.completed = False
-    return trace
+        completed = False
+    entries = machine.block_trace
+    return SequentialTrace(
+        sti_id=sti_id,
+        covered_blocks=set(entries),
+        block_sequence=list(dict.fromkeys(entries)),
+        flow_edges=list(zip(entries, entries[1:])),
+        iid_trace=machine.iid_trace,
+        accesses=machine.accesses,
+        bug_events=machine.bug_events,
+        completed=completed,
+    )

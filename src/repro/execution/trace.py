@@ -3,13 +3,15 @@
 These are the artefacts dynamic tests produce and everything else consumes:
 the graph builder turns sequential traces into CT-graph vertices and edges,
 the dataset builder labels vertices from concurrent coverage, and the race
-detector scans the serialized access stream.
+detector scans the serialized access stream. The interpreter
+(:class:`~repro.execution.machine.Machine`) records accesses, bug events
+and per-thread coverage itself; the executors only package them.
 
 :class:`MemoryAccess` is a named tuple because one is recorded per
 shared-memory access (hundreds of thousands per PCT campaign): the
-recorder builds it by plain tuple construction, the race detector reads
-its columns in one transpose, and it pickles compactly when workers ship
-results back.
+interpreter loop builds it by plain tuple construction, the race detector
+reads its columns in one transpose, and it pickles compactly when workers
+ship results back.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ class ConcurrentResult:
     #: Scheduling hints that were actually enforced (vs skipped).
     hints_enforced: int = 0
     steps: int = 0
-    completed: bool = True
-    deadlocked: bool = False
     #: Interrupts injected during the run (§6 extension).
     irqs_fired: int = 0
     #: Why the run did not complete: ``None`` (completed), ``"hang"``
@@ -121,6 +121,14 @@ class ConcurrentResult:
     #: (the supervisor gave up after repeated failures and recorded a
     #: failed-but-counted result).
     failure: Optional[str] = None
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
+
+    @property
+    def deadlocked(self) -> bool:
+        return self.failure == "deadlock"
 
     @property
     def hung(self) -> bool:

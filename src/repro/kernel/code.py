@@ -87,8 +87,9 @@ class Kernel:
         self.irq_handlers = list(irq_handlers or [])
         self._instructions: Dict[int, Tuple[int, int]] = {}
         #: The interpreter's pre-decoded program, built on first execution
-        #: (:func:`repro.execution.machine.decode_program`). A kernel is
-        #: not modified once it has been executed.
+        #: (:func:`repro.execution.machine.decode_program`): block id →
+        #: ``(op, a, b, iid)`` tuples, no ``Instruction`` objects. A kernel
+        #: is not modified once it has been executed.
         self.decoded: Optional[Dict[int, tuple]] = None
         self._finalize()
 

@@ -67,7 +67,6 @@ from typing import (
 from repro import rng as rngmod
 from repro.errors import ExecutionLimitExceeded, OracleError, OracleLimitError
 from repro.execution.alias import AliasPair, alias_coverage
-from repro.execution.concurrent import ConcurrentSink
 from repro.execution.machine import Machine, ThreadContext, ThreadStatus
 from repro.execution.races import (
     DEFAULT_PROXIMITY_WINDOW,
@@ -285,18 +284,13 @@ class _Accumulator:
         self.deadlock = False
         self.final_states: Set[Tuple[Tuple[int, int], ...]] = set()
 
-    def fold(
-        self,
-        sink: ConcurrentSink,
-        machine: Machine,
-        deadlocked: bool,
-    ) -> None:
+    def fold(self, machine: Machine, deadlocked: bool) -> None:
         self.num_schedules += 1
-        for tid, covered in enumerate(sink.covered):
+        for tid, covered in enumerate(machine.covered):
             self.covered[tid].update(covered)
-        self.races |= conflicting_pairs(sink.accesses)
-        self.aliases |= reference_alias_pairs(sink.accesses)
-        for event in sink.bug_events:
+        self.races |= conflicting_pairs(machine.accesses)
+        self.aliases |= reference_alias_pairs(machine.accesses)
+        for event in machine.bug_events:
             self.bug_iids.add(event.iid)
             self.bug_blocks.add(event.block_id)
             self.bug_kinds.add(event.kind)
@@ -524,12 +518,12 @@ class ExhaustiveExplorer:
 
     def _replay(
         self, branch: _Branch
-    ) -> Tuple[Optional[Tuple[ConcurrentSink, Machine, bool]], List[Tuple[_Choice, List, Dict[int, _OpSig], FrozenSet[int]]]]:
+    ) -> Tuple[Optional[Tuple[Machine, bool]], List[Tuple[_Choice, List, Dict[int, _OpSig], FrozenSet[int]]]]:
         """Execute one schedule, following the branch's forced choices.
 
         Returns ``(outcome, decisions)``. ``outcome`` is ``None`` when the
         run was sleep-blocked (every continuation is covered by a sibling
-        branch); otherwise it is ``(sink, machine, deadlocked)``.
+        branch); otherwise it is ``(machine, deadlocked)``.
         ``decisions[i]`` records, for the i-th choice point:
         ``(chosen token, untried sibling tokens in exploration order,
         visible-op signatures per enabled tid, sleep set at the node)``.
@@ -537,11 +531,8 @@ class ExhaustiveExplorer:
         prefix, injection_items = branch
         injections = dict(injection_items)
         chunked = self.pruning != "none"
-        num_threads = len(self.programs)
-        sink = ConcurrentSink(num_threads)
         machine = Machine(
-            self.kernel, sink, max_steps=self.max_steps,
-            memory_model=self.memory_model,
+            self.kernel, max_steps=self.max_steps, memory_model=self.memory_model
         )
         threads = [machine.create_thread(program) for program in self.programs]
         irqs_left = self.max_irqs if self.irq_handlers else 0
@@ -647,7 +638,7 @@ class ExhaustiveExplorer:
                     }
             else:
                 machine.step(thread)
-        return (sink, machine, deadlocked), decisions
+        return (machine, deadlocked), decisions
 
     # -- enumeration ---------------------------------------------------------
 
@@ -678,8 +669,7 @@ class ExhaustiveExplorer:
                         limit="schedules",
                         observed=self.max_schedules,
                     )
-                sink, machine, deadlocked = outcome
-                accumulator.fold(sink, machine, deadlocked)
+                accumulator.fold(*outcome)
             # Push untried siblings of every decision made beyond the
             # forced prefix, deepest-first so the DFS walks the choice
             # tree left to right.

@@ -100,7 +100,6 @@ def _quarantined_result(task: CTTask) -> ConcurrentResult:
     """The failed-but-counted result recorded for a poison CT."""
     return ConcurrentResult(
         covered_blocks=tuple(set() for _ in task.programs),
-        completed=False,
         failure="quarantined",
     )
 

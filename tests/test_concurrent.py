@@ -1,5 +1,8 @@
 """Tests for hint-driven concurrent execution (the SKI scheduler)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -112,3 +115,75 @@ class TestSwitchAccounting:
         max_epoch = max((a.epoch for a in result.accesses), default=0)
         assert max_epoch <= result.num_switches
         assert result.num_switches >= 1
+
+
+def record_digest(result):
+    """sha256 of everything an execution records: every access field
+    (locksets sorted), the bug events, per-thread coverage, steps and the
+    outcome. ``result_digest`` hashes only the access count."""
+    record = {
+        "accesses": [
+            [*access[:6], sorted(access.locks_held), access.epoch]
+            for access in result.accesses
+        ],
+        "bugs": [
+            [event.step, event.thread, event.iid, event.block_id, event.kind]
+            for event in result.bug_events
+        ],
+        "covered": [sorted(blocks) for blocks in result.covered_blocks],
+        "steps": result.steps,
+        "failure": result.failure,
+    }
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRecordContent:
+    """The full record of three executions, pinned: a field-order, step
+    or epoch slip in the machine's recorder changes these digests."""
+
+    def test_two_thread_sc_with_hints(self, kernel):
+        spec = kernel.bugs[0]
+        writer = [(spec.trigger_syscalls[0], [spec.trigger_args[0]])]
+        reader = [(spec.trigger_syscalls[1], [spec.trigger_args[1]])]
+        reader_iids = run_sequential(kernel, reader).iid_trace
+        hints = [ScheduleHint(0, spec.write_iid), ScheduleHint(1, reader_iids[3])]
+        result = run_concurrent(kernel, (writer, reader), hints=hints)
+        assert result.bug_events and result.hints_enforced == 2
+        assert any(a.locks_held for a in result.accesses)
+        assert record_digest(result) == (
+            "becd0174fb6a6097754582f895ccdbc097d6f0735183ffc686d34a47c19072a2"
+        )
+
+    def test_three_threads(self, kernel):
+        names = kernel.syscall_names()
+        stis = [
+            [(names[3], [1, 2]), (names[4], [0])],
+            [(names[4], [3])],
+            [(names[1], [1, 1]), (names[6], [2])],
+        ]
+        hints = [
+            ScheduleHint(tid, trace.iid_trace[len(trace.iid_trace) // 2])
+            for tid, trace in enumerate(run_sequential(kernel, s) for s in stis)
+        ]
+        result = run_concurrent(kernel, stis, hints=hints)
+        assert len(result.covered_blocks) == 3 and result.num_switches >= 3
+        assert record_digest(result) == (
+            "b5e8fcf1173a1623d7831e25d8e340754e5201e71a07c39634e6a2453f3c0d2f"
+        )
+
+    def test_tso_with_irq_plan(self, kernel):
+        names = kernel.syscall_names()
+        stis = ([(names[0], [1, 2]), (names[4], [0])], [(names[4], [3])])
+        trace = run_sequential(kernel, stis[0])
+        result = run_concurrent(
+            kernel,
+            stis,
+            hints=[ScheduleHint(0, trace.iid_trace[len(trace.iid_trace) // 3])],
+            memory_model="tso",
+            irq_plan=[(5, kernel.irq_handlers[0]), (60, kernel.irq_handlers[2])],
+        )
+        assert result.irqs_fired == 2
+        assert record_digest(result) == (
+            "948851de19d7b9645fde931dccb3619b670bbb91dcc0ee1ac73df321c8a4e8a8"
+        )

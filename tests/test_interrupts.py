@@ -65,24 +65,16 @@ class TestFireIrq:
             machine.step(thread)
 
     def test_irq_coverage_recorded(self, kernel):
-        from repro.execution.machine import TraceSink
-
-        class Recorder(TraceSink):
-            def __init__(self):
-                self.blocks = set()
-
-            def on_block_entry(self, thread, block_id):
-                self.blocks.add(block_id)
-
-        recorder = Recorder()
-        machine = Machine(kernel, recorder)
+        machine = Machine(kernel)
         thread = machine.create_thread([(kernel.syscall_names()[0], [1])])
         for _ in range(5):
             machine.step(thread)
         handler = kernel.irq_handlers[0]
-        machine.fire_irq(thread, handler)
         entry = kernel.functions[handler].entry_block
-        assert entry in recorder.blocks
+        assert entry not in machine.covered[0]
+        machine.fire_irq(thread, handler)
+        # Handler code is credited to the interrupted thread.
+        assert entry in machine.covered[0]
 
     def test_unknown_handler_rejected(self, kernel):
         machine = Machine(kernel)

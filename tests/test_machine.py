@@ -7,7 +7,7 @@ from repro.kernel.code import BasicBlock, Function, Kernel
 from repro.kernel.isa import Instruction, Opcode, Operand
 from repro.kernel.memory import MemoryImage
 from repro.kernel.syscalls import SyscallSpec
-from repro.execution.machine import Machine, ThreadStatus, TraceSink
+from repro.execution.machine import Machine, ThreadStatus
 
 
 def _instr(opcode, *operands):
@@ -37,24 +37,8 @@ def micro_kernel(body, extra_blocks=(), memory=None, locks=(), num_args=2):
     )
 
 
-class RecordingSink(TraceSink):
-    def __init__(self):
-        self.blocks = []
-        self.accesses = []
-        self.bugs = []
-
-    def on_block_entry(self, thread, block_id):
-        self.blocks.append(block_id)
-
-    def on_memory_access(self, thread, instruction, address, is_write):
-        self.accesses.append((address, is_write))
-
-    def on_bug_event(self, thread, instruction, kind):
-        self.bugs.append(kind)
-
-
-def run_to_completion(kernel, args=(1, 2), sink=None, max_steps=10_000):
-    machine = Machine(kernel, sink, max_steps=max_steps)
+def run_to_completion(kernel, args=(1, 2), max_steps=10_000):
+    machine = Machine(kernel, max_steps=max_steps)
     thread = machine.create_thread([("sys", list(args))])
     while machine.runnable(thread):
         machine.step(thread)
@@ -100,10 +84,12 @@ class TestMemory:
             _instr(Opcode.LOAD, Operand.make_reg(5), Operand.make_addr(addr)),
             _instr(Opcode.RET),
         ], memory=image)
-        sink = RecordingSink()
-        _, thread = run_to_completion(kernel, sink=sink)
+        machine, thread = run_to_completion(kernel)
         assert thread.registers[5] == 9
-        assert sink.accesses == [(addr, True), (addr, False)]
+        assert [(a.address, a.is_write) for a in machine.accesses] == [
+            (addr, True),
+            (addr, False),
+        ]
 
     def test_initial_memory_value_visible(self):
         image = MemoryImage()
@@ -191,9 +177,8 @@ class TestBugInstructions:
             _instr(Opcode.CHECK, Operand.make_reg(3), Operand.make_imm(0)),
             _instr(Opcode.RET),
         ])
-        sink = RecordingSink()
-        run_to_completion(kernel, sink=sink)
-        assert sink.bugs == ["check"]
+        machine, _ = run_to_completion(kernel)
+        assert [event.kind for event in machine.bug_events] == ["check"]
 
     def test_check_silent_on_mismatch(self):
         kernel = micro_kernel([
@@ -201,9 +186,8 @@ class TestBugInstructions:
             _instr(Opcode.CHECK, Operand.make_reg(3), Operand.make_imm(0)),
             _instr(Opcode.RET),
         ])
-        sink = RecordingSink()
-        run_to_completion(kernel, sink=sink)
-        assert sink.bugs == []
+        machine, _ = run_to_completion(kernel)
+        assert [event.kind for event in machine.bug_events] == []
 
     def test_deref_fires_on_null(self):
         kernel = micro_kernel([
@@ -211,9 +195,8 @@ class TestBugInstructions:
             _instr(Opcode.DEREF, Operand.make_reg(3)),
             _instr(Opcode.RET),
         ])
-        sink = RecordingSink()
-        run_to_completion(kernel, sink=sink)
-        assert sink.bugs == ["deref"]
+        machine, _ = run_to_completion(kernel)
+        assert [event.kind for event in machine.bug_events] == ["deref"]
 
 
 class TestLocks:
@@ -262,7 +245,7 @@ class TestLocks:
 class TestDispatchAndLimits:
     def test_multiple_syscalls_run_in_order(self):
         kernel = micro_kernel([_instr(Opcode.RET)])
-        machine = Machine(kernel, RecordingSink())
+        machine = Machine(kernel)
         thread = machine.create_thread([("sys", [1, 0]), ("sys", [2, 0])])
         seen_args = []
         while machine.runnable(thread):

@@ -6,15 +6,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.execution.machine import RecordingSink, ThreadContext
+from repro.execution.machine import Machine
 from repro.execution.races import (
     PotentialRace,
     RaceDetector,
     find_potential_races,
 )
 from repro.execution.trace import ConcurrentResult, MemoryAccess
-from repro.kernel.isa import Instruction, Opcode
+from repro.kernel.isa import Opcode, Operand
+from repro.kernel.memory import MemoryImage
 from repro.oracle.explorer import reference_potential_races
+
+from tests._oracle_kernels import instr, n_thread_kernel
 
 
 def access(step, thread, iid, address, is_write, locks=(), epoch=0):
@@ -89,7 +92,7 @@ class TestPairDetection:
 
 
 class TestRecordForm:
-    """Access records are named tuples the sink builds positionally."""
+    """Access records are named tuples the machine builds positionally."""
 
     def test_pickle_round_trip(self):
         record = access(3, 1, 40, 7, True, locks=("L",), epoch=2)
@@ -97,27 +100,45 @@ class TestRecordForm:
         assert restored == record and type(restored) is MemoryAccess
         assert restored.locks_held == frozenset({"L"}) and restored.epoch == 2
 
-    def test_sink_records_the_keyword_built_record(self):
-        accesses = []
-        sink = RecordingSink(accesses, [])
-        sink.step, sink.epoch = 17, 2
-        thread = ThreadContext(
-            tid=1, pending_syscalls=[], block_id=4, locks_held=frozenset({"L"})
+    def test_machine_records_the_keyword_built_record(self):
+        image = MemoryImage()
+        address = image.allocate("v", 0)
+        kernel, programs = n_thread_kernel(
+            [
+                [instr(Opcode.NOP), instr(Opcode.RET)],
+                [
+                    instr(Opcode.LOCK, Operand.make_lock("L")),
+                    instr(Opcode.MOVI, Operand.make_reg(3), Operand.make_imm(5)),
+                    instr(
+                        Opcode.STORE, Operand.make_addr(address), Operand.make_reg(3)
+                    ),
+                    instr(Opcode.UNLOCK, Operand.make_lock("L")),
+                    instr(Opcode.RET),
+                ],
+            ],
+            memory=image,
+            locks=["L"],
         )
-        sink.on_memory_access(thread, Instruction(Opcode.STORE, iid=33), 0x40, True)
-        assert accesses == [
+        machine = Machine(kernel)
+        first, second = (machine.create_thread(program) for program in programs)
+        while machine.runnable(first):
+            machine.run(first)  # executes NOP, RET: steps 1 and 2
+        machine.epoch = 2
+        machine.run(second)  # LOCK, MOVI, STORE (step 5), UNLOCK
+        assert machine.accesses == [
             MemoryAccess(
-                step=17,
+                step=5,
                 thread=1,
-                iid=33,
-                block_id=4,
-                address=0x40,
+                iid=kernel.blocks[1].instructions[2].iid,
+                block_id=1,
+                address=address,
                 is_write=True,
                 locks_held=frozenset({"L"}),
                 epoch=2,
             )
         ]
-        assert type(accesses[0]) is MemoryAccess and accesses[0].address == 0x40
+        record = machine.accesses[0]
+        assert type(record) is MemoryAccess and record.address == address
 
     def test_equal_locksets_in_distinct_objects(self):
         """Locksets are compared by value: a stream whose equal locksets

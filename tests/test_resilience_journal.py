@@ -237,6 +237,32 @@ class TestCampaignJournal:
             "ab79f29fb6ca11e6e04d51bf317142409212246bd53eb69fb0d12398423292c1"
         )
 
+    def test_result_digest_failed_outcomes_are_pinned(self):
+        # A hang and a quarantined result, from the two producers that
+        # record them, keep their digests: "completed" and "failure" are
+        # both hashed and must stay consistent.
+        from dataclasses import replace
+
+        from repro.execution.parallel import CTTask, _run_task
+        from repro.resilience.journal import result_digest
+        from repro.resilience.supervisor import _quarantined_result
+        from tests._oracle_kernels import three_thread_racy_kernel
+
+        kernel, programs, _ = three_thread_racy_kernel()
+        task = CTTask.build(programs, ())
+        hung = _run_task(kernel, replace(task, max_steps=5))
+        assert hung.failure == "hang" and hung.hung and not hung.completed
+        assert hung.covered_blocks[0] and not hung.deadlocked
+        quarantined = _quarantined_result(task)
+        assert quarantined.failure == "quarantined"
+        assert not quarantined.completed and not quarantined.deadlocked
+        assert result_digest(hung) == (
+            "5d7bb6de8ea9c87b99091ddd544ff8b1b68a78b82f78efbb914270b8a4b30b7b"
+        )
+        assert result_digest(quarantined) == (
+            "15badca6eb9bbfa24bdc39cc7a951c1bd10e0147fb5bbe98ec6bbd25c642c87e"
+        )
+
     def test_result_digest_covers_every_thread(self):
         # Wiping thread 2's coverage of a 3-thread result must change the
         # journal's digest and the fleet receipt's.

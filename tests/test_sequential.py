@@ -3,7 +3,10 @@
 import pytest
 
 from repro.execution import run_sequential
-from repro.kernel.isa import Opcode
+from repro.kernel.code import BasicBlock, Function, Kernel
+from repro.kernel.isa import Instruction, Opcode, Operand
+from repro.kernel.memory import MemoryImage
+from repro.kernel.syscalls import SyscallSpec
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +78,64 @@ class TestDataflowEdges:
     def test_footprint_queries(self, trace):
         assert trace.written_addresses() <= trace.accessed_addresses()
         assert trace.read_addresses() <= trace.accessed_addresses()
+
+
+def _instr(opcode, *operands):
+    return Instruction(opcode=opcode, operands=tuple(operands))
+
+
+def loop_and_call_kernel(iterations):
+    """One syscall: block 0 calls ``g`` (block 3) and jumps to block 1,
+    which loops on itself ``iterations`` times and then falls through to
+    block 2's RET."""
+    blocks = {
+        0: BasicBlock(block_id=0, function="f", instructions=[
+            _instr(Opcode.MOVI, Operand.make_reg(3), Operand.make_imm(iterations)),
+            _instr(Opcode.CALL, Operand.make_fn("g")),
+            _instr(Opcode.JMP, Operand.make_label(1)),
+        ], successors=[1]),
+        1: BasicBlock(block_id=1, function="f", instructions=[
+            _instr(Opcode.ADDI, Operand.make_reg(3), Operand.make_imm(-1)),
+            _instr(Opcode.JNZ, Operand.make_reg(3), Operand.make_label(1)),
+        ], successors=[1, 2]),
+        2: BasicBlock(block_id=2, function="f", instructions=[_instr(Opcode.RET)]),
+        3: BasicBlock(block_id=3, function="g", instructions=[
+            _instr(Opcode.NOP),
+            _instr(Opcode.RET),
+        ]),
+    }
+    functions = {
+        "f": Function(name="f", subsystem="s", entry_block=0, block_ids=[0, 1, 2]),
+        "g": Function(name="g", subsystem="s", entry_block=3, block_ids=[3]),
+    }
+    syscalls = {
+        "sys": SyscallSpec(name="sys", handler="f", subsystem="s", arg_ranges=())
+    }
+    return Kernel(
+        version="t", blocks=blocks, functions=functions, syscalls=syscalls,
+        memory=MemoryImage(), locks=[], bugs=[],
+    )
+
+
+class TestExactPath:
+    """The recorded path, entry by entry, on a hand-built kernel."""
+
+    @pytest.fixture(scope="class")
+    def path_trace(self):
+        return run_sequential(loop_and_call_kernel(3), [("sys", []), ("sys", [])])
+
+    def test_flow_edges_are_every_consecutive_entry_pair(self, path_trace):
+        # Per syscall the entries are 0, 3 (the call), 1, 1, 1 (the loop)
+        # and 2; the RET out of g resumes block 0 without entering it.
+        one_syscall = [(0, 3), (3, 1), (1, 1), (1, 1), (1, 2)]
+        assert path_trace.flow_edges == one_syscall + [(2, 0)] + one_syscall
+
+    def test_block_sequence_is_first_entry_order(self, path_trace):
+        assert path_trace.block_sequence == [0, 3, 1, 2]
+        assert path_trace.covered_blocks == {0, 1, 2, 3}
+
+    def test_call_return_does_not_reenter_the_caller(self, path_trace):
+        assert (3, 0) not in path_trace.flow_edges
+        # MOVI CALL | NOP RET | JMP | 3 x (ADDI JNZ) | RET, twice.
+        assert path_trace.num_steps == 2 * 12
+        assert path_trace.completed

@@ -31,9 +31,12 @@ from repro.execution import (
     run_concurrent_pct,
     run_sequential,
 )
-from repro.execution.concurrent import ConcurrentSink
-from repro.execution.machine import Machine, ThreadStatus, decode_program
-from repro.execution.sequential import _SequentialSink
+from repro.execution.machine import (
+    Machine,
+    ThreadStatus,
+    _decode_block,
+    decode_program,
+)
 from repro.execution.trace import ConcurrentResult, SequentialTrace
 from repro.kernel import EvolutionConfig, build_kernel, evolve_kernel
 from repro.kernel.isa import Opcode, Operand
@@ -56,8 +59,7 @@ def reference_run_concurrent(
 ):
     """The per-instruction SKI scheduling loop. Returns (result, machine)."""
     num_threads = len(stis)
-    sink = ConcurrentSink(num_threads)
-    machine = Machine(kernel, sink, max_steps=max_steps, memory_model=memory_model)
+    machine = Machine(kernel, max_steps=max_steps, memory_model=memory_model)
     threads = [machine.create_thread(sti) for sti in stis]
     pending_hints = list(hints)
     pending_irqs = sorted(irq_plan, key=lambda entry: entry[0])
@@ -70,7 +72,7 @@ def reference_run_concurrent(
         nonlocal current, num_switches
         current = target
         num_switches += 1
-        sink.epoch += 1
+        machine.epoch += 1
 
     try:
         while not machine.all_done():
@@ -132,14 +134,12 @@ def reference_run_concurrent(
     except ExecutionLimitExceeded:
         limit_hit = True
     result = ConcurrentResult(
-        covered_blocks=sink.covered,
-        accesses=sink.accesses,
-        bug_events=sink.bug_events,
+        covered_blocks=tuple(machine.covered),
+        accesses=machine.accesses,
+        bug_events=machine.bug_events,
         num_switches=num_switches,
         hints_enforced=hints_enforced,
-        steps=sink.step,
-        completed=not limit_hit and not deadlocked,
-        deadlocked=deadlocked,
+        steps=machine.steps,
         irqs_fired=irqs_fired,
         failure="hang" if limit_hit else ("deadlock" if deadlocked else None),
     )
@@ -150,8 +150,7 @@ def reference_run_concurrent_pct(
     kernel, stis, scheduler, max_steps=200_000, memory_model="sc"
 ):
     """PCT deciding the running thread before every single step."""
-    sink = ConcurrentSink(len(stis))
-    machine = Machine(kernel, sink, max_steps=max_steps, memory_model=memory_model)
+    machine = Machine(kernel, max_steps=max_steps, memory_model=memory_model)
     threads = [machine.create_thread(sti) for sti in stis]
     num_switches = 0
     previous = None
@@ -164,34 +163,51 @@ def reference_run_concurrent_pct(
                 break
             if previous is not None and previous != tid:
                 num_switches += 1
-                sink.epoch += 1
+                machine.epoch += 1
             previous = tid
             machine.step(threads[tid])
             scheduler.on_step(machine.total_steps, tid)
     except ExecutionLimitExceeded:
         limit_hit = True
     result = ConcurrentResult(
-        covered_blocks=sink.covered,
-        accesses=sink.accesses,
-        bug_events=sink.bug_events,
+        covered_blocks=tuple(machine.covered),
+        accesses=machine.accesses,
+        bug_events=machine.bug_events,
         num_switches=num_switches,
-        steps=sink.step,
-        completed=not limit_hit and not deadlocked,
-        deadlocked=deadlocked,
+        steps=machine.steps,
         failure="hang" if limit_hit else ("deadlock" if deadlocked else None),
     )
     return result, machine
 
 
 def reference_run_sequential(kernel, syscalls, sti_id=-1, max_steps=200_000):
+    """One step per iteration; the trace is built per block entry, as a
+    recorder called at each entry would build it."""
     trace = SequentialTrace(sti_id=sti_id)
-    machine = Machine(kernel, _SequentialSink(trace), max_steps=max_steps)
+    machine = Machine(kernel, max_steps=max_steps)
+    machine.iid_trace, machine.block_trace = trace.iid_trace, []
     thread = machine.create_thread(syscalls)
+    seen = 0
+    previous = None
+
+    def fold_entries():
+        nonlocal seen, previous
+        for block_id in machine.block_trace[seen:]:
+            if previous is not None:
+                trace.flow_edges.append((previous, block_id))
+            previous = block_id
+            if block_id not in trace.covered_blocks:
+                trace.covered_blocks.add(block_id)
+                trace.block_sequence.append(block_id)
+        seen = len(machine.block_trace)
+
     try:
         while machine.runnable(thread):
             machine.step(thread)
+            fold_entries()
     except ExecutionLimitExceeded:
         trace.completed = False
+    trace.accesses, trace.bug_events = machine.accesses, machine.bug_events
     return trace
 
 
@@ -389,19 +405,19 @@ class TestStepAccounting:
             [[instr(Opcode.NOP), instr(Opcode.RET)]],
             irq_bodies=[[instr(Opcode.NOP), instr(Opcode.NOP), instr(Opcode.RET)]],
         )
-        machine = Machine(kernel, ConcurrentSink(1))
+        machine = Machine(kernel)
         thread = machine.create_thread(programs[0])
         machine.step(thread)  # syscall dispatch: a step, not an instruction
-        assert (machine.total_steps, machine.sink.step, thread.steps) == (1, 0, 0)
+        assert (machine.total_steps, machine.steps, thread.steps) == (1, 0, 0)
         assert machine.last_iid is None
         machine.step(thread)
-        assert (machine.total_steps, machine.sink.step, thread.steps) == (2, 1, 1)
+        assert (machine.total_steps, machine.steps, thread.steps) == (2, 1, 1)
         machine.fire_irq(thread, "irq0")  # handler steps are not the thread's
-        assert (machine.total_steps, machine.sink.step, thread.steps) == (5, 4, 1)
+        assert (machine.total_steps, machine.steps, thread.steps) == (5, 4, 1)
         assert machine.last_iid == kernel.blocks[1].instructions[2].iid
         machine.run(thread)
         assert thread.status is ThreadStatus.DONE
-        assert (machine.total_steps, machine.sink.step, thread.steps) == (6, 5, 2)
+        assert (machine.total_steps, machine.steps, thread.steps) == (6, 5, 2)
 
     def test_blocked_step_is_free_and_lock_retry_is_not(self):
         def body():
@@ -516,11 +532,11 @@ class TestDecodedProgram:
         assert decode_program(kernel) is program
         assert set(program) == set(kernel.blocks)
         for block_id, block in kernel.blocks.items():
+            assert program[block_id] == _decode_block(kernel, block)
             *code, sentinel = program[block_id]
-            assert sentinel[4] is None
+            assert sentinel[3] == -1
             assert len(code) == len(block.instructions)
-            for (_, _, _, iid, decoded), instruction in zip(code, block.instructions):
-                assert decoded is instruction
+            for (_, _, _, iid), instruction in zip(code, block.instructions):
                 assert iid == instruction.iid
 
     def test_serialize_round_trip_decodes_afresh(self):
