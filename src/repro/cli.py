@@ -23,7 +23,7 @@ Runs the pipeline stages a downstream user needs without writing code:
   attach to it with ``campaign --serve-socket PATH`` (shared model and
   prediction cache; see ``docs/SERVING.md``)
 - ``fleet``     — fault-tolerant distributed campaign (``run``): a
-  coordinator leases score/execute jobs to N
+  coordinator hands score/execute jobs to N
   worker processes, survives worker crashes/hangs and its own SIGKILL
   (``--resume``), and aggregates byte-identically to the
   single-process campaign (see ``docs/FLEET.md``). ``campaign`` and
@@ -388,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = commands.add_parser(
         "fleet",
         help="fault-tolerant distributed campaign fleet: coordinator + "
-        "leased workers with crash-exact aggregation (see docs/FLEET.md)",
+        "worker processes with crash-exact aggregation (see docs/FLEET.md)",
     )
     fleet_actions = fleet.add_subparsers(dest="action", required=True)
     fleet_run = fleet_actions.add_parser(
-        "run", help="run a campaign sharded across N leased worker processes"
+        "run", help="run a campaign sharded across N worker processes"
     )
     _add_run_flags(fleet_run, ctis=6)
     fleet_run.add_argument(
@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-seconds",
         type=float,
         default=30.0,
-        help="silence (no pipe traffic, no heartbeat) after which a "
-        "worker's lease is revoked and its job reassigned",
+        help="seconds one job may run after dispatch before its worker "
+        "is declared wedged, killed, and the job reassigned",
     )
     fleet_run.add_argument(
         "--max-job-attempts",
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat-dir",
         metavar="DIR",
         default=None,
-        help="directory for coordinator + worker heartbeat files "
+        help="directory for the coordinator's heartbeat file "
         "(watch with 'repro top DIR')",
     )
     fleet_run.add_argument(
@@ -642,7 +642,7 @@ def _spec_from_args(args) -> RunSpec:
         raise SpecError("--journal and --resume are mutually exclusive")
     if args.command == "fleet":
         strategy = None if args.pct_only else args.strategy
-        runner = {}  # a fleet leases its executions: FleetConfig says how
+        runner = {}  # a fleet runs its executions: FleetConfig says how
         extras = dict(
             fleet=FleetConfig(
                 workers=args.workers,

@@ -27,7 +27,7 @@ run anywhere, in any order. Two drivers call the stages: ``explore_cti``
 (what :func:`run_campaign` uses) runs them back to back and scores
 lazily inside ``select``, so predicting stops once the budget is met;
 the fleet coordinator (:mod:`repro.fleet.coordinator`) lets a later
-CTI's ``select`` and ``fold`` wait on leased workers and hands
+CTI's ``select`` and ``fold`` wait on worker processes and hands
 ``select`` whole-pool bitmaps. A stage may run ahead of the next, never
 out of stream order.
 """

@@ -11,12 +11,14 @@ This module is also the one place a process boundary is implemented:
 :func:`worker_main` is the child loop and :class:`WorkerProcess` the
 parent handle of every forked worker in the repo — the CT pool behind
 ``--workers`` (:class:`~repro.resilience.supervisor.SupervisedRunner`)
-and the fleet's leased workers (:mod:`repro.fleet.worker`). Both keep
-their own policy (deadline/retry/quarantine there, leases/receipts
-there) and share the mechanism. A worker process buys isolation — a CT
-that wedges or kills its executor costs one worker, not the campaign —
-not speed: a CT is cheaper than pickling it through a pipe (see
-``docs/PERFORMANCE.md``).
+and the fleet's workers (:mod:`repro.fleet.worker`). Both share the
+mechanism and one liveness rule: a worker is dead when its pipe hits
+EOF, and wedged when its job is still unanswered a fixed number of
+seconds after dispatch (:func:`overdue`). What follows — retry and
+quarantine there, reassignment and receipts there — is each caller's
+policy. A worker process buys isolation — a CT that wedges or kills its
+executor costs one worker, not the campaign — not speed: a CT is
+cheaper than pickling it through a pipe (see ``docs/PERFORMANCE.md``).
 
 Determinism contract:
 
@@ -53,6 +55,7 @@ __all__ = [
     "SerialCTRunner",
     "WorkerProcess",
     "make_runner",
+    "overdue",
     "worker_main",
 ]
 
@@ -60,9 +63,13 @@ __all__ = [
 CRASH_EXIT_STATUS = 13
 
 #: How long an injected ``hang`` sleeps inside a worker. The parent's
-#: deadline (or lease) always expires first and the worker is killed
-#: before it wakes.
+#: deadline always expires first and the worker is killed before it
+#: wakes.
 HANG_SLEEP_SECONDS = 600.0
+
+#: Longest a parent waits for worker replies before it checks deadlines
+#: again: how late past its deadline a wedged worker may be noticed.
+POLL_SECONDS = 0.05
 
 Program = Tuple[Tuple[str, Tuple[int, ...]], ...]
 
@@ -173,21 +180,14 @@ def reemit_execution_counters(results: Sequence[ConcurrentResult]) -> None:
     _count_hangs(results)
 
 
-def worker_main(
-    conn,
-    handle_job: Callable[[object], object],
-    before_job: Optional[Callable[[object, Optional[str]], None]] = None,
-    after_reply: Optional[Callable[[], None]] = None,
-) -> None:
+def worker_main(conn, handle_job: Callable[[object], object]) -> None:
     """The child side of every worker process: one job at a time.
 
     Receives ``(job, fault_kind)`` messages (``None`` shuts down) and
     answers each with ``("ok", handle_job(job))`` or ``("error", text)``.
     ``fault_kind`` is an injected fault (:mod:`repro.resilience.faults`):
-    ``crash`` exits abruptly, ``hang`` sleeps until the parent kills us,
-    ``transient`` fails the attempt. ``before_job(job, fault_kind)`` runs
-    before the fault takes effect and ``after_reply()`` after each reply
-    is sent — the fleet's heartbeat hooks.
+    ``crash`` exits abruptly, ``hang`` sleeps until the parent's
+    deadline kills us, ``transient`` fails the attempt.
     """
     # A registry inherited across fork would double-write events (and
     # interleave with the parent on a shared file descriptor).
@@ -211,8 +211,6 @@ def worker_main(
         if message is None:
             return
         job, fault_kind = message
-        if before_job is not None:
-            before_job(job, fault_kind)
         if fault_kind == "crash":
             os._exit(CRASH_EXIT_STATUS)
         if fault_kind == "hang":
@@ -229,8 +227,6 @@ def worker_main(
             conn.send(reply)
         except OSError:  # the parent is gone
             return
-        if after_reply is not None:
-            after_reply()
 
 
 class WorkerProcess:
@@ -238,9 +234,10 @@ class WorkerProcess:
 
     ``target(conn, *args)`` runs in the child and must end up in
     :func:`worker_main`. The handle tracks the one job in flight (any
-    caller-side token) and when it was dispatched; what a late or dead
-    worker *means* — retry, quarantine, lease expiry — is the caller's
-    policy.
+    caller-side token) and when it was dispatched (monotonic clock, the
+    start of the job's deadline, see :func:`overdue`); what a late or
+    dead worker *means* — retry, quarantine, reassignment — is the
+    caller's policy.
     """
 
     def __init__(self, target: Callable[..., None], *args: object) -> None:
@@ -317,6 +314,25 @@ def wait_ready(workers: Iterable[WorkerProcess], timeout: float) -> List[WorkerP
     busy = [worker for worker in workers if not worker.idle]
     ready = mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
     return [worker for worker in busy if worker.conn in ready]
+
+
+def overdue(
+    workers: Iterable[WorkerProcess], seconds: float, now: float
+) -> List[WorkerProcess]:
+    """The busy ``workers`` whose job is still unanswered ``seconds``
+    after its dispatch, as of the monotonic time ``now``.
+
+    The one liveness rule for every worker process: a worker that dies
+    surfaces as an EOF on :meth:`WorkerProcess.recv`, and one that
+    wedges — in a job that never returns, an injected ``hang``, a lost
+    reply — surfaces here. The caller kills it and decides what its job
+    becomes.
+    """
+    return [
+        worker
+        for worker in workers
+        if not worker.idle and now >= worker.dispatched_at + seconds
+    ]
 
 
 def make_runner(workers: int, policy=None, fault_plan=None):

@@ -156,14 +156,12 @@ class RaceDetector:
     def __init__(self, proximity_window: int = DEFAULT_PROXIMITY_WINDOW) -> None:
         self.proximity_window = proximity_window
         self._seen: Set[RaceKey] = set()
-        # Indexes over ``_seen`` for the per-execution triage queries.
+        # Index over ``_seen`` for the per-execution triage query.
         self._addresses: Set[int] = set()
-        self._pairs: Set[Tuple[int, int]] = set()
 
     def _add(self, keys: Set[RaceKey]) -> None:
         self._seen |= keys
         self._addresses.update(address for _, _, address in keys)
-        self._pairs.update((low, high) for low, high, _ in keys)
 
     def observe(self, result: ConcurrentResult) -> Set[PotentialRace]:
         """Record races from one execution; returns only the new ones."""
@@ -179,10 +177,6 @@ class RaceDetector:
     def races(self) -> FrozenSet[PotentialRace]:
         return frozenset(_as_races(self._seen))
 
-    def has_pair(self, write_iid: int, read_iid: int) -> bool:
-        """Whether a specific static pair has been observed racing."""
-        return tuple(sorted((write_iid, read_iid))) in self._pairs
-
     def state_dict(self) -> List[List[int]]:
         """JSON-serializable snapshot (sorted ``[lo, hi, address]`` rows).
 
@@ -194,7 +188,7 @@ class RaceDetector:
 
     def load_state(self, state: Sequence[Sequence[int]]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        self._seen, self._addresses, self._pairs = set(), set(), set()
+        self._seen, self._addresses = set(), set()
         self._add({(int(lo), int(hi), int(address)) for lo, hi, address in state})
 
     def has_address(self, address: int) -> bool:

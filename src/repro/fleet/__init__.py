@@ -1,15 +1,14 @@
 """Fault-tolerant distributed campaign fleet (see ``docs/FLEET.md``).
 
 A coordinator shards a campaign's CTIs into pure score/execute jobs,
-leases them to forked workers with heartbeat-renewed deadlines, rides
-out worker crashes, hangs, and serve-server restarts, journals its own
+hands them to forked workers under a per-job deadline, rides out
+worker crashes, hangs, and serve-server restarts, journals its own
 progress for crash-exact resume, and folds the results into a
 :class:`~repro.core.mlpct.CampaignResult` byte-identical to the
 single-process campaign — with a provenance receipt for every job.
 """
 
 from repro.fleet.coordinator import FleetConfig, FleetCoordinator, run_fleet
-from repro.fleet.leases import Lease, LeaseTable
 from repro.fleet.receipts import (
     RECEIPT_SCHEMA,
     load_receipt,
@@ -23,8 +22,6 @@ __all__ = [
     "FleetConfig",
     "FleetCoordinator",
     "run_fleet",
-    "Lease",
-    "LeaseTable",
     "RECEIPT_SCHEMA",
     "receipt_path",
     "write_receipt",

@@ -1,4 +1,4 @@
-"""Fleet coordinator: shard a campaign across leased workers, aggregate
+"""Fleet coordinator: shard a campaign across worker processes, aggregate
 crash-exactly.
 
 The coordinator is the only process that holds campaign *state* — the
@@ -29,7 +29,8 @@ between to the workers:
 
 There is no fleet-side selection or accounting logic to keep in step
 with the explorer's; what differs from the inline driver is scheduling
-only (asynchronous, leased, whole pools scored ahead of selection).
+only (asynchronous, deadline-bound, whole pools scored ahead of
+selection).
 
 Crash-exact resume: the coordinator reuses the campaign journal
 (:mod:`repro.resilience.journal`) — one record per *folded* CTI plus an
@@ -43,17 +44,22 @@ its last fold and reproduces the identical aggregate.
 Fault injection reuses :class:`repro.resilience.faults.FaultPlan`,
 keyed by fleet job id (score job for CTI ``k`` is ``2k``, execute job
 is ``2k+1`` — stable across resume): ``crash`` kills the worker,
-``hang`` wedges it until its lease expires, ``transient`` fails one
-attempt, ``die@j`` kills the *coordinator* at dispatch (for
-crash-resume tests). Every accepted job writes a provenance receipt
-(:mod:`repro.fleet.receipts`).
+``hang`` wedges it, ``transient`` fails one attempt, ``die@j`` kills
+the *coordinator* at dispatch (for crash-resume tests). Every accepted
+job writes a provenance receipt (:mod:`repro.fleet.receipts`).
+
+Liveness is the rule every worker process has
+(:func:`~repro.execution.parallel.overdue`): a worker whose pipe hits
+EOF died, and one whose job is unanswered ``lease_seconds`` after
+dispatch is wedged — whatever wedged it. Either way the coordinator
+buries it (SIGKILL and reap), reassigns the job with its attempt
+bumped, and respawns or quarantines the slot. A job's *lease* is just
+that: its dispatch plus ``lease_seconds``.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -65,11 +71,12 @@ from repro import obs
 from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats
 from repro.errors import FleetError
 from repro.execution.parallel import (
+    POLL_SECONDS,
     WorkerProcess,
+    overdue,
     reemit_execution_counters,
     wait_ready,
 )
-from repro.fleet.leases import LeaseTable
 from repro.fleet.receipts import (
     execute_inputs_digest,
     execute_result_digest,
@@ -80,7 +87,7 @@ from repro.fleet.receipts import (
 )
 from repro.fleet.report import FleetReport
 from repro.fleet.worker import WorkerSpec, _fleet_worker_main
-from repro.obs.export import HeartbeatWriter, read_heartbeat
+from repro.obs.export import HeartbeatWriter
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import CampaignJournal
 from repro.resilience.supervisor import DIE_EXIT_STATUS
@@ -94,14 +101,12 @@ class FleetConfig:
 
     #: Worker processes (each forked, one job at a time).
     workers: int = 2
-    #: Seconds of silence (no pipe traffic, no heartbeat-file write)
-    #: after which a worker's lease is revoked and its job reassigned.
+    #: Seconds a dispatched job may go unanswered before its worker is
+    #: buried and the job reassigned. A healthy job, serve-socket
+    #: retries included, must finish within it.
     lease_seconds: float = 30.0
-    #: Worker heartbeat-file rewrite interval.
-    heartbeat_interval: float = 0.2
-    #: Directory for coordinator + worker heartbeat files (``repro top
-    #: DIR`` renders it). ``None`` uses a private temp dir, deleted at
-    #: exit — leases still work, nothing is observable.
+    #: Directory for the coordinator's heartbeat file (``repro top DIR``
+    #: renders it); ``None`` writes none.
     heartbeat_dir: Optional[str] = None
     #: Directory for per-job provenance receipts; ``None`` disables them.
     receipts_dir: Optional[str] = None
@@ -123,8 +128,6 @@ class FleetConfig:
     #: a serve-server restart, not fail the job).
     serve_retries: int = 8
     serve_backoff_seconds: float = 0.25
-    #: Event-loop poll interval.
-    poll_seconds: float = 0.05
 
 
 def _check_shardable(exploration, config: FleetConfig) -> None:
@@ -147,7 +150,7 @@ def _check_shardable(exploration, config: FleetConfig) -> None:
 
 @dataclass
 class _Job:
-    """One leased unit of work. Job ids are a stable function of the CTI
+    """One unit of work. Job ids are a stable function of the CTI
     (score = ``2k``, execute = ``2k+1``) so fault plans and receipts
     mean the same thing before and after a coordinator resume."""
 
@@ -190,11 +193,11 @@ class FleetCoordinator:
         self.config = config or FleetConfig()
         self.journal = journal
         _check_shardable(explorer.config, self.config)
-        #: The model score jobs run against in the workers (fork-shared).
-        self._predictor = explorer.scorer.predictor if explorer.predicts else None
+        # The model score jobs run against in the workers (fork-shared).
+        predictor = explorer.scorer.predictor if explorer.predicts else None
         if (
             explorer.predicts
-            and self._predictor is None
+            and predictor is None
             and self.config.serve_socket is None
         ):
             raise FleetError(
@@ -202,12 +205,22 @@ class FleetCoordinator:
                 "predictor and FleetConfig.serve_socket is unset"
             )
         explorer.journaled = journal is not None
+        #: What every worker this coordinator forks is handed.
+        self._spec = WorkerSpec(
+            kernel=explorer.kernel,
+            graphs=explorer.graphs,
+            ctis=self.ctis,
+            batch_size=explorer.config.score_batch_size,
+            predictor=predictor,
+            serve_socket=self.config.serve_socket,
+            serve_retries=self.config.serve_retries,
+            serve_backoff_seconds=self.config.serve_backoff_seconds,
+        )
         self.fault_plan = (
             FaultPlan.parse(self.config.fault_spec, seed=explorer.seed)
             if self.config.fault_spec
             else None
         )
-        self.leases = LeaseTable(self.config.lease_seconds)
         self.report = FleetReport(
             campaign=explorer.label,
             workers=self.config.workers,
@@ -219,15 +232,11 @@ class FleetCoordinator:
         self._workers: List[Optional[WorkerProcess]] = []
         self._deaths: Dict[int, int] = {}
         self._quarantined: set = set()
-        self._beat_seen: Dict[int, float] = {}
         self._next_select = 0
         self._next_fold = 0
         self._result_stats: List[ExplorationStats] = []
         self._outstanding = 0  # jobs dispatched or pending, not yet accepted
-        self._heartbeat_dir = self.config.heartbeat_dir
-        self._own_heartbeat_dir = False
         self._coordinator_beat: Optional[HeartbeatWriter] = None
-        self._last_liveness = 0.0
 
     # -- the explorer's stages, in strict CTI order ---------------------------
 
@@ -294,23 +303,11 @@ class FleetCoordinator:
 
     # -- workers, dispatch, liveness -----------------------------------------
 
-    def _spawn_worker(self, slot: int) -> WorkerProcess:
-        spec = WorkerSpec(
-            worker_id=slot,
-            kernel=self.explorer.kernel,
-            graphs=self.explorer.graphs,
-            ctis=self.ctis,
-            batch_size=self.explorer.config.score_batch_size,
-            predictor=self._predictor,
-            serve_socket=self.config.serve_socket,
-            serve_retries=self.config.serve_retries,
-            serve_backoff_seconds=self.config.serve_backoff_seconds,
-            heartbeat_path=os.path.join(
-                self._heartbeat_dir, f"worker-{slot}.json"
-            ),
-            heartbeat_interval=self.config.heartbeat_interval,
-        )
-        return WorkerProcess(_fleet_worker_main, spec)
+    def _spawn_worker(self) -> WorkerProcess:
+        return WorkerProcess(_fleet_worker_main, self._spec)
+
+    def _live_workers(self) -> List[WorkerProcess]:
+        return [worker for worker in self._workers if worker is not None]
 
     def _fault_kind(self, job: _Job) -> Optional[str]:
         if self.fault_plan is None:
@@ -332,8 +329,8 @@ class FleetCoordinator:
             message["tasks"] = flight.plan.tasks
         return message
 
-    def _dispatch_ready(self, now: float) -> None:
-        for slot, worker in enumerate(self._workers):
+    def _dispatch_ready(self) -> None:
+        for worker in self._workers:
             if not self._pending:
                 return
             if worker is None or not worker.idle:
@@ -348,7 +345,6 @@ class FleetCoordinator:
                 # dispatch time looks like to the fleet journal.
                 os._exit(DIE_EXIT_STATUS)
             worker.dispatch(job, self._job_message(job), self._fault_kind(job))
-            self.leases.grant(job.job_id, slot, job.attempt, now)
             obs.add("fleet.dispatched")
 
     def _reassign(self, job: _Job) -> None:
@@ -366,12 +362,9 @@ class FleetCoordinator:
         obs.add("fleet.reassignments")
 
     def _bury_worker(self, slot: int, job: Optional[_Job]) -> None:
-        """Kill a dead/expired worker's process, reassign its job, and
+        """Kill a dead or overdue worker's process, reassign its job, and
         respawn or quarantine the slot."""
-        worker = self._workers[slot]
-        worker.kill()
-        self.leases.release(slot)
-        self._beat_seen.pop(slot, None)
+        self._workers[slot].kill()
         self.report.worker_deaths += 1
         obs.add("fleet.worker_deaths")
         deaths = self._deaths.get(slot, 0) + 1
@@ -389,12 +382,11 @@ class FleetCoordinator:
                     f"{self._outstanding} jobs outstanding"
                 )
         else:
-            self._workers[slot] = self._spawn_worker(slot)
+            self._workers[slot] = self._spawn_worker()
 
     def _accept(self, slot: int, worker: WorkerProcess, reply) -> None:
         status, body = reply
         job = worker.take_job()
-        self.leases.release(slot)
         if status == "error":
             self.report.transient_errors += 1
             obs.add("fleet.transient_errors")
@@ -451,57 +443,37 @@ class FleetCoordinator:
         self.report.receipts += 1
 
     def _drain_messages(self) -> None:
-        live = [worker for worker in self._workers if worker is not None]
+        live = self._live_workers()
         if all(worker.idle for worker in live):
             if not self._pending:
-                time.sleep(self.config.poll_seconds)
+                time.sleep(POLL_SECONDS)
             return
-        for worker in wait_ready(live, self.config.poll_seconds):
+        for worker in wait_ready(live, POLL_SECONDS):
             slot = self._workers.index(worker)
             reply = worker.recv()
             if reply is None:
                 # Pipe gone: the worker process died mid-job.
                 self._bury_worker(slot, worker.take_job())
             else:
-                self.leases.renew(slot, time.monotonic())
                 self._accept(slot, worker, reply)
 
-    def _check_liveness(self, now: float) -> None:
-        if now - self._last_liveness < min(
-            1.0, max(self.config.lease_seconds / 4.0, self.config.poll_seconds)
+    def _check_liveness(self) -> None:
+        for worker in overdue(
+            self._live_workers(), self.config.lease_seconds, time.monotonic()
         ):
-            return
-        self._last_liveness = now
-        # Heartbeat-file writes renew leases (a busy worker mid-job sends
-        # nothing on the pipe, but its beat thread keeps writing).
-        for slot, worker in enumerate(self._workers):
-            if worker is None or worker.idle:
-                continue
-            beat = read_heartbeat(
-                os.path.join(self._heartbeat_dir, f"worker-{slot}.json")
-            )
-            if beat is None:
-                continue
-            stamp = float(beat.get("updated_unix", 0.0))
-            if stamp > self._beat_seen.get(slot, 0.0):
-                self._beat_seen[slot] = stamp
-                self.leases.renew(slot, now)
-        for lease in self.leases.expired(now):
-            worker = self._workers[lease.worker]
-            if worker is None:
-                continue
             self.report.lease_expirations += 1
             obs.add("fleet.lease_expirations")
-            self._bury_worker(lease.worker, worker.take_job())
+            self._bury_worker(self._workers.index(worker), worker.take_job())
 
     def _beat(self, force: bool = False) -> None:
         if self._coordinator_beat is None:
             return
         now = time.monotonic()
-        leases = "".join(
-            f"; w{lease.worker} job {lease.job_id} attempt {lease.attempt} "
-            f"age {lease.age(now):.1f}s"
-            for lease in self.leases.active()
+        busy = "".join(
+            f"; w{slot} job {worker.job.job_id} attempt {worker.job.attempt} "
+            f"age {now - worker.dispatched_at:.1f}s"
+            for slot, worker in enumerate(self._workers)
+            if worker is not None and not worker.idle
         )
         self._coordinator_beat.update(
             done=self._next_fold,
@@ -509,7 +481,7 @@ class FleetCoordinator:
             executions=sum(stats.executions for stats in self._result_stats),
             force=force,
             detail=f"pending {len(self._pending)}, reassigned "
-            f"{self.report.reassignments}{leases}",
+            f"{self.report.reassignments}{busy}",
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -525,27 +497,23 @@ class FleetCoordinator:
         self._next_select = start_index
         self._next_fold = start_index
         self.report.resumed_ctis = start_index
-        if self._heartbeat_dir is None:
-            self._heartbeat_dir = tempfile.mkdtemp(prefix="repro-fleet-hb-")
-            self._own_heartbeat_dir = True
-        else:
-            os.makedirs(self._heartbeat_dir, exist_ok=True)
         if self.config.receipts_dir is not None:
             os.makedirs(self.config.receipts_dir, exist_ok=True)
-        self._coordinator_beat = HeartbeatWriter(
-            os.path.join(self._heartbeat_dir, "coordinator.json"),
-            interval=max(self.config.heartbeat_interval, 0.2),
-            role="coordinator",
-        )
-        self._coordinator_beat.begin(
-            f"fleet:{self.explorer.label}", len(self.ctis), done=start_index
-        )
+        if self.config.heartbeat_dir is not None:
+            os.makedirs(self.config.heartbeat_dir, exist_ok=True)
+            self._coordinator_beat = HeartbeatWriter(
+                os.path.join(self.config.heartbeat_dir, "coordinator.json"),
+                role="coordinator",
+            )
+            self._coordinator_beat.begin(
+                f"fleet:{self.explorer.label}", len(self.ctis), done=start_index
+            )
         self._plan(start_index)
         # CTIs with nothing to score (PCT: all of them) are selected here,
         # so their execute jobs are queued before the workers fork.
         self._advance_pipeline()
         self._workers = [
-            self._spawn_worker(slot) for slot in range(self.config.workers)
+            self._spawn_worker() for _ in range(self.config.workers)
         ]
         return start_index
 
@@ -554,8 +522,6 @@ class FleetCoordinator:
             if worker is not None:
                 worker.stop()
         self._workers = []
-        if self._own_heartbeat_dir and self._heartbeat_dir:
-            shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
 
     def _finish(self) -> Tuple[CampaignResult, FleetReport]:
         campaign = self.explorer.result()
@@ -599,10 +565,9 @@ class FleetCoordinator:
             self._setup()
             try:
                 while self._next_fold < len(self.ctis):
-                    now = time.monotonic()
-                    self._dispatch_ready(now)
+                    self._dispatch_ready()
                     self._drain_messages()
-                    self._check_liveness(time.monotonic())
+                    self._check_liveness()
                     self._advance_pipeline()
                     self._beat()
                     self._check_stall()

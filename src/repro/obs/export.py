@@ -152,8 +152,8 @@ class HeartbeatWriter:
 
     Every file-based live view is written by one of these — a campaign's
     ``--heartbeat`` file (``role="campaign"``), a fleet's
-    ``coordinator.json`` and ``worker-N.json``, the learn worker's
-    ``learn.json`` — and :func:`render_top` renders them all alike. The
+    ``coordinator.json``, the learn worker's ``learn.json`` — and
+    :func:`render_top` renders them all alike. The
     producer formats ``detail`` (one short string per update); the
     renderer never interprets ``role``.
 

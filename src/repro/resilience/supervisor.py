@@ -51,9 +51,11 @@ from typing import Deque, Dict, List, Optional, Sequence
 from repro import obs
 from repro.errors import ExecutionError
 from repro.execution.parallel import (
+    POLL_SECONDS,
     CTTask,
     WorkerProcess,
     _run_task,
+    overdue,
     reemit_execution_counters,
     wait_ready,
     worker_main,
@@ -327,12 +329,7 @@ class SupervisedRunner:
                     job = pending.popleft()
                     self._maybe_die(job)
                     worker.dispatch(job, job.task, self._fault_kind(job))
-            timeout = self.policy.timeout_seconds
-            next_deadline = timeout + min(
-                worker.dispatched_at for worker in self._pool if not worker.idle
-            )
-            wait = min(next_deadline - time.monotonic(), 0.25)
-            for worker in wait_ready(self._pool, max(0.0, wait)):
+            for worker in wait_ready(self._pool, POLL_SECONDS):
                 job = worker.take_job()
                 reply = worker.recv()
                 if reply is None:
@@ -348,13 +345,13 @@ class SupervisedRunner:
                     continue
                 self._finish_failed(job, pending, results)
             # Enforce deadlines on whoever is still busy.
-            now = time.monotonic()
-            for worker in self._pool:
-                if not worker.idle and now >= worker.dispatched_at + timeout:
-                    job = worker.take_job()
-                    self._account_timeout()
-                    self._replace_worker(kernel, worker)
-                    self._finish_failed(job, pending, results)
+            for worker in overdue(
+                self._pool, self.policy.timeout_seconds, time.monotonic()
+            ):
+                job = worker.take_job()
+                self._account_timeout()
+                self._replace_worker(kernel, worker)
+                self._finish_failed(job, pending, results)
 
     def _finish_failed(
         self,

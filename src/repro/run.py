@@ -55,7 +55,7 @@ class RunSpec:
     #: Budgets, scenario axes and how selected CTs execute inline. The
     #: inline fault spec lives here, a fleet's in ``fleet.fault_spec``.
     exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
-    #: Shard the run across leased worker processes instead of running it
+    #: Shard the run across worker processes instead of running it
     #: inline. ``fleet.serve_socket`` is filled in from ``serve_socket``.
     fleet: Optional[FleetConfig] = None
     #: Model source: a PIC checkpoint to load (inline, an unusable one

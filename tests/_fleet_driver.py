@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     config = FleetConfig(
         workers=args.workers,
         lease_seconds=5.0,
-        heartbeat_interval=0.1,
         fault_spec=args.fault_spec,
         receipts_dir=args.receipts,
     )

@@ -1,4 +1,4 @@
-"""Fleet subsystem tests: leases, receipts, crash-exact aggregation.
+"""Fleet subsystem tests: job deadlines, receipts, crash-exact aggregation.
 
 The differential core: a fleet of N workers — with or without injected
 worker crashes, hangs, transient errors, a serve-server restart, or a
@@ -32,9 +32,9 @@ from repro.core.mlpct import (
 )
 from repro.core.strategies import make_strategy
 from repro.errors import FleetError, ServeError
+from repro.execution.parallel import overdue
 from repro.fleet import (
     FleetConfig,
-    LeaseTable,
     load_receipt,
     receipt_path,
     run_fleet,
@@ -95,45 +95,37 @@ def _mlpct(dataset_builder, tiny_model):
 
 
 def _fleet_config(**overrides) -> FleetConfig:
-    base = dict(workers=2, lease_seconds=5.0, heartbeat_interval=0.05)
+    base = dict(workers=2, lease_seconds=5.0)
     base.update(overrides)
     return FleetConfig(**base)
 
 
-# -- leases -------------------------------------------------------------------
+# -- job deadlines ------------------------------------------------------------
 
 
-class TestLeaseTable:
-    def test_grant_renew_release(self):
-        table = LeaseTable(lease_seconds=10.0)
-        table.grant(job_id=4, worker=1, attempt=0, now=100.0)
-        lease = table.lease_of(1)
-        assert lease.job_id == 4 and lease.attempt == 0
-        assert lease.age(103.0) == pytest.approx(3.0)
-        table.renew(1, 105.0)
-        assert table.lease_of(1).idle(106.0) == pytest.approx(1.0)
-        table.release(1)
-        assert table.lease_of(1) is None
-        assert table.grants == 1 and table.renewals == 1
+class _Handle:
+    """What :func:`overdue` reads of a ``WorkerProcess``."""
 
-    def test_expiry_is_idle_based_not_age_based(self):
-        table = LeaseTable(lease_seconds=2.0)
-        table.grant(job_id=0, worker=0, attempt=0, now=0.0)
-        # Renewals keep a long-running job alive indefinitely...
-        for now in (1.0, 2.0, 3.0):
-            table.renew(0, now)
-            assert table.expired(now + 1.0) == []
-        # ...and only silence past the deadline expires it.
-        expired = table.expired(6.0)
-        assert [lease.worker for lease in expired] == [0]
-        assert table.lease_of(0) is None
-        assert table.expirations == 1
+    def __init__(self, job=None, dispatched_at=0.0):
+        self.job = job
+        self.dispatched_at = dispatched_at
 
-    def test_renew_without_lease_is_noop(self):
-        table = LeaseTable(lease_seconds=1.0)
-        table.renew(3, 50.0)
-        assert table.lease_of(3) is None
-        assert table.renewals == 0
+    @property
+    def idle(self):
+        return self.job is None
+
+
+class TestOverdue:
+    def test_expiry_is_age_based(self):
+        """A job's deadline runs from its dispatch: nothing a wedged
+        worker does (or fails to do) in between can extend it."""
+        busy = _Handle(job=4, dispatched_at=100.0)
+        assert overdue([busy], 2.0, 101.9) == []
+        assert overdue([busy], 2.0, 102.0) == [busy]
+
+    def test_idle_workers_are_never_overdue(self):
+        idle, busy = _Handle(dispatched_at=0.0), _Handle(job=1, dispatched_at=5.0)
+        assert overdue([idle, busy], 1.0, 50.0) == [busy]
 
 
 # -- receipts -----------------------------------------------------------------
@@ -299,6 +291,44 @@ class TestFleetIdentity:
         assert by_job[0]["attempts"] == 2  # crashed once, succeeded once
         assert by_job[3]["attempts"] == 2  # transient error then success
 
+    def test_wedged_job_is_reclaimed_at_its_deadline(
+        self, dataset_builder, monkeypatch, tmp_path
+    ):
+        """A job that never returns — no injected fault, the worker's
+        own CT execution wedges — is reclaimed once it is
+        ``lease_seconds`` old, reassigned, and the aggregate is still
+        byte-identical. A marker file lets only the first attempt wedge."""
+        import repro.fleet.worker as fleet_worker
+
+        wedge_seconds = 30.0
+        marker = str(tmp_path / "wedged-once")
+        run_task = fleet_worker._run_task
+
+        def wedge_first_attempt(kernel, task):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return run_task(kernel, task)
+            time.sleep(wedge_seconds)
+            return run_task(kernel, task)
+
+        ctis = _ctis(dataset_builder)
+        reference = _result_json(run_campaign(_pct(dataset_builder), ctis))
+        # Patched before the fork, so every worker inherits it.
+        monkeypatch.setattr(fleet_worker, "_run_task", wedge_first_attempt)
+        started = time.monotonic()
+        result, report = run_fleet(
+            _pct(dataset_builder),
+            ctis,
+            _fleet_config(workers=1, lease_seconds=0.5),
+        )
+        elapsed = time.monotonic() - started
+        assert os.path.exists(marker), "the first attempt never ran"
+        assert _result_json(result) == reference
+        assert report.lease_expirations >= 1
+        assert report.reassignments >= 1
+        assert elapsed < 10.0, f"the wedged job held the fleet {elapsed:.1f}s"
+
     def test_receipt_coverage_gap_is_detected(
         self, dataset_builder, tiny_model, tmp_path
     ):
@@ -338,8 +368,6 @@ class TestFleetObservability:
         assert f"{NUM_CTIS}/{NUM_CTIS} (100%)" in rendered
         assert "pending 0, reassigned 0" in rendered
         assert "fleet:PCT" in rendered
-        for slot in range(2):
-            assert f"fleet-worker-{slot}" in rendered
 
     def test_one_top_table_over_campaign_fleet_and_learn(
         self, dataset_builder, tmp_path, capsys
@@ -372,7 +400,7 @@ class TestFleetObservability:
         table = capsys.readouterr().out
         assert table.count("live progress") == 1
         roles = [line.split("|")[0].strip() for line in table.splitlines()[3:]]
-        assert roles == ["campaign", "coordinator", "worker", "worker", "learn"]
+        assert roles == ["campaign", "coordinator", "learn"]
         assert "MLPCT-S1" in table and "fleet:PCT" in table
         assert "idle, cycle -" in table
 
@@ -688,9 +716,7 @@ class TestFleetKillResume:
             result, report = run_fleet(
                 explorer,
                 ctis,
-                DriverFleetConfig(
-                    workers=2, lease_seconds=5.0, heartbeat_interval=0.1
-                ),
+                DriverFleetConfig(workers=2, lease_seconds=5.0),
                 journal=journal,
             )
         finally:

@@ -188,19 +188,8 @@ class TestRaceDetector:
         assert fresh2 == set()
         assert detector.total == 1
 
-    def test_has_pair(self):
-        detector = RaceDetector()
-        result = ConcurrentResult(
-            covered_blocks=(set(), set()),
-            accesses=[access(1, 0, 10, 5, True), access(2, 1, 20, 5, False)],
-        )
-        detector.observe(result)
-        assert detector.has_pair(10, 20)
-        assert detector.has_pair(20, 10)
-        assert not detector.has_pair(10, 21)
-
     def test_restored_detector_answers_like_the_observer(self):
-        """``has_address``/``has_pair`` read indexes that ``observe`` and
+        """``has_address`` reads an index that ``observe`` and
         ``load_state`` both maintain."""
         observer = RaceDetector()
         for base in (0, 100):
@@ -227,12 +216,6 @@ class TestRaceDetector:
         for address in range(0, 120):
             assert restored.has_address(address) == observer.has_address(address)
         assert {a for a in range(120) if restored.has_address(a)} == {5, 6, 105, 106}
-        for first in range(0, 150, 10):
-            for second in range(0, 150, 10):
-                assert restored.has_pair(first, second) == observer.has_pair(
-                    first, second
-                )
-        assert restored.has_pair(140, 130) and not restored.has_pair(7, 8)
         # Both keep deduplicating against what they hold.
         again = ConcurrentResult(
             covered_blocks=(set(), set()),

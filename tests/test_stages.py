@@ -199,7 +199,7 @@ def _audit_blocks(journal: CampaignJournal):
 
 
 def _fleet_config() -> FleetConfig:
-    return FleetConfig(workers=2, lease_seconds=5.0, heartbeat_interval=0.05)
+    return FleetConfig(workers=2, lease_seconds=5.0)
 
 
 class TestFleetOnTheAxes:
