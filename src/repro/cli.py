@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-job-attempts",
         type=int,
         default=4,
-        help="total attempts one job may consume before the fleet fails",
+        help="total attempts one job may consume before the fleet fails "
+        "(each worker death costs the job it was running one attempt)",
     )
     fleet_run.add_argument(
         "--heartbeat-dir",

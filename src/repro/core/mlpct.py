@@ -52,7 +52,7 @@ from repro.core.scoring import (
 )
 from repro.core.strategies import SelectionStrategy
 from repro.execution.concurrent import ScheduleHint
-from repro.execution.parallel import CTTask, make_runner
+from repro.execution.parallel import CTTask
 from repro.execution.pct import ATTEMPTS_PER_PROPOSAL, iter_hint_tuples
 from repro.execution.races import RaceDetector
 from repro.execution.trace import ConcurrentResult
@@ -63,7 +63,7 @@ from repro.kernel.code import Kernel
 from repro.ml.baselines import CoveragePredictor
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import fold_prediction_digest, result_digest
-from repro.resilience.supervisor import SupervisionPolicy
+from repro.resilience.supervisor import SupervisedRunner, SupervisionPolicy
 
 __all__ = [
     "ExplorationConfig",
@@ -96,14 +96,13 @@ class ExplorationConfig:
     parallel_workers: int = 0
     #: Supervised-execution policy (per-CT timeouts, bounded retries,
     #: quarantine, pool→serial fallback; see
-    #: :mod:`repro.resilience.supervisor`). A worker pool is always
-    #: supervised — ``None`` there means the default policy, with the
-    #: counters reported only once a fault has occurred; set, it also
-    #: supervises serial execution and always reports.
+    #: :mod:`repro.resilience.supervisor`). Every CT runs supervised:
+    #: ``None`` means the default policy, with the counters reported
+    #: only once a fault has occurred; set, they are always reported.
     supervision: Optional[SupervisionPolicy] = None
     #: Deterministic fault-injection spec (see
-    #: :mod:`repro.resilience.faults`); setting one implies supervised
-    #: execution.
+    #: :mod:`repro.resilience.faults`); setting one, like setting a
+    #: policy, makes the campaign always report the counters.
     fault_spec: Optional[str] = None
     #: Threads per CT. The campaign's CTI stream must supply one corpus
     #: entry per thread; 2 is the paper's configuration.
@@ -271,10 +270,8 @@ class _ExplorerBase:
             if self.config.fault_spec
             else None
         )
-        self.runner = make_runner(
-            self.config.parallel_workers,
-            policy=self.config.supervision,
-            fault_plan=fault_plan,
+        self.runner = SupervisedRunner(
+            self.config.parallel_workers, self.config.supervision, fault_plan
         )
         self._task_index = 0
         self._visit_counts: Dict[Tuple[int, int], int] = {}
@@ -445,7 +442,7 @@ class _ExplorerBase:
             self.ledger.charge_inference(stats.inferences - charged)
 
     def close(self) -> None:
-        """Release the execution runner (a no-op for the serial one)."""
+        """Release the execution runner's worker pool, if it has one."""
         self.runner.close()
 
     # -- the per-CTI stages (see the module docstring) -----------------------
@@ -566,9 +563,7 @@ class _ExplorerBase:
             tuple(key): int(visits) for key, visits in state["visit_counts"]
         }
         if "runner" in state:
-            loader = getattr(self.runner, "load_state", None)
-            if loader is not None:
-                loader(state["runner"])
+            self.runner.load_state(state["runner"])
         self._swaps = [dict(swap) for swap in state.get("swaps", [])]
         served = state.get("served_version")
         self._served_version = str(served) if served is not None else None

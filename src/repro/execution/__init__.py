@@ -19,13 +19,7 @@ from repro.execution.concurrent import ScheduleHint, run_concurrent
 from repro.execution.pct import PctScheduler, propose_hint_pairs, run_concurrent_pct
 from repro.execution.races import PotentialRace, RaceDetector, find_potential_races
 from repro.execution.alias import AliasCoverageTracker, AliasPair, alias_coverage
-from repro.execution.parallel import (
-    CTTask,
-    SerialCTRunner,
-    WorkerProcess,
-    make_runner,
-    worker_main,
-)
+from repro.execution.parallel import CTTask, WorkerPool, WorkerProcess, worker_main
 
 __all__ = [
     "BugEvent",
@@ -48,8 +42,7 @@ __all__ = [
     "alias_coverage",
     "AliasCoverageTracker",
     "CTTask",
-    "SerialCTRunner",
+    "WorkerPool",
     "WorkerProcess",
-    "make_runner",
     "worker_main",
 ]

@@ -8,13 +8,15 @@ ledger) replays serially, and campaign results are byte-identical to a
 serial run.
 
 This module is also the one place a process boundary is implemented:
-:func:`worker_main` is the child loop and :class:`WorkerProcess` the
-parent handle of every forked worker in the repo — the CT pool behind
-``--workers`` (:class:`~repro.resilience.supervisor.SupervisedRunner`)
-and the fleet's workers (:mod:`repro.fleet.worker`). Both share the
-mechanism and one liveness rule: a worker is dead when its pipe hits
-EOF, and wedged when its job is still unanswered a fixed number of
-seconds after dispatch (:func:`overdue`). What follows — retry and
+:func:`worker_main` is the child loop, :class:`WorkerProcess` the
+parent handle, and :class:`WorkerPool` the one loop every pool of them
+runs — the CT pool behind ``--workers``
+(:class:`~repro.resilience.supervisor.SupervisedRunner`) and the fleet's
+workers (:mod:`repro.fleet.coordinator`). The pool dispatches, reaps,
+judges the one liveness rule — a worker is dead when its pipe hits EOF,
+and wedged when its job is still unanswered a fixed number of seconds
+after dispatch (:func:`overdue`) — and forks a fresh worker into the
+slot of one it had to kill. What a failed job becomes — retry and
 quarantine there, reassignment and receipts there — is each caller's
 policy. A worker process buys isolation — a CT that wedges or kills its
 executor costs one worker, not the campaign — not speed: a CT is
@@ -39,8 +41,9 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import connection as mp_connection
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro import rng as rngmod
@@ -52,9 +55,9 @@ from repro.kernel.code import Kernel
 
 __all__ = [
     "CTTask",
-    "SerialCTRunner",
+    "OVERDUE",
+    "WorkerPool",
     "WorkerProcess",
-    "make_runner",
     "overdue",
     "worker_main",
 ]
@@ -120,7 +123,7 @@ def _run_task(kernel: Kernel, task: CTTask) -> ConcurrentResult:
     :func:`~repro.execution.concurrent.run_concurrent` already converts
     budget overruns inside the scheduling loop; this guard classifies
     overruns from any other path (e.g. thread setup) identically, so the
-    serial and parallel runners have one uniform hang contract.
+    in-process runs and worker runs share one hang contract.
     """
     try:
         return run_concurrent(
@@ -139,30 +142,6 @@ def _run_task(kernel: Kernel, task: CTTask) -> ConcurrentResult:
         )
 
 
-def _count_hangs(results: Sequence[ConcurrentResult]) -> None:
-    hangs = sum(1 for result in results if result.hung)
-    if hangs:
-        obs.add("execution.hangs", hangs)
-
-
-class SerialCTRunner:
-    """Executes tasks one by one in-process (the default)."""
-
-    workers = 0
-    #: Nothing to report or checkpoint (see ``SupervisedRunner.reporting``).
-    reporting = False
-
-    def run_many(
-        self, kernel: Kernel, tasks: Sequence[CTTask]
-    ) -> List[ConcurrentResult]:
-        results = [_run_task(kernel, task) for task in tasks]
-        _count_hangs(results)
-        return results
-
-    def close(self) -> None:
-        pass
-
-
 def reemit_execution_counters(results: Sequence[ConcurrentResult]) -> None:
     """Replay the per-run counters of CTs that ran in a worker process.
 
@@ -177,7 +156,9 @@ def reemit_execution_counters(results: Sequence[ConcurrentResult]) -> None:
     deadlocks = sum(1 for result in results if result.deadlocked)
     if deadlocks:
         obs.add("execution.deadlocks", deadlocks)
-    _count_hangs(results)
+    hangs = sum(1 for result in results if result.hung)
+    if hangs:
+        obs.add("execution.hangs", hangs)
 
 
 def worker_main(conn, handle_job: Callable[[object], object]) -> None:
@@ -308,14 +289,6 @@ class WorkerProcess:
         self.kill()
 
 
-def wait_ready(workers: Iterable[WorkerProcess], timeout: float) -> List[WorkerProcess]:
-    """The busy ``workers`` with a reply (or an EOF) to :meth:`~WorkerProcess
-    .recv`, waiting at most ``timeout`` seconds for the first."""
-    busy = [worker for worker in workers if not worker.idle]
-    ready = mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
-    return [worker for worker in busy if worker.conn in ready]
-
-
 def overdue(
     workers: Iterable[WorkerProcess], seconds: float, now: float
 ) -> List[WorkerProcess]:
@@ -325,8 +298,8 @@ def overdue(
     The one liveness rule for every worker process: a worker that dies
     surfaces as an EOF on :meth:`WorkerProcess.recv`, and one that
     wedges — in a job that never returns, an injected ``hang``, a lost
-    reply — surfaces here. The caller kills it and decides what its job
-    becomes.
+    reply — surfaces here. :meth:`WorkerPool.collect` kills it, and its
+    caller decides what the job becomes.
     """
     return [
         worker
@@ -335,19 +308,92 @@ def overdue(
     ]
 
 
-def make_runner(workers: int, policy=None, fault_plan=None):
-    """Build the CT runner for a campaign.
+#: What :meth:`WorkerPool.collect` hands back in place of a reply for a
+#: job that outlived its deadline.
+OVERDUE = "overdue"
 
-    ``workers <= 0`` with neither ``policy`` nor ``fault_plan`` is the
-    in-process :class:`SerialCTRunner`. Everything else is a
-    :class:`~repro.resilience.supervisor.SupervisedRunner` — the only
-    worker pool there is — so a pooled campaign always has per-CT
-    deadlines, retries, quarantine and pool→serial fallback (see
-    ``docs/ROBUSTNESS.md``); ``policy``/``fault_plan`` tune or exercise
-    that, they do not select a different pool.
+
+class WorkerPool:
+    """N :class:`WorkerProcess` slots and the one loop every pool runs.
+
+    Every worker runs ``target(conn, *args)``. The caller keeps its own
+    queue and policy: :meth:`fill` hands queued jobs to idle workers and
+    :meth:`collect` returns each finished job with its reply — ``None``
+    when the worker died, :data:`OVERDUE` when the job outlived its
+    deadline. In both of those cases the pool has already killed that
+    worker and forked a fresh one into its slot; whether the job is
+    retried, reassigned or given up is the caller's to decide.
     """
-    if workers <= 0 and policy is None and fault_plan is None:
-        return SerialCTRunner()
-    from repro.resilience.supervisor import SupervisedRunner
 
-    return SupervisedRunner(workers, policy=policy, fault_plan=fault_plan)
+    def __init__(self, size: int, target: Callable[..., None], *args: object) -> None:
+        self._spawn = partial(WorkerProcess, target, *args)
+        self.workers = [self._spawn() for _ in range(size)]
+
+    @property
+    def busy(self) -> bool:
+        return any(not worker.idle for worker in self.workers)
+
+    def fill(
+        self,
+        pending: Deque[object],
+        payload: Callable[[object], object],
+        fault_kind: Callable[[object], Optional[str]],
+    ) -> int:
+        """Hand jobs off the front of ``pending`` to idle workers, sending
+        each ``payload(job)``; returns how many were dispatched.
+
+        ``fault_kind(job)`` is asked first, so an injected process death
+        (:meth:`~repro.resilience.faults.FaultPlan.at_dispatch`) happens
+        before anything is sent.
+        """
+        dispatched = 0
+        for worker in self.workers:
+            if not pending:
+                break
+            if worker.idle:
+                job = pending.popleft()
+                kind = fault_kind(job)
+                worker.dispatch(job, payload(job), kind)
+                dispatched += 1
+        return dispatched
+
+    def collect(self, deadline: float) -> List[Tuple[int, object, object]]:
+        """``(slot, job, reply)`` for every job that finished, waiting at
+        most :data:`POLL_SECONDS` for the first reply; a job still
+        unanswered ``deadline`` seconds after its dispatch finishes with
+        :data:`OVERDUE`."""
+        ready = mp_connection.wait(
+            [worker.conn for worker in self.workers if not worker.idle],
+            timeout=POLL_SECONDS,
+        )
+        finished = [
+            (slot, worker.take_job(), worker.recv())
+            for slot, worker in enumerate(self.workers)
+            if worker.conn in ready
+        ]
+        finished += [
+            (self.workers.index(worker), worker.take_job(), OVERDUE)
+            for worker in overdue(self.workers, deadline, time.monotonic())
+        ]
+        for slot, _, reply in finished:
+            if reply is None or reply is OVERDUE:
+                self.replace(slot)
+        return finished
+
+    def replace(self, slot: int) -> None:
+        """Kill (and reap) the worker in ``slot`` and fork a fresh one."""
+        self.workers[slot].kill()
+        self.workers[slot] = self._spawn()
+
+    def close(self) -> List[object]:
+        """Stop idle workers and kill busy ones; returns the jobs that
+        were in flight."""
+        jobs = []
+        for worker in self.workers:
+            if worker.idle:
+                worker.stop()
+            else:
+                jobs.append(worker.take_job())
+                worker.kill()
+        self.workers = []
+        return jobs

@@ -48,13 +48,15 @@ is ``2k+1`` — stable across resume): ``crash`` kills the worker,
 the *coordinator* at dispatch (for crash-resume tests). Every accepted
 job writes a provenance receipt (:mod:`repro.fleet.receipts`).
 
-Liveness is the rule every worker process has
-(:func:`~repro.execution.parallel.overdue`): a worker whose pipe hits
-EOF died, and one whose job is unanswered ``lease_seconds`` after
-dispatch is wedged — whatever wedged it. Either way the coordinator
-buries it (SIGKILL and reap), reassigns the job with its attempt
-bumped, and respawns or quarantines the slot. A job's *lease* is just
-that: its dispatch plus ``lease_seconds``.
+Workers run in the repo's one worker pool
+(:class:`~repro.execution.parallel.WorkerPool`), under the rule every
+worker process has: a worker whose pipe hits EOF died, and one whose
+job is unanswered ``lease_seconds`` after dispatch is wedged — whatever
+wedged it. Either way the pool has already killed it and forked a
+fresh worker into its slot; the coordinator reassigns the job with its
+attempt bumped, so ``max_job_attempts`` bounds every death a job can
+cause. A job's *lease* is just that: its dispatch plus
+``lease_seconds``.
 """
 
 from __future__ import annotations
@@ -70,13 +72,7 @@ import numpy as np
 from repro import obs
 from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats
 from repro.errors import FleetError
-from repro.execution.parallel import (
-    POLL_SECONDS,
-    WorkerProcess,
-    overdue,
-    reemit_execution_counters,
-    wait_ready,
-)
+from repro.execution.parallel import OVERDUE, WorkerPool, reemit_execution_counters
 from repro.fleet.receipts import (
     execute_inputs_digest,
     execute_result_digest,
@@ -90,7 +86,6 @@ from repro.fleet.worker import WorkerSpec, _fleet_worker_main
 from repro.obs.export import HeartbeatWriter
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import CampaignJournal
-from repro.resilience.supervisor import DIE_EXIT_STATUS
 
 __all__ = ["FleetConfig", "FleetCoordinator", "run_fleet"]
 
@@ -111,11 +106,9 @@ class FleetConfig:
     #: Directory for per-job provenance receipts; ``None`` disables them.
     receipts_dir: Optional[str] = None
     #: Total attempts a single job may consume before the fleet gives up
-    #: (jobs are never silently dropped).
+    #: (jobs are never silently dropped). Every worker death costs the
+    #: job it was running one attempt, so this bounds deaths as well.
     max_job_attempts: int = 4
-    #: Deaths a worker slot survives before it is quarantined (not
-    #: respawned) — mirrors the supervisor's ``max_worker_deaths``.
-    max_worker_deaths: int = 3
     #: Fleet-level fault-injection spec (``crash@2,hang:0.1,...``),
     #: keyed by job id. ``die@j`` kills the *coordinator* at dispatch of
     #: job ``j`` (attempt 0 only), for crash-resume tests.
@@ -124,10 +117,6 @@ class FleetConfig:
     #: through their own resilient :class:`SocketBackend` connections.
     #: ``None`` scores against the fork-shared in-process model.
     serve_socket: Optional[str] = None
-    #: Worker-side socket retry budget (generous: a fleet should ride out
-    #: a serve-server restart, not fail the job).
-    serve_retries: int = 8
-    serve_backoff_seconds: float = 0.25
 
 
 def _check_shardable(exploration, config: FleetConfig) -> None:
@@ -213,13 +202,9 @@ class FleetCoordinator:
             batch_size=explorer.config.score_batch_size,
             predictor=predictor,
             serve_socket=self.config.serve_socket,
-            serve_retries=self.config.serve_retries,
-            serve_backoff_seconds=self.config.serve_backoff_seconds,
         )
-        self.fault_plan = (
-            FaultPlan.parse(self.config.fault_spec, seed=explorer.seed)
-            if self.config.fault_spec
-            else None
+        self.fault_plan = FaultPlan.parse(
+            self.config.fault_spec or "", seed=explorer.seed
         )
         self.report = FleetReport(
             campaign=explorer.label,
@@ -229,13 +214,10 @@ class FleetCoordinator:
         )
         self._flights: Dict[int, _Flight] = {}
         self._pending: Deque[_Job] = deque()
-        self._workers: List[Optional[WorkerProcess]] = []
-        self._deaths: Dict[int, int] = {}
-        self._quarantined: set = set()
+        self._pool: Optional[WorkerPool] = None
         self._next_select = 0
         self._next_fold = 0
         self._result_stats: List[ExplorationStats] = []
-        self._outstanding = 0  # jobs dispatched or pending, not yet accepted
         self._coordinator_beat: Optional[HeartbeatWriter] = None
 
     # -- the explorer's stages, in strict CTI order ---------------------------
@@ -249,7 +231,7 @@ class FleetCoordinator:
             )
             self._flights[index] = flight
             if explorer.predicts and plan.proposals:
-                self._enqueue(_Job(2 * index, "score", index))
+                self._pending.append(_Job(2 * index, "score", index))
                 self.report.score_jobs += 1
             else:
                 flight.predicted = []
@@ -259,16 +241,12 @@ class FleetCoordinator:
         # consider.
         return flight.plan.proposals[: self.explorer.config.inference_cap]
 
-    def _enqueue(self, job: _Job) -> None:
-        self._pending.append(job)
-        self._outstanding += 1
-
     def _select(self, flight: _Flight) -> None:
         self.explorer.select(flight.plan, flight.predicted)
         flight.snapshot.update(self.explorer.selection_state())
         flight.predicted = None  # bitmaps are folded into the digest; free them
         if flight.plan.tasks:
-            self._enqueue(_Job(2 * flight.index + 1, "execute", flight.index))
+            self._pending.append(_Job(2 * flight.index + 1, "execute", flight.index))
             self.report.execute_jobs += 1
         else:
             flight.results = []
@@ -301,19 +279,12 @@ class FleetCoordinator:
             self._fold(flight)
             self._next_fold += 1
 
-    # -- workers, dispatch, liveness -----------------------------------------
-
-    def _spawn_worker(self) -> WorkerProcess:
-        return WorkerProcess(_fleet_worker_main, self._spec)
-
-    def _live_workers(self) -> List[WorkerProcess]:
-        return [worker for worker in self._workers if worker is not None]
+    # -- jobs and replies -----------------------------------------------------
 
     def _fault_kind(self, job: _Job) -> Optional[str]:
-        if self.fault_plan is None:
-            return None
-        fault = self.fault_plan.fault_for(job.job_id, job.attempt)
-        return fault.kind if fault is not None else None
+        # A die@j exits here: what SIGKILL at dispatch time looks like
+        # to the fleet journal.
+        return self.fault_plan.at_dispatch(job.job_id, job.attempt)
 
     def _job_message(self, job: _Job) -> Dict[str, object]:
         message: Dict[str, object] = {
@@ -329,24 +300,6 @@ class FleetCoordinator:
             message["tasks"] = flight.plan.tasks
         return message
 
-    def _dispatch_ready(self) -> None:
-        for worker in self._workers:
-            if not self._pending:
-                return
-            if worker is None or not worker.idle:
-                continue
-            job = self._pending.popleft()
-            if (
-                self.fault_plan is not None
-                and job.attempt == 0
-                and self.fault_plan.should_die(job.job_id)
-            ):
-                # Injected coordinator death: exactly what SIGKILL at
-                # dispatch time looks like to the fleet journal.
-                os._exit(DIE_EXIT_STATUS)
-            worker.dispatch(job, self._job_message(job), self._fault_kind(job))
-            obs.add("fleet.dispatched")
-
     def _reassign(self, job: _Job) -> None:
         attempt = job.attempt + 1
         if attempt >= self.config.max_job_attempts:
@@ -361,32 +314,18 @@ class FleetCoordinator:
         self.report.reassignments += 1
         obs.add("fleet.reassignments")
 
-    def _bury_worker(self, slot: int, job: Optional[_Job]) -> None:
-        """Kill a dead or overdue worker's process, reassign its job, and
-        respawn or quarantine the slot."""
-        self._workers[slot].kill()
-        self.report.worker_deaths += 1
-        obs.add("fleet.worker_deaths")
-        deaths = self._deaths.get(slot, 0) + 1
-        self._deaths[slot] = deaths
-        if job is not None:
+    def _finished(self, slot: int, job: _Job, reply) -> None:
+        """Fold one job's reply: accept it, or reassign the job when its
+        worker died or wedged or the attempt failed."""
+        if reply is None or reply is OVERDUE:
+            if reply is OVERDUE:
+                self.report.lease_expirations += 1
+                obs.add("fleet.lease_expirations")
+            self.report.worker_deaths += 1
+            obs.add("fleet.worker_deaths")
             self._reassign(job)
-        if deaths > self.config.max_worker_deaths:
-            self._workers[slot] = None
-            self._quarantined.add(slot)
-            self.report.quarantined_workers = len(self._quarantined)
-            obs.add("fleet.quarantined_workers")
-            if all(w is None for w in self._workers):
-                raise FleetError(
-                    "every fleet worker is quarantined with "
-                    f"{self._outstanding} jobs outstanding"
-                )
-        else:
-            self._workers[slot] = self._spawn_worker()
-
-    def _accept(self, slot: int, worker: WorkerProcess, reply) -> None:
+            return
         status, body = reply
-        job = worker.take_job()
         if status == "error":
             self.report.transient_errors += 1
             obs.add("fleet.transient_errors")
@@ -403,13 +342,13 @@ class FleetCoordinator:
         else:
             flight.results = payload
             reemit_execution_counters(payload)
-        self._outstanding -= 1
         self.report.jobs_completed += 1
         self.report.per_worker_jobs[slot] = (
             self.report.per_worker_jobs.get(slot, 0) + 1
         )
         obs.add("fleet.jobs_completed")
-        self._write_receipt(job, flight, payload, slot, worker.process.pid)
+        pid = self._pool.workers[slot].process.pid
+        self._write_receipt(job, flight, payload, slot, pid)
 
     def _write_receipt(
         self, job: _Job, flight: _Flight, payload, slot: int, pid: int
@@ -442,29 +381,6 @@ class FleetCoordinator:
         )
         self.report.receipts += 1
 
-    def _drain_messages(self) -> None:
-        live = self._live_workers()
-        if all(worker.idle for worker in live):
-            if not self._pending:
-                time.sleep(POLL_SECONDS)
-            return
-        for worker in wait_ready(live, POLL_SECONDS):
-            slot = self._workers.index(worker)
-            reply = worker.recv()
-            if reply is None:
-                # Pipe gone: the worker process died mid-job.
-                self._bury_worker(slot, worker.take_job())
-            else:
-                self._accept(slot, worker, reply)
-
-    def _check_liveness(self) -> None:
-        for worker in overdue(
-            self._live_workers(), self.config.lease_seconds, time.monotonic()
-        ):
-            self.report.lease_expirations += 1
-            obs.add("fleet.lease_expirations")
-            self._bury_worker(self._workers.index(worker), worker.take_job())
-
     def _beat(self, force: bool = False) -> None:
         if self._coordinator_beat is None:
             return
@@ -472,8 +388,8 @@ class FleetCoordinator:
         busy = "".join(
             f"; w{slot} job {worker.job.job_id} attempt {worker.job.attempt} "
             f"age {now - worker.dispatched_at:.1f}s"
-            for slot, worker in enumerate(self._workers)
-            if worker is not None and not worker.idle
+            for slot, worker in enumerate(self._pool.workers)
+            if not worker.idle
         )
         self._coordinator_beat.update(
             done=self._next_fold,
@@ -486,7 +402,7 @@ class FleetCoordinator:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _setup(self) -> int:
+    def _setup(self) -> WorkerPool:
         start_stats: List[ExplorationStats] = []
         start_index = 0
         if self.journal is not None:
@@ -512,16 +428,10 @@ class FleetCoordinator:
         # CTIs with nothing to score (PCT: all of them) are selected here,
         # so their execute jobs are queued before the workers fork.
         self._advance_pipeline()
-        self._workers = [
-            self._spawn_worker() for _ in range(self.config.workers)
-        ]
-        return start_index
-
-    def _teardown(self) -> None:
-        for worker in self._workers:
-            if worker is not None:
-                worker.stop()
-        self._workers = []
+        self._pool = WorkerPool(
+            self.config.workers, _fleet_worker_main, self._spec
+        )
+        return self._pool
 
     def _finish(self) -> Tuple[CampaignResult, FleetReport]:
         campaign = self.explorer.result()
@@ -562,18 +472,22 @@ class FleetCoordinator:
             workers=self.config.workers,
             ctis=len(self.ctis),
         ):
-            self._setup()
+            pool = self._setup()
             try:
                 while self._next_fold < len(self.ctis):
-                    self._dispatch_ready()
-                    self._drain_messages()
-                    self._check_liveness()
+                    dispatched = pool.fill(
+                        self._pending, self._job_message, self._fault_kind
+                    )
+                    if dispatched:
+                        obs.add("fleet.dispatched", dispatched)
+                    for finished in pool.collect(self.config.lease_seconds):
+                        self._finished(*finished)
                     self._advance_pipeline()
                     self._beat()
                     self._check_stall()
                 self._beat(force=True)
             finally:
-                self._teardown()
+                pool.close()
                 self.explorer.close()
         self.report.elapsed_seconds = time.monotonic() - started
         return self._finish()
@@ -581,9 +495,7 @@ class FleetCoordinator:
     def _check_stall(self) -> None:
         if self._next_fold >= len(self.ctis):
             return
-        if self._pending:
-            return
-        if any(w is not None and not w.idle for w in self._workers):
+        if self._pending or self._pool.busy:
             return
         # Nothing pending, nothing leased, campaign incomplete: if the
         # next CTI to select or fold still lacks its job's result, that

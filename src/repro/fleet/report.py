@@ -2,8 +2,8 @@
 
 The campaign result itself is byte-identical to the single-process run
 and carries no fleet fingerprints — so everything operational
-(reassignments, worker deaths, lease expirations, quarantines, serve
-reconnects, receipts) lives here, in a separate report the coordinator
+(reassignments, worker deaths, lease expirations, serve reconnects,
+receipts) lives here, in a separate report the coordinator
 returns next to the :class:`CampaignResult`.
 """
 
@@ -32,7 +32,6 @@ class FleetReport:
     worker_deaths: int = 0
     lease_expirations: int = 0
     transient_errors: int = 0
-    quarantined_workers: int = 0
     serve_reconnects: int = 0
     receipts: int = 0
     receipts_dir: Optional[str] = None
@@ -56,7 +55,6 @@ class FleetReport:
             "worker_deaths": self.worker_deaths,
             "lease_expirations": self.lease_expirations,
             "transient_errors": self.transient_errors,
-            "quarantined_workers": self.quarantined_workers,
             "serve_reconnects": self.serve_reconnects,
             "receipts": self.receipts,
             "receipts_dir": self.receipts_dir,
@@ -83,7 +81,6 @@ def render_fleet_report(reports: List[FleetReport]) -> str:
                 "reassigned": report.reassignments,
                 "deaths": report.worker_deaths,
                 "leases_lost": report.lease_expirations,
-                "quarantined": report.quarantined_workers,
                 "reconnects": report.serve_reconnects,
                 "receipts": report.receipts,
                 "seconds": round(report.elapsed_seconds, 2),

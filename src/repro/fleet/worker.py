@@ -13,10 +13,10 @@ ledger, race dedup, journal) lives in the coordinator; that split is
 what makes fleet aggregation byte-identical to the single-process
 campaign.
 
-A worker proves nothing about its liveness: the coordinator judges it
-by the rule every worker process has
-(:func:`~repro.execution.parallel.overdue`) — a pipe EOF is a death, a
-job unanswered ``lease_seconds`` after dispatch a wedge.
+A worker proves nothing about its liveness: the coordinator's
+:class:`~repro.execution.parallel.WorkerPool` judges it by the rule
+every worker process has — a pipe EOF is a death, a job unanswered
+``lease_seconds`` after dispatch a wedge.
 
 Wire protocol (``worker_main``'s, pickled over a multiprocessing pipe):
 
@@ -42,6 +42,12 @@ from repro.execution.parallel import _run_task, worker_main
 
 __all__ = ["WorkerSpec"]
 
+#: Socket retry budget of a worker scoring through a serve server, with
+#: the base of its exponential backoff: generous, so a fleet rides out a
+#: serve-server restart instead of failing the job.
+SERVE_RETRIES = 8
+SERVE_BACKOFF_SECONDS = 0.25
+
 
 @dataclass
 class WorkerSpec:
@@ -59,8 +65,6 @@ class WorkerSpec:
     batch_size: int = 8
     predictor: Optional[object] = None
     serve_socket: Optional[str] = None
-    serve_retries: int = 8
-    serve_backoff_seconds: float = 0.25
 
 
 def _score_job(spec: WorkerSpec, scorer: CandidateScorer, job: dict) -> List[np.ndarray]:
@@ -91,8 +95,8 @@ def _fleet_worker_main(conn, spec: WorkerSpec) -> None:
 
         backend = SocketBackend(
             spec.serve_socket,
-            retries=spec.serve_retries,
-            backoff_seconds=spec.serve_backoff_seconds,
+            retries=SERVE_RETRIES,
+            backoff_seconds=SERVE_BACKOFF_SECONDS,
         )
 
     def handle_job(job: dict):

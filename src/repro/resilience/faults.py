@@ -37,15 +37,20 @@ function of ``(seed, kind, task index)``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import rng as rngmod
 from repro.errors import FaultSpecError
 
-__all__ = ["InjectedFault", "FaultPlan", "FAULT_KINDS"]
+__all__ = ["DIE_EXIT_STATUS", "InjectedFault", "FaultPlan", "FAULT_KINDS"]
 
 FAULT_KINDS = ("crash", "hang", "transient", "poison", "die")
+
+#: Exit status of an abrupt campaign-process death (``die`` faults);
+#: matches the shell's status for a SIGKILLed process.
+DIE_EXIT_STATUS = 137
 
 #: Denominator for hash-fraction fault decisions.
 _FRACTION_BITS = 2**53
@@ -63,9 +68,8 @@ class InjectedFault:
 class FaultPlan:
     """A parsed, seeded fault plan.
 
-    Immutable and cheap to share: supervised runners consult
-    :meth:`fault_for` per (task, attempt) and :meth:`should_die` per
-    dispatched task.
+    Immutable and cheap to share: the supervised runner and the fleet
+    coordinator ask :meth:`at_dispatch` once per dispatched attempt.
     """
 
     seed: int
@@ -155,6 +159,18 @@ class FaultPlan:
                 if rate > 0.0 and self._fraction(kind, task_index) < rate:
                     return InjectedFault(kind=kind, task_index=task_index)
         return None
+
+    def at_dispatch(self, task_index: int, attempt: int) -> Optional[str]:
+        """The fault kind to inject into this attempt, or ``None``.
+
+        A ``die`` for this task on attempt 0 never returns: the process
+        exits with :data:`DIE_EXIT_STATUS` — no cleanup, no flushing,
+        exactly what a SIGKILL at dispatch looks like to a journal.
+        """
+        if attempt == 0 and self.should_die(task_index):
+            os._exit(DIE_EXIT_STATUS)
+        fault = self.fault_for(task_index, attempt)
+        return fault.kind if fault is not None else None
 
     def preview(self, num_tasks: int) -> Dict[int, str]:
         """First-attempt fault per task index over ``num_tasks`` tasks.

@@ -23,15 +23,18 @@ Every event is counted in :mod:`repro.obs` metrics (``resilience.retries``,
 ``resilience.fallbacks``, ``resilience.worker_deaths``) and mirrored on
 the runner instance for the campaign's run report.
 
-:class:`SupervisedRunner` is the only worker pool: ``--workers N`` alone
-gets it with the default policy, and ``--supervise``/``--ct-timeout``/
-``--retries``/``--inject-faults`` tune or exercise the same pool. Its
-workers are :class:`~repro.execution.parallel.WorkerProcess` handles
-running :func:`~repro.execution.parallel.worker_main` over ``_run_task``
-— the process mechanics live there, the policy here. Results are
-returned in task order and, absent injected or real faults, are
-byte-identical to the serial runner's: each CT is the same pure function
-of its task.
+:class:`SupervisedRunner` runs every CT a campaign executes. With
+``workers=0`` (the default) it runs them in-process; ``--workers N``
+gets the pool with the default policy, and ``--supervise``/
+``--ct-timeout``/``--retries``/``--inject-faults`` tune or exercise the
+same runner. The pool is a :class:`~repro.execution.parallel.WorkerPool`
+of :func:`~repro.execution.parallel.worker_main` loops over ``_run_task``
+— the process mechanics and the deadline rule live there, the policy
+here. Results are returned in task order and, absent injected or real
+faults, are byte-identical to in-process execution: each CT is the same
+pure function of its task. Fault-free, the runner reports nothing
+(:attr:`SupervisedRunner.reporting`), so results and checkpoints carry
+no trace of which path ran them.
 
 Fault injection (:mod:`repro.resilience.faults`) plugs in here: injected
 worker crashes and hangs are *real* in pool mode (``os._exit`` in the
@@ -41,23 +44,20 @@ fault plan drives both unit tests and soak runs.
 
 from __future__ import annotations
 
-import os
-import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import ExecutionError
 from repro.execution.parallel import (
-    POLL_SECONDS,
+    OVERDUE,
     CTTask,
-    WorkerProcess,
+    WorkerPool,
     _run_task,
-    overdue,
     reemit_execution_counters,
-    wait_ready,
     worker_main,
 )
 from repro.execution.trace import ConcurrentResult
@@ -65,10 +65,6 @@ from repro.kernel.code import Kernel
 from repro.resilience.faults import FaultPlan
 
 __all__ = ["SupervisionPolicy", "SupervisedRunner"]
-
-#: Exit status of an abrupt campaign-process death (``die`` faults);
-#: matches the shell's status for a SIGKILLed process.
-DIE_EXIT_STATUS = 137
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,9 @@ def _quarantined_result(task: CTTask) -> ConcurrentResult:
 
 
 class SupervisedRunner:
-    """The supervised CT runner, pooled (``workers > 0``) or in-process.
+    """The CT runner, pooled (``workers > 0``) or in-process.
 
-    Satisfies the same ``run_many(kernel, tasks) -> results in task
-    order`` contract as the serial runner, adding the
+    ``run_many(kernel, tasks)`` returns results in task order, with the
     timeout/retry/quarantine/fallback behaviour described in the module
     docstring. Carries its own counters (:attr:`retries`,
     :attr:`timeouts`, :attr:`quarantined`, :attr:`fallbacks`,
@@ -127,8 +122,8 @@ class SupervisedRunner:
     ) -> None:
         self.workers = max(0, int(workers))
         self.policy = policy or SupervisionPolicy()
-        self.plan = fault_plan
         self._requested = policy is not None or fault_plan is not None
+        self.plan = fault_plan or FaultPlan(seed=0, spec="")
         self.retries = 0
         self.timeouts = 0
         self.quarantined = 0
@@ -137,33 +132,25 @@ class SupervisedRunner:
         self.backoff_seconds = 0.0
         self._next_index = 0
         self._fallback = False
-        self._pool: List[WorkerProcess] = []
+        self._pool: Optional[WorkerPool] = None
         self._pool_kernel: Optional[Kernel] = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    @staticmethod
-    def _spawn(kernel: Kernel) -> WorkerProcess:
-        return WorkerProcess(worker_main, partial(_run_task, kernel))
-
-    def _ensure_pool(self, kernel: Kernel) -> None:
-        if self._pool and self._pool_kernel is not kernel:
-            self._shutdown_pool()
-        if not self._pool:
-            self._pool = [self._spawn(kernel) for _ in range(self.workers)]
+    def _ensure_pool(self, kernel: Kernel) -> WorkerPool:
+        if self._pool is not None and self._pool_kernel is not kernel:
+            self.close()
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.workers, worker_main, partial(_run_task, kernel)
+            )
             self._pool_kernel = kernel
-
-    def _shutdown_pool(self, graceful: bool = True) -> None:
-        for worker in self._pool:
-            if graceful and worker.idle:
-                worker.stop()
-            else:
-                worker.kill()
-        self._pool = []
-        self._pool_kernel = None
+        return self._pool
 
     def close(self) -> None:
-        self._shutdown_pool()
+        if self._pool is not None:
+            self._pool.close()
+        self._pool = None
 
     # -- persistence (campaign journal) --------------------------------------
 
@@ -231,21 +218,8 @@ class SupervisedRunner:
             self._run_pool(kernel, deque(jobs), results)
         return results  # type: ignore[return-value]
 
-    def _maybe_die(self, job: _Job) -> None:
-        if (
-            job.attempt == 0
-            and self.plan is not None
-            and self.plan.should_die(job.index)
-        ):
-            # Abrupt process death (no cleanup, no flushing): what a
-            # SIGKILL mid-campaign looks like to the journal.
-            os._exit(DIE_EXIT_STATUS)
-
     def _fault_kind(self, job: _Job) -> Optional[str]:
-        if self.plan is None:
-            return None
-        fault = self.plan.fault_for(job.index, job.attempt)
-        return fault.kind if fault is not None else None
+        return self.plan.at_dispatch(job.index, job.attempt)
 
     # -- failure bookkeeping (shared by serial and pool paths) ---------------
 
@@ -280,7 +254,6 @@ class SupervisedRunner:
 
     def _run_serial_job(self, kernel: Kernel, job: _Job) -> ConcurrentResult:
         while True:
-            self._maybe_die(job)
             fault_kind = self._fault_kind(job)
             if fault_kind is None:
                 try:
@@ -310,61 +283,33 @@ class SupervisedRunner:
         pending: Deque[_Job],
         results: List[Optional[ConcurrentResult]],
     ) -> None:
-        self._ensure_pool(kernel)
-        while pending or any(not worker.idle for worker in self._pool):
+        pool = self._ensure_pool(kernel)
+        while pending or pool.busy:
             if self._fallback:
                 # Process isolation is no longer trusted: reclaim the
                 # in-flight jobs and finish everything in-process.
-                for worker in self._pool:
-                    job = worker.take_job()
-                    if job is not None:
-                        pending.appendleft(job)
-                self._shutdown_pool(graceful=False)
+                for job in pool.close():
+                    pending.appendleft(job)
+                self._pool = None
                 while pending:
                     job = pending.popleft()
                     results[job.pos] = self._run_serial_job(kernel, job)
                 return
-            for worker in self._pool:
-                if worker.idle and pending:
-                    job = pending.popleft()
-                    self._maybe_die(job)
-                    worker.dispatch(job, job.task, self._fault_kind(job))
-            for worker in wait_ready(self._pool, POLL_SECONDS):
-                job = worker.take_job()
-                reply = worker.recv()
-                if reply is None:
+            pool.fill(pending, attrgetter("task"), self._fault_kind)
+            for _, job, reply in pool.collect(self.policy.timeout_seconds):
+                if reply is OVERDUE:
+                    self._account_timeout()
+                elif reply is None:
                     # The worker died mid-task (a real crash).
                     self._account_worker_death()
                     self._engage_fallback_if_due()
-                    self._replace_worker(kernel, worker)
                 elif reply[0] == "ok":
                     results[job.pos] = reply[1]
                     # Only what a worker ran: in-process runs (fallback)
                     # have already counted themselves.
                     reemit_execution_counters([reply[1]])
                     continue
-                self._finish_failed(job, pending, results)
-            # Enforce deadlines on whoever is still busy.
-            for worker in overdue(
-                self._pool, self.policy.timeout_seconds, time.monotonic()
-            ):
-                job = worker.take_job()
-                self._account_timeout()
-                self._replace_worker(kernel, worker)
-                self._finish_failed(job, pending, results)
-
-    def _finish_failed(
-        self,
-        job: _Job,
-        pending: Deque[_Job],
-        results: List[Optional[ConcurrentResult]],
-    ) -> None:
-        if job.attempt >= self.policy.max_retries:
-            results[job.pos] = self._account_quarantine(job)
-        else:
-            pending.append(self._account_retry(job))
-
-    def _replace_worker(self, kernel: Kernel, worker: WorkerProcess) -> None:
-        worker.kill()
-        if not self._fallback:
-            self._pool[self._pool.index(worker)] = self._spawn(kernel)
+                if job.attempt >= self.policy.max_retries:
+                    results[job.pos] = self._account_quarantine(job)
+                else:
+                    pending.append(self._account_retry(job))

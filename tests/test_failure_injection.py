@@ -131,7 +131,8 @@ class TestPoolHangContract:
         """A CT that blows its step budget inside a pool worker comes back
         as a recorded hang outcome — it must not poison the pool or raise
         into the campaign."""
-        from repro.execution.parallel import CTTask, make_runner
+        from repro.execution.parallel import CTTask
+        from repro.resilience.supervisor import SupervisedRunner
 
         kernel = _looping_kernel()
         program = (("sys_spin", (0,)),)
@@ -139,7 +140,7 @@ class TestPoolHangContract:
             CTTask(programs=(program, program), max_steps=300, seed=index)
             for index in range(3)
         ]
-        runner = make_runner(2)
+        runner = SupervisedRunner(2)
         try:
             results = runner.run_many(kernel, tasks)
             assert len(results) == 3
@@ -153,17 +154,14 @@ class TestPoolHangContract:
             runner.close()
 
     def test_pool_and_serial_agree_on_hang_classification(self):
-        from repro.execution.parallel import (
-            CTTask,
-            SerialCTRunner,
-            make_runner,
-        )
+        from repro.execution.parallel import CTTask, _run_task
+        from repro.resilience.supervisor import SupervisedRunner
 
         kernel = _looping_kernel()
         program = (("sys_spin", (0,)),)
         task = CTTask(programs=(program, program), max_steps=300)
-        serial = SerialCTRunner().run_many(kernel, [task])
-        pool = make_runner(2)
+        serial = [_run_task(kernel, task)]
+        pool = SupervisedRunner(2)
         try:
             pooled = pool.run_many(kernel, [task])
         finally:

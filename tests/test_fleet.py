@@ -153,11 +153,13 @@ class TestReceipts:
         receipt = load_receipt(path)
         assert receipt["job"] == 6
         assert receipt["schema"] == 1
-        assert json.load(open(path))["checksum"]  # sealed on disk
+        with open(path) as handle:
+            assert json.load(handle)["checksum"]  # sealed on disk
 
     def test_tampering_is_detected(self, tmp_path):
         path = write_receipt(str(tmp_path), dict(self.BODY))
-        payload = json.load(open(path))
+        with open(path) as handle:
+            payload = json.load(handle)
         payload["result"] = "0" * len(payload["result"])
         with open(path, "w") as handle:
             json.dump(payload, handle)
@@ -290,6 +292,22 @@ class TestFleetIdentity:
         }
         assert by_job[0]["attempts"] == 2  # crashed once, succeeded once
         assert by_job[3]["attempts"] == 2  # transient error then success
+
+    def test_worker_deaths_are_bounded_by_job_attempts(self, dataset_builder):
+        """Four crashes on four different jobs of a one-worker fleet: each
+        burial refills the slot and costs only its own job an attempt, so
+        every job succeeds on retry and the aggregate is byte-identical."""
+        ctis = _ctis(dataset_builder, 5)
+        reference = _result_json(run_campaign(_pct(dataset_builder), ctis))
+        result, report = run_fleet(
+            _pct(dataset_builder),
+            ctis,
+            _fleet_config(workers=1, fault_spec="crash@1,crash@3,crash@5,crash@7"),
+        )
+        assert _result_json(result) == reference
+        assert report.worker_deaths == 4
+        assert report.reassignments == 4
+        assert report.jobs_completed == report.jobs_total
 
     def test_wedged_job_is_reclaimed_at_its_deadline(
         self, dataset_builder, monkeypatch, tmp_path
@@ -648,8 +666,6 @@ class TestFleetChaos:
             fault_spec="crash@1",
             receipts_dir=receipts,
             serve_socket=path,
-            serve_retries=10,
-            serve_backoff_seconds=0.25,
         )
         starter.start()
         try:
@@ -681,7 +697,7 @@ class TestFleetKillResume:
         from _fleet_driver import build_fleet_campaign
         from repro.fleet import FleetConfig as DriverFleetConfig
         from repro.resilience.journal import CampaignJournal
-        from repro.resilience.supervisor import DIE_EXIT_STATUS
+        from repro.resilience.faults import DIE_EXIT_STATUS
 
         reference = _result_json(run_campaign(*build_fleet_campaign()))
         journal_path = str(tmp_path / "fleet.journal")
@@ -731,15 +747,13 @@ class TestFleetWorkerProcesses:
         """A coordinator with a Python SIGTERM handler (``repro --trace``
         and ``--flight`` install one) hands it to every worker it forks,
         and a SIGTERM landing right after the fork is dropped when the
-        child clears its pending signals — so burying must SIGKILL, or
-        about one just-spawned worker in a hundred survives its burial
-        after a join timeout has been waited out."""
+        child clears its pending signals — so the pool's replace path
+        must SIGKILL, or about one just-spawned worker in a hundred
+        survives its burial after a join timeout has been waited out."""
         from repro.fleet import FleetCoordinator
 
         coordinator = FleetCoordinator(
-            _pct(dataset_builder),
-            _ctis(dataset_builder),
-            _fleet_config(workers=1, max_worker_deaths=10**6),
+            _pct(dataset_builder), _ctis(dataset_builder), _fleet_config(workers=1)
         )
 
         def on_sigterm(signum, frame):  # the CLI's handler
@@ -747,19 +761,19 @@ class TestFleetWorkerProcesses:
 
         previous = signal.signal(signal.SIGTERM, on_sigterm)
         try:
-            coordinator._setup()
+            pool = coordinator._setup()
             try:
                 for _ in range(300):
-                    victim = coordinator._workers[0].process
+                    victim = pool.workers[0].process
                     started = time.monotonic()
                     try:
-                        coordinator._bury_worker(0, None)
+                        pool.replace(0)
                         assert not victim.is_alive()
                         assert time.monotonic() - started < 2.5
                     finally:
                         victim.kill()  # a failure must not leak the child
             finally:
-                coordinator._teardown()
+                pool.close()
         finally:
             signal.signal(signal.SIGTERM, previous)
 

@@ -26,6 +26,7 @@ from repro.errors import CheckpointError, JournalError
 from repro.kernel import EvolutionConfig, build_kernel, evolve_kernel
 from repro.ml.pic import PICConfig, PICModel
 from repro.resilience.atomic import canonical_json
+from repro.resilience.faults import DIE_EXIT_STATUS
 from repro.resilience.journal import (
     CampaignJournal,
     ContinuousJournal,
@@ -35,7 +36,6 @@ from repro.resilience.journal import (
     reset_journal,
 )
 from repro.resilience.log import JOURNAL_SCHEMA, SealedLog
-from repro.resilience.supervisor import DIE_EXIT_STATUS
 
 from tests._journal_driver import KERNEL_CONFIG, NUM_CTIS, SEED, build_campaign
 

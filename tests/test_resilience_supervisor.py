@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.execution.parallel import CTTask, SerialCTRunner
+from repro.execution.parallel import CTTask, _run_task
 from repro.resilience.faults import FaultPlan
 from repro.resilience.journal import result_digest
 from repro.resilience.supervisor import SupervisedRunner, SupervisionPolicy
@@ -165,7 +165,7 @@ def _assert_workers_exit_with(script, workers):
 class TestSerialSupervision:
     def test_matches_plain_serial_runner(self, kernel, corpus):
         tasks = _tasks(corpus, 4)
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         supervised = SupervisedRunner(0, SupervisionPolicy()).run_many(
             kernel, tasks
         )
@@ -176,7 +176,7 @@ class TestSerialSupervision:
         plan = FaultPlan.parse("transient@1", seed=0)
         runner = SupervisedRunner(0, SupervisionPolicy(), plan)
         results = runner.run_many(kernel, tasks)
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         assert _digests(results) == _digests(plain)
         assert runner.retries == 1
         assert runner.quarantined == 0
@@ -254,7 +254,7 @@ class TestSerialSupervision:
 class TestPoolSupervision:
     def test_pool_matches_serial_without_faults(self, kernel, corpus):
         tasks = _tasks(corpus, 4)
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         runner = SupervisedRunner(2, SupervisionPolicy())
         try:
             results = runner.run_many(kernel, tasks)
@@ -272,7 +272,7 @@ class TestPoolSupervision:
             results = runner.run_many(kernel, tasks)
         finally:
             runner.close()
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         assert _digests(results) == _digests(plain)
         assert runner.worker_deaths == 1
         assert runner.retries == 1
@@ -290,7 +290,7 @@ class TestPoolSupervision:
             results = runner.run_many(kernel, tasks)
         finally:
             runner.close()
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         assert _digests(results) == _digests(plain)
         assert runner.timeouts >= 1
         assert runner.retries >= 1
@@ -309,7 +309,7 @@ class TestPoolSupervision:
                 results = runner.run_many(kernel, tasks)
         finally:
             runner.close()
-        plain = SerialCTRunner().run_many(kernel, tasks)
+        plain = [_run_task(kernel, task) for task in tasks]
         # every first attempt crashes, every retry succeeds — and after
         # the death budget is blown the remainder runs in-process
         assert _digests(results) == _digests(plain)

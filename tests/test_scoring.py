@@ -5,6 +5,7 @@ The whole point of PR 2's engine is that batching and parallelism are
 path computes exactly what the slow path computed".
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,11 +30,7 @@ from repro.core.scoring import (
     select,
 )
 from repro.core.strategies import TargetBlocks, make_strategy
-from repro.execution.parallel import (
-    CTTask,
-    SerialCTRunner,
-    make_runner,
-)
+from repro.execution.parallel import CTTask, _run_task
 from repro.execution.pct import propose_hint_pairs
 from repro.graphs.ctgraph import schedule_key
 from repro.ml.baselines import AllPositive, FairCoin
@@ -772,27 +769,39 @@ class TestRunners:
             for i, pair in enumerate(pairs)
         ]
 
-    def test_make_runner_dispatch(self):
-        assert isinstance(make_runner(0), SerialCTRunner)
-        assert isinstance(make_runner(-1), SerialCTRunner)
-        # --workers alone gets the one pool there is, supervised by the
-        # default policy, reporting nothing until a fault occurs.
-        pool = make_runner(2)
-        assert isinstance(pool, SupervisedRunner)
-        assert pool.workers == 2 and pool.policy == SupervisionPolicy()
-        assert not pool.reporting
-        pool.close()
-        assert make_runner(2, policy=SupervisionPolicy()).reporting
-        assert isinstance(
-            make_runner(0, policy=SupervisionPolicy()), SupervisedRunner
-        )
+    def test_supervised_runner_reporting_rule(
+        self, kernel, dataset_builder, cti
+    ):
+        """Every campaign runs its CTs through ``SupervisedRunner``: in
+        process for ``workers <= 0``, the one pool for ``--workers``.
+        Unasked, it runs the default policy and reports nothing until a
+        fault occurs, so fault-free results and checkpoints carry no
+        trace of it; asked for a policy, it always reports."""
+        tasks = self._tasks(dataset_builder, cti)
+        for workers in (-1, 0, 2):
+            runner = SupervisedRunner(workers)
+            try:
+                assert runner.workers == max(0, workers)
+                assert runner.policy == SupervisionPolicy()
+                runner.run_many(kernel, tasks)
+                assert not runner.reporting
+            finally:
+                runner.close()
+        assert SupervisedRunner(0, policy=SupervisionPolicy()).reporting
+        assert SupervisedRunner(2, policy=SupervisionPolicy()).reporting
+        # A real fault is never silent: a CT the interpreter refuses is
+        # retried, quarantined and reported.
+        broken = SupervisedRunner(0)
+        bogus = dataclasses.replace(tasks[0], memory_model="bogus")
+        assert broken.run_many(kernel, [bogus])[0].failure == "quarantined"
+        assert broken.reporting
 
     def test_pool_results_ordered_and_identical(
         self, kernel, dataset_builder, cti
     ):
         tasks = self._tasks(dataset_builder, cti)
-        serial = SerialCTRunner().run_many(kernel, tasks)
-        pool = make_runner(2)
+        serial = [_run_task(kernel, task) for task in tasks]
+        pool = SupervisedRunner(2)
         try:
             parallel = pool.run_many(kernel, tasks)
         finally:
@@ -807,10 +816,10 @@ class TestRunners:
         assert len({t.seed for t in first}) == len(first)
 
     def test_empty_task_list(self, kernel):
-        pool = make_runner(2)
+        pool = SupervisedRunner(2)
         try:
             assert pool.run_many(kernel, []) == []
-            assert pool._pool == []  # empty batch never spawned workers
+            assert pool._pool is None  # empty batch never spawned workers
         finally:
             pool.close()
 
