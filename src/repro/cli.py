@@ -45,6 +45,12 @@ global ``--trace FILE`` flag records a JSON-lines telemetry trace of the
 run (readable with ``repro report FILE``) and ``--metrics`` prints the
 metrics summary after the command finishes; both are off by default and
 cost nothing when unused (see ``docs/OBSERVABILITY.md``).
+
+Exit codes: 0 is success; 1 is a verdict, a ``quality`` gate that failed
+or a ``learn run`` candidate that was quarantined; 2 is an error. A
+command that cannot go on raises: ``main`` is the one place that prints
+a ``ReproError`` or ``OSError`` as ``error: <message>`` on stderr and
+exits 2. Argument errors that ``argparse`` catches exit 2 as well.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import closing
 from typing import List, Optional
 
 from repro import __version__, obs
@@ -119,9 +126,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, ctis: int) -> None:
         metavar="SPEC",
         default=None,
         help="deterministic fault injection, e.g. 'crash:0.05,hang@3': "
-        "keyed by executed CT in a campaign (implies supervised execution; "
-        "see docs/ROBUSTNESS.md), by job id in a fleet, where 'die@j' kills "
-        "the coordinator at dispatch of job j (see docs/FLEET.md)",
+        "keyed by executed CT in a campaign (reports the resilience "
+        "counters; see docs/ROBUSTNESS.md), by job id in a fleet, where "
+        "'die@j' kills the coordinator at dispatch of job j (see "
+        "docs/FLEET.md)",
     )
     parser.add_argument(
         "--capture-labels",
@@ -210,24 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
         "results are identical either way)",
     )
     campaign.add_argument(
-        "--supervise",
-        action="store_true",
-        help="supervised execution: per-CT timeouts, bounded retries, "
-        "quarantine, pool-to-serial fallback. A --workers pool has these "
-        "anyway; this extends them to serial runs and always reports the "
-        "counters",
-    )
-    campaign.add_argument(
         "--ct-timeout",
         type=float,
         default=None,
-        help="per-CT wall-clock timeout in seconds (implies --supervise)",
+        help="per-CT wall-clock timeout in seconds (reports the "
+        "resilience counters)",
     )
     campaign.add_argument(
         "--retries",
         type=int,
         default=None,
-        help="retries before a failing CT is quarantined (implies --supervise)",
+        help="retries before a failing CT is quarantined (reports the "
+        "resilience counters)",
     )
     campaign.add_argument(
         "--heartbeat",
@@ -600,19 +602,20 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from repro.resilience.atomic import probe_writable
+
+    def write_checkpoint(write) -> None:
+        try:
+            write(args.out)
+        except OSError as error:
+            raise SpecError(
+                f"cannot write checkpoint to {args.out}: {error}"
+            ) from error
+
     if args.out:
         # Fail fast on an unwritable destination: before hours of
         # training, not after.
-        from repro.resilience.atomic import probe_writable
-
-        try:
-            probe_writable(args.out)
-        except OSError as error:
-            print(
-                f"error: cannot write checkpoint to {args.out}: {error}",
-                file=sys.stderr,
-            )
-            return 2
+        write_checkpoint(probe_writable)
     snowcat = _trained_snowcat(args.seed, args.ctis, args.epochs)
     result = snowcat.training_result
     assert result is not None and snowcat.model is not None
@@ -623,14 +626,7 @@ def _cmd_train(args) -> int:
         f"simulated startup {snowcat.startup_hours:.1f} h"
     )
     if args.out:
-        try:
-            snowcat.model.save(args.out)
-        except OSError as error:
-            print(
-                f"error: cannot write checkpoint to {args.out}: {error}",
-                file=sys.stderr,
-            )
-            return 2
+        write_checkpoint(snowcat.model.save)
         print(f"checkpoint written to {args.out}")
     return 0
 
@@ -661,7 +657,7 @@ def _spec_from_args(args) -> RunSpec:
             overrides["timeout_seconds"] = args.ct_timeout
         if args.retries is not None:
             overrides["max_retries"] = args.retries
-        supervised = args.supervise or overrides or args.inject_faults is not None
+        supervised = overrides or args.inject_faults is not None
         runner = dict(
             parallel_workers=args.workers,
             supervision=SupervisionPolicy(**overrides) if supervised else None,
@@ -720,15 +716,11 @@ def _print_result(result) -> None:
 def _cmd_campaign(args) -> int:
     """``campaign`` and ``fleet run``: spec → run → print."""
     curves, reports = {}, []
-    try:
-        spec = _spec_from_args(args)
-        for result, report in execute(spec):
-            curves[result.label] = result.history
-            reports.append(report)
-            _print_result(result)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    spec = _spec_from_args(args)
+    for result, report in execute(spec):
+        curves[result.label] = result.history
+        reports.append(report)
+        _print_result(result)
     if spec.fleet is None:
         print(format_series(curves, metric_name="races", points=8))
     else:
@@ -829,7 +821,6 @@ def _cmd_quality(args) -> int:
     no effect here: the command always measures the same artefacts the
     baseline was recorded from.
     """
-    from repro.errors import QualityGateError
     from repro.oracle.quality import (
         GOLDEN_CONFIG,
         build_golden,
@@ -840,40 +831,26 @@ def _cmd_quality(args) -> int:
     )
 
     if bool(args.model) != bool(args.registry):
-        print(
-            "error: --model and --registry must be given together",
-            file=sys.stderr,
-        )
-        return 2
+        raise SpecError("--model and --registry must be given together")
     if args.model and args.write_baseline:
-        print(
-            "error: --write-baseline records the golden pipeline's own "
-            "model; it cannot be combined with --model",
-            file=sys.stderr,
+        raise SpecError(
+            "--write-baseline records the golden pipeline's own model; it "
+            "cannot be combined with --model"
         )
-        return 2
     model, examples = build_golden(GOLDEN_CONFIG)
     if args.model:
         # Gate a registry candidate through the pinned golden pipeline:
         # same golden examples and baseline, the candidate's predictions.
-        from repro.errors import CheckpointError, ServeError
         from repro.serve import ModelRegistry
 
-        try:
-            registry = ModelRegistry(args.registry)
-            candidate = registry.load(args.model, seed=args.seed)
-        except (CheckpointError, ServeError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        candidate = ModelRegistry(args.registry).load(args.model, seed=args.seed)
         if candidate.config.vocab_size < model.config.vocab_size:
-            print(
-                f"error: candidate {args.model} vocabulary "
+            raise SpecError(
+                f"candidate {args.model} vocabulary "
                 f"({candidate.config.vocab_size} tokens) is smaller than "
                 f"the golden kernel's ({model.config.vocab_size} tokens); "
-                "the golden gate only scores vocabulary-compatible models",
-                file=sys.stderr,
+                "the golden gate only scores vocabulary-compatible models"
             )
-            return 2
         model = candidate
         print(f"gating registry candidate {args.model} from {args.registry}")
     measured = measure_quality(model, examples, GOLDEN_CONFIG)
@@ -881,117 +858,28 @@ def _cmd_quality(args) -> int:
         try:
             write_baseline(args.write_baseline, measured, GOLDEN_CONFIG)
         except OSError as error:
-            print(
-                f"error: cannot write baseline to {args.write_baseline}: "
-                f"{error}",
-                file=sys.stderr,
-            )
-            return 2
+            raise SpecError(
+                f"cannot write baseline to {args.write_baseline}: {error}"
+            ) from error
         print(f"baseline written to {args.write_baseline}")
         for name in sorted(measured):
             print(f"  {name}: {measured[name]:.4f}")
         return 0
-    try:
-        baseline = load_baseline(args.baseline)
-        report = check_against_baseline(measured, baseline, GOLDEN_CONFIG)
-    except QualityGateError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    baseline = load_baseline(args.baseline)
+    report = check_against_baseline(measured, baseline, GOLDEN_CONFIG)
     print(report.summary())
     return 0 if report.passed else 1
 
 
 def _cmd_serve(args) -> int:
-    from repro.errors import CheckpointError, ServeError
-    from repro.serve import ServerConfig, SocketBackend, serve_forever
+    from repro.serve import SocketBackend, probe_socket
 
-    if args.action == "status" and args.watch:
-        from repro.obs.export import render_serve_watch
-
-        backend = SocketBackend(args.socket)
-        previous = []  # the last frame's (status, snapshot), once there is one
-
-        def frame() -> str:
-            current = (backend.status(), backend.metrics()["snapshot"])
-            line = render_serve_watch(
-                current,
-                previous[0] if previous else None,
-                elapsed=args.interval if previous else None,
-            )
-            previous[:] = [current]
-            return line
-
-        try:
-            return _watch(frame, args.interval, args.count)
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            backend.close()
-
-    if args.action == "metrics":
-        backend = SocketBackend(args.socket)
-        try:
-            exposition = backend.metrics()["exposition"]
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            backend.close()
-        print(exposition, end="")
-        return 0
-
-    if args.action == "status":
-        backend = SocketBackend(args.socket)
-        try:
-            status = backend.status()
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            backend.close()
-        cache = status.get("cache", {})
-        print(
-            f"serving {status.get('model_name')} "
-            f"version {status.get('version')} on {args.socket}\n"
-            f"  threshold {status.get('threshold'):.2f}, "
-            f"vocab {status.get('vocab_size')}, "
-            f"{status.get('requests', 0)} requests\n"
-            f"  cache: {cache.get('hits', 0):.0f} hits / "
-            f"{cache.get('misses', 0):.0f} misses "
-            f"(hit rate {cache.get('hit_rate', 0.0):.1%}), "
-            f"{cache.get('entries', 0):.0f} entries, "
-            f"{cache.get('bytes', 0):.0f}/{cache.get('max_bytes', 0):.0f} B, "
-            f"{cache.get('evictions', 0):.0f} evictions"
-        )
-        return 0
-
-    if args.action == "swap":
-        backend = SocketBackend(args.socket)
-        try:
-            outcome = backend.swap(args.model_version)
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            backend.close()
-        if outcome.get("swapped"):
-            print(
-                f"swapped {outcome.get('previous')} -> "
-                f"{outcome.get('version')} on {args.socket}"
-            )
-        else:
-            print(
-                f"already serving {outcome.get('version')} on {args.socket}"
-            )
-        return 0
-
+    if args.action == "start":
+        return _serve_start(args)
     if args.action == "stop":
         # Idempotent: stopping a server that is already gone (clean
         # shutdown, SIGKILL leaving a stale socket, never started) is a
         # success, not an error — operators script this in cleanup paths.
-        from repro.serve import probe_socket
-
         state = probe_socket(args.socket)
         if state == "absent":
             print(f"no server on {args.socket}; nothing to stop")
@@ -1006,51 +894,82 @@ def _cmd_serve(args) -> int:
                 "removed stale socket"
             )
             return 0
-        backend = SocketBackend(args.socket)
-        try:
+    with closing(SocketBackend(args.socket)) as backend:
+        if args.action == "stop":
             backend.shutdown()
-        except ServeError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            backend.close()
-        print(f"server on {args.socket} stopped")
-        return 0
-
-    # -- start ---------------------------------------------------------------
-    if args.model and args.registry:
-        print(
-            "error: --model and --registry are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    model_registry = None
-    try:
-        if args.registry:
-            from repro.serve import ModelRegistry
-
-            registry = ModelRegistry(args.registry)
-            model_registry = registry
-            version = args.model_version or registry.active_version
-            if version is None:
+            print(f"server on {args.socket} stopped")
+        elif args.action == "metrics":
+            print(backend.metrics()["exposition"], end="")
+        elif args.action == "swap":
+            outcome = backend.swap(args.model_version)
+            if outcome.get("swapped"):
                 print(
-                    f"error: registry {args.registry} has no active model",
-                    file=sys.stderr,
+                    f"swapped {outcome.get('previous')} -> "
+                    f"{outcome.get('version')} on {args.socket}"
                 )
-                return 2
-            model = registry.load(version, seed=args.seed)
-        elif args.model:
-            from repro.ml.pic import PICModel
+            else:
+                print(
+                    f"already serving {outcome.get('version')} on {args.socket}"
+                )
+        elif args.watch:
+            from repro.obs.export import render_serve_watch
 
-            model = PICModel.load(args.model, seed=args.seed)
-            version = args.model_version or "cli"
+            previous = []  # the last frame's (status, snapshot), once there is one
+
+            def frame() -> str:
+                current = (backend.status(), backend.metrics()["snapshot"])
+                line = render_serve_watch(
+                    current,
+                    previous[0] if previous else None,
+                    elapsed=args.interval if previous else None,
+                )
+                previous[:] = [current]
+                return line
+
+            return _watch(frame, args.interval, args.count)
         else:
-            print("no --model/--registry given; training a fresh model...")
-            model = _trained_snowcat(args.seed).require_model()
-            version = args.model_version or "trained"
-    except (CheckpointError, ServeError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            status = backend.status()
+            cache = status.get("cache", {})
+            print(
+                f"serving {status.get('model_name')} "
+                f"version {status.get('version')} on {args.socket}\n"
+                f"  threshold {status.get('threshold'):.2f}, "
+                f"vocab {status.get('vocab_size')}, "
+                f"{status.get('requests', 0)} requests\n"
+                f"  cache: {cache.get('hits', 0):.0f} hits / "
+                f"{cache.get('misses', 0):.0f} misses "
+                f"(hit rate {cache.get('hit_rate', 0.0):.1%}), "
+                f"{cache.get('entries', 0):.0f} entries, "
+                f"{cache.get('bytes', 0):.0f}/{cache.get('max_bytes', 0):.0f} B, "
+                f"{cache.get('evictions', 0):.0f} evictions"
+            )
+    return 0
+
+
+def _serve_start(args) -> int:
+    from repro.errors import ServeError
+    from repro.serve import ServerConfig, serve_forever
+
+    if args.model and args.registry:
+        raise SpecError("--model and --registry are mutually exclusive")
+    model_registry = None
+    if args.registry:
+        from repro.serve import ModelRegistry
+
+        model_registry = ModelRegistry(args.registry)
+        version = args.model_version or model_registry.active_version
+        if version is None:
+            raise SpecError(f"registry {args.registry} has no active model")
+        model = model_registry.load(version, seed=args.seed)
+    elif args.model:
+        from repro.ml.pic import PICModel
+
+        model = PICModel.load(args.model, seed=args.seed)
+        version = args.model_version or "cli"
+    else:
+        print("no --model/--registry given; training a fresh model...")
+        model = _trained_snowcat(args.seed).require_model()
+        version = args.model_version or "trained"
     config = ServerConfig(
         socket_path=args.socket,
         cache_bytes=args.cache_mb * 1024 * 1024,
@@ -1077,8 +996,7 @@ def _cmd_serve(args) -> int:
             model_seed=args.seed,
         )
     except (ServeError, OSError) as error:
-        print(f"error: cannot serve on {args.socket}: {error}", file=sys.stderr)
-        return 2
+        raise SpecError(f"cannot serve on {args.socket}: {error}") from error
     return 0
 
 
@@ -1098,15 +1016,11 @@ def _cmd_report(args) -> int:
         try:
             events, truncated = read_events_tolerant(path)
         except OSError as error:
-            print(f"error: cannot read trace file: {error}", file=sys.stderr)
-            return 2
+            raise SpecError(f"cannot read trace file: {error}") from error
         except json.JSONDecodeError as error:
-            print(
-                f"error: {path} is not a JSON-lines telemetry trace "
-                f"({error})",
-                file=sys.stderr,
-            )
-            return 2
+            raise SpecError(
+                f"{path} is not a JSON-lines telemetry trace ({error})"
+            ) from error
         if truncated:
             print(
                 f"warning: {path}: skipped {truncated} truncated trailing "
@@ -1164,21 +1078,14 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    from repro.errors import CheckpointError, JournalError, ServeError
     from repro.serve import ModelRegistry
 
     if args.action == "publish":
         from repro.ml.pic import PICModel
 
-        try:
-            registry = ModelRegistry(args.registry)
-            model = PICModel.load(args.model, seed=args.seed)
-            record = registry.publish(
-                model, version=args.model_version, activate=True
-            )
-        except (CheckpointError, ServeError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        registry = ModelRegistry(args.registry)
+        model = PICModel.load(args.model, seed=args.seed)
+        record = registry.publish(model, version=args.model_version, activate=True)
         print(
             f"published {record.model_name} as {record.version} "
             f"(active) in {args.registry}"
@@ -1189,64 +1096,48 @@ def _cmd_learn(args) -> int:
     from repro.learn import FineTuneWorker, LabelStore, LabelTailer, LearnConfig
 
     registry = ModelRegistry(args.registry)
-    store = LabelStore(args.dir)
-    tailer = LabelTailer(store, args.journals)
-    try:
-        ingested = tailer.poll()
-    except JournalError as error:
-        print(f"error: {error}", file=sys.stderr)
-        store.close()
-        return 2
-    print(
-        f"tailed {len(args.journals)} journal(s): {ingested} new labels "
-        f"({store.count} total)"
-    )
-    snowcat = Snowcat.standard(args.seed)
-    worker = FineTuneWorker(
-        args.dir,
-        store,
-        registry,
-        snowcat,
-        config=LearnConfig(
-            min_labels=args.min_labels,
-            window=args.window,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            holdout_every=args.holdout_every,
-            seed=args.seed,
-            min_gain=args.min_gain,
-            replay_ctis=args.replay_ctis,
-            golden_gate=args.golden_gate,
-        ),
-    )
-    exit_code = 0
-    try:
-        for _ in range(max(args.cycles, 1)):
-            try:
+    with closing(LabelStore(args.dir)) as store:
+        ingested = LabelTailer(store, args.journals).poll()
+        print(
+            f"tailed {len(args.journals)} journal(s): {ingested} new labels "
+            f"({store.count} total)"
+        )
+        worker = FineTuneWorker(
+            args.dir,
+            store,
+            registry,
+            Snowcat.standard(args.seed),
+            config=LearnConfig(
+                min_labels=args.min_labels,
+                window=args.window,
+                epochs=args.epochs,
+                learning_rate=args.learning_rate,
+                holdout_every=args.holdout_every,
+                seed=args.seed,
+                min_gain=args.min_gain,
+                replay_ctis=args.replay_ctis,
+                golden_gate=args.golden_gate,
+            ),
+        )
+        with closing(worker):
+            for _ in range(max(args.cycles, 1)):
                 summary = worker.run_once()
-            except (ServeError, CheckpointError, JournalError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            if summary is None:
+                if summary is None:
+                    print(
+                        f"idle: {store.count} labels ingested; fine-tuning "
+                        f"triggers after {args.min_labels} fresh labels"
+                    )
+                    break
                 print(
-                    f"idle: {store.count} labels ingested; fine-tuning "
-                    f"triggers after {args.min_labels} fresh labels"
+                    f"cycle {summary['cycle']}: {summary['outcome']} "
+                    f"{summary['candidate']} (base {summary['base']}, holdout "
+                    f"AP {summary['candidate_ap']:.3f} vs "
+                    f"{summary['active_ap']:.3f}, {summary['examples']} fresh + "
+                    f"{summary['replay']} replay examples)"
                 )
-                break
-            print(
-                f"cycle {summary['cycle']}: {summary['outcome']} "
-                f"{summary['candidate']} (base {summary['base']}, holdout "
-                f"AP {summary['candidate_ap']:.3f} vs "
-                f"{summary['active_ap']:.3f}, {summary['examples']} fresh + "
-                f"{summary['replay']} replay examples)"
-            )
-            if summary["outcome"] == "quarantined":
-                exit_code = 1
-                break
-    finally:
-        worker.close()
-        store.close()
-    return exit_code
+                if summary["outcome"] == "quarantined":
+                    return 1
+    return 0
 
 
 _COMMANDS = {
@@ -1308,6 +1199,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with obs.span(f"cli.{args.command}", seed=args.seed):
             return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if registry is not None:
             summary = registry.close()

@@ -10,8 +10,9 @@ candidates, as the paper runs both "on the same CTI stream"):
 - :class:`MLPCTExplorer` predicts each candidate's coverage with a PIC
   model, asks a selection strategy whether it is interesting, and only
   executes the selected ones — up to the same execution budget, but with an
-  ``inference_cap`` on predictions (the paper caps at 1,600), judged in
-  :func:`repro.core.scoring.select`, the loop every PIC consumer shares.
+  ``inference_cap`` on predictions (the paper caps at 1,600; ``plan_cti``
+  draws only that many), judged in :func:`repro.core.scoring.select`, the
+  loop every PIC consumer shares.
 
 Both update a campaign-wide race detector, the schedule-dependent block
 coverage set, the manifested-bug ledger, and the simulated cost ledger.
@@ -83,7 +84,8 @@ class ExplorationConfig:
     execution_budget: int = 50
     inference_cap: int = 1600
     #: Candidate schedules proposed per CTI (candidates beyond the caps are
-    #: never considered; PCT draws only the first ``execution_budget``).
+    #: never drawn: PCT draws the first ``execution_budget``, MLPCT the
+    #: first ``inference_cap``).
     proposal_pool: int = 1600
     #: Candidates scored per batched inference call (see
     #: :mod:`repro.core.scoring`); 1 forces per-graph scoring. Predictors
@@ -450,15 +452,15 @@ class _ExplorerBase:
     def plan_cti(self, *entries: CorpusEntry) -> CTIPlan:
         """Stage 1: draw this CTI's candidate pool (strict stream order).
 
-        An explorer that does not predict runs at most its execution
-        budget of candidates, so it draws only those (the pool's prefix).
+        Only the pool's prefix that can matter is drawn: an explorer that
+        predicts scores at most its inference cap of candidates, one that
+        does not runs at most its execution budget.
         """
+        config = self.config
+        count = config.inference_cap if self.predicts else config.execution_budget
         return CTIPlan(
             entries=entries,
-            proposals=self.proposals_for(
-                *entries,
-                count=None if self.predicts else self.config.execution_budget,
-            ),
+            proposals=self.proposals_for(*entries, count=count),
             audit=(
                 {"results": [], "scored": 0, "scored_digest": ""}
                 if self.journaled
@@ -697,9 +699,7 @@ class MLPCTExplorer(_ExplorerBase):
         if audit is not None:
             scored = _audited(scored, audit)
         chosen, plan.inferences_before, stats.inferences = select_candidates(
-            itertools.islice(scored, self.config.inference_cap),
-            self.strategy,
-            self.config.execution_budget,
+            scored, self.strategy, self.config.execution_budget
         )
         obs.add("campaign.inferences", stats.inferences)
         # A prediction the strategy rejects is a dynamic execution the

@@ -36,10 +36,10 @@ class FaultSpecError(ReproError):
 
 
 class SpecError(ReproError):
-    """Raised when a :class:`repro.run.RunSpec` cannot be run as written:
-    a combination of settings that is refused (one of them could not
-    take effect), or a journal, socket or checkpoint it names that
-    cannot be opened."""
+    """Raised when a :class:`repro.run.RunSpec` or a CLI command cannot be
+    run as written: a combination of settings that is refused (one of
+    them could not take effect), or a journal, socket, checkpoint or
+    trace it names that cannot be opened."""
 
 
 class JournalError(ReproError):

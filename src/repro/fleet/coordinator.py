@@ -236,11 +236,6 @@ class FleetCoordinator:
             else:
                 flight.predicted = []
 
-    def _score_pool(self, flight: _Flight) -> List[object]:
-        # Workers score at most what the sequential cap would ever
-        # consider.
-        return flight.plan.proposals[: self.explorer.config.inference_cap]
-
     def _select(self, flight: _Flight) -> None:
         self.explorer.select(flight.plan, flight.predicted)
         flight.snapshot.update(self.explorer.selection_state())
@@ -295,7 +290,7 @@ class FleetCoordinator:
         }
         flight = self._flights[job.cti_index]
         if job.kind == "score":
-            message["proposals"] = self._score_pool(flight)
+            message["proposals"] = flight.plan.proposals
         else:
             message["tasks"] = flight.plan.tasks
         return message
@@ -357,7 +352,7 @@ class FleetCoordinator:
             return
         entries = self.ctis[job.cti_index]
         if job.kind == "score":
-            inputs = score_inputs_digest(self._score_pool(flight))
+            inputs = score_inputs_digest(flight.plan.proposals)
             result = score_result_digest(payload)
         else:
             inputs = execute_inputs_digest(flight.plan.tasks)

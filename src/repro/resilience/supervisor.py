@@ -25,9 +25,8 @@ the runner instance for the campaign's run report.
 
 :class:`SupervisedRunner` runs every CT a campaign executes. With
 ``workers=0`` (the default) it runs them in-process; ``--workers N``
-gets the pool with the default policy, and ``--supervise``/
-``--ct-timeout``/``--retries``/``--inject-faults`` tune or exercise the
-same runner. The pool is a :class:`~repro.execution.parallel.WorkerPool`
+gets the pool with the default policy, and ``--ct-timeout``/
+``--retries``/``--inject-faults`` tune or exercise the same runner. The pool is a :class:`~repro.execution.parallel.WorkerPool`
 of :func:`~repro.execution.parallel.worker_main` loops over ``_run_task``
 — the process mechanics and the deadline rule live there, the policy
 here. Results are returned in task order and, absent injected or real

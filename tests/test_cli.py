@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ServeError, SpecError
 
 
 class TestParser:
@@ -219,3 +220,64 @@ class TestRobustness:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_learn_run_corrupt_registry_manifest(self, capsys, tmp_path):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        (registry / "manifest.json").write_text("not json")
+        learn = str(tmp_path / "learn")
+        code = main(["learn", "run", "--dir", learn, "--registry", str(registry)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: unreadable registry manifest" in err
+        assert "Traceback" not in err
+
+    def test_learn_run_corrupt_label_store(self, capsys, tmp_path):
+        learn = tmp_path / "learn"
+        learn.mkdir()
+        (learn / "labels.jsonl").write_text("not a record\nnor this\n")
+        registry = str(tmp_path / "registry")
+        code = main(["learn", "run", "--dir", str(learn), "--registry", registry])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: corrupt journal record at line 1" in err
+        assert "Traceback" not in err
+
+    def test_serve_status_without_server(self, capsys, tmp_path):
+        assert main(["serve", "status", "--socket", str(tmp_path / "none.sock")]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot reach prediction server" in captured.err
+        assert captured.out == ""
+
+
+class TestOneErrorExit:
+    """``main`` is the one place a command fails: whatever ``ReproError``
+    or ``OSError`` a command raises is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [SpecError("refused"), ServeError("refused"), OSError("refused")],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_a_raised_error_is_one_line_and_exit_2(self, error, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def failing(args):
+            print("partial output")
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "info", failing)
+        assert main(["info"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: refused\n"
+        assert captured.out == "partial output\n"
+
+    def test_other_exceptions_still_propagate(self, monkeypatch):
+        import repro.cli as cli
+
+        def buggy(args):
+            raise KeyError("a bug, not a refusal")
+
+        monkeypatch.setitem(cli._COMMANDS, "info", buggy)
+        with pytest.raises(KeyError):
+            main(["info"])

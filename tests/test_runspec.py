@@ -56,7 +56,6 @@ COMMAND_FLAGS = {
     "campaign": {
         "--ctis": ("ctis", 8, None, STORE),
         "--workers": ("workers", 0, None, STORE),
-        "--supervise": ("supervise", False, None, FLAG),
         "--ct-timeout": ("ct_timeout", None, None, STORE),
         "--retries": ("retries", None, None, STORE),
         "--heartbeat": ("heartbeat", None, None, STORE),

@@ -81,6 +81,25 @@ def _worker_bitmaps(dataset_builder, tiny_model, explorer, plan):
 KINDS = ["PCT", "S1", "S2", "S3"]
 
 
+def test_predicting_plan_is_the_pools_capped_prefix(dataset_builder, tiny_model):
+    """An MLPCT plan draws only the candidates its inference cap lets
+    ``select`` consider: exactly the first ``inference_cap`` of the pool
+    a same-seed explorer proposes in full."""
+    planner, pooler = (
+        _explorer(dataset_builder, tiny_model, "S1", "two-thread") for _ in range(2)
+    )
+    entries = _ctis(dataset_builder, "two-thread")[0]
+    try:
+        plan = planner.plan_cti(*entries)
+        pool = pooler.proposals_for(*entries)
+    finally:
+        planner.close()
+        pooler.close()
+    cap = planner.config.inference_cap
+    assert len(pool) == planner.config.proposal_pool > cap
+    assert plan.proposals == pool[:cap]
+
+
 class TestStagesEqualExploreCTI:
     @pytest.mark.parametrize("pool", sorted(POOLS))
     @pytest.mark.parametrize("kind", KINDS)
