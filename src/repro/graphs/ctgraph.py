@@ -287,13 +287,15 @@ def build_ct_template(
     urb_hops: int = 1,
     shortcut_span: int = DEFAULT_SHORTCUT_SPAN,
     max_tokens: int = DEFAULT_MAX_TOKENS,
+    token_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> CTIGraphTemplate:
     """Build the hint-independent part of a CTI's graph.
 
     Positional arguments after ``cfg`` are one :class:`SequentialTrace`
     per thread followed by the :class:`Vocabulary` — the historical
     two-thread call ``build_ct_template(kernel, cfg, trace_a, trace_b,
-    vocabulary)`` is the N=2 case.
+    vocabulary)`` is the N=2 case. ``token_cache`` keeps block token ids
+    across templates of one kernel, vocabulary and ``max_tokens``.
     """
     *trace_args, vocabulary = args
     traces = tuple(trace_args)
@@ -364,7 +366,7 @@ def build_ct_template(
 
     # -- features -----------------------------------------------------------
     token_matrix = np.zeros((len(node_blocks), max_tokens), dtype=np.int64)
-    token_cache: Dict[int, np.ndarray] = {}
+    token_cache = {} if token_cache is None else token_cache
     for index, block_id in enumerate(node_blocks):
         cached = token_cache.get(block_id)
         if cached is None:

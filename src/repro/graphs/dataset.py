@@ -162,6 +162,8 @@ class GraphDatasetBuilder:
         #: LRU-ish cache of CTI graph templates keyed by STI-id tuple.
         self._template_cache: Dict[Tuple[int, ...], CTIGraphTemplate] = {}
         self._template_cache_cap = 128
+        #: Block token ids, shared by every template this builder builds.
+        self._token_cache: Dict[int, np.ndarray] = {}
 
     # -- corpus ------------------------------------------------------------
 
@@ -200,6 +202,7 @@ class GraphDatasetBuilder:
                 self.vocabulary,
                 urb_hops=self.urb_hops,
                 shortcut_span=self.shortcut_span,
+                token_cache=self._token_cache,
             )
             if len(self._template_cache) >= self._template_cache_cap:
                 oldest = next(iter(self._template_cache))

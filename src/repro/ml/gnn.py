@@ -21,6 +21,11 @@ independent reference the tests hold inference to.
 prediction: the batch is cut into runs of consecutive same-template
 graphs and each run goes through one compressed layer loop over a
 template-cached :class:`_BatchPlan` (a single graph is a batch of one).
+Given its template's schedule-free :class:`TemplatePass` (the PIC
+caches one per template), a run is a delta against it: a candidate
+differs from its template only at its hinted nodes and schedule edges,
+so each layer recomputes just the rows those reach, in the same
+operations and order as the full loop — the same bits.
 
 Deeper stacks see farther in the graph; the paper observes deeper GNNs
 predict concurrent coverage better (§5.1.2), which ``num_layers`` exposes.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,7 +90,6 @@ def _normalized_pair(
     forward[d, s] = 1/in_deg(d) for each edge s→d; reverse likewise on the
     transposed edge set.
     """
-    ones = np.ones(len(src))
     in_degree = np.bincount(dst, minlength=num_nodes).astype(np.float64)
     out_degree = np.bincount(src, minlength=num_nodes).astype(np.float64)
     forward = sp.csr_matrix(
@@ -168,7 +172,8 @@ class _BatchPlan:
     ``matrix`` whose single sparse product accumulates every term
     straight into the layer output. ``cols`` concatenates the terms'
     column supports (one gather per layer) and ``slices`` delimits each
-    term's segment.
+    term's segment. ``template_cols`` maps each column to its column in
+    the run-of-one plan (a term's columns are those tiled ``k`` times).
 
     Plans live in a *shared* template cache and are therefore immutable
     on publish (arrays frozen read-only); the mutable layer buffers the
@@ -182,6 +187,7 @@ class _BatchPlan:
     cols: np.ndarray
     slices: np.ndarray
     matrix: sp.csr_matrix
+    template_cols: np.ndarray
     #: Lazily built float32 view of ``matrix`` (shared indices/indptr,
     #: cast data), for ``inference_mode="float32"``. Built at most once
     #: per plan; a concurrent double-build is idempotent.
@@ -190,6 +196,7 @@ class _BatchPlan:
     def freeze(self) -> "_BatchPlan":
         self.cols.setflags(write=False)
         self.slices.setflags(write=False)
+        self.template_cols.setflags(write=False)
         _freeze_csr(self.matrix)
         return self
 
@@ -239,6 +246,28 @@ def _layer_buffers(
         )
         store[key] = buffers
     return buffers
+
+
+def _dot(a: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.dot(a, w, out=out)``, with a lone row computed as a two-row
+    GEMM: NumPy sends one row to BLAS's matrix-vector kernel, which rounds
+    differently, and a row's bits must not depend on its company."""
+    if len(a) != 1:
+        return np.dot(a, w, out=out)
+    if out is None:
+        out = np.empty((1, w.shape[1]), dtype=a.dtype)
+    out[:] = np.dot(np.concatenate((a, a)), w)[:1]
+    return out
+
+
+class TemplatePass(NamedTuple):
+    """A template's layer loop without hints or schedule edges: per layer
+    ``h @ W_self`` before the bias and the run-of-one plan's term
+    products, then the output. Read-only: every thread shares it."""
+
+    selfs: List[np.ndarray]
+    products: List[np.ndarray]
+    output: np.ndarray
 
 
 def _template_runs(graphs: Sequence[CTGraph]) -> Iterator[Sequence[CTGraph]]:
@@ -366,7 +395,7 @@ class RelationalGCN:
         return self.forward_numpy_batch(h.copy(), [graph])
 
     def forward_numpy_batch(
-        self, h: np.ndarray, graphs: Sequence[CTGraph]
+        self, h: np.ndarray, graphs: Sequence[CTGraph], pass_for=None
     ) -> np.ndarray:
         """Gradient-free inference over a disjoint union of graphs, in place.
 
@@ -375,10 +404,13 @@ class RelationalGCN:
         returned as, their output rows in input order. The batch is cut
         into maximal runs of consecutive graphs stamped from one template,
         and each run goes through the compressed layer loop on its own
-        row slice. Message passing never crosses graphs and runs are
-        never reordered or merged, so a graph's rows do not depend on
-        what it was batched with (bit for bit as long as no GEMM of a run
-        shrinks to a single row; see docs/PERFORMANCE.md).
+        row slice. Message passing never crosses graphs, runs are never
+        reordered or merged and no GEMM has a single row, so a graph's
+        rows do not depend on what it was batched with, bit for bit.
+
+        ``pass_for(run)`` may return the run's :class:`TemplatePass`,
+        to score the run as a delta against it (the same bits); the caller
+        vouches that ``h``'s rows outside hinted nodes are its input rows.
         """
         row = 0
         for run in _template_runs(graphs):
@@ -386,10 +418,22 @@ class RelationalGCN:
             self._run_numpy_compressed(
                 h[row : row + rows],
                 self._batch_plan(run),
-                self._schedule_terms(run),
+                self._schedule_terms(run, h.dtype),
+                pass_for(run) if pass_for else None,
+                np.concatenate([graph.hint_flags for graph in run]) != 0,
             )
             row += rows
         return h
+
+    def template_pass(self, base: np.ndarray, graph: CTGraph) -> TemplatePass:
+        """The layer loop of ``graph``'s template on its base node
+        features ``base`` (left untouched), recorded."""
+        record = TemplatePass([], [], base.copy())
+        plan = self._batch_plan([graph])
+        self._run_numpy_compressed(record.output, plan, [], record=record)
+        for array in (*record.selfs, *record.products, record.output):
+            array.setflags(write=False)
+        return record
 
     def _batch_plan(self, run: Sequence[CTGraph]) -> _BatchPlan:
         """The run's compressed plan, cached in its template if it has one."""
@@ -435,12 +479,14 @@ class RelationalGCN:
             if matrices
             else sp.csr_matrix((n_total, 0))
         )
-        return _BatchPlan(
-            terms=terms, cols=cols, slices=slices, matrix=matrix
-        ).freeze()
+        bounds = zip(slices // k, slices[1:] // k)
+        template_cols = np.concatenate(
+            [np.empty(0, np.int64)] + [np.tile(np.arange(a, b), k) for a, b in bounds]
+        ).astype(matrix.indices.dtype)
+        return _BatchPlan(terms, cols, slices, matrix, template_cols).freeze()
 
     def _schedule_terms(
-        self, graphs: Sequence[CTGraph]
+        self, graphs: Sequence[CTGraph], dtype: np.dtype
     ) -> List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """Merged scheduling-hint edges of one run, in gather/scatter form.
 
@@ -469,13 +515,19 @@ class RelationalGCN:
         if self.config.bidirectional:
             out_degree = np.bincount(src, minlength=n_total).astype(np.float64)
             terms.append((1, src, dst, 1.0 / np.maximum(out_degree[src], 1.0)))
-        return terms
+        return [
+            (direction, rows_out, rows_in, coeff.astype(dtype, copy=False))
+            for direction, rows_out, rows_in, coeff in terms
+        ]
 
     def _run_numpy_compressed(
         self,
         h: np.ndarray,
         plan: _BatchPlan,
         schedule_terms: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        recorded: Optional[TemplatePass] = None,
+        hinted: Optional[np.ndarray] = None,
+        record: Optional[TemplatePass] = None,
     ) -> None:
         """The gradient-free layer loop (same math as :meth:`forward`),
         overwriting ``h`` — one run's row slice — with its output.
@@ -483,8 +535,17 @@ class RelationalGCN:
         Each (edge type, direction) GEMM runs only on the nodes that send
         messages of that type; every column skipped multiplies an exact
         zero in the dense formulation, so results match autograd to
-        floating-point accuracy. The sparse propagation accumulates
-        straight into the layer output buffer.
+        floating-point accuracy. One sparse product accumulates every
+        term into the layer output.
+
+        Given the run's ``recorded`` pass, it is a delta: the frontier
+        (rows whose input may differ from the template's) starts at the
+        ``hinted`` rows and schedule endpoints and grows by its receivers
+        each layer; GEMMs run on its rows and plan columns only, and a
+        row-restricted ``csr_matvecs`` reads the pass's products or the
+        recomputed ones. Computed rows see the full loop's operations,
+        order and inputs; the rest take the pass's output. Without a pass
+        every row is frontier; ``record`` collects a template pass.
 
         The loop runs entirely in ``h.dtype``: float64 uses the live
         parameter arrays, float32 (``inference_mode="float32"``) uses
@@ -495,37 +556,67 @@ class RelationalGCN:
         matrix = plan.matrix_for(dtype)
         w_self, bias, w_edge = self._weight_views(dtype)
         width = h.shape[1]
-        out, scratch = _layer_buffers(
-            matrix.shape[0], len(plan.cols), width, dtype
-        )
-        if schedule_terms and dtype == np.float32:
-            schedule_terms = [
-                (direction, rows_out, rows_in, coeff.astype(np.float32))
-                for direction, rows_out, rows_in, coeff in schedule_terms
-            ]
+        n_template = 0 if recorded is None else len(recorded.products[0])
+        out, x = _layer_buffers(len(h), n_template + len(plan.cols), width, dtype)
+        frontier = np.ones(len(h), bool) if recorded is None else hinted.copy()
+        for _, rows_out, rows_in, _ in schedule_terms:
+            frontier[rows_out] = frontier[rows_in] = True
+        colmap = plan.template_cols.copy()
         for layer in range(self.config.num_layers):
-            np.dot(h, w_self[layer], out=out)
-            out += bias[layer]
-            if len(plan.cols):
-                # note: h.take() beats np.take(..., out=) — numpy's buffered
-                # out-path is several times slower than a fresh gather
-                gather = h.take(plan.cols, axis=0)
-                for i, (edge_type, direction) in enumerate(plan.terms):
-                    weight = w_edge[layer][edge_type][direction]
-                    segment = slice(plan.slices[i], plan.slices[i + 1])
-                    np.dot(gather[segment], weight, out=scratch[segment])
-                _sparsetools.csr_matvecs(
-                    matrix.shape[0],
-                    matrix.shape[1],
-                    width,
-                    matrix.indptr,
-                    matrix.indices,
-                    matrix.data,
-                    scratch.ravel(),
-                    out.ravel(),
-                )
+            senders = frontier.nonzero()[0]
+            sending = frontier[plan.cols]
+            spos = sending.nonzero()[0]
+            frontier |= plan.matrix @ sending > 0
+            rows = frontier.nonzero()[0]
+            result = out[: len(rows)]
+            if recorded is not None:
+                nodes = rows % len(recorded.output)
+                result[:] = recorded.selfs[layer].take(nodes, axis=0)
+                x[:n_template] = recorded.products[layer]
+            changed = _dot(h.take(senders, axis=0), w_self[layer])
+            result[np.searchsorted(rows, senders)] = changed
+            result += bias[layer]
+            # note: h.take() beats np.take(..., out=) — numpy's buffered
+            # out-path is several times slower than a fresh gather
+            gather = h.take(plan.cols[spos], axis=0)
+            # A term's frontier columns are one slice of ``spos``.
+            bounds = np.searchsorted(spos, plan.slices).tolist()
+            recomputed = x[n_template:]
+            for (edge_type, direction), a, b in zip(plan.terms, bounds, bounds[1:]):
+                weight = w_edge[layer][edge_type][direction]
+                _dot(gather[a:b], weight, recomputed[a:b])
+            if record is not None:
+                record.selfs.append(changed)
+                record.products.append(x.copy())
+            # The frontier only grows: this rewrites every earlier entry.
+            colmap[spos] = n_template + np.arange(len(spos), dtype=colmap.dtype)
+            # ``matrix``'s rows ``rows``, each in stored order.
+            picked = rows.astype(matrix.indptr.dtype)
+            indptr = np.zeros(len(rows) + 1, dtype=picked.dtype)
+            np.cumsum(matrix.indptr[picked + 1] - matrix.indptr[picked], out=indptr[1:])
+            indices = np.empty(indptr[-1], dtype=picked.dtype)
+            data = np.empty(indptr[-1], dtype=dtype)
+            _sparsetools.csr_row_index(
+                len(rows), picked, matrix.indptr, matrix.indices, matrix.data,
+                indices, data,
+            )
+            _sparsetools.csr_matvecs(
+                len(rows),
+                n_template + len(spos),
+                width,
+                indptr,
+                colmap.take(indices),
+                data,
+                x.ravel(),
+                result.ravel(),
+            )
             for direction, rows_out, rows_in, coeff in schedule_terms:
                 weight = w_edge[layer][EDGE_SCHEDULE][direction]
-                contrib = (h[rows_in] * coeff[:, None]) @ weight
-                np.add.at(out, rows_out, contrib)
-            np.maximum(out, 0.0, out=h)
+                contrib = _dot(h[rows_in] * coeff[:, None], weight)
+                np.add.at(result, np.searchsorted(rows, rows_out), contrib)
+            np.maximum(result, 0.0, out=result)
+            h[rows] = result
+        if recorded is not None:
+            runs = len(h) // len(recorded.output)
+            rest = ~frontier.reshape(runs, -1, 1)
+            np.copyto(h.reshape(runs, -1, width), recorded.output, where=rest)

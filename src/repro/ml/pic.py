@@ -171,13 +171,14 @@ class PICModel:
         self.b_dataflow = Parameter(np.zeros(1), name="pic.b_dataflow")
         #: Classification threshold, tuned on validation URBs (§5.1.2).
         self.threshold: float = 0.5
-        # The inference-time cache: per-template schedule-independent node
-        # features (code + node-type + zero-hint-flag embeddings) per
-        # inference dtype, keyed by the ``token_ids`` array every graph
-        # stamped from one CTI template shares; hinted rows are patched per
-        # graph. Dropped, with the float32 casts, at the first inference
+        # The inference-time cache, keyed by the ``token_ids`` array every
+        # graph of one CTI template shares: per inference dtype, the
+        # template's node features (code + node-type + zero-hint-flag
+        # embeddings) and its GNN ``TemplatePass`` with the ``base_cache``
+        # it ran on; ~1.5 MB per dtype for a 186-node template, 32 entries
+        # at most. Dropped, with the float32 casts, at the first inference
         # after parameters changed (``_params_dirty``).
-        self._base_features_cache: Dict[int, Tuple[np.ndarray, Dict[type, np.ndarray]]] = {}
+        self._base_features_cache: Dict[int, tuple] = {}
         self._base_features_cap = 32
         self._params_dirty = False
         #: "float64" (default, exact) or "float32" (reduced precision):
@@ -275,10 +276,9 @@ class PICModel:
 
     # -- batched inference -----------------------------------------------------
 
-    def _base_node_features(
-        self, graph: CTGraph, dtype: type = np.float64
-    ) -> np.ndarray:
-        """Schedule-independent input features of one template's graphs.
+    def _template_entry(self, graph: CTGraph, dtype: type) -> tuple:
+        """``graph``'s template's cache entry, ``dtype`` features present:
+        ``(token_ids, {dtype: features}, {dtype: (base_cache, pass)})``.
 
         Code embeddings, node-type embeddings, and the zero hint-flag
         embedding are all identical across a CTI's candidate schedules, so
@@ -290,7 +290,7 @@ class PICModel:
 
         Every gradient-free prediction starts here, so this is where
         stale caches are dropped: the check must precede the lookup, or
-        a hit would serve features from before the last parameter update.
+        a hit would serve data from before the last parameter update.
         """
         if self._params_dirty:
             self._base_features_cache.clear()
@@ -310,13 +310,26 @@ class PICModel:
                 # pop(): concurrent server worker threads may race on
                 # eviction; losing the race must not raise.
                 self._base_features_cache.pop(oldest, None)
-            cached = (graph.token_ids, {np.float64: base})
+            cached = (graph.token_ids, {np.float64: base}, {})
             self._base_features_cache[key] = cached
         variants = cached[1]
-        variant = variants.get(dtype)
-        if variant is None:
-            variant = variants[dtype] = variants[np.float64].astype(dtype)
-        return variant
+        if dtype not in variants:
+            variants[dtype] = variants[np.float64].astype(dtype)
+        return cached
+
+    def _template_pass(self, run: Sequence[CTGraph]):
+        """``run``'s template pass, built once per template, parameters and
+        dtype; ``None`` for a graph without a template and for a run of one
+        whose template has none yet (one graph is cheaper in full)."""
+        graph = run[0]
+        dtype = np.float32 if self.inference_mode == "float32" else np.float64
+        features, passes = self._template_entry(graph, dtype)[1:]
+        cached = passes.get(dtype, (None, None))
+        if cached[0] is not graph.base_cache and len(run) > 1:
+            # A concurrent double-build stores an identical pass.
+            recorded = self.gnn.template_pass(features[dtype], graph)
+            cached = passes[dtype] = (graph.base_cache, recorded)
+        return cached[1] if cached[0] is graph.base_cache else None
 
     def _hidden_numpy_batch(
         self, graphs: Sequence[CTGraph]
@@ -324,10 +337,11 @@ class PICModel:
         """Gradient-free node representations of a batch, stacked in
         order, and the graphs' row offsets into them.
 
-        Every graph's input rows are its template's cached
-        :meth:`_base_node_features` with just the hinted rows patched, in
+        Every graph's input rows are its template's cached base features
+        (:meth:`_template_entry`) with just the hinted rows patched, in
         the ``inference_mode`` dtype; the GNN then runs each run of
-        same-template graphs through one compressed layer loop. This is
+        same-template graphs through one compressed layer loop (a delta
+        against the template's :meth:`_template_pass`, if any). This is
         the only gradient-free forward pass — single graphs, candidate
         pools and server batches mixing several CTIs all come through
         here, so a graph's result does not depend on its batch.
@@ -337,13 +351,13 @@ class PICModel:
         h = np.empty((offsets[-1], self.config.hidden_dim), dtype=dtype)
         for graph, offset in zip(graphs, offsets):
             rows = h[offset : offset + graph.num_nodes]
-            rows[:] = self._base_node_features(graph, dtype)
+            rows[:] = self._template_entry(graph, dtype)[1][dtype]
             hinted = np.flatnonzero(graph.hint_flags)
             if len(hinted):
-                # Read after _base_node_features, which drops stale casts.
+                # Read after _template_entry, which drops stale casts.
                 flags = self._head_views(dtype)[0]
                 rows[hinted] += flags[graph.hint_flags[hinted]] - flags[0]
-        return self.gnn.forward_numpy_batch(h, graphs), offsets
+        return self.gnn.forward_numpy_batch(h, graphs, self._template_pass), offsets
 
     def predict_proba_batch(self, graphs: Sequence[CTGraph]) -> List[np.ndarray]:
         """Coverage probabilities of many graphs in one forward pass.

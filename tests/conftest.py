@@ -33,8 +33,9 @@ from repro.oracle.quality import GOLDEN_CONFIG, GOLDEN_KERNEL_CONFIG
 
 # ``--hypothesis-profile ci``: a raised example budget for the tests that
 # leave ``max_examples`` to the profile (``test_stepper_equivalence.py``,
-# ``test_scoring.py::TestBatchIndependence``); CI's ``oracle`` and
-# ``tests`` jobs select it. The default profile is untouched.
+# ``test_scoring.py::TestBatchIndependence`` and ``::TestTemplateDelta``);
+# CI's ``oracle`` and ``tests`` jobs select it. The default profile is
+# untouched.
 settings.register_profile("ci", max_examples=1500, deadline=None)
 
 # Kept under its historic name: many tests import this to build kernel

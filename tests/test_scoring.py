@@ -681,6 +681,143 @@ class TestBatchIndependence:
             )
 
 
+def _cached_passes(model):
+    """Every template pass the model holds, as ``(dtype, pass)`` pairs."""
+    return [
+        (dtype, cached[1])
+        for entry in model._base_features_cache.values()
+        for dtype, cached in entry[2].items()
+    ]
+
+
+def _dense(model, graph):
+    """``graph`` scored without its template: the full layer loop."""
+    return model.predict_proba(dataclasses.replace(graph, base_cache=None))
+
+
+class TestTemplateDelta:
+    """A candidate is scored as a delta against its template's cached
+    pass; it must give the full loop's probabilities bit for bit."""
+
+    @given(
+        axis=st.sampled_from(sorted(_POOL_AXES)),
+        seed=st.integers(0, 500),
+        chunk=st.integers(1, 9),
+        mode=st.sampled_from(["float64", "float32"]),
+        bidirectional=st.booleans(),
+    )
+    @settings(deadline=None)  # example budget: the hypothesis profile's
+    def test_delta_equals_dense(
+        self, dataset_builder, tiny_model, axis, seed, chunk, mode, bidirectional
+    ):
+        from repro.ml.pic import PICModel
+
+        config = dataclasses.replace(tiny_model.config, bidirectional=bidirectional)
+        model = PICModel(config, seed=seed).set_inference_mode(mode)
+        if bidirectional:
+            model.load_state_dict(tiny_model.state_dict())
+        entries, schedules = _pool(dataset_builder, axis, seed, size=12)
+        graphs = [dataset_builder.graph_for(*entries, list(h)) for h in schedules]
+        template = dataset_builder.template_for(*entries)
+        bare = template.instantiate(dataset_builder.kernel, [])
+        lone_flag = np.zeros(template.num_nodes, dtype=np.int64)
+        lone_flag[0] = 1
+        lone = template.stamp((), [], lone_flag)
+        # Schedule edges whose endpoints carry no hint flag.
+        unflagged = template.stamp(
+            graphs[0].hints,
+            graphs[0].schedule_rows,
+            np.zeros(template.num_nodes, dtype=np.int64),
+        )
+        graphs += [bare, bare, lone, unflagged]
+        scored = [
+            proba
+            for start in range(0, len(graphs), chunk)
+            for proba in model.predict_proba_batch(graphs[start : start + chunk])
+        ]
+        # Once the pass is cached, a run of one is a delta as well.
+        model.predict_proba_batch(graphs[:2])
+        assert _cached_passes(model)
+        alone = [model.predict_proba(graph) for graph in graphs]
+        for graph, batched, single in zip(graphs, scored, alone):
+            reference = _dense(model, graph)
+            np.testing.assert_array_equal(batched, reference)
+            np.testing.assert_array_equal(single, reference)
+
+    def test_lone_frontier_rows_take_the_padded_gemm(
+        self, dataset_builder, tiny_model
+    ):
+        """Scored alone, a graph with one hinted node and no schedule
+        edges has one frontier row and one frontier column per term that
+        node sends: every delta GEMM of its first layer is a single row."""
+        from repro.ml.pic import PICModel
+
+        model = PICModel(tiny_model.config)
+        model.load_state_dict(tiny_model.state_dict())
+        entries, _ = _pool(dataset_builder, "two-thread", 1, size=1)
+        template = dataset_builder.template_for(*entries)
+        graphs = []
+        for node in range(template.num_nodes):
+            flags = np.zeros(template.num_nodes, dtype=np.int64)
+            flags[node] = 1 + node % 2
+            graphs.append(template.stamp((), [], flags))
+        model.predict_proba_batch(graphs[:2])
+        for graph in graphs:
+            np.testing.assert_array_equal(
+                model.predict_proba(graph), _dense(model, graph)
+            )
+
+    def test_pass_is_keyed_on_the_template(self, dataset_builder, tiny_model):
+        """Two templates that share ``token_ids`` share base features,
+        but each is scored against its own pass."""
+        from repro.ml.pic import PICModel
+
+        model = PICModel(tiny_model.config)
+        model.load_state_dict(tiny_model.state_dict())
+        entries, schedules = _pool(dataset_builder, "two-thread", 2, size=4)
+        template = dataset_builder.template_for(*entries)
+        pruned = dataclasses.replace(
+            template, base_edges=template.base_edges[::2], sparse_cache={}
+        )
+        kernel = dataset_builder.kernel
+        for source in (template, pruned):
+            graphs = [source.instantiate(kernel, list(h)) for h in schedules]
+            alone = [model.predict_proba(graph) for graph in graphs]
+            batched = model.predict_proba_batch(graphs)
+            for graph, one, many in zip(graphs, alone, batched):
+                np.testing.assert_array_equal(one, _dense(model, graph))
+                np.testing.assert_array_equal(many, _dense(model, graph))
+
+    def test_parameter_change_drops_the_pass(
+        self, dataset_builder, tiny_model, candidate_graphs
+    ):
+        from repro.ml.pic import PICModel
+
+        model = PICModel(tiny_model.config)
+        model.predict_proba_batch(candidate_graphs)
+        assert _cached_passes(model)
+        model.load_state_dict(tiny_model.state_dict())
+        fresh = PICModel(tiny_model.config)
+        fresh.load_state_dict(tiny_model.state_dict())
+        for changed, expected in zip(
+            model.predict_proba_batch(candidate_graphs),
+            fresh.predict_proba_batch(candidate_graphs),
+        ):
+            np.testing.assert_array_equal(changed, expected)
+
+    def test_one_graph_of_a_fresh_template_caches_no_pass(
+        self, tiny_model, candidate_graphs
+    ):
+        from repro.ml.pic import PICModel
+
+        model = PICModel(tiny_model.config)
+        model.load_state_dict(tiny_model.state_dict())
+        model.predict_proba(candidate_graphs[0])
+        assert model._base_features_cache and not _cached_passes(model)
+        model.predict_proba_batch(candidate_graphs[:2])
+        assert [dtype for dtype, _ in _cached_passes(model)] == [np.float64]
+
+
 class TestFloat32FastPath:
     #: Documented agreement bound for float32 batched scoring; measured
     #: max |Δproba| on the golden pipeline is ~2e-7.
