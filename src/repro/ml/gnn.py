@@ -19,8 +19,9 @@ autograd one over :func:`prepare_adjacency`: training, and the
 independent reference the tests hold inference to.
 :meth:`RelationalGCN.forward_numpy_batch` is every gradient-free
 prediction: the batch is cut into runs of consecutive same-template
-graphs and each run goes through one compressed layer loop over a
-template-cached :class:`_BatchPlan` (a single graph is a batch of one).
+graphs and each run goes through one compressed layer loop that reads
+its template's one cached :class:`_BatchPlan` once per graph (a single
+graph is a batch of one).
 Given its template's schedule-free :class:`TemplatePass` (the PIC
 caches one per template), a run is a delta against it: a candidate
 differs from its template only at its hinted nodes and schedule edges,
@@ -159,21 +160,21 @@ def _compressed_columns(
 
 @dataclass
 class _BatchPlan:
-    """Template-cached compressed adjacency of a run of ``k`` graphs.
+    """Template-cached compressed base adjacency of one graph.
 
-    All schedules of one CTI share their base edges, so the block-diagonal
-    union of a same-template run is the base adjacency tiled ``k``
-    times — built once per (template, run length) and cached in the
-    template's ``base_cache``; only each run's scheduling-hint edges are
-    merged per call. Each (edge_type, direction) term keeps only its
+    All schedules of one CTI share their base edges, so one plan serves
+    every run of the template's graphs: row ``j·n + i`` of a run is plan
+    row ``i`` with its columns read for graph ``j``. It is built once per
+    template from :func:`prepare_adjacency`'s base pairs and cached in
+    the template's ``base_cache``; only each run's scheduling-hint edges
+    are merged per call. Each (edge_type, direction) term keeps only its
     nonzero *columns* (the nodes that send messages of that type), so the
     per-type weight GEMM runs on just those rows of ``h``; the terms'
     column-compressed matrices are stacked side by side into one
     ``matrix`` whose single sparse product accumulates every term
     straight into the layer output. ``cols`` concatenates the terms'
     column supports (one gather per layer) and ``slices`` delimits each
-    term's segment. ``template_cols`` maps each column to its column in
-    the run-of-one plan (a term's columns are those tiled ``k`` times).
+    term's segment.
 
     Plans live in a *shared* template cache and are therefore immutable
     on publish (arrays frozen read-only); the mutable layer buffers the
@@ -187,7 +188,6 @@ class _BatchPlan:
     cols: np.ndarray
     slices: np.ndarray
     matrix: sp.csr_matrix
-    template_cols: np.ndarray
     #: Lazily built float32 view of ``matrix`` (shared indices/indptr,
     #: cast data), for ``inference_mode="float32"``. Built at most once
     #: per plan; a concurrent double-build is idempotent.
@@ -196,7 +196,6 @@ class _BatchPlan:
     def freeze(self) -> "_BatchPlan":
         self.cols.setflags(write=False)
         self.slices.setflags(write=False)
-        self.template_cols.setflags(write=False)
         _freeze_csr(self.matrix)
         return self
 
@@ -417,7 +416,7 @@ class RelationalGCN:
             rows = run[0].num_nodes * len(run)
             self._run_numpy_compressed(
                 h[row : row + rows],
-                self._batch_plan(run),
+                self._batch_plan(run[0]),
                 self._schedule_terms(run, h.dtype),
                 pass_for(run) if pass_for else None,
                 np.concatenate([graph.hint_flags for graph in run]) != 0,
@@ -429,43 +428,35 @@ class RelationalGCN:
         """The layer loop of ``graph``'s template on its base node
         features ``base`` (left untouched), recorded."""
         record = TemplatePass([], [], base.copy())
-        plan = self._batch_plan([graph])
+        plan = self._batch_plan(graph)
         self._run_numpy_compressed(record.output, plan, [], record=record)
         for array in (*record.selfs, *record.products, record.output):
             array.setflags(write=False)
         return record
 
-    def _batch_plan(self, run: Sequence[CTGraph]) -> _BatchPlan:
-        """The run's compressed plan, cached in its template if it has one."""
-        first = run[0]
-        base_cache = first.base_cache
+    def _batch_plan(self, graph: CTGraph) -> _BatchPlan:
+        """The graph's compressed plan, cached in its template if it has one."""
+        base_cache = graph.base_cache
         if base_cache is None:
-            return self._build_plan(first, 1)
+            return self._build_plan(graph)
         # Models of either direction setting may score one template.
-        key = ("__plan__", len(run), first.num_nodes, self.config.bidirectional)
+        key = ("__plan__", graph.num_nodes, self.config.bidirectional)
         plan = base_cache.get(key)
         if plan is None:
-            plan = base_cache[key] = self._build_plan(first, len(run))
+            plan = base_cache[key] = self._build_plan(graph)
         return plan
 
-    def _build_plan(self, graph: CTGraph, k: int) -> _BatchPlan:
-        n = graph.num_nodes
-        n_total = n * k
-        offsets = (np.arange(k) * n).astype(np.int64)
-        base_rows = graph.edges[graph.edges[:, 2] != EDGE_SCHEDULE]
+    def _build_plan(self, graph: CTGraph) -> _BatchPlan:
         directions = 2 if self.config.bidirectional else 1
         terms: List[Tuple[int, int]] = []
         col_blocks: List[np.ndarray] = []
         matrices: List[sp.csr_matrix] = []
-        types = np.unique(base_rows[:, 2]) if len(base_rows) else []
-        for edge_type in types:
-            rows = base_rows[base_rows[:, 2] == edge_type]
-            src = (rows[:, 0][None, :] + offsets[:, None]).ravel()
-            dst = (rows[:, 1][None, :] + offsets[:, None]).ravel()
-            pair = _normalized_pair(src, dst, n_total)
+        for edge_type, pair in prepare_adjacency(graph).items():
+            if edge_type == EDGE_SCHEDULE:
+                continue
             for direction in range(directions):
                 cols, compressed = _compressed_columns(pair[direction])
-                terms.append((int(edge_type), direction))
+                terms.append((edge_type, direction))
                 col_blocks.append(cols)
                 matrices.append(compressed)
         cols = (
@@ -477,13 +468,9 @@ class RelationalGCN:
         matrix = (
             sp.hstack(matrices, format="csr")
             if matrices
-            else sp.csr_matrix((n_total, 0))
+            else sp.csr_matrix((graph.num_nodes, 0))
         )
-        bounds = zip(slices // k, slices[1:] // k)
-        template_cols = np.concatenate(
-            [np.empty(0, np.int64)] + [np.tile(np.arange(a, b), k) for a, b in bounds]
-        ).astype(matrix.indices.dtype)
-        return _BatchPlan(terms, cols, slices, matrix, template_cols).freeze()
+        return _BatchPlan(terms, cols, slices, matrix).freeze()
 
     def _schedule_terms(
         self, graphs: Sequence[CTGraph], dtype: np.dtype
@@ -536,7 +523,10 @@ class RelationalGCN:
         messages of that type; every column skipped multiplies an exact
         zero in the dense formulation, so results match autograd to
         floating-point accuracy. One sparse product accumulates every
-        term into the layer output.
+        term into the layer output. A run of ``k`` graphs reads the one
+        plan ``k`` times: run row ``j·n + i`` is plan row ``i``, and plan
+        column ``c`` of graph ``j`` is run column ``c·k + j``, so each
+        term's run columns are still one block.
 
         Given the run's ``recorded`` pass, it is a delta: the frontier
         (rows whose input may differ from the template's) starts at the
@@ -556,31 +546,40 @@ class RelationalGCN:
         matrix = plan.matrix_for(dtype)
         w_self, bias, w_edge = self._weight_views(dtype)
         width = h.shape[1]
+        n, n_cols = matrix.shape
+        k = len(h) // n
         n_template = 0 if recorded is None else len(recorded.products[0])
-        out, x = _layer_buffers(len(h), n_template + len(plan.cols), width, dtype)
+        out, x = _layer_buffers(len(h), n_template + n_cols * k, width, dtype)
         frontier = np.ones(len(h), bool) if recorded is None else hinted.copy()
         for _, rows_out, rows_in, _ in schedule_terms:
             frontier[rows_out] = frontier[rows_in] = True
-        colmap = plan.template_cols.copy()
+        # The run's CSR arrays and gather sources, and every column reading
+        # its template product until its graph recomputes it. Graph j's
+        # rows start at j·nnz, so graph k's first start ends the run.
+        graph_ids = np.arange(k + 1, dtype=matrix.indices.dtype)[:, None]
+        run_indptr = (matrix.indptr[:-1] + matrix.nnz * graph_ids).ravel()[: len(h) + 1]
+        run_indices = (matrix.indices * k + graph_ids[:k]).ravel()
+        run_data = matrix.data[None].repeat(k, 0).ravel()
+        cols = (plan.cols + n * graph_ids[:k]).T.ravel()
+        colmap = np.repeat(np.arange(n_cols, dtype=graph_ids.dtype), k)
         for layer in range(self.config.num_layers):
             senders = frontier.nonzero()[0]
-            sending = frontier[plan.cols]
+            sending = frontier[cols]
             spos = sending.nonzero()[0]
-            frontier |= plan.matrix @ sending > 0
+            frontier |= (plan.matrix @ sending.reshape(n_cols, k) > 0).T.ravel()
             rows = frontier.nonzero()[0]
             result = out[: len(rows)]
             if recorded is not None:
-                nodes = rows % len(recorded.output)
-                result[:] = recorded.selfs[layer].take(nodes, axis=0)
+                result[:] = recorded.selfs[layer].take(rows % n, axis=0)
                 x[:n_template] = recorded.products[layer]
             changed = _dot(h.take(senders, axis=0), w_self[layer])
             result[np.searchsorted(rows, senders)] = changed
             result += bias[layer]
             # note: h.take() beats np.take(..., out=) — numpy's buffered
             # out-path is several times slower than a fresh gather
-            gather = h.take(plan.cols[spos], axis=0)
+            gather = h.take(cols[spos], axis=0)
             # A term's frontier columns are one slice of ``spos``.
-            bounds = np.searchsorted(spos, plan.slices).tolist()
+            bounds = np.searchsorted(spos, plan.slices * k).tolist()
             recomputed = x[n_template:]
             for (edge_type, direction), a, b in zip(plan.terms, bounds, bounds[1:]):
                 weight = w_edge[layer][edge_type][direction]
@@ -590,15 +589,14 @@ class RelationalGCN:
                 record.products.append(x.copy())
             # The frontier only grows: this rewrites every earlier entry.
             colmap[spos] = n_template + np.arange(len(spos), dtype=colmap.dtype)
-            # ``matrix``'s rows ``rows``, each in stored order.
-            picked = rows.astype(matrix.indptr.dtype)
+            # The run's rows ``rows``, each in stored order.
+            picked = rows.astype(graph_ids.dtype)
             indptr = np.zeros(len(rows) + 1, dtype=picked.dtype)
-            np.cumsum(matrix.indptr[picked + 1] - matrix.indptr[picked], out=indptr[1:])
+            np.cumsum(run_indptr[picked + 1] - run_indptr[picked], out=indptr[1:])
             indices = np.empty(indptr[-1], dtype=picked.dtype)
             data = np.empty(indptr[-1], dtype=dtype)
             _sparsetools.csr_row_index(
-                len(rows), picked, matrix.indptr, matrix.indices, matrix.data,
-                indices, data,
+                len(rows), picked, run_indptr, run_indices, run_data, indices, data
             )
             _sparsetools.csr_matvecs(
                 len(rows),
@@ -617,6 +615,5 @@ class RelationalGCN:
             np.maximum(result, 0.0, out=result)
             h[rows] = result
         if recorded is not None:
-            runs = len(h) // len(recorded.output)
-            rest = ~frontier.reshape(runs, -1, 1)
-            np.copyto(h.reshape(runs, -1, width), recorded.output, where=rest)
+            rest = ~frontier.reshape(k, -1, 1)
+            np.copyto(h.reshape(k, -1, width), recorded.output, where=rest)

@@ -96,17 +96,26 @@ class TestDirections:
         """Regression: batch plans were cached per template without the
         direction count, so a one-direction model scoring a template a
         two-direction model had planned indexed a reverse weight it does
-        not have."""
-        graph = graphs_from_one_template[0]
-        h = np.random.default_rng(1).normal(size=(graph.num_nodes, 8))
+        not have. A run of several graphs without a template pass reads
+        the one plan once per graph: each graph's rows are its own."""
+        first, second = graphs_from_one_template
+        run = [first, second, first]
+        n = first.num_nodes
+        h = np.random.default_rng(1).normal(size=(n * len(run), 8))
         for bidirectional in (True, False):
             gnn = RelationalGCN(
                 GNNConfig(hidden_dim=8, num_layers=2, bidirectional=bidirectional),
                 seed=2,
             )
-            fresh = dataclasses.replace(graph, base_cache={})
+            alone = [
+                gnn.forward_numpy(
+                    h[j * n : (j + 1) * n], dataclasses.replace(graph, base_cache={})
+                )
+                for j, graph in enumerate(run)
+            ]
+            assert np.array_equal(gnn.forward_numpy(h[:n], first), alone[0])
             assert np.array_equal(
-                gnn.forward_numpy(h, graph), gnn.forward_numpy(h, fresh)
+                gnn.forward_numpy_batch(h.copy(), run), np.concatenate(alone)
             )
 
     def test_parameter_names_unique(self):

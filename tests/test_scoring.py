@@ -788,6 +788,34 @@ class TestTemplateDelta:
                 np.testing.assert_array_equal(one, _dense(model, graph))
                 np.testing.assert_array_equal(many, _dense(model, graph))
 
+    def test_one_plan_per_template(self, dataset_builder, tiny_model):
+        """Runs of every length read their template's one batch plan;
+        only a model of the other direction setting keys a second."""
+        from repro.ml.pic import PICModel
+
+        model = PICModel(tiny_model.config)
+        model.load_state_dict(tiny_model.state_dict())
+        entries, schedules = _pool(dataset_builder, "two-thread", 3, size=12)
+        template = dataclasses.replace(
+            dataset_builder.template_for(*entries), sparse_cache={}
+        )
+        graphs = [
+            template.instantiate(dataset_builder.kernel, list(h)) for h in schedules
+        ]
+        model.predict_proba_batch(graphs[:8])
+        model.predict_proba_batch(graphs[8:11])
+        model.predict_proba(graphs[11])
+        assert _cached_passes(model)
+
+        def plans():
+            keys = template.sparse_cache
+            return [key for key in keys if isinstance(key, tuple) and "__plan__" in key]
+
+        assert len(graphs) == 12 and len(plans()) == 1
+        config = dataclasses.replace(tiny_model.config, bidirectional=False)
+        PICModel(config).predict_proba_batch(graphs[:3])
+        assert len(plans()) == 2
+
     def test_parameter_change_drops_the_pass(
         self, dataset_builder, tiny_model, candidate_graphs
     ):
