@@ -24,10 +24,12 @@ picks what to execute and freezes it into tasks (advances the strategy
 and the task-seed counter), ``fold`` accounts for the results (ledger,
 race dedup, coverage, history). The work *between* stages is pure —
 RNG-free scoring of a pool, executing a frozen :class:`CTTask` — and may
-run anywhere, in any order. Two drivers call the stages: ``explore_cti``
-(what :func:`run_campaign` uses) runs them back to back and scores
-lazily inside ``select``, so predicting stops once the budget is met;
-the fleet coordinator (:mod:`repro.fleet.coordinator`) lets a later
+run anywhere, in any order. Two drivers call the stages, and both run
+inside :func:`run_campaign`, the one loop over a CTI stream (journal,
+resume, spans, per-CTI stats, progress): inline, ``explore_cti`` runs
+them back to back and scores lazily inside ``select``, so predicting
+stops once the budget is met; the fleet coordinator
+(:mod:`repro.fleet.coordinator`), handed in as ``driver``, lets a later
 CTI's ``select`` and ``fold`` wait on worker processes and hands
 ``select`` whole-pool bitmaps. A stage may run ahead of the next, never
 out of stream order.
@@ -253,7 +255,7 @@ class _ExplorerBase:
         #: continuous-learning tailer (read-only observation of results
         #: already in hand — cannot perturb RNG streams or accounting).
         self.capture_labels = capture_labels
-        #: Set by the driver when a journal is attached: plans then carry
+        #: Set by :func:`run_campaign` when a journal is attached: plans carry
         #: the audit digests the journal persists.
         self.journaled = False
         #: The plan the most recent :meth:`explore_cti` ran (what the
@@ -725,8 +727,15 @@ def run_campaign(
     ctis: Sequence[Tuple[CorpusEntry, ...]],
     journal: Optional["CampaignJournal"] = None,
     heartbeat=None,
+    driver=None,
 ) -> CampaignResult:
     """Explore a stream of CTIs; returns the cumulative campaign curve.
+
+    The one loop over a CTI stream. Each CTI is ``explore_cti`` inline;
+    a ``driver`` (the fleet coordinator) is ``start(first)``-ed once and
+    then ``explore(index)`` returns CTI ``index``'s folded plan and its
+    selection-side state, which tops the checkpoint (the driver may
+    select ahead, never fold ahead); ``close()`` runs last.
 
     With ``journal`` (a :class:`repro.resilience.journal.CampaignJournal`)
     every completed CTI is appended to a durable write-ahead journal and
@@ -743,51 +752,49 @@ def run_campaign(
     campaign results.
     """
     ctis = list(ctis)
-    result_stats: List[ExplorationStats] = []
-    start_index = 0
+    per_cti: List[ExplorationStats] = []
+    first = 0
     explorer.journaled = journal is not None
     if journal is not None:
-        result_stats, start_index = journal.prepare(explorer, ctis)
-    races_so_far = sum(stats.new_races for stats in result_stats)
-    executions_so_far = sum(stats.executions for stats in result_stats)
+        per_cti, first = journal.prepare(explorer, ctis)
     if heartbeat is not None:
-        heartbeat.begin(explorer.label, len(ctis), done=start_index)
+        heartbeat.begin(explorer.label, len(ctis), done=first)
     try:
         with obs.span(
             "campaign.run", label=explorer.label, ctis=len(ctis)
         ) as campaign_span:
-            for index, entries in enumerate(ctis):
-                if index < start_index:
-                    continue
+            if driver is not None:
+                driver.start(first)
+            for index in range(first, len(ctis)):
                 with obs.span("campaign.cti", index=index) as cti_span:
-                    stats = explorer.explore_cti(*entries)
+                    if driver is None:
+                        explorer.explore_cti(*ctis[index])
+                        plan, selection = explorer.last_plan, {}
+                    else:
+                        plan, selection = driver.explore(index)
+                    stats = plan.stats
                     cti_span.set(
                         executions=stats.executions,
                         inferences=stats.inferences,
                         new_races=stats.new_races,
                         new_blocks=stats.new_blocks,
                     )
-                result_stats.append(stats)
-                races_so_far += stats.new_races
-                executions_so_far += stats.executions
+                per_cti.append(stats)
                 if journal is not None:
-                    journal.record_cti(
-                        explorer.label,
-                        index,
-                        explorer.last_plan,
-                        explorer.state_dict(),
-                    )
+                    state = explorer.state_dict()
+                    state.update(selection)
+                    journal.record_cti(explorer.label, index, plan, state)
                 if heartbeat is not None and heartbeat.update(
                     done=index + 1,
-                    races=races_so_far,
-                    executions=executions_so_far,
+                    races=explorer.race_detector.total,
+                    executions=explorer.ledger.executions,
                 ):
                     obs.point(
                         "campaign.heartbeat",
                         done=index + 1,
                         total=len(ctis),
-                        races=races_so_far,
-                        executions=executions_so_far,
+                        races=explorer.race_detector.total,
+                        executions=explorer.ledger.executions,
                     )
             campaign = explorer.result()
             campaign_span.set(
@@ -798,7 +805,9 @@ def run_campaign(
                 simulated_hours=round(campaign.ledger.total_hours, 4),
             )
     finally:
-        # Worker pools (parallel_workers > 0) do not outlive the campaign.
+        # Worker pools (parallel_workers > 0, a fleet's) die with it.
+        if driver is not None:
+            driver.close()
         explorer.close()
-    campaign.per_cti = result_stats
+    campaign.per_cti = per_cti
     return campaign

@@ -2,19 +2,20 @@
 crash-exactly.
 
 The coordinator is the only process that holds campaign *state* — the
-explorer object with its cost ledger, race dedup, coverage sets,
-selection strategy, and journal. Workers (:mod:`repro.fleet.worker`)
+explorer object with its cost ledger, race dedup, coverage sets and
+selection strategy. Workers (:mod:`repro.fleet.worker`)
 hold none: they score candidate pools and execute pre-seeded tasks,
 both pure functions of their inputs. That split is what lets a fleet of
 N processes, with jobs landing in any order and any job retried on any
 worker, fold down to a :class:`CampaignResult` byte-identical to the
 single-process campaign.
 
-How byte-identity survives the fan-out: the coordinator runs the
-explorer's *own* per-CTI stages (``plan_cti`` → ``select`` → ``fold``,
-see :mod:`repro.core.mlpct`) — the same three calls ``explore_cti``
-makes — each strictly in CTI order, and ships only the pure work in
-between to the workers:
+How byte-identity survives the fan-out: the coordinator is a *driver*
+of :func:`~repro.core.mlpct.run_campaign`, the one campaign loop, in
+place of ``explore_cti``. It runs the explorer's *own* per-CTI stages
+(``plan_cti`` → ``select`` → ``fold``, see :mod:`repro.core.mlpct`) —
+the same three calls ``explore_cti`` makes — each strictly in CTI
+order, and ships only the pure work in between to the workers:
 
 - ``plan_cti`` runs for the whole stream up front; an explorer that
   ``predicts`` gets one *score job* per CTI (workers return one boolean
@@ -32,14 +33,16 @@ with the explorer's; what differs from the inline driver is scheduling
 only (asynchronous, deadline-bound, whole pools scored ahead of
 selection).
 
-Crash-exact resume: the coordinator reuses the campaign journal
-(:mod:`repro.resilience.journal`) — one record per *folded* CTI plus an
-atomic checkpoint. Because the selection pipeline runs ahead of the
-fold, the checkpoint for CTI *k* composes the live fold-side state
-(ledger, races, coverage, history) with a *selection-side snapshot*
-captured when CTI *k* was selected (task counter, visit counts,
-strategy state); a coordinator SIGKILLed at any instant resumes from
-its last fold and reproduces the identical aggregate.
+Crash-exact resume: ``run_campaign`` owns the journal
+(:mod:`repro.resilience.journal`) for both drivers — one record per
+*folded* CTI plus an atomic checkpoint. Because the selection pipeline
+runs ahead of the fold, ``explore(k)`` folds through CTI *k* and no
+further and returns, beside the folded plan, a *selection-side
+snapshot* captured when CTI *k* was selected (task counter, visit
+counts, strategy state); the loop checkpoints the live fold-side state
+(ledger, races, coverage, history) with that snapshot on top, so a
+coordinator SIGKILLed at any instant resumes from its last fold and
+reproduces the identical aggregate.
 
 Fault injection reuses :class:`repro.resilience.faults.FaultPlan`,
 keyed by fleet job id (score job for CTI ``k`` is ``2k``, execute job
@@ -70,7 +73,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats
+from repro.core.mlpct import CampaignResult, CTIPlan, ExplorationStats, run_campaign
 from repro.errors import FleetError
 from repro.execution.parallel import OVERDUE, WorkerPool, reemit_execution_counters
 from repro.fleet.receipts import (
@@ -168,19 +171,18 @@ class _Flight:
 
 
 class FleetCoordinator:
-    """Drives one fleet campaign to completion (or a precise failure)."""
+    """Drives each CTI of one :func:`run_campaign` through the fleet
+    (``start``, ``explore``, ``close``), or fails it precisely."""
 
     def __init__(
         self,
         explorer,
         ctis: Sequence[Tuple[object, ...]],
         config: Optional[FleetConfig] = None,
-        journal: Optional[CampaignJournal] = None,
     ) -> None:
         self.explorer = explorer
         self.ctis = list(ctis)
         self.config = config or FleetConfig()
-        self.journal = journal
         _check_shardable(explorer.config, self.config)
         # The model score jobs run against in the workers (fork-shared).
         predictor = explorer.scorer.predictor if explorer.predicts else None
@@ -193,7 +195,6 @@ class FleetCoordinator:
                 "an MLPCT fleet needs a model: the explorer has no "
                 "predictor and FleetConfig.serve_socket is unset"
             )
-        explorer.journaled = journal is not None
         #: What every worker this coordinator forks is handed.
         self._spec = WorkerSpec(
             kernel=explorer.kernel,
@@ -217,7 +218,6 @@ class FleetCoordinator:
         self._pool: Optional[WorkerPool] = None
         self._next_select = 0
         self._next_fold = 0
-        self._result_stats: List[ExplorationStats] = []
         self._coordinator_beat: Optional[HeartbeatWriter] = None
 
     # -- the explorer's stages, in strict CTI order ---------------------------
@@ -246,32 +246,21 @@ class FleetCoordinator:
         else:
             flight.results = []
 
-    def _fold(self, flight: _Flight) -> None:
-        self.explorer.fold(flight.plan, flight.results)
-        self._result_stats.append(flight.plan.stats)
-        if self.journal is not None:
-            # Checkpoint state as-of this CTI: the live fold-side fields,
-            # with the selection-side ones as they were when this CTI was
-            # selected (the pipeline has usually selected further ahead).
-            state = self.explorer.state_dict()
-            state.update(flight.snapshot)
-            self.journal.record_cti(
-                self.explorer.label, flight.index, flight.plan, state
-            )
-        del self._flights[flight.index]
-
-    def _advance_pipeline(self) -> None:
+    def _advance_pipeline(self, through: int) -> None:
+        """Select as far as the landed scores allow; fold through CTI
+        ``through`` and no further (a later fold would leak into its
+        checkpoint)."""
         while self._next_select < len(self.ctis):
             flight = self._flights[self._next_select]
             if flight.predicted is None:
                 break  # score job still in flight
             self._select(flight)
             self._next_select += 1
-        while self._next_fold < self._next_select:
+        while self._next_fold <= through and self._next_fold < self._next_select:
             flight = self._flights[self._next_fold]
             if flight.results is None:
                 break  # execute job still in flight
-            self._fold(flight)
+            self.explorer.fold(flight.plan, flight.results)
             self._next_fold += 1
 
     # -- jobs and replies -----------------------------------------------------
@@ -376,7 +365,7 @@ class FleetCoordinator:
         )
         self.report.receipts += 1
 
-    def _beat(self, force: bool = False) -> None:
+    def _beat(self) -> None:
         if self._coordinator_beat is None:
             return
         now = time.monotonic()
@@ -388,26 +377,19 @@ class FleetCoordinator:
         )
         self._coordinator_beat.update(
             done=self._next_fold,
-            races=sum(stats.new_races for stats in self._result_stats),
-            executions=sum(stats.executions for stats in self._result_stats),
-            force=force,
+            races=self.explorer.race_detector.total,
+            executions=self.explorer.ledger.executions,
             detail=f"pending {len(self._pending)}, reassigned "
             f"{self.report.reassignments}{busy}",
         )
 
-    # -- lifecycle ------------------------------------------------------------
+    # -- the driver of run_campaign -----------------------------------------
 
-    def _setup(self) -> WorkerPool:
-        start_stats: List[ExplorationStats] = []
-        start_index = 0
-        if self.journal is not None:
-            start_stats, start_index = self.journal.prepare(
-                self.explorer, self.ctis
-            )
-        self._result_stats = start_stats
-        self._next_select = start_index
-        self._next_fold = start_index
-        self.report.resumed_ctis = start_index
+    def start(self, first: int) -> None:
+        """Plan CTIs ``first`` onward, select those with nothing to
+        score and fork the workers."""
+        self._next_select = self._next_fold = first
+        self.report.resumed_ctis = first
         if self.config.receipts_dir is not None:
             os.makedirs(self.config.receipts_dir, exist_ok=True)
         if self.config.heartbeat_dir is not None:
@@ -417,25 +399,42 @@ class FleetCoordinator:
                 role="coordinator",
             )
             self._coordinator_beat.begin(
-                f"fleet:{self.explorer.label}", len(self.ctis), done=start_index
+                f"fleet:{self.explorer.label}", len(self.ctis), done=first
             )
-        self._plan(start_index)
+        self._plan(first)
         # CTIs with nothing to score (PCT: all of them) are selected here,
         # so their execute jobs are queued before the workers fork.
-        self._advance_pipeline()
+        self._advance_pipeline(first - 1)
         self._pool = WorkerPool(
             self.config.workers, _fleet_worker_main, self._spec
         )
-        return self._pool
 
-    def _finish(self) -> Tuple[CampaignResult, FleetReport]:
-        campaign = self.explorer.result()
-        campaign.per_cti = self._result_stats
-        if self.config.receipts_dir is not None:
-            self._verify_receipt_coverage()
-        return campaign, self.report
+    def explore(self, index: int) -> Tuple[CTIPlan, Dict[str, object]]:
+        """Drive the pool until CTI ``index`` is folded; returns its plan
+        and the selection-side state as of its ``select``."""
+        pool = self._pool
+        while True:
+            # Fold before collecting: results already in must not wait
+            # out an idle pool's poll.
+            self._advance_pipeline(index)
+            self._beat()
+            if self._next_fold > index:
+                flight = self._flights.pop(index)
+                return flight.plan, flight.snapshot
+            self._check_stall()
+            dispatched = pool.fill(
+                self._pending, self._job_message, self._fault_kind
+            )
+            if dispatched:
+                obs.add("fleet.dispatched", dispatched)
+            for finished in pool.collect(self.config.lease_seconds):
+                self._finished(*finished)
 
-    def _verify_receipt_coverage(self) -> None:
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
+
+    def _verify_receipt_coverage(self, per_cti: List[ExplorationStats]) -> None:
         """Every executed job must be covered by a verified receipt.
 
         Derivable even across a resume: CTI ``k`` consumed inferences
@@ -446,7 +445,7 @@ class FleetCoordinator:
             self.config.receipts_dir, self.explorer.label
         )
         by_job = {int(receipt["job"]): receipt for receipt in receipts}
-        for index, stats in enumerate(self._result_stats):
+        for index, stats in enumerate(per_cti):
             if stats.inferences > 0 and 2 * index not in by_job:
                 raise FleetError(
                     f"CTI {index} consumed predictions but has no score-"
@@ -459,37 +458,7 @@ class FleetCoordinator:
                 )
         self.report.receipts = len(receipts)
 
-    def run(self) -> Tuple[CampaignResult, FleetReport]:
-        started = time.monotonic()
-        with obs.span(
-            "fleet.run",
-            label=self.explorer.label,
-            workers=self.config.workers,
-            ctis=len(self.ctis),
-        ):
-            pool = self._setup()
-            try:
-                while self._next_fold < len(self.ctis):
-                    dispatched = pool.fill(
-                        self._pending, self._job_message, self._fault_kind
-                    )
-                    if dispatched:
-                        obs.add("fleet.dispatched", dispatched)
-                    for finished in pool.collect(self.config.lease_seconds):
-                        self._finished(*finished)
-                    self._advance_pipeline()
-                    self._beat()
-                    self._check_stall()
-                self._beat(force=True)
-            finally:
-                pool.close()
-                self.explorer.close()
-        self.report.elapsed_seconds = time.monotonic() - started
-        return self._finish()
-
     def _check_stall(self) -> None:
-        if self._next_fold >= len(self.ctis):
-            return
         if self._pending or self._pool.busy:
             return
         # Nothing pending, nothing leased, campaign incomplete: if the
@@ -521,5 +490,14 @@ def run_fleet(
     fleet_report)`` with ``campaign`` byte-identical to
     :func:`repro.core.mlpct.run_campaign` on the same explorer config.
     """
-    coordinator = FleetCoordinator(explorer, ctis, config=config, journal=journal)
-    return coordinator.run()
+    coordinator = FleetCoordinator(explorer, ctis, config=config)
+    config = coordinator.config
+    started = time.monotonic()
+    with obs.span(
+        "fleet.run", label=explorer.label, workers=config.workers, ctis=len(ctis)
+    ):
+        campaign = run_campaign(explorer, ctis, journal=journal, driver=coordinator)
+    coordinator.report.elapsed_seconds = time.monotonic() - started
+    if config.receipts_dir is not None:
+        coordinator._verify_receipt_coverage(campaign.per_cti)
+    return campaign, coordinator.report

@@ -354,18 +354,18 @@ class TestFleetIdentity:
 
         ctis = _ctis(dataset_builder)
         receipts = str(tmp_path / "receipts")
+        explorer = _mlpct(dataset_builder, tiny_model)
         coordinator = FleetCoordinator(
-            _mlpct(dataset_builder, tiny_model),
-            ctis,
-            _fleet_config(receipts_dir=receipts),
+            explorer, ctis, _fleet_config(receipts_dir=receipts)
         )
-        coordinator.run()  # verifies coverage at finish
+        campaign = run_campaign(explorer, ctis, driver=coordinator)
+        coordinator._verify_receipt_coverage(campaign.per_cti)
         victim = min(
             entry for entry in os.listdir(receipts) if "job-" in entry
         )
         os.unlink(os.path.join(receipts, victim))
         with pytest.raises(FleetError, match="receipt"):
-            coordinator._verify_receipt_coverage()
+            coordinator._verify_receipt_coverage(campaign.per_cti)
 
 
 # -- fleet heartbeats and report ----------------------------------------------
@@ -386,6 +386,50 @@ class TestFleetObservability:
         assert f"{NUM_CTIS}/{NUM_CTIS} (100%)" in rendered
         assert "pending 0, reassigned 0" in rendered
         assert "fleet:PCT" in rendered
+
+    def test_fleet_run_traces_the_one_campaign_loop(
+        self, dataset_builder, tiny_model
+    ):
+        """A fleet runs the one campaign loop under ``fleet.run``: one
+        ``campaign.run`` span and one ``campaign.cti`` per CTI, carrying
+        the inline run's per-CTI fields."""
+        from repro import obs
+        from repro.obs import MemorySink, MetricsRegistry
+
+        ctis = _ctis(dataset_builder)
+
+        def spans(run, *args):
+            with obs.use_registry(MetricsRegistry(sink=MemorySink())) as registry:
+                run(_mlpct(dataset_builder, tiny_model), ctis, *args)
+                registry.close()
+            return [e for e in registry.sink.events if e["event"] == "span"]
+
+        def cti_fields(events):
+            return [
+                {
+                    key: event["attrs"][key]
+                    for key in (
+                        "index",
+                        "executions",
+                        "inferences",
+                        "new_races",
+                        "new_blocks",
+                    )
+                }
+                for event in events
+                if event["name"] == "campaign.cti"
+            ]
+
+        inline = spans(run_campaign)
+        fleet = spans(run_fleet, _fleet_config())
+        (fleet_run,) = [e for e in fleet if e["name"] == "fleet.run"]
+        (campaign_run,) = [e for e in fleet if e["name"] == "campaign.run"]
+        assert campaign_run["parent"] == fleet_run["id"]
+        per_cti = [e for e in fleet if e["name"] == "campaign.cti"]
+        assert [e["attrs"]["index"] for e in per_cti] == list(range(NUM_CTIS))
+        assert {e["parent"] for e in per_cti} == {campaign_run["id"]}
+        assert cti_fields(fleet) == cti_fields(inline)
+        assert any(fields["executions"] for fields in cti_fields(inline))
 
     def test_one_top_table_over_campaign_fleet_and_learn(
         self, dataset_builder, tmp_path, capsys
@@ -741,6 +785,97 @@ class TestFleetKillResume:
         assert _result_json(result) == reference
 
 
+def _journal_files(path):
+    """A journal and its checkpoint sidecars: bytes keyed by the suffix
+    after the journal's own file name (``""`` is the journal)."""
+    folder, name = os.path.split(path)
+    files = {}
+    for entry in sorted(os.listdir(folder)):
+        if entry.startswith(name):
+            with open(os.path.join(folder, entry), "rb") as handle:
+                files[entry[len(name):]] = handle.read()
+    return files
+
+
+class TestDriverIdentity:
+    """Both drivers of the one campaign loop write the same bytes: the
+    journal and every ``.ckpt`` of a fleet run equal the inline run's."""
+
+    def test_fresh_fleet_writes_the_inline_journal(
+        self, dataset_builder, tiny_model, tmp_path
+    ):
+        from repro.resilience.journal import CampaignJournal
+
+        ctis = _ctis(dataset_builder)
+
+        def fleet(explorer, ctis, journal):
+            return run_fleet(explorer, ctis, _fleet_config(), journal=journal)
+
+        written = []
+        for name, run in (("inline", run_campaign), ("fleet", fleet)):
+            path = str(tmp_path / f"{name}.journal")
+            journal = CampaignJournal(path)
+            try:
+                for explorer in (
+                    _pct(dataset_builder),
+                    _mlpct(dataset_builder, tiny_model),
+                ):
+                    run(explorer, ctis, journal=journal)
+            finally:
+                journal.close()
+            written.append(_journal_files(path))
+        inline, fleet_files = written
+        assert sorted(inline) == ["", ".MLPCT-S1.ckpt", ".PCT.ckpt"]
+        assert fleet_files == inline
+
+    def test_fleet_resumed_after_die_writes_the_inline_journal(self, tmp_path):
+        """``die@5`` kills the coordinator after two folds; the resumed
+        fleet's files equal an uninterrupted inline run's."""
+        sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+        from _fleet_driver import build_fleet_campaign
+        from repro.resilience.faults import DIE_EXIT_STATUS
+        from repro.resilience.journal import CampaignJournal
+
+        inline_path = str(tmp_path / "inline.journal")
+        journal = CampaignJournal(inline_path)
+        try:
+            run_campaign(*build_fleet_campaign(), journal=journal)
+        finally:
+            journal.close()
+        fleet_path = str(tmp_path / "fleet.journal")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                DRIVER,
+                fleet_path,
+                "--fault-spec",
+                "die@5",
+                "--workers",
+                "1",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=600,
+        )
+        assert proc.returncode == DIE_EXIT_STATUS
+        journal = CampaignJournal(fleet_path)
+        try:
+            _, report = run_fleet(
+                *build_fleet_campaign(), _fleet_config(), journal=journal
+            )
+        finally:
+            journal.close()
+        assert report.resumed_ctis == 2, "the journal restored progress"
+        inline = _journal_files(inline_path)
+        assert sorted(inline) == ["", ".MLPCT-S1.ckpt"]
+        assert _journal_files(fleet_path) == inline
+
+
 @pytest.mark.slow
 class TestFleetWorkerProcesses:
     def test_burying_a_just_spawned_worker_reaps_it(self, dataset_builder):
@@ -761,7 +896,8 @@ class TestFleetWorkerProcesses:
 
         previous = signal.signal(signal.SIGTERM, on_sigterm)
         try:
-            pool = coordinator._setup()
+            coordinator.start(0)
+            pool = coordinator._pool
             try:
                 for _ in range(300):
                     victim = pool.workers[0].process

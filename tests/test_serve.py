@@ -10,6 +10,7 @@ is indistinguishable from one scored locally, field for field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import sys
@@ -1208,13 +1209,26 @@ class TestGNNConcurrentReaders:
         be shared mutable state, so two threads scoring the same
         template's candidate pool corrupted each other's activations.
         Buffers are per-thread now; concurrent results must be bitwise
-        equal to serial ones."""
+        equal to each graph scored alone, through a plan of its own (a
+        fresh template cache), so a wrong multi-graph run fails too."""
         gnn = RelationalGCN(GNNConfig(hidden_dim=16, num_layers=2), seed=7)
         graphs = list(candidate_graphs)
         n_total = sum(graph.num_nodes for graph in graphs)
         rng = np.random.default_rng(0)
         inputs = [rng.normal(size=(n_total, 16)) for _ in range(6)]
-        expected = [gnn.forward_numpy_batch(h.copy(), graphs) for h in inputs]
+        bounds = np.cumsum([0] + [graph.num_nodes for graph in graphs])
+        expected = [
+            np.concatenate(
+                [
+                    gnn.forward_numpy(
+                        h[start:stop],
+                        dataclasses.replace(graph, base_cache={}),
+                    )
+                    for graph, start, stop in zip(graphs, bounds, bounds[1:])
+                ]
+            )
+            for h in inputs
+        ]
         mismatches = []
         barrier = threading.Barrier(len(inputs))
 
